@@ -26,14 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import (is_almost_strictly_minimal_set, is_ess,
+from .classify import (_minimal_and_maximal, is_almost_strictly_minimal_set, is_ess,
                        is_local_min_polyorder_scalar, is_local_min_polyorder_vector,
-                       is_minimal, is_maximal, is_nss, is_strict_local_min_scalar,
-                       sample_neighborhood)
-from .dominance import (STRICTLY_DOMINATES, ToleranceConfig, batch_vector_extremes,
-                        compare_scalar, compare_vector)
-from .fields import (Domain, Grid, SampleSet, ScalarField, VectorField, negate,
-                     sample_domain, scalar_field, vector_field)
+                       is_nss, is_strict_local_min_scalar, sample_neighborhood)
+from .dominance import STRICTLY_DOMINATES, ToleranceConfig, compare_scalar, compare_vector
+from .fields import (Domain, Grid, SampleSet, ScalarField, VectorField, sample_domain,
+                     scalar_field, vector_field)
 
 PI = math.pi
 
@@ -239,16 +237,6 @@ class CatalogAgreementReport:
                 "all_agree": self.all_agree, "challengers_used": self.challengers_used}
 
 
-def _no_strict_dominator(c: VectorField, rows: np.ndarray, candidates: np.ndarray,
-                         p: np.ndarray, cfg: ToleranceConfig) -> bool:
-    for k in candidates:
-        verdict = compare_vector(c, rows[k], p, cfg,
-                                 extra_eps=origin_segment_witnesses(rows[k], p))
-        if verdict.relation == STRICTLY_DOMINATES:
-            return False
-    return True
-
-
 def classify_catalog(n_max: int = 25, cfg: ToleranceConfig | None = None,
                      grid_n: int = 4096, seed: int = 42,
                      domain: Domain | None = None) -> CatalogAgreementReport:
@@ -262,18 +250,12 @@ def classify_catalog(n_max: int = 25, cfg: ToleranceConfig | None = None,
     f, c = case_fields(domain)
     catalog = build_catalog(n_max)
     challengers = case_challengers(c.domain, catalog, grid_n, seed)
-    X = challengers.points
-    neg_c = negate(c)
     verdicts = []
     for entry in catalog.entries:
-        p = np.array([entry.x])
-        mx, mn = batch_vector_extremes(c, X, p, cfg)
-        got_min = _no_strict_dominator(c, X, np.flatnonzero(mx <= cfg.tau), p, cfg)
-        got_max = _no_strict_dominator(neg_c, X, np.flatnonzero(mn >= -cfg.tau), p, cfg)
-        verdicts.append(EntryVerdict(entry, got_min, got_max))
-    origin = np.array([0.0])
-    o_min = is_minimal(c, origin, challengers, cfg, origin_segment_witnesses)
-    o_max = is_maximal(c, origin, challengers, cfg, origin_segment_witnesses)
+        got_min, got_max = _minimal_and_maximal(c, [entry.x], challengers, cfg,
+                                                origin_segment_witnesses)
+        verdicts.append(EntryVerdict(entry, got_min.ok, got_max.ok))
+    o_min, o_max = _minimal_and_maximal(c, [0.0], challengers, cfg, origin_segment_witnesses)
     return CatalogAgreementReport(tuple(verdicts), o_min.ok, o_max.ok, challengers.strategy)
 
 
@@ -309,8 +291,8 @@ def origin_atypicality(radii=(0.1, 0.01, 0.001), cfg: ToleranceConfig | None = N
     catalog = build_catalog(25)
     challengers = case_challengers(c.domain, catalog, grid_n, seed)
     origin = np.array([0.0])
-    minimal = is_minimal(c, origin, challengers, cfg, origin_segment_witnesses)
-    maximal = is_maximal(c, origin, challengers, cfg, origin_segment_witnesses)
+    minimal, maximal = _minimal_and_maximal(c, origin, challengers, cfg,
+                                            origin_segment_witnesses)
     rows = []
     for radius in radii:
         ball = sample_neighborhood(c.domain, origin, radius, neighborhood_count, seed)

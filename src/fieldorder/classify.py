@@ -6,6 +6,14 @@ around p intersected with the domain.  Every verdict is a certificate
 relative to the probe sets and the tolerance configuration, both of which
 are echoed in the report.
 
+Minimality and maximality are decided together from one uniform-grid
+screen of the challengers against p.  A challenger whose profile stays
+under +tau is never refined (refinement needs a sample above +tau), so its
+screen row is its verdict; maximality reads the mirror rows, since the
+screen under -c is exactly the negated screen under c.  Full comparisons
+run only for pairs that gain analytic extra eps and for the one reported
+dominator.
+
 The inclusion chains that must hold on shared probe sets (ess implies nss
 and minimal, minimal implies critical, local minimum implies critical,
 strict local minimum implies scalar minimality) are asserted by
@@ -146,66 +154,104 @@ def _lex_smallest(rows: list[tuple[tuple[float, ...], float]]):
     return sorted(rows)[0]
 
 
+def _screened_outcome(field, p: np.ndarray, X: np.ndarray, cfg: ToleranceConfig,
+                      survivor: np.ndarray, strict: np.ndarray,
+                      segment_witnesses) -> CheckOutcome:
+    """Minimality of p under field, read off the screen rows of X against p.
+
+    survivor marks the rows whose uniform-grid profile never rises above
+    +tau (only they can weakly dominate p); strict marks the survivors that
+    also fall below -tau.  A survivor has no sample above +tau, so it is
+    never refined and its screen row is its verdict, unless
+    segment_witnesses adds eps values to its grid: only those pairs get a
+    full comparison.  The reported eps of the lex-smallest dominator comes
+    from one comparison on its row.
+    """
+    compare = compare_scalar if isinstance(field, ScalarField) else compare_vector
+    verdicts = {}
+    if segment_witnesses is not None:
+        strict = strict.copy()
+        for k in np.flatnonzero(survivor):
+            extra = tuple(segment_witnesses(X[k], p))
+            if extra:
+                verdicts[k] = compare(field, X[k], p, cfg, extra_eps=extra)
+                strict[k] = verdicts[k].relation == STRICTLY_DOMINATES
+    rows = np.flatnonzero(strict)
+    if rows.size == 0:
+        return CheckOutcome(True)
+    lead = rows[np.lexsort(X[rows].T[::-1])[0]]
+    ties = rows[np.all(X[rows] == X[lead], axis=1)]
+
+    def eps_of(k):
+        verdict = verdicts[k] if k in verdicts else compare(field, X[k], p, cfg)
+        return verdict.witness_eps_strict
+
+    pt, eps = _lex_smallest([(tuple(X[k]), eps_of(k)) for k in ties])
+    return CheckOutcome(False, witness=pt, eps=eps)
+
+
+def _minimal_and_maximal(field, p, challengers: SampleSet,
+                         cfg: ToleranceConfig | None = None,
+                         segment_witnesses=None) -> tuple[CheckOutcome, CheckOutcome]:
+    """(minimal, maximal) outcomes of p against the challengers, from one screen.
+
+    Maximality is minimality under -field, and the screen of -field is the
+    mirror of the screen of field (its rowwise max is exactly -(the min),
+    its total change exactly -(the total)), so one screen decides both.
+    """
+    cfg = cfg or ToleranceConfig()
+    p = require_in_domain(field.domain, p)
+    X = challengers.points
+    if X.shape[0] == 0:
+        raise ValueError("challenger set is empty")
+    tau = cfg.tau
+    if isinstance(field, ScalarField):
+        smax, smin, total = batch_scalar_steps(field, X, p, cfg)
+        below, above = smax <= tau, smin >= -tau
+        drops, rises = total < -tau, total > tau
+    else:
+        mx, mn = batch_vector_extremes(field, X, p, cfg)
+        below, above = mx <= tau, mn >= -tau
+        drops, rises = mn < -tau, mx > tau
+    minimal = _screened_outcome(field, p, X, cfg, below, below & drops, segment_witnesses)
+    maximal = _screened_outcome(negate(field), p, X, cfg, above, above & rises,
+                                segment_witnesses)
+    return minimal, maximal
+
+
 def is_minimal(c: VectorField, p, challengers: SampleSet,
                cfg: ToleranceConfig | None = None,
                segment_witnesses=None) -> CheckOutcome:
     """Whether no challenger strictly dominates p.
 
-    A vectorized uniform-grid screen first discards challengers whose
-    profile already pokes above +tau (they cannot weakly dominate, and extra
-    grid points can only make that worse); survivors get the full refined
-    comparison.  segment_witnesses(x, p), when given, supplies extra eps
+    One vectorized uniform-grid screen decides every challenger: a row whose
+    profile pokes above +tau cannot weakly dominate (extra grid points can
+    only make that worse), and a row that stays within +tau is never
+    refined, so it strictly dominates exactly when its screen min falls
+    below -tau.  segment_witnesses(x, p), when given, supplies extra eps
     values for specific pairs (used for analytically known oscillation
-    witnesses).
+    witnesses); only those pairs are compared in full.  The witness is the
+    lex-smallest dominator, with the eps of its full comparison.
     """
-    cfg = cfg or ToleranceConfig()
-    p = require_in_domain(c.domain, p)
-    X = challengers.points
-    if X.shape[0] == 0:
-        raise ValueError("challenger set is empty")
-    mx, _ = batch_vector_extremes(c, X, p, cfg)
-    dominators = []
-    for k in np.flatnonzero(mx <= cfg.tau):
-        extra = tuple(segment_witnesses(X[k], p)) if segment_witnesses else ()
-        verdict = compare_vector(c, X[k], p, cfg, extra_eps=extra)
-        if verdict.relation == STRICTLY_DOMINATES:
-            dominators.append((tuple(X[k]), verdict.witness_eps_strict))
-    if not dominators:
-        return CheckOutcome(True)
-    pt, eps = _lex_smallest(dominators)
-    return CheckOutcome(False, witness=pt, eps=eps)
+    return _minimal_and_maximal(c, p, challengers, cfg, segment_witnesses)[0]
 
 
 def is_maximal(c: VectorField, p, challengers: SampleSet,
                cfg: ToleranceConfig | None = None,
                segment_witnesses=None) -> CheckOutcome:
     """Whether p strictly dominates no challenger; exactly minimality under -c."""
-    return is_minimal(negate(c), p, challengers, cfg, segment_witnesses)
+    return _minimal_and_maximal(c, p, challengers, cfg, segment_witnesses)[1]
 
 
 def is_minimal_scalar(f: ScalarField, p, challengers: SampleSet,
                       cfg: ToleranceConfig | None = None) -> CheckOutcome:
     """Whether no challenger strictly dominates p in the scalar order."""
-    cfg = cfg or ToleranceConfig()
-    p = require_in_domain(f.domain, p)
-    X = challengers.points
-    if X.shape[0] == 0:
-        raise ValueError("challenger set is empty")
-    smax, _, total = batch_scalar_steps(f, X, p, cfg)
-    dominators = []
-    for k in np.flatnonzero((smax <= cfg.tau) & (total < -cfg.tau)):
-        verdict = compare_scalar(f, X[k], p, cfg)
-        if verdict.relation == STRICTLY_DOMINATES:
-            dominators.append((tuple(X[k]), verdict.witness_eps_strict))
-    if not dominators:
-        return CheckOutcome(True)
-    pt, eps = _lex_smallest(dominators)
-    return CheckOutcome(False, witness=pt, eps=eps)
+    return _minimal_and_maximal(f, p, challengers, cfg)[0]
 
 
 def is_maximal_scalar(f: ScalarField, p, challengers: SampleSet,
                       cfg: ToleranceConfig | None = None) -> CheckOutcome:
-    return is_minimal_scalar(negate(f), p, challengers, cfg)
+    return _minimal_and_maximal(f, p, challengers, cfg)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +501,7 @@ def classify_point(kind: str, field, p, challengers: SampleSet | None = None,
 
     if kind == "vector":
         critical = is_critical_element(field, p, full, cfg)
-        minimal = is_minimal(field, p, full, cfg, segment_witnesses)
-        maximal = is_maximal(field, p, full, cfg, segment_witnesses)
+        minimal, maximal = _minimal_and_maximal(field, p, full, cfg, segment_witnesses)
         nss = is_nss(field, p, radius, neighborhood, cfg)
         local_min = is_local_min_polyorder_vector(field, p, radius, neighborhood, cfg,
                                                   segment_witnesses)
@@ -475,8 +520,7 @@ def classify_point(kind: str, field, p, challengers: SampleSet | None = None,
             config=cfg, analytic_witnesses=segment_witnesses is not None)
         return report
 
-    minimal = is_minimal_scalar(field, p, full, cfg)
-    maximal = is_maximal_scalar(field, p, full, cfg)
+    minimal, maximal = _minimal_and_maximal(field, p, full, cfg)
     strict_min = is_strict_local_min_scalar(field, p, radius, neighborhood, cfg)
     local_min = is_local_min_polyorder_scalar(field, p, radius, neighborhood, cfg)
     _chain(not strict_min.ok or minimal.ok,

@@ -202,18 +202,15 @@ def cmd_flow(args) -> int:
         payload = {"final_state": traj.final_state.tolist(), "final_time": traj.final_time,
                    "terminated_reason": traj.terminated_reason,
                    "integrator": icfg.to_dict()}
-        buf = io.StringIO()
-        traj.write_csv(buf)
-        emitter.write_text("trajectory.csv", buf.getvalue())
     else:
         ics = SampleSet(np.atleast_2d(args.x0), strategy="explicit", seed=args.seed)
         report = check_setwise_stability(field, candidate, ics, icfg, potential=potential)
         payload = report.to_dict()
         payload["integrator"] = icfg.to_dict()
-        traj = integrate(field, args.x0, icfg)
-        buf = io.StringIO()
-        traj.write_csv(buf)
-        emitter.write_text("trajectory.csv", buf.getvalue())
+        traj = report.trajectories[0]
+    buf = io.StringIO()
+    traj.write_csv(buf)
+    emitter.write_text("trajectory.csv", buf.getvalue())
     emitter.write_text("flow_report.json", _dumps(payload))
     if not args.json:
         print(f"{field.label} from {args.x0.tolist()}: "

@@ -15,6 +15,13 @@ eps grid, bisection refinement around sign changes, and a slack band tau
 inside which values count as ties.  Both directions of a comparison are
 decided from one sweep of the shared segment (the reverse relation sees
 -delta, resp. the reversed profile), which makes antisymmetry structural.
+
+Refinement only bisects between adjacent samples (scalar: adjacent steps)
+whose band signs are +1 and -1.  A profile whose uniform-grid max (scalar:
+largest step) stays within tau has no +1 sign, so it is never refined and
+its uniform-grid extremes are its verdict.  The batch screens at the bottom
+of this module compute those extremes for many pairs at once; the
+classifier reads the verdicts of such rows straight off the screen.
 """
 
 from __future__ import annotations

@@ -183,6 +183,8 @@ class SetStabilityReport:
     trials: tuple[TrialRecord, ...]
     lyapunov_monotone: bool | None
     max_lyapunov_increase: float
+    # one per trial, for callers that also export the paths; not serialized
+    trajectories: tuple[Trajectory, ...] = field(default=(), repr=False, compare=False)
 
     @property
     def all_converged(self) -> bool:
@@ -212,12 +214,14 @@ def check_setwise_stability(F: VectorField, candidate, initial_conditions: Sampl
     if len(initial_conditions) == 0:
         raise ValueError("no initial conditions given")
     trials = []
+    trajectories = []
     monotone: bool | None = None
     max_increase = 0.0
     if potential is not None and potential.domain.dim == 1:
         monotone = True
     for x0 in initial_conditions:
         traj = integrate(F, x0, cfg)
+        trajectories.append(traj)
         dists = np.linalg.norm(traj.final_state[None, :] - C, axis=1)
         j = int(np.argmin(dists))
         final_distance = float(dists[j])
@@ -231,4 +235,4 @@ def check_setwise_stability(F: VectorField, candidate, initial_conditions: Sampl
             limit_point=tuple(C[j]) if converged else None, converged=converged,
             terminated_reason=traj.terminated_reason, final_time=traj.final_time))
     return SetStabilityReport(tuple(tuple(r) for r in C), tuple(trials),
-                              monotone, max_increase)
+                              monotone, max_increase, tuple(trajectories))

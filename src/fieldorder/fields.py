@@ -513,6 +513,8 @@ def quadratic_form(Q, b, domain: Domain | None = None,
         raise DimensionMismatchError("Q must be square")
     if b.shape != (Q.shape[0],):
         raise DimensionMismatchError("b must match Q's dimension")
+    if not (np.all(np.isfinite(Q)) and np.all(np.isfinite(b))):
+        raise ValueError("Q and b must be finite")
     dom = domain or Box(tuple([-1.0] * len(b)), tuple([1.0] * len(b)))
     S = 0.5 * (Q + Q.T)
 

@@ -40,6 +40,15 @@ class TestCompare:
         code, _, _ = run(capsys, "compare", "--vector", "quadratic", "--x", "5", "--y", "0")
         assert code == 3
 
+    def test_non_finite_descriptor_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"Q": [[NaN]], "b": [0]}')
+        code, out, err = run(capsys, "--json", "compare", "--vector", str(path),
+                             "--x", "0.5", "--y", "0")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_malformed_point_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compare", "--vector", "quadratic", "--x", "zero", "--y", "0"])
@@ -157,6 +166,16 @@ class TestDeterminism:
             blobs.append((out / "verdict.json").read_bytes()
                          + (out / "manifest.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_candidate_flow_csv_matches_plain_flow(self, capsys, tmp_path):
+        csvs = []
+        for name, extra in (("plain", ()), ("cand", ("--candidate", "auto"))):
+            out = tmp_path / name
+            code, _, _ = run(capsys, "--json", "--out-dir", str(out), "flow", "--field",
+                             "neg:xsininv", "--x0", "0.2", "--tmax", "5", *extra)
+            assert code == 0
+            csvs.append((out / "trajectory.csv").read_bytes())
+        assert csvs[0] == csvs[1]
 
     def test_flow_csv_written_with_full_precision(self, capsys, tmp_path):
         out = tmp_path / "flow"

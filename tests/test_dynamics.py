@@ -148,6 +148,18 @@ class TestSetwiseStability:
                                       ics, IntegratorConfig())
         assert rep.trials[0].limit_point[0] == pytest.approx(1 / PI, abs=1e-6)
 
+    def test_report_carries_each_trajectory(self, oscillator_flow):
+        cfg = IntegratorConfig(t_max=5.0)
+        ics = SampleSet(np.array([[0.5], [0.2]]), "explicit", 0)
+        rep = check_setwise_stability(oscillator_flow, minimal_candidate_points(25), ics, cfg)
+        assert len(rep.trajectories) == len(rep.trials) == 2
+        for x0, traj, trial in zip(ics, rep.trajectories, rep.trials):
+            alone = integrate(oscillator_flow, x0, cfg)
+            assert traj.states.tobytes() == alone.states.tobytes()
+            assert traj.times.tobytes() == alone.times.tobytes()
+            assert traj.terminated_reason == trial.terminated_reason
+        assert "trajectories" not in rep.to_dict()
+
     def test_empty_inputs_rejected(self, decay_flow):
         ics = SampleSet(np.array([[1.0]]), "explicit", 0)
         with pytest.raises(ValueError):

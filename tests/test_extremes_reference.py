@@ -1,0 +1,204 @@
+"""Minimal/maximal verdicts against the per-survivor reference loop.
+
+The reference screens the challengers on the uniform grid and then runs a
+full compare_* on every screen survivor, one pair at a time; maximality is
+minimality under the negated field.  The package decides both directions
+from one shared screen instead.  Every (ok, witness, eps) must agree,
+including the reported eps, which both sides take from a full comparison.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fieldorder.casestudy import build_catalog, case_challengers, origin_segment_witnesses
+from fieldorder.classify import (CheckOutcome, default_challengers, is_maximal,
+                                 is_maximal_scalar, is_minimal, is_minimal_scalar,
+                                 sample_neighborhood)
+from fieldorder.dominance import (STRICTLY_DOMINATES, ToleranceConfig, batch_scalar_steps,
+                                  batch_vector_extremes, compare_scalar, compare_vector)
+from fieldorder.fields import (Box, SampleSet, SeededRandom, VectorField, negate,
+                               quadratic_form, registry_names, require_in_domain,
+                               sample_domain, scalar_field, vector_field)
+from fieldorder.games import from_symmetric_matrix, hawk_dove, matching_pennies
+
+CFG = ToleranceConfig()
+COARSE = ToleranceConfig(n_eps=65)
+
+
+def _first_dominator(dominators):
+    if not dominators:
+        return CheckOutcome(True)
+    pt, eps = sorted(dominators)[0]
+    return CheckOutcome(False, witness=pt, eps=eps)
+
+
+def reference_minimal(c, p, challengers, cfg, segment_witnesses=None):
+    p = require_in_domain(c.domain, p)
+    X = challengers.points
+    mx, _ = batch_vector_extremes(c, X, p, cfg)
+    dominators = []
+    for k in np.flatnonzero(mx <= cfg.tau):
+        extra = tuple(segment_witnesses(X[k], p)) if segment_witnesses else ()
+        verdict = compare_vector(c, X[k], p, cfg, extra_eps=extra)
+        if verdict.relation == STRICTLY_DOMINATES:
+            dominators.append((tuple(X[k]), verdict.witness_eps_strict))
+    return _first_dominator(dominators)
+
+
+def reference_minimal_scalar(f, p, challengers, cfg):
+    p = require_in_domain(f.domain, p)
+    X = challengers.points
+    smax, _, total = batch_scalar_steps(f, X, p, cfg)
+    dominators = []
+    for k in np.flatnonzero((smax <= cfg.tau) & (total < -cfg.tau)):
+        verdict = compare_scalar(f, X[k], p, cfg)
+        if verdict.relation == STRICTLY_DOMINATES:
+            dominators.append((tuple(X[k]), verdict.witness_eps_strict))
+    return _first_dominator(dominators)
+
+
+def _triple(out):
+    return out.ok, out.witness, out.eps
+
+
+def assert_vector_matches(c, p, challengers, cfg, segment_witnesses=None):
+    want_min = reference_minimal(c, p, challengers, cfg, segment_witnesses)
+    want_max = reference_minimal(negate(c), p, challengers, cfg, segment_witnesses)
+    got_min = is_minimal(c, p, challengers, cfg, segment_witnesses)
+    got_max = is_maximal(c, p, challengers, cfg, segment_witnesses)
+    assert _triple(got_min) == _triple(want_min)
+    assert _triple(got_max) == _triple(want_max)
+    return got_min, got_max
+
+
+def assert_scalar_matches(f, p, challengers, cfg):
+    want_min = reference_minimal_scalar(f, p, challengers, cfg)
+    want_max = reference_minimal_scalar(negate(f), p, challengers, cfg)
+    got_min = is_minimal_scalar(f, p, challengers, cfg)
+    got_max = is_maximal_scalar(f, p, challengers, cfg)
+    assert _triple(got_min) == _triple(want_min)
+    assert _triple(got_max) == _triple(want_max)
+    return got_min, got_max
+
+
+def _probes(domain, p, seed):
+    """Small global challenger set plus a ball around p, as classify_point uses."""
+    base = default_challengers(domain, seed, grid_n=256, random_n=256)
+    ball = sample_neighborhood(domain, p, 0.05 * domain.diameter(), 64, seed)
+    return base.union(ball.points, note="ball")
+
+
+def _stock_points(domain):
+    pts = sample_domain(domain, SeededRandom(3), 7).points
+    return [np.asarray(domain.lower), np.zeros(domain.dim), *pts]
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_stock_vector_fields(name):
+    c = vector_field(name)
+    for i, p in enumerate(_stock_points(c.domain)):
+        assert_vector_matches(c, p, _probes(c.domain, p, i), CFG)
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_stock_scalar_fields(name):
+    f = scalar_field(name)
+    for i, p in enumerate(_stock_points(f.domain)):
+        assert_scalar_matches(f, p, _probes(f.domain, p, i), CFG)
+
+
+def test_oscillator_with_origin_witnesses():
+    c = vector_field("xsininv")
+    catalog = build_catalog(5)
+    challengers = case_challengers(c.domain, catalog, grid_n=256)
+    for x in [*(e.x for e in catalog.entries), 0.5]:
+        assert_vector_matches(c, [x], challengers, CFG, origin_segment_witnesses)
+    origin = assert_vector_matches(c, [0.0], challengers, CFG, origin_segment_witnesses)
+    assert all(out.ok for out in origin)
+
+
+def _spike_field(base, height, at=0.3):
+    """c = base + height on a spike at `at` too narrow for any uniform grid."""
+    def batch(P):
+        return base + height * (np.abs(P - at) <= 1e-12)
+    return VectorField(fn=lambda y: batch(np.atleast_2d(y))[0], domain=Box((-1.0,), (1.0,)),
+                       label="spike", batch=batch)
+
+
+def _spike_witness(x, p, at=0.3):
+    eps = (at - p[0]) / (x[0] - p[0]) if x[0] != p[0] else -1.0
+    return (eps,) if 0.0 < eps < 1.0 else ()
+
+
+@pytest.mark.parametrize("base, height", [(-1.0, 2.0), (0.0, -1.0), (1.0, -2.0)])
+def test_injected_witnesses_decide_pairs_the_grid_misses(base, height):
+    # the grid never sees the spike, so only the injected eps can change these
+    # verdicts: on base -1 and +1 the spike is a violation that the screen
+    # misses, on base 0 it is the only strict drop
+    c = _spike_field(base, height)
+    challengers = SampleSet(np.array([[-0.5], [0.2], [0.5], [0.75], [1.0]]))
+    changed = 0
+    for p in ([0.0], [0.1], [0.6]):
+        with_w = assert_vector_matches(c, p, challengers, CFG, _spike_witness)
+        without = assert_vector_matches(c, p, challengers, CFG)
+        changed += [_triple(o) for o in with_w] != [_triple(o) for o in without]
+    assert changed
+
+
+def _rock_paper_scissors():
+    return from_symmetric_matrix([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]],
+                                 label="rock_paper_scissors")
+
+
+def _off_equilibrium(rng, blocks):
+    p = []
+    for m in blocks:
+        block = [round(float(v), 6) for v in rng.dirichlet(np.ones(m))]
+        block[-1] = 1.0 - sum(block[:-1])
+        p.extend(block)
+    return np.array(p)
+
+
+@pytest.mark.parametrize("make, equilibrium, blocks", [
+    (hawk_dove, [0.5, 0.5], [2]),
+    (matching_pennies, [0.5, 0.5, 0.5, 0.5], [2, 2]),
+    (_rock_paper_scissors, [1 / 3, 1 / 3, 1 - 2 / 3], [3]),
+])
+def test_games_on_and_off_equilibrium(make, equilibrium, blocks):
+    game = make()
+    rng = np.random.default_rng(11)
+    points = [np.array(equilibrium)] + [_off_equilibrium(rng, blocks) for _ in range(3)]
+    for i, p in enumerate(points):
+        assert_vector_matches(game.cost, p, _probes(game.domain, p, i), CFG)
+
+
+def test_rock_paper_scissors_flat_profiles_tie_break_alike():
+    # skew-symmetric costs make delta constant along every segment, so the
+    # reported eps is a tie-break; it must still come out the same
+    game = _rock_paper_scissors()
+    p = np.array([0.2, 0.5, 0.3])
+    got_min, got_max = assert_vector_matches(game.cost, p, _probes(game.domain, p, 5), CFG)
+    assert not got_min.ok and not got_max.ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
+def test_random_quadratic_forms(dim, seed):
+    rng = np.random.default_rng(seed)
+    Q = rng.uniform(-2.0, 2.0, size=(dim, dim))
+    b = rng.uniform(-1.0, 1.0, size=dim)
+    f, c = quadratic_form(Q, b)
+    p = rng.uniform(-1.0, 1.0, size=dim)
+    challengers = default_challengers(f.domain, seed % 1000, grid_n=48, random_n=48)
+    assert_vector_matches(c, p, challengers, COARSE)
+    assert_scalar_matches(f, p, challengers, COARSE)
+
+
+def test_duplicate_dominators_report_one_witness():
+    # on c(x) = x every challenger in [0, 0.5) strictly dominates 0.5
+    c = vector_field("linear")
+    challengers = SampleSet(np.array([[0.25], [0.1], [-0.5], [0.1], [0.0], [-0.0], [0.4]]))
+    got_min, got_max = assert_vector_matches(c, [0.5], challengers, CFG)
+    assert got_min.witness == (0.0,)
+    assert got_max.ok

@@ -171,3 +171,11 @@ class TestFields:
     def test_bad_descriptor(self):
         with pytest.raises(ValueError):
             field_from_json({"Q": [[1.0]]})
+
+    @pytest.mark.parametrize("Q, b", [([[np.nan]], [0.0]), ([[1.0]], [np.inf]),
+                                      ([[1.0, -np.inf], [0.0, 1.0]], [0.0, 0.0])])
+    def test_non_finite_quadratic_rejected(self, Q, b):
+        with pytest.raises(ValueError, match="finite"):
+            quadratic_form(Q, b)
+        with pytest.raises(ValueError, match="finite"):
+            field_from_json({"Q": Q, "b": b})
