@@ -29,9 +29,9 @@ import numpy as np
 from .classify import (_minimal_and_maximal, is_almost_strictly_minimal_set, is_ess,
                        is_local_min_polyorder_scalar, is_local_min_polyorder_vector,
                        is_nss, is_strict_local_min_scalar, sample_neighborhood)
-from .dominance import STRICTLY_DOMINATES, ToleranceConfig, compare_scalar, compare_vector
-from .fields import (Domain, Grid, SampleSet, ScalarField, VectorField, sample_domain,
-                     scalar_field, vector_field)
+from .dominance import ToleranceConfig, batch_vector_extremes, compare_scalar, compare_vector
+from .fields import (Domain, Grid, SampleSet, ScalarField, VectorField, require_in_domain,
+                     sample_domain, scalar_field, vector_field)
 
 PI = math.pi
 
@@ -346,7 +346,12 @@ def check_setwise_dominance(window_hi: float = 2.0, grid_n: int = 2000,
     Points within tau of a critical point are excluded (f vanishes there and
     the decision inequality cannot clear the slack); the bracketing index
     grows as needed near the origin, where the display catalog truncates but
-    the closed form keeps working.
+    the closed form keeps working.  Every window point and its dominator are
+    checked against the domain before anything is screened.  One
+    uniform-grid screen confirms all pairs at once: a row that stays within
+    +tau is never refined, so it is strictly dominated exactly when its
+    screen min falls below -tau.  Only the pairs it does not confirm get a
+    full comparison, whose relation is reported.
     """
     cfg = cfg or ToleranceConfig()
     if window_lo is None:
@@ -356,28 +361,44 @@ def check_setwise_dominance(window_hi: float = 2.0, grid_n: int = 2000,
     f, c = case_fields(domain)
     xs = np.linspace(window_lo, window_hi, grid_n)
     excluded = skipped = covered = 0
-    failures = []
     max_index = 0
+    # per window point, in window order: its failure record, or its screen row
+    slots: list[dict | int] = []
+    pairs: list[tuple[float, float]] = []
     for x in xs:
-        if nearest_critical_distance(float(x)) <= cfg.tau:
+        x = float(x)
+        require_in_domain(c.domain, [x])
+        if nearest_critical_distance(x) <= cfg.tau:
             excluded += 1
             continue
-        xstar = dominating_minimal_element(float(x))
+        xstar = dominating_minimal_element(x)
         if xstar is None:
-            failures.append({"x": float(x), "reason": "no bracketing minimal element"})
+            slots.append({"x": x, "reason": "no bracketing minimal element"})
             continue
+        require_in_domain(c.domain, [xstar])
         if abs(x) < zero_point(1):
             max_index = max(max_index, math.floor(1.0 / (PI * abs(x))) + 1)
-        margin = (xstar - float(x)) * f.value(np.array([x]))
+        margin = (xstar - x) * f.value(np.array([x]))
         if margin >= -cfg.tau:
-            failures.append({"x": float(x), "xstar": xstar, "reason": "margin under tau",
-                             "margin": margin})
+            slots.append({"x": x, "xstar": xstar, "reason": "margin under tau",
+                          "margin": margin})
             continue
-        verdict = compare_vector(c, np.array([xstar]), np.array([x]), cfg)
-        if verdict.relation == STRICTLY_DOMINATES:
+        slots.append(len(pairs))
+        pairs.append((xstar, x))
+    if pairs:
+        P = np.asarray(pairs)
+        mx, mn = batch_vector_extremes(c, P[:, :1], P[:, 1:], cfg, drop_incomparable=True)
+        certified = (mx <= cfg.tau) & (mn < -cfg.tau)
+    failures = []
+    for slot in slots:
+        if isinstance(slot, dict):
+            failures.append(slot)
+        elif certified[slot]:
             covered += 1
         else:
-            failures.append({"x": float(x), "xstar": xstar, "reason": "confirmation failed",
+            xstar, x = pairs[slot]
+            verdict = compare_vector(c, np.array([xstar]), np.array([x]), cfg)
+            failures.append({"x": x, "xstar": xstar, "reason": "confirmation failed",
                              "relation": verdict.relation})
     return DominanceCoverageReport(
         window=(window_lo, window_hi), grid_n=grid_n, total=len(xs),

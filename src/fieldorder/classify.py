@@ -210,7 +210,8 @@ def _minimal_and_maximal(field, p, challengers: SampleSet,
         below, above = smax <= tau, smin >= -tau
         drops, rises = total < -tau, total > tau
     else:
-        mx, mn = batch_vector_extremes(field, X, p, cfg)
+        # only the band predicates are read, so Incomparable rows may stop early
+        mx, mn = batch_vector_extremes(field, X, p, cfg, drop_incomparable=True)
         below, above = mx <= tau, mn >= -tau
         drops, rises = mn < -tau, mx > tau
     minimal = _screened_outcome(field, p, X, cfg, below, below & drops, segment_witnesses)

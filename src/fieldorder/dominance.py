@@ -22,6 +22,20 @@ largest step) stays within tau has no +1 sign, so it is never refined and
 its uniform-grid extremes are its verdict.  The batch screens at the bottom
 of this module compute those extremes for many pairs at once; the
 classifier reads the verdicts of such rows straight off the screen.
+
+The vector screen walks the uniform grid coarse to fine, in disjoint
+levels of grid indices: every 64th point, then the rest of every 16th
+point, then everything else (a stride is used only when it divides
+n_eps - 1).  The levels are index subsets of the one linspace array, so
+their union is the full grid bit for bit, and a row's extremes are the
+running max/min over the levels.  Extra points can only push a max up and
+a min down, so a row whose coarse levels already reach above +tau and
+below -tau is Incomparable in both directions on the full grid.  Callers
+that read only the four band predicates (max vs +tau, min vs -tau) may ask
+the screen to stop evaluating such rows; every other row, and every row
+when they do not ask, gets its exact full-grid extremes.  The scalar
+screen stays a single pass: a coarse step is a sum of fine steps, not one
+of them, so step extremes do not nest.
 """
 
 from __future__ import annotations
@@ -256,6 +270,12 @@ def compare_scalar(f: ScalarField, x, y, cfg: ToleranceConfig | None = None,
 # Vectorized screens over many pairs (uniform grid, no refinement)
 # ---------------------------------------------------------------------------
 
+# float64 bytes of segment points per screen block: 2**21 points at dim 1
+_BLOCK_BYTES = 1 << 24
+# coarse-to-fine strides of the vector screen's index levels, coarsest first
+_LADDER_STRIDES = (64, 16)
+
+
 def _broadcast_rows(xs, ys):
     xs = np.atleast_2d(np.asarray(xs, float))
     ys = np.atleast_2d(np.asarray(ys, float))
@@ -269,38 +289,77 @@ def _broadcast_rows(xs, ys):
     return xs, ys
 
 
-def batch_vector_extremes(c: VectorField, xs, ys, cfg: ToleranceConfig,
-                          chunk: int = 1 << 21) -> tuple[np.ndarray, np.ndarray]:
+def _eps_levels(n_eps: int, strides: Sequence[int]) -> list[np.ndarray]:
+    """The uniform grid split into disjoint index levels, coarsest first.
+
+    Level i holds the points on every strides[i]-th index not in an earlier
+    level; a stride that does not divide n_eps - 1 is skipped, and the last
+    level holds everything left.
+    """
+    eps = np.linspace(0.0, 1.0, n_eps)
+    idx = np.arange(n_eps)
+    taken = np.zeros(n_eps, bool)
+    levels = []
+    for stride in strides:
+        if (n_eps - 1) % stride == 0:
+            level = (idx % stride == 0) & ~taken
+            levels.append(eps[level])
+            taken |= level
+    levels.append(eps[~taken])
+    return levels
+
+
+def _rows_per_block(n_points: int, dim: int) -> int:
+    return max(1, _BLOCK_BYTES // (8 * n_points * dim))
+
+
+def batch_vector_extremes(c: VectorField, xs, ys, cfg: ToleranceConfig, *,
+                          drop_incomparable: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Rowwise (max, min) of delta(eps) = (x_k - y_k) . c(eps x_k + (1-eps) y_k).
 
     Uniform-grid screen without refinement.  Adding grid points can only
     grow the max and shrink the min, so any row with max > tau is already
     certified as not weakly dominating.
+
+    By default the screen is one pass over the full grid and every row gets
+    its exact extremes.  With drop_incomparable, the grid is walked in
+    disjoint coarse-to-fine index levels (see the module docstring) and a
+    row stops being evaluated once it has max > tau and min < -tau.  Such a
+    row returns its partial extremes, which already satisfy both of those
+    predicates, so the four band predicates of every row are exactly those
+    of the full grid; rows that are never dropped get their exact full-grid
+    extremes.  Every (row, eps) point is evaluated at most once either way.
     """
     xs, ys = _broadcast_rows(xs, ys)
     k, dim = xs.shape
-    eps = np.linspace(0.0, 1.0, cfg.n_eps)
-    e = eps.size
-    rows_per_block = max(1, chunk // e)
-    out_max, out_min = np.empty(k), np.empty(k)
-    for s in range(0, k, rows_per_block):
-        xb, yb = xs[s:s + rows_per_block], ys[s:s + rows_per_block]
-        pts = eps[None, :, None] * xb[:, None, :] + (1.0 - eps)[None, :, None] * yb[:, None, :]
-        vals = c.values(pts.reshape(-1, dim)).reshape(xb.shape[0], e, dim)
-        delta = np.einsum("kd,ked->ke", xb - yb, vals)
-        out_max[s:s + rows_per_block] = delta.max(axis=1)
-        out_min[s:s + rows_per_block] = delta.min(axis=1)
+    tau = cfg.tau
+    levels = _eps_levels(cfg.n_eps, _LADDER_STRIDES if drop_incomparable else ())
+    out_max, out_min = np.full(k, -np.inf), np.full(k, np.inf)
+    live = np.arange(k)
+    for level, eps in enumerate(levels):
+        if level:
+            live = live[~((out_max[live] > tau) & (out_min[live] < -tau))]
+        e = eps.size
+        step = _rows_per_block(e, dim)
+        for s in range(0, live.size, step):
+            rows = live[s:s + step]
+            xb, yb = xs[rows], ys[rows]
+            pts = eps[None, :, None] * xb[:, None, :] + (1.0 - eps)[None, :, None] * yb[:, None, :]
+            vals = c.values(pts.reshape(-1, dim)).reshape(rows.size, e, dim)
+            delta = np.einsum("kd,ked->ke", xb - yb, vals)
+            out_max[rows] = np.maximum(out_max[rows], delta.max(axis=1))
+            out_min[rows] = np.minimum(out_min[rows], delta.min(axis=1))
     return out_max, out_min
 
 
-def batch_scalar_steps(f: ScalarField, xs, ys, cfg: ToleranceConfig,
-                       chunk: int = 1 << 21) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def batch_scalar_steps(f: ScalarField, xs, ys,
+                       cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rowwise (max step, min step, total change) of g(eps) = f(eps x + (1-eps) y)."""
     xs, ys = _broadcast_rows(xs, ys)
     k, dim = xs.shape
     eps = np.linspace(0.0, 1.0, cfg.n_eps)
     e = eps.size
-    rows_per_block = max(1, chunk // e)
+    rows_per_block = _rows_per_block(e, dim)
     smax, smin, total = np.empty(k), np.empty(k), np.empty(k)
     for s in range(0, k, rows_per_block):
         xb, yb = xs[s:s + rows_per_block], ys[s:s + rows_per_block]

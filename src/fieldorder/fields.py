@@ -23,6 +23,8 @@ import numpy as np
 from .errors import DimensionMismatchError, DomainViolationError
 
 CONTAINMENT_TOL = 1e-12
+# cap on the points of any Grid sample, counted before the grid is built
+_MAX_GRID_POINTS = 2_000_000
 
 
 def as_point(coords) -> np.ndarray:
@@ -192,6 +194,10 @@ class SampleSet:
         return SampleSet(pts, strategy=f"{self.strategy}+{note}({extra.shape[0]})", seed=self.seed)
 
 
+def _simplex_grid_size(s: Simplex, n: int) -> int:
+    return math.comb(n - 2 + s.dim, s.dim - 1) if n >= 2 else 1
+
+
 def _simplex_grid(s: Simplex, n: int) -> np.ndarray:
     # all compositions of (n - 1) levels into s.dim coordinates
     if n < 2:
@@ -241,16 +247,21 @@ def sample_domain(domain: Domain, strategy: Strategy, seed: int = 0) -> SampleSe
         if n < 1:
             raise ValueError("grid size must be positive")
         if isinstance(domain, Box):
+            size = n ** domain.dim
+        elif isinstance(domain, Simplex):
+            size = _simplex_grid_size(domain, n)
+        else:
+            size = math.prod(_simplex_grid_size(s, n) for s in domain.parts)
+        if size > _MAX_GRID_POINTS:
+            raise ValueError("grid too large for this dimension")
+        if isinstance(domain, Box):
             axes = [np.linspace(lo, up, n) for lo, up in zip(domain.lower, domain.upper)]
-            if n ** domain.dim > 2_000_000:
-                raise ValueError("grid too large for this dimension")
             mesh = np.meshgrid(*axes, indexing="ij")
             pts = np.stack([m.ravel() for m in mesh], axis=-1)
         elif isinstance(domain, Simplex):
             pts = _simplex_grid(domain, n)
         else:
-            blocks = [_simplex_grid(s, n) for s in domain.parts]
-            pts = _cartesian(blocks)
+            pts = _cartesian([_simplex_grid(s, n) for s in domain.parts])
         return SampleSet(pts, strategy=f"grid(n_per_axis={n})", seed=seed)
 
     if isinstance(strategy, SeededRandom):

@@ -7,6 +7,7 @@ from fieldorder.fields import (Box, Explicit, Grid, Product, SeededRandom, Simpl
                                field_from_json, gradient_fd, gradient_field, negate,
                                quadratic_form, sample_domain, scalar_field,
                                segment_point, vector_field)
+from fieldorder.fields import _simplex_grid, _simplex_grid_size
 
 
 class TestSegmentPoint:
@@ -132,6 +133,30 @@ class TestSampling:
     def test_explicit_points_validated(self):
         with pytest.raises(DomainViolationError):
             sample_domain(Box((-1.0,), (1.0,)), Explicit(((2.0,),)), 0)
+
+    @pytest.mark.parametrize("dom", [
+        Box((0.0,) * 3, (1.0,) * 3),
+        Simplex(1.0, 5),
+        Product((Simplex(1.0, 2), Simplex(1.0, 2))),
+    ])
+    def test_oversize_grid_rejected_before_building(self, dom):
+        # counted up front: the 5-simplex grid would have ~4e14 points
+        with pytest.raises(ValueError, match="grid too large"):
+            sample_domain(dom, Grid(10 ** 4), 0)
+
+    @pytest.mark.parametrize("dom, n, size", [
+        (Simplex(1.0, 3), 5, 15),
+        (Simplex(1.0, 4), 1, 1),
+        (Product((Simplex(1.0, 2), Simplex(2.0, 3))), 4, 40),
+    ])
+    def test_grid_sizes_match_count(self, dom, n, size):
+        assert len(sample_domain(dom, Grid(n), 0)) == size
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_simplex_grid_size_counts_compositions(self, dim, n):
+        s = Simplex(1.0, dim)
+        assert _simplex_grid_size(s, n) == len(_simplex_grid(s, n))
 
 
 class TestFields:
