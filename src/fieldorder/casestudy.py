@@ -318,20 +318,20 @@ class DominanceCoverageReport:
     grid_n: int
     total: int
     excluded_near_critical: int
-    skipped_minimal: int
     covered: int
     failures: tuple[dict, ...]
     max_bracket_index: int
 
     @property
     def coverage_fraction(self) -> float:
-        tested = self.total - self.excluded_near_critical - self.skipped_minimal
+        tested = self.total - self.excluded_near_critical
         return self.covered / tested if tested else 1.0
 
     def to_dict(self) -> dict:
         return {"window": list(self.window), "grid_n": self.grid_n, "total": self.total,
                 "excluded_near_critical": self.excluded_near_critical,
-                "skipped_minimal": self.skipped_minimal, "covered": self.covered,
+                # always 0; still written because dominance.json bytes are pinned
+                "skipped_minimal": 0, "covered": self.covered,
                 "coverage_fraction": self.coverage_fraction,
                 "failures": list(self.failures), "max_bracket_index": self.max_bracket_index}
 
@@ -360,7 +360,7 @@ def check_setwise_dominance(window_hi: float = 2.0, grid_n: int = 2000,
         raise ValueError("window_hi must exceed the outermost minimal point")
     f, c = case_fields(domain)
     xs = np.linspace(window_lo, window_hi, grid_n)
-    excluded = skipped = covered = 0
+    excluded = covered = 0
     max_index = 0
     # per window point, in window order: its failure record, or its screen row
     slots: list[dict | int] = []
@@ -402,7 +402,7 @@ def check_setwise_dominance(window_hi: float = 2.0, grid_n: int = 2000,
                              "relation": verdict.relation})
     return DominanceCoverageReport(
         window=(window_lo, window_hi), grid_n=grid_n, total=len(xs),
-        excluded_near_critical=excluded, skipped_minimal=skipped, covered=covered,
+        excluded_near_critical=excluded, covered=covered,
         failures=tuple(failures), max_bracket_index=max_index)
 
 

@@ -28,12 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dominance import (STRICTLY_DOMINATES, ToleranceConfig, batch_scalar_steps,
+from .dominance import (STRICTLY_DOMINATES, ToleranceConfig, _profiles, batch_scalar_steps,
                         batch_vector_extremes, compare_scalar, compare_vector)
 from .errors import InvariantBreachError
 from .fields import (Box, Domain, Grid, Product, SampleSet, ScalarField, SeededRandom,
-                     Simplex, VectorField, negate, require_in_domain, sample_domain,
-                     segment_points)
+                     Simplex, VectorField, negate, require_in_domain, sample_domain)
 
 # ball samples span this many decades of radii so that violations living at
 # small scales are probed without drowning in sub-tau hairline comparisons
@@ -297,46 +296,47 @@ def is_ess(c: VectorField, p, radius: float, neighborhood_samples: SampleSet,
     return CheckOutcome(False, witness=tuple(X[k]), stat=stat)
 
 
+def _local_min_polyorder(field, p, neighborhood_samples: SampleSet,
+                         cfg: ToleranceConfig | None, segment_witnesses=None) -> CheckOutcome:
+    """No screen row of p against the neighbors (vector: max delta, also over
+    the segment_witnesses eps; scalar: largest step) exceeds tau.  The worst
+    row is compared in full for its violation eps."""
+    cfg = cfg or ToleranceConfig()
+    p = require_in_domain(field.domain, p)
+    X = _require_samples(neighborhood_samples)
+    if isinstance(field, ScalarField):
+        stats, compare = batch_scalar_steps(field, p, X, cfg)[0], compare_scalar
+    else:
+        stats, compare = batch_vector_extremes(field, p, X, cfg)[0], compare_vector
+    extras = {}
+    for k, x in enumerate(X if segment_witnesses is not None else ()):
+        extra = tuple(segment_witnesses(p, x))
+        if extra:
+            extras[k] = extra
+            delta = _profiles(field, p[None, :], x[None, :], np.asarray(extra, float))
+            stats[k] = max(stats[k], float(delta.max()))
+    k = int(np.argmax(stats))
+    stat = float(stats[k])
+    if stat <= cfg.tau:
+        return CheckOutcome(True, stat=stat)
+    verdict = compare(field, p, X[k], cfg, extra_eps=extras.get(k, ()))
+    eps = verdict.witness_eps_violation[0] if verdict.witness_eps_violation else None
+    return CheckOutcome(False, witness=tuple(X[k]), eps=eps, stat=stat)
+
+
 def is_local_min_polyorder_vector(c: VectorField, p, radius: float,
                                   neighborhood_samples: SampleSet,
                                   cfg: ToleranceConfig | None = None,
                                   segment_witnesses=None) -> CheckOutcome:
     """Whether p weakly dominates every sampled neighbor along segments."""
-    cfg = cfg or ToleranceConfig()
-    p = require_in_domain(c.domain, p)
-    X = _require_samples(neighborhood_samples)
-    mx, _ = batch_vector_extremes(c, p, X, cfg)
-    if segment_witnesses is not None:
-        for k, x in enumerate(X):
-            extra = np.asarray(tuple(segment_witnesses(p, x)), float)
-            if extra.size:
-                d = c.values(segment_points(p, x, extra)) @ (p - x)
-                mx[k] = max(mx[k], float(d.max()))
-    k = int(np.argmax(mx))
-    stat = float(mx[k])
-    if stat <= cfg.tau:
-        return CheckOutcome(True, stat=stat)
-    extra = tuple(segment_witnesses(p, X[k])) if segment_witnesses else ()
-    verdict = compare_vector(c, p, X[k], cfg, extra_eps=extra)
-    eps = verdict.witness_eps_violation[0] if verdict.witness_eps_violation else None
-    return CheckOutcome(False, witness=tuple(X[k]), eps=eps, stat=stat)
+    return _local_min_polyorder(c, p, neighborhood_samples, cfg, segment_witnesses)
 
 
 def is_local_min_polyorder_scalar(f: ScalarField, p, radius: float,
                                   neighborhood_samples: SampleSet,
                                   cfg: ToleranceConfig | None = None) -> CheckOutcome:
     """Whether every sampled neighbor is reached from p by a weak-descent path."""
-    cfg = cfg or ToleranceConfig()
-    p = require_in_domain(f.domain, p)
-    X = _require_samples(neighborhood_samples)
-    smax, _, _ = batch_scalar_steps(f, p, X, cfg)
-    k = int(np.argmax(smax))
-    stat = float(smax[k])
-    if stat <= cfg.tau:
-        return CheckOutcome(True, stat=stat)
-    verdict = compare_scalar(f, p, X[k], cfg)
-    eps = verdict.witness_eps_violation[0] if verdict.witness_eps_violation else None
-    return CheckOutcome(False, witness=tuple(X[k]), eps=eps, stat=stat)
+    return _local_min_polyorder(f, p, neighborhood_samples, cfg)
 
 
 def is_strict_local_min_scalar(f: ScalarField, p, radius: float,

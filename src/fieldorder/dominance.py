@@ -16,12 +16,23 @@ inside which values count as ties.  Both directions of a comparison are
 decided from one sweep of the shared segment (the reverse relation sees
 -delta, resp. the reversed profile), which makes antisymmetry structural.
 
-Refinement only bisects between adjacent samples (scalar: adjacent steps)
-whose band signs are +1 and -1.  A profile whose uniform-grid max (scalar:
-largest step) stays within tau has no +1 sign, so it is never refined and
-its uniform-grid extremes are its verdict.  The batch screens at the bottom
-of this module compute those extremes for many pairs at once; the
-classifier reads the verdicts of such rows straight off the screen.
+Every segment evaluation goes through one primitive, _profiles, which
+builds the segment points of many (x, y) rows and evaluates the field once.
+Vector rows are reduced with the arithmetic of a one-row values @ (x - y):
+a stacked matmul for dim > 1, and for dim 1 the product plus 0.0 (a matmul
+accumulates from +0.0, which turns a -0.0 product into +0.0; a stacked
+matmul at dim 1 gives the same bits, several times slower).  So a screen
+row and a single comparison of the same pair see the same bits.
+
+Refinement bisects between adjacent samples (scalar: adjacent steps) whose
+band signs are +1 and -1, at most MAX_REFINE_DEPTH times.  Added points
+only widen vector extremes, so it never changes a vector relation (a split
+scalar step can shrink, so a scalar relation can change).  A profile whose
+uniform-grid max (scalar: largest step) stays within tau has no +1 sign, so
+it is never refined and its uniform-grid extremes are its verdict.  The
+batch screens at the bottom of this module compute those extremes for many
+pairs at once; the classifier reads the verdicts of such rows straight off
+the screen.
 
 The vector screen walks the uniform grid coarse to fine, in disjoint
 levels of grid indices: every 64th point, then the rest of every 16th
@@ -40,13 +51,14 @@ of them, so step extremes do not nest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .fields import ScalarField, VectorField, require_in_domain, segment_points
+from .fields import _MAX_GRID_POINTS, ScalarField, VectorField, require_in_domain
 
 STRICTLY_DOMINATES = "StrictlyDominates"
 WEAKLY_DOMINATES_NOT_STRICT = "WeaklyDominatesNotStrict"
@@ -61,6 +73,9 @@ RELATIONS = frozenset({STRICTLY_DOMINATES, WEAKLY_DOMINATES_NOT_STRICT, INCOMPAR
 _FORWARD_WEAK = frozenset({STRICTLY_DOMINATES, WEAKLY_DOMINATES_NOT_STRICT, EQUIVALENT})
 _REVERSE_WEAK = frozenset({REVERSE_STRICT, REVERSE_WEAK, EQUIVALENT})
 
+# bisection rounds of a single comparison; one value everywhere, so not a setting
+MAX_REFINE_DEPTH = 20
+
 
 @dataclass(frozen=True)
 class ToleranceConfig:
@@ -68,19 +83,15 @@ class ToleranceConfig:
 
     tau: float = 1e-9
     n_eps: int = 1025
-    max_refine_depth: int = 20
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.n_eps < 3:
-            raise ValueError("n_eps must be at least 3")
-        if self.max_refine_depth < 0:
-            raise ValueError("max_refine_depth must be nonnegative")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("tau must be finite and positive")
+        if not 3 <= self.n_eps <= _MAX_GRID_POINTS:
+            raise ValueError(f"n_eps must lie in [3, {_MAX_GRID_POINTS}]")
 
     def to_dict(self) -> dict:
-        return {"tau": self.tau, "n_eps": self.n_eps,
-                "max_refine_depth": self.max_refine_depth}
+        return {"tau": self.tau, "n_eps": self.n_eps, "max_refine_depth": MAX_REFINE_DEPTH}
 
 
 @dataclass(frozen=True)
@@ -120,6 +131,26 @@ class DominanceVerdict:
         }
 
 
+def _profiles(field, xs: np.ndarray, ys: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """(k, e) segment profiles of the rows (xs[i], ys[i]) at the e values eps.
+
+    Scalar fields give g = f(eps x + (1-eps) y); vector fields give
+    delta = (x - y) . c(eps x + (1-eps) y), bit-identical to a one-row
+    ``values @ (x - y)`` (see the module docstring).
+    """
+    k, dim = xs.shape
+    pts = eps[None, :, None] * xs[:, None, :] + (1.0 - eps)[None, :, None] * ys[:, None, :]
+    vals = field.values(pts.reshape(-1, dim))
+    if isinstance(field, ScalarField):
+        return vals.reshape(k, -1)
+    direction = xs - ys
+    if dim == 1:
+        delta = vals.reshape(k, -1) * direction
+        delta += 0.0
+        return delta
+    return np.matmul(vals.reshape(k, -1, dim), direction[:, :, None])[:, :, 0]
+
+
 def _band_sign(v: np.ndarray, tau: float) -> np.ndarray:
     return (v > tau).astype(np.int8) - (v < -tau).astype(np.int8)
 
@@ -142,59 +173,40 @@ def _endpoints(field, x, y):
     return x, y
 
 
-def _insert(eps, vals, new_eps, new_vals):
-    idx = np.searchsorted(eps, new_eps)
-    return np.insert(eps, idx, new_eps), np.insert(vals, idx, new_vals)
+def _refined_profile(field, x, y, cfg: ToleranceConfig | None,
+                     extra_eps: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """(eps, profile) on the uniform grid plus extra_eps, refined near band-sign flips."""
+    cfg = cfg or ToleranceConfig()
+    x, y = _endpoints(field, x, y)
+    xs, ys = x[None, :], y[None, :]
+    scalar = isinstance(field, ScalarField)
+    eps = _base_eps(cfg, extra_eps)
+    vals = _profiles(field, xs, ys, eps)[0]
+    for _ in range(MAX_REFINE_DEPTH):
+        s = _band_sign(np.diff(vals) if scalar else vals, cfg.tau)
+        flip = np.flatnonzero(s[:-1] * s[1:] == -1)
+        if not flip.size:
+            break
+        if scalar:
+            # an extremum hides near every flip: split both adjacent steps
+            flip = np.union1d(flip, flip + 1)
+        mids = 0.5 * (eps[flip] + eps[flip + 1])
+        idx = np.searchsorted(eps, mids)
+        eps = np.insert(eps, idx, mids)
+        vals = np.insert(vals, idx, _profiles(field, xs, ys, mids)[0])
+    return eps, vals
 
 
 def segment_profile(c: VectorField, x, y, cfg: ToleranceConfig | None = None,
                     extra_eps: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """delta(eps) = (x - y) . c(eps*x + (1-eps)*y), refined near sign changes.
-
-    Returns (eps, delta) sorted by eps; the grid is the uniform n_eps grid
-    plus extra_eps plus bisection points wherever adjacent samples change
-    sign outside the tau band.
-    """
-    cfg = cfg or ToleranceConfig()
-    x, y = _endpoints(c, x, y)
-    direction = x - y
-
-    def delta_at(e: np.ndarray) -> np.ndarray:
-        return c.values(segment_points(x, y, e)) @ direction
-
-    eps = _base_eps(cfg, extra_eps)
-    delta = delta_at(eps)
-    for _ in range(cfg.max_refine_depth):
-        s = _band_sign(delta, cfg.tau)
-        flip = s[:-1] * s[1:] == -1
-        if not flip.any():
-            break
-        mids = 0.5 * (eps[:-1][flip] + eps[1:][flip])
-        eps, delta = _insert(eps, delta, mids, delta_at(mids))
-    return eps, delta
+    """delta(eps) = (x - y) . c(eps*x + (1-eps)*y), sorted by eps, refined near sign changes."""
+    return _refined_profile(c, x, y, cfg, extra_eps)
 
 
 def scalar_profile(f: ScalarField, x, y, cfg: ToleranceConfig | None = None,
                    extra_eps: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """g(eps) = f(eps*x + (1-eps)*y), refined where monotonicity flips."""
-    cfg = cfg or ToleranceConfig()
-    x, y = _endpoints(f, x, y)
-
-    def g_at(e: np.ndarray) -> np.ndarray:
-        return f.values(segment_points(x, y, e))
-
-    eps = _base_eps(cfg, extra_eps)
-    g = g_at(eps)
-    for _ in range(cfg.max_refine_depth):
-        s = _band_sign(np.diff(g), cfg.tau)
-        flip = s[:-1] * s[1:] == -1
-        if not flip.any():
-            break
-        # an extremum hides near every flip: split both adjacent steps
-        steps = np.unique(np.concatenate([np.flatnonzero(flip), np.flatnonzero(flip) + 1]))
-        mids = 0.5 * (eps[steps] + eps[steps + 1])
-        eps, g = _insert(eps, g, mids, g_at(mids))
-    return eps, g
+    """g(eps) = f(eps*x + (1-eps)*y), sorted by eps, refined where monotonicity flips."""
+    return _refined_profile(f, x, y, cfg, extra_eps)
 
 
 def _vector_verdict(eps: np.ndarray, delta: np.ndarray, cfg: ToleranceConfig) -> DominanceVerdict:
@@ -309,8 +321,11 @@ def _eps_levels(n_eps: int, strides: Sequence[int]) -> list[np.ndarray]:
     return levels
 
 
-def _rows_per_block(n_points: int, dim: int) -> int:
-    return max(1, _BLOCK_BYTES // (8 * n_points * dim))
+def _blocks(rows: np.ndarray, n_points: int, dim: int) -> Iterator[np.ndarray]:
+    """rows in consecutive blocks of at most _BLOCK_BYTES of segment points each."""
+    step = max(1, _BLOCK_BYTES // (8 * n_points * dim))
+    for s in range(0, rows.size, step):
+        yield rows[s:s + step]
 
 
 def batch_vector_extremes(c: VectorField, xs, ys, cfg: ToleranceConfig, *,
@@ -339,14 +354,8 @@ def batch_vector_extremes(c: VectorField, xs, ys, cfg: ToleranceConfig, *,
     for level, eps in enumerate(levels):
         if level:
             live = live[~((out_max[live] > tau) & (out_min[live] < -tau))]
-        e = eps.size
-        step = _rows_per_block(e, dim)
-        for s in range(0, live.size, step):
-            rows = live[s:s + step]
-            xb, yb = xs[rows], ys[rows]
-            pts = eps[None, :, None] * xb[:, None, :] + (1.0 - eps)[None, :, None] * yb[:, None, :]
-            vals = c.values(pts.reshape(-1, dim)).reshape(rows.size, e, dim)
-            delta = np.einsum("kd,ked->ke", xb - yb, vals)
+        for rows in _blocks(live, eps.size, dim):
+            delta = _profiles(c, xs[rows], ys[rows], eps)
             out_max[rows] = np.maximum(out_max[rows], delta.max(axis=1))
             out_min[rows] = np.minimum(out_min[rows], delta.min(axis=1))
     return out_max, out_min
@@ -358,15 +367,11 @@ def batch_scalar_steps(f: ScalarField, xs, ys,
     xs, ys = _broadcast_rows(xs, ys)
     k, dim = xs.shape
     eps = np.linspace(0.0, 1.0, cfg.n_eps)
-    e = eps.size
-    rows_per_block = _rows_per_block(e, dim)
     smax, smin, total = np.empty(k), np.empty(k), np.empty(k)
-    for s in range(0, k, rows_per_block):
-        xb, yb = xs[s:s + rows_per_block], ys[s:s + rows_per_block]
-        pts = eps[None, :, None] * xb[:, None, :] + (1.0 - eps)[None, :, None] * yb[:, None, :]
-        g = f.values(pts.reshape(-1, dim)).reshape(xb.shape[0], e)
+    for rows in _blocks(np.arange(k), eps.size, dim):
+        g = _profiles(f, xs[rows], ys[rows], eps)
         d = np.diff(g, axis=1)
-        smax[s:s + rows_per_block] = d.max(axis=1)
-        smin[s:s + rows_per_block] = d.min(axis=1)
-        total[s:s + rows_per_block] = g[:, -1] - g[:, 0]
+        smax[rows] = d.max(axis=1)
+        smin[rows] = d.min(axis=1)
+        total[rows] = g[:, -1] - g[:, 0]
     return smax, smin, total

@@ -34,18 +34,16 @@ class IntegratorConfig:
     t_max: float = 200.0
     convergence_eps: float = 1e-6
     floor_eps: float = 1e-12
-    method: str = "rk4"
 
     def __post_init__(self):
-        if min(self.dt, self.t_max, self.convergence_eps, self.floor_eps) <= 0:
-            raise ValueError("all integrator parameters must be positive")
+        params = (self.dt, self.t_max, self.convergence_eps, self.floor_eps)
+        if not all(math.isfinite(v) and v > 0 for v in params):
+            raise ValueError("all integrator parameters must be finite and positive")
         if self.dt >= self.t_max:
             raise ValueError("dt must be smaller than t_max")
-        if self.method != "rk4":
-            raise ValueError("only fixed-step rk4 is supported")
 
     def to_dict(self) -> dict:
-        return {"method": self.method, "dt": self.dt, "t_max": self.t_max,
+        return {"method": "rk4", "dt": self.dt, "t_max": self.t_max,
                 "convergence_eps": self.convergence_eps, "floor_eps": self.floor_eps}
 
 

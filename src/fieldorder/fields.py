@@ -302,12 +302,6 @@ def segment_point(x, y, eps: float) -> np.ndarray:
     return _frozen(eps * x + (1.0 - eps) * y)
 
 
-def segment_points(x: np.ndarray, y: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Vectorized segment_point: rows eps[i]*x + (1-eps[i])*y."""
-    eps = np.asarray(eps, float)[:, None]
-    return eps * x[None, :] + (1.0 - eps) * y[None, :]
-
-
 # ---------------------------------------------------------------------------
 # Fields
 # ---------------------------------------------------------------------------

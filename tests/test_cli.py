@@ -49,6 +49,17 @@ class TestCompare:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("flag, value", [("--tau", "nan"), ("--tau", "inf"),
+                                             ("--tau", "0"), ("--neps", "2000001"),
+                                             ("--neps", "2")])
+    def test_bad_tolerance_exits_2(self, capsys, flag, value):
+        # at any finite tau this pair is StrictlyDominates; nan must not pass as Incomparable
+        code, out, err = run(capsys, "--json", flag, value, "compare", "--vector", "quadratic",
+                             "--x", "-0.5", "--y", "0.0")
+        assert code == 2
+        assert out == ""
+        assert "must" in err
+
     def test_malformed_point_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compare", "--vector", "quadratic", "--x", "zero", "--y", "0"])
@@ -132,6 +143,15 @@ class TestFlow:
     def test_outside_domain_exits_3(self, capsys):
         code, _, _ = run(capsys, "flow", "--field", "neg:xsininv", "--x0", "9")
         assert code == 3
+
+    @pytest.mark.parametrize("flag, value", [("--tmax", "inf"), ("--tmax", "nan"),
+                                             ("--dt", "nan"), ("--dt", "-0.001")])
+    def test_bad_integrator_exits_2(self, capsys, flag, value):
+        code, out, err = run(capsys, "--json", "flow", "--field", "neg:linear", "--x0", "0.5",
+                             flag, value)
+        assert code == 2
+        assert out == ""
+        assert "finite and positive" in err
 
 
 class TestCasestudy:

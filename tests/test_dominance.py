@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -6,8 +9,8 @@ from fieldorder.dominance import (EQUIVALENT, INCOMPARABLE, REVERSE_STRICT,
                                   batch_scalar_steps, compare_scalar, compare_vector,
                                   scalar_profile, segment_profile)
 from fieldorder.errors import DomainViolationError
-from fieldorder.fields import (Box, quadratic_form, gradient_field, scalar_field,
-                               vector_field)
+from fieldorder.fields import (_MAX_GRID_POINTS, Box, quadratic_form, gradient_field,
+                               scalar_field, vector_field)
 
 CFG = ToleranceConfig()
 FAST = ToleranceConfig(n_eps=129)
@@ -57,7 +60,7 @@ class TestProfiles:
     def test_refinement_adds_points_near_sign_change(self):
         # f flips sign inside [0.1, 1.0], so delta must get bisection points
         c = vector_field("xsininv")
-        coarse = ToleranceConfig(n_eps=17, max_refine_depth=8)
+        coarse = ToleranceConfig(n_eps=17)
         eps, _ = segment_profile(c, np.array([1.0]), np.array([0.1]), coarse)
         assert eps.size > 17
 
@@ -225,11 +228,20 @@ class TestAlgebraicProperties:
 
 
 class TestConfig:
-    @pytest.mark.parametrize("kwargs", [{"tau": 0.0}, {"n_eps": 2},
-                                        {"max_refine_depth": -1}])
+    @pytest.mark.parametrize("kwargs", [{"tau": 0.0}, {"n_eps": 2}, {"tau": math.nan},
+                                        {"tau": math.inf}, {"tau": -1e-9},
+                                        {"n_eps": _MAX_GRID_POINTS + 1}])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ToleranceConfig(**kwargs)
+
+    def test_grid_cap_is_accepted(self):
+        # a config holds no grid, so the largest allowed n_eps allocates nothing
+        assert ToleranceConfig(n_eps=_MAX_GRID_POINTS).n_eps == _MAX_GRID_POINTS
+
+    def test_fixed_refinement_depth_is_echoed(self):
+        assert CFG.to_dict() == {"tau": 1e-9, "n_eps": 1025, "max_refine_depth": 20}
+        assert [f.name for f in dataclasses.fields(ToleranceConfig)] == ["tau", "n_eps"]
 
     def test_extra_eps_must_be_unit_interval(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -164,3 +165,20 @@ class TestSetwiseStability:
         ics = SampleSet(np.array([[1.0]]), "explicit", 0)
         with pytest.raises(ValueError):
             check_setwise_stability(decay_flow, [], ics, IntegratorConfig())
+
+
+class TestIntegratorConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"dt": math.nan}, {"dt": 0.0}, {"t_max": math.inf}, {"t_max": math.nan},
+        {"convergence_eps": math.inf}, {"convergence_eps": -1e-6}, {"floor_eps": math.nan},
+        {"dt": 1.0, "t_max": 1.0},
+    ])
+    def test_rejects_non_finite_or_non_positive(self, kwargs):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**kwargs)
+
+    def test_fixed_method_is_echoed(self):
+        cfg = IntegratorConfig()
+        assert cfg.to_dict()["method"] == "rk4"
+        assert [f.name for f in dataclasses.fields(IntegratorConfig)] == [
+            "dt", "t_max", "convergence_eps", "floor_eps"]

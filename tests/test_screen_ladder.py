@@ -48,7 +48,7 @@ def reference_vector_extremes(c, xs, ys, cfg):
         xb, yb = xs[s:s + rows_per_block], ys[s:s + rows_per_block]
         pts = eps[None, :, None] * xb[:, None, :] + (1.0 - eps)[None, :, None] * yb[:, None, :]
         vals = c.values(pts.reshape(-1, dim)).reshape(xb.shape[0], e, dim)
-        delta = np.einsum("kd,ked->ke", xb - yb, vals)
+        delta = np.stack([v @ d for v, d in zip(vals, xb - yb)])
         out_max[s:s + rows_per_block] = delta.max(axis=1)
         out_min[s:s + rows_per_block] = delta.min(axis=1)
     return out_max, out_min
