@@ -388,6 +388,27 @@ def _set_tolerance(C: np.ndarray, cfg: ToleranceConfig, set_tol: float | None) -
     return max(cfg.tau, 0.51 * gap + math.sqrt(cfg.tau))
 
 
+def _set_check(domain: Domain, candidate, radius: float, cfg: ToleranceConfig | None,
+               samples_per_point: int, seed: int, set_tol: float | None,
+               stats_of) -> CheckOutcome:
+    """Sample each member's neighborhood and require stats_of(member, X) to
+    stay <= tau on the candidate set and < -tau off it; the worst bad
+    sample is the witness."""
+    cfg = cfg or ToleranceConfig()
+    C = _candidate_matrix(candidate)
+    tol = _set_tolerance(C, cfg, set_tol)
+    for i, xstar in enumerate(C):
+        X = sample_neighborhood(domain, xstar, radius, samples_per_point, seed + i).points
+        stats = stats_of(xstar, X)
+        d2 = np.sum((X[:, None, :] - C[None, :, :]) ** 2, axis=-1)
+        off_set = np.sqrt(d2.min(axis=1)) > tol
+        bad = ~np.where(off_set, stats < -cfg.tau, stats <= cfg.tau)
+        if bad.any():
+            k = int(np.argmax(np.where(bad, stats, -np.inf)))
+            return CheckOutcome(False, witness=tuple(X[k]), stat=float(stats[k]))
+    return CheckOutcome(True)
+
+
 def is_ess_set(c: VectorField, candidate, radius: float,
                cfg: ToleranceConfig | None = None, samples_per_point: int = 512,
                seed: int = 0, set_tol: float | None = None) -> CheckOutcome:
@@ -397,20 +418,8 @@ def is_ess_set(c: VectorField, candidate, radius: float,
     strictly so for samples farther than the set tolerance from the
     candidate list.
     """
-    cfg = cfg or ToleranceConfig()
-    C = _candidate_matrix(candidate)
-    tol = _set_tolerance(C, cfg, set_tol)
-    for i, xstar in enumerate(C):
-        samples = sample_neighborhood(c.domain, xstar, radius, samples_per_point, seed + i)
-        X = samples.points
-        stats = np.einsum("kd,kd->k", xstar[None, :] - X, c.values(X))
-        d2 = np.sum((X[:, None, :] - C[None, :, :]) ** 2, axis=-1)
-        off_set = np.sqrt(d2.min(axis=1)) > tol
-        bad = ~np.where(off_set, stats < -cfg.tau, stats <= cfg.tau)
-        if bad.any():
-            k = int(np.argmax(np.where(bad, stats, -np.inf)))
-            return CheckOutcome(False, witness=tuple(X[k]), stat=float(stats[k]))
-    return CheckOutcome(True)
+    return _set_check(c.domain, candidate, radius, cfg, samples_per_point, seed, set_tol,
+                      lambda xstar, X: np.einsum("kd,kd->k", xstar[None, :] - X, c.values(X)))
 
 
 def is_almost_strictly_minimal_set(f: ScalarField, candidate, radius: float,
@@ -418,20 +427,8 @@ def is_almost_strictly_minimal_set(f: ScalarField, candidate, radius: float,
                                    samples_per_point: int = 512, seed: int = 0,
                                    set_tol: float | None = None) -> CheckOutcome:
     """Scalar analogue of is_ess_set: on-set values tie, nearby off-set values exceed."""
-    cfg = cfg or ToleranceConfig()
-    C = _candidate_matrix(candidate)
-    tol = _set_tolerance(C, cfg, set_tol)
-    for i, xstar in enumerate(C):
-        samples = sample_neighborhood(f.domain, xstar, radius, samples_per_point, seed + i)
-        X = samples.points
-        stats = f.value(xstar) - f.values(X)
-        d2 = np.sum((X[:, None, :] - C[None, :, :]) ** 2, axis=-1)
-        off_set = np.sqrt(d2.min(axis=1)) > tol
-        bad = ~np.where(off_set, stats < -cfg.tau, stats <= cfg.tau)
-        if bad.any():
-            k = int(np.argmax(np.where(bad, stats, -np.inf)))
-            return CheckOutcome(False, witness=tuple(X[k]), stat=float(stats[k]))
-    return CheckOutcome(True)
+    return _set_check(f.domain, candidate, radius, cfg, samples_per_point, seed, set_tol,
+                      lambda xstar, X: f.value(xstar) - f.values(X))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,8 @@ def _jsonable(o):
 
 
 def _dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, default=_jsonable) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, default=_jsonable,
+                      allow_nan=False) + "\n"
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -49,17 +50,25 @@ def _parse_point(text: str) -> np.ndarray:
 
 
 def _resolve(ref: str, kind: str):
-    """Field reference: registry name, neg:name, or a JSON descriptor path."""
+    """Field reference: registry name, neg:name, or a JSON descriptor path.
+
+    Returns (field, stock, negated): stock is the registry name the field
+    was built from, None for a JSON descriptor.  Every stock-specific choice
+    (analytic witnesses, catalog challengers, --candidate auto, the flow
+    potential) keys on stock, never on the field label.
+    """
     negated = ref.startswith("neg:")
     name = ref[4:] if negated else ref
     if name in registry_names():
+        stock = name
         field = scalar_field(name) if kind == "scalar" else vector_field(name)
     elif os.path.exists(name):
+        stock = None
         sf, vf = field_from_json(name)
         field = sf if kind == "scalar" else vf
     else:
         raise ValueError(f"unknown field {name!r}; known: {registry_names()} or a JSON path")
-    return negate(field) if negated else field
+    return (negate(field) if negated else field), stock, negated
 
 
 def _tolerance(args) -> ToleranceConfig:
@@ -111,16 +120,17 @@ def _field_kind_args(sub):
 
 
 def _picked(args):
-    if args.scalar is not None:
-        return "scalar", _resolve(args.scalar, "scalar")
-    return "vector", _resolve(args.vector, "vector")
+    """(kind, field, stock) of the --scalar/--vector reference."""
+    kind = "scalar" if args.scalar is not None else "vector"
+    field, stock, _ = _resolve(args.scalar if kind == "scalar" else args.vector, kind)
+    return kind, field, stock
 
 
 def cmd_compare(args) -> int:
     emitter = _Emitter(args)
-    kind, field = _picked(args)
+    kind, field, stock = _picked(args)
     cfg = _tolerance(args)
-    extra = origin_segment_witnesses(args.x, args.y) if "xsininv" in field.label else ()
+    extra = origin_segment_witnesses(args.x, args.y) if stock == "xsininv" else ()
     if kind == "scalar":
         verdict = compare_scalar(field, args.x, args.y, cfg, extra_eps=extra)
     else:
@@ -132,17 +142,17 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _xsininv_extras(field):
-    if "xsininv" in field.label:
+def _xsininv_extras(field, stock):
+    if stock == "xsininv":
         return case_challengers(field.domain, build_catalog(25)), origin_segment_witnesses
     return None, None
 
 
 def cmd_classify(args) -> int:
     emitter = _Emitter(args)
-    kind, field = _picked(args)
+    kind, field, stock = _picked(args)
     cfg = _tolerance(args)
-    challengers, witnesses = (None, None) if kind == "scalar" else _xsininv_extras(field)
+    challengers, witnesses = (None, None) if kind == "scalar" else _xsininv_extras(field, stock)
     if challengers is None and args.challengers:
         challengers = default_challengers(field.domain, args.seed, grid_n=args.challengers,
                                           random_n=args.challengers)
@@ -176,11 +186,11 @@ def cmd_game(args) -> int:
     return 0
 
 
-def _candidate_points(args, field):
+def _candidate_points(args, field, stock):
     if args.candidate == "none":
         return None
     if args.candidate == "auto":
-        if "xsininv" not in field.label:
+        if stock != "xsininv":
             raise ValueError("--candidate auto only applies to the xsininv flow")
         return minimal_candidate_points(25, field.domain)
     with open(args.candidate) as fh:
@@ -189,14 +199,11 @@ def _candidate_points(args, field):
 
 def cmd_flow(args) -> int:
     emitter = _Emitter(args)
-    field = _resolve(args.field, "vector")
+    field, stock, negated = _resolve(args.field, "vector")
     icfg = IntegratorConfig(dt=args.dt, t_max=args.tmax)
-    candidate = _candidate_points(args, field)
-    potential = None
-    if args.field.startswith("neg:") and args.field[4:] in registry_names():
-        base = scalar_field(args.field[4:])
-        if base.domain.dim == 1:
-            potential = base
+    candidate = _candidate_points(args, field, stock)
+    # x' = -f'(x) descends the stock potential f
+    potential = scalar_field(stock) if negated and stock and field.domain.dim == 1 else None
     if candidate is None:
         traj = integrate(field, args.x0, icfg)
         payload = {"final_state": traj.final_state.tolist(), "final_time": traj.final_time,
@@ -236,9 +243,9 @@ def cmd_casestudy(args) -> int:
         emitter.write_text("catalog_agreement.json", _dumps(agreement.to_dict()))
         emitter.write_text("origin.json", _dumps(origin.to_dict()))
         emitter.write_text("dominance.json", _dumps(coverage.to_dict()))
-        f = scalar_field("xsininv")
         xs = np.linspace(coverage.window[0], coverage.window[1], 2001)
-        lines = ["x,f"] + ["%.17g,%.17g" % (x, f.value(np.array([x]))) for x in xs]
+        fs = scalar_field("xsininv").values(xs[:, None])
+        lines = ["x,f"] + ["%.17g,%.17g" % xf for xf in zip(xs, fs)]
         emitter.write_text("field_curve.csv", "\n".join(lines) + "\n")
         payload = {"catalog_entries": 2 * args.nmax,
                    "catalog_agreement": agreement.all_agree,

@@ -3,9 +3,12 @@
 Points are plain 1-D float64 numpy arrays (``as_point`` validates and
 freezes them).  Domains are closed convex sets of three kinds: axis-aligned
 boxes, mass simplexes ``{x >= 0, sum(x) = mass}``, and products of
-simplexes.  Scalar and vector fields wrap deterministic evaluators over a
-domain; every built-in field also carries a batch evaluator so that sweep
-code can evaluate thousands of segment points in one numpy call.
+simplexes.  A scalar or vector field is one deterministic batch map over a
+domain, so that sweep code evaluates thousands of segment points in one
+numpy call.  ``values`` is the only place that calls it: it checks the
+shape of every batch and that every value is finite, raising
+``DimensionMismatchError`` or ``ValueError``.  ``value`` is its one-row
+case.
 
 All objects are immutable after construction and all operations are pure,
 so everything here is safe to call concurrently.
@@ -308,64 +311,56 @@ def segment_point(x, y, eps: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Deterministic f: X -> R with optional batch evaluator."""
+    """Deterministic f: X -> R given by one batch map (n, dim) -> (n,)."""
 
-    fn: Callable[[np.ndarray], float]
+    batch: Callable[[np.ndarray], np.ndarray]
     domain: Domain
     label: str
-    batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def value(self, p) -> float:
-        v = float(self.fn(np.asarray(p, float)))
-        if not math.isfinite(v):
-            raise ValueError(f"field {self.label!r} returned non-finite value at {p}")
-        return v
+        return float(self.values(np.asarray(p, float).reshape(1, -1))[0])
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, float))
-        if self.batch is not None:
-            return np.asarray(self.batch(pts), float)
-        return np.array([self.fn(row) for row in pts], float)
+        return _checked(self, pts, np.asarray(self.batch(pts), float), (pts.shape[0],))
 
 
 @dataclass(frozen=True)
 class VectorField:
-    """Deterministic c: X -> R^dim with optional batch evaluator."""
+    """Deterministic c: X -> R^dim given by one batch map (n, dim) -> (n, dim)."""
 
-    fn: Callable[[np.ndarray], np.ndarray]
+    batch: Callable[[np.ndarray], np.ndarray]
     domain: Domain
     label: str
-    batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def value(self, p) -> np.ndarray:
-        p = np.asarray(p, float)
-        v = np.asarray(self.fn(p), float)
-        if v.shape != p.shape:
-            raise DimensionMismatchError(
-                f"field {self.label!r} returned dim {v.shape} for input dim {p.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"field {self.label!r} returned non-finite value at {p}")
-        return v
+        return self.values(np.asarray(p, float).reshape(1, -1))[0]
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, float))
-        if self.batch is not None:
-            return np.asarray(self.batch(pts), float)
-        return np.vstack([np.asarray(self.fn(row), float) for row in pts])
+        return _checked(self, pts, np.asarray(self.batch(pts), float), pts.shape)
 
 
 AnyField = Union[ScalarField, VectorField]
 
 
+def _checked(f: AnyField, pts: np.ndarray, vals: np.ndarray, shape: tuple) -> np.ndarray:
+    """vals, once its shape and finiteness are verified for the whole batch."""
+    if pts.ndim != 2 or vals.shape != shape:
+        raise DimensionMismatchError(
+            f"field {f.label!r} returned shape {vals.shape} for points of shape {pts.shape}")
+    if not np.isfinite(vals).all():
+        bad = ~np.isfinite(vals.reshape(pts.shape[0], -1)).all(axis=1)
+        raise ValueError(f"field {f.label!r} returned non-finite value at "
+                         f"{pts[np.argmax(bad)].tolist()}")
+    return vals
+
+
 def negate(f: AnyField) -> AnyField:
     """Field with all values negated; negate(negate(f)) evaluates bit-identically to f."""
-    fn = f.fn
     batch = f.batch
-    neg_batch = (lambda pts: -batch(pts)) if batch is not None else None
     label = f.label[4:] if f.label.startswith("neg:") else f"neg:{f.label}"
-    cls = type(f)
-    return cls(fn=lambda p: -np.asarray(fn(p)) if isinstance(f, VectorField) else -fn(p),
-               domain=f.domain, label=label, batch=neg_batch)
+    return type(f)(batch=lambda P: -batch(P), domain=f.domain, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +425,7 @@ def gradient_field(f: ScalarField, h: float = 1e-5) -> VectorField:
             out[:, j] = col
         return out
 
-    return VectorField(fn=lambda p: batch(p[None, :])[0], domain=f.domain,
-                       label=f"grad:{f.label}", batch=batch)
+    return VectorField(batch=batch, domain=f.domain, label=f"grad:{f.label}")
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +476,7 @@ def scalar_field(name: str, domain: Domain | None = None) -> ScalarField:
         raise ValueError(f"unknown field {name!r}; known: {registry_names()}")
     default_domain, batch = _SCALAR_REGISTRY[name]
     dom = domain or default_domain()
-    return ScalarField(fn=lambda p: float(batch(np.atleast_2d(p))[0]), domain=dom,
-                       label=name, batch=batch)
+    return ScalarField(batch=batch, domain=dom, label=name)
 
 
 def vector_field(name: str, domain: Domain | None = None) -> VectorField:
@@ -495,17 +488,14 @@ def vector_field(name: str, domain: Domain | None = None) -> VectorField:
     """
     if name == "linear":
         dom = domain or _box1(-1.0, 1.0)
-        return VectorField(fn=lambda p: np.asarray(p, float).copy(), domain=dom,
-                           label="linear", batch=lambda P: P.copy())
+        return VectorField(batch=lambda P: P.copy(), domain=dom, label="linear")
     if name == "mexican_hat":
         dom = domain or MEXICAN_HAT_BOX
-        return VectorField(fn=lambda p: _mexican_hat_grad(np.atleast_2d(p))[0], domain=dom,
-                           label="mexican_hat", batch=_mexican_hat_grad)
+        return VectorField(batch=_mexican_hat_grad, domain=dom, label="mexican_hat")
     if name in ("quadratic", "cubic", "xsininv"):
         sf = scalar_field(name, domain)
         sbatch = sf.batch
-        return VectorField(fn=lambda p: np.asarray([sf.value(p)]), domain=sf.domain,
-                           label=name, batch=lambda P: sbatch(P)[:, None])
+        return VectorField(batch=lambda P: sbatch(P)[:, None], domain=sf.domain, label=name)
     raise ValueError(f"unknown field {name!r}; known: {registry_names()}")
 
 
@@ -523,17 +513,17 @@ def quadratic_form(Q, b, domain: Domain | None = None,
     dom = domain or Box(tuple([-1.0] * len(b)), tuple([1.0] * len(b)))
     S = 0.5 * (Q + Q.T)
 
+    # row-wise einsums: unlike a BLAS matmul, a row's value does not depend
+    # on how many rows share its batch, so value(p) is bitwise a row of values
     def fbatch(P: np.ndarray) -> np.ndarray:
-        return 0.5 * np.einsum("ni,ij,nj->n", P, Q, P) + P @ b
+        return (0.5 * np.einsum("ni,ni->n", P, np.einsum("ij,nj->ni", Q, P))
+                + np.einsum("ni,i->n", P, b))
 
     def gbatch(P: np.ndarray) -> np.ndarray:
-        return P @ S.T + b
+        return np.einsum("ij,nj->ni", S, P) + b
 
-    sf = ScalarField(fn=lambda p: float(fbatch(np.atleast_2d(p))[0]), domain=dom,
-                     label=label, batch=fbatch)
-    vf = VectorField(fn=lambda p: gbatch(np.atleast_2d(p))[0], domain=dom,
-                     label=f"grad:{label}", batch=gbatch)
-    return sf, vf
+    return (ScalarField(batch=fbatch, domain=dom, label=label),
+            VectorField(batch=gbatch, domain=dom, label=f"grad:{label}"))
 
 
 def field_from_json(source) -> tuple[ScalarField, VectorField]:

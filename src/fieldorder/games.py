@@ -59,8 +59,7 @@ def from_symmetric_matrix(C, mass: float = 1.0, label: str = "symmetric") -> Pop
         raise ValueError("cost matrix must be finite")
     m = C.shape[0]
     domain = Product((Simplex(mass, m),))
-    field = VectorField(fn=lambda x: C @ np.asarray(x, float), domain=domain,
-                        label=f"game:{label}", batch=lambda X: X @ C.T)
+    field = VectorField(batch=lambda X: X @ C.T, domain=domain, label=f"game:{label}")
     return PopulationGame(populations=((mass, m),), cost=field, label=label)
 
 
@@ -79,8 +78,7 @@ def from_bimatrix(A, B, label: str = "bimatrix") -> PopulationGame:
         x, y = P[:, :m1], P[:, m1:]
         return np.hstack([y @ A.T, x @ B])
 
-    field = VectorField(fn=lambda p: batch(np.atleast_2d(p))[0], domain=domain,
-                        label=f"game:{label}", batch=batch)
+    field = VectorField(batch=batch, domain=domain, label=f"game:{label}")
     return PopulationGame(populations=((1.0, m1), (1.0, m2)), cost=field, label=label)
 
 

@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from fieldorder.cli import main
+from fieldorder.cli import _dumps, main
 
 
 def run(capsys, *argv):
@@ -49,6 +50,26 @@ class TestCompare:
         assert out == ""
         assert "finite" in err
 
+    def test_overflowing_descriptor_exits_2(self, capsys, tmp_path):
+        # finite Q whose symmetrization (Q + Q')/2 overflows: the gradient is
+        # non-finite everywhere, which the field's batch check must reject
+        path = tmp_path / "q.json"
+        path.write_text('{"Q": [[1.5e308]], "b": [0.0]}')
+        out_dir = tmp_path / "run"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run(capsys, "--json", "--out-dir", str(out_dir), "compare",
+                                 "--vector", str(path), "--x", "0.5", "--y", "-0.5")
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
+        assert not (out_dir / "verdict.json").exists()
+
+    def test_json_output_never_carries_nan(self):
+        with pytest.raises(ValueError):
+            _dumps({"max_delta": float("nan")})
+        with pytest.raises(ValueError):
+            _dumps({"max_delta": np.float64("inf")})
+
     @pytest.mark.parametrize("flag, value", [("--tau", "nan"), ("--tau", "inf"),
                                              ("--tau", "0"), ("--neps", "2000001"),
                                              ("--neps", "2")])
@@ -78,6 +99,18 @@ class TestClassify:
                        "--point", "0.31830988618")
         assert got["is_minimal"] is True
         assert got["analytic_witnesses"] is True
+
+    def test_negated_oscillator_keeps_analytic_witnesses(self, capsys):
+        got = run_json(capsys, "classify", "--vector", "neg:xsininv",
+                       "--point", "0.31830988618")
+        assert got["analytic_witnesses"] is True
+
+    def test_json_field_has_no_analytic_witnesses(self, capsys, tmp_path):
+        # the stock name decides, not the file name or the field label
+        path = tmp_path / "xsininv.json"
+        path.write_text('{"Q": [[2.0]], "b": [0.0]}')
+        got = run_json(capsys, "classify", "--vector", str(path), "--point", "0.5")
+        assert got["analytic_witnesses"] is False
 
     def test_scalar_square(self, capsys):
         got = run_json(capsys, "classify", "--scalar", "quadratic", "--point", "0")
@@ -139,6 +172,14 @@ class TestFlow:
         got = run_json(capsys, "flow", "--field", "neg:linear", "--x0", "1",
                        "--tmax", "20", "--candidate", str(path))
         assert got["trials"][0]["limit_point"] == [0.0]
+
+    def test_candidate_auto_needs_the_stock_oscillator(self, capsys, tmp_path):
+        path = tmp_path / "xsininv.json"
+        path.write_text('{"Q": [[2.0]], "b": [0.0]}')
+        code, _, err = run(capsys, "flow", "--field", f"neg:{path}", "--x0", "0.5",
+                           "--candidate", "auto")
+        assert code == 2
+        assert "only applies" in err
 
     def test_outside_domain_exits_3(self, capsys):
         code, _, _ = run(capsys, "flow", "--field", "neg:xsininv", "--x0", "9")

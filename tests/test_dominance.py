@@ -128,17 +128,12 @@ class TestScalarVerdicts:
         from fieldorder.fields import Box, ScalarField
         tau = CFG.tau
 
-        def staircase(p):
-            t = float(np.atleast_1d(p)[0])
-            if t < 0.25:
-                return 0.0
-            if t < 0.5:
-                return -2.0 * tau
-            if t < 0.75:
-                return -1.1 * tau
-            return -0.2 * tau
+        def staircase(P):
+            t = P[:, 0]
+            return np.select([t < 0.25, t < 0.5, t < 0.75], [0.0, -2.0 * tau, -1.1 * tau],
+                             -0.2 * tau)
 
-        f = ScalarField(fn=staircase, domain=Box((0.0,), (1.0,)), label="staircase")
+        f = ScalarField(batch=staircase, domain=Box((0.0,), (1.0,)), label="staircase")
         v = compare_scalar(f, [1.0], [0.0], ToleranceConfig(n_eps=9))
         assert v.relation == WEAKLY_DOMINATES_NOT_STRICT
         assert v.witness_eps_violation is not None

@@ -122,8 +122,7 @@ def _spike_field(base, height, at=0.3):
     """c = base + height on a spike at `at` too narrow for any uniform grid."""
     def batch(P):
         return base + height * (np.abs(P - at) <= 1e-12)
-    return VectorField(fn=lambda y: batch(np.atleast_2d(y))[0], domain=Box((-1.0,), (1.0,)),
-                       label="spike", batch=batch)
+    return VectorField(batch=batch, domain=Box((-1.0,), (1.0,)), label="spike")
 
 
 def _spike_witness(x, p, at=0.3):
