@@ -29,7 +29,8 @@ import numpy as np
 from .classify import (_minimal_and_maximal, is_almost_strictly_minimal_set, is_ess,
                        is_local_min_polyorder_scalar, is_local_min_polyorder_vector,
                        is_nss, is_strict_local_min_scalar, sample_neighborhood)
-from .dominance import ToleranceConfig, batch_vector_extremes, compare_scalar, compare_vector
+from .dominance import (STRICTLY_DOMINATES, ToleranceConfig, batch_relations, compare_scalar,
+                        compare_vector)
 from .fields import (Domain, Grid, SampleSet, ScalarField, VectorField, require_in_domain,
                      sample_domain, scalar_field, vector_field)
 
@@ -242,9 +243,9 @@ def classify_catalog(n_max: int = 25, cfg: ToleranceConfig | None = None,
                      domain: Domain | None = None) -> CatalogAgreementReport:
     """Classify every catalog point numerically and compare with the oracle.
 
-    One uniform-grid screen per point serves both directions: a challenger
-    can only dominate (resp. be dominated) if its profile stays under +tau
-    (resp. over -tau), and adding grid points never rescues a failed screen.
+    One uniform-grid screen per point serves both directions: each
+    challenger's screen relation to the point says whether it dominates the
+    point, is dominated by it, or neither.
     """
     cfg = cfg or ToleranceConfig()
     f, c = case_fields(domain)
@@ -348,10 +349,10 @@ def check_setwise_dominance(window_hi: float = 2.0, grid_n: int = 2000,
     grows as needed near the origin, where the display catalog truncates but
     the closed form keeps working.  Every window point and its dominator are
     checked against the domain before anything is screened.  One
-    uniform-grid screen confirms all pairs at once: a row that stays within
-    +tau is never refined, so it is strictly dominated exactly when its
-    screen min falls below -tau.  Only the pairs it does not confirm get a
-    full comparison, whose relation is reported.
+    uniform-grid screen confirms all pairs at once (a StrictlyDominates
+    screen row is never refined, so it is the pair's verdict).  Only the
+    pairs it does not confirm get a full comparison, whose relation is
+    reported.
     """
     cfg = cfg or ToleranceConfig()
     if window_lo is None:
@@ -387,8 +388,7 @@ def check_setwise_dominance(window_hi: float = 2.0, grid_n: int = 2000,
         pairs.append((xstar, x))
     if pairs:
         P = np.asarray(pairs)
-        mx, mn = batch_vector_extremes(c, P[:, :1], P[:, 1:], cfg, drop_incomparable=True)
-        certified = (mx <= cfg.tau) & (mn < -cfg.tau)
+        certified = batch_relations(c, P[:, :1], P[:, 1:], cfg) == STRICTLY_DOMINATES
     failures = []
     for slot in slots:
         if isinstance(slot, dict):

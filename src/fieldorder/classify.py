@@ -6,13 +6,11 @@ around p intersected with the domain.  Every verdict is a certificate
 relative to the probe sets and the tolerance configuration, both of which
 are echoed in the report.
 
-Minimality and maximality are decided together from one uniform-grid
-screen of the challengers against p.  A challenger whose profile stays
-under +tau is never refined (refinement needs a sample above +tau), so its
-screen row is its verdict; maximality reads the mirror rows, since the
-screen under -c is exactly the negated screen under c.  Full comparisons
-run only for pairs that gain analytic extra eps and for the one reported
-dominator.
+Minimality and maximality are decided together from the relations of one
+uniform-grid screen of the challengers against p (dominance.batch_relations):
+p is minimal when no row is StrictlyDominates and maximal when no row is
+ReverseStrict.  Full comparisons run only for pairs that gain analytic
+extra eps and for the one reported row of each failed check.
 
 The inclusion chains that must hold on shared probe sets (ess implies nss
 and minimal, minimal implies critical, local minimum implies critical,
@@ -28,11 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dominance import (STRICTLY_DOMINATES, ToleranceConfig, _profiles, batch_scalar_steps,
-                        batch_vector_extremes, compare_scalar, compare_vector)
+from .dominance import (INCOMPARABLE, REVERSE_STRICT, STRICTLY_DOMINATES, ToleranceConfig,
+                        _profiles, batch_relations, batch_scalar_steps, batch_vector_extremes,
+                        compare_scalar, compare_vector)
 from .errors import InvariantBreachError
 from .fields import (Box, Domain, Grid, Product, SampleSet, ScalarField, SeededRandom,
-                     Simplex, VectorField, negate, require_in_domain, sample_domain)
+                     Simplex, VectorField, require_in_domain, sample_domain)
 
 # ball samples span this many decades of radii so that violations living at
 # small scales are probed without drowning in sub-tau hairline comparisons
@@ -149,74 +148,41 @@ def is_critical_element(c: VectorField, p, challengers: SampleSet,
     return CheckOutcome(False, witness=tuple(challengers.points[k]), stat=stat)
 
 
-def _lex_smallest(rows: list[tuple[tuple[float, ...], float]]):
-    return sorted(rows)[0]
-
-
-def _screened_outcome(field, p: np.ndarray, X: np.ndarray, cfg: ToleranceConfig,
-                      survivor: np.ndarray, strict: np.ndarray,
-                      segment_witnesses) -> CheckOutcome:
-    """Minimality of p under field, read off the screen rows of X against p.
-
-    survivor marks the rows whose uniform-grid profile never rises above
-    +tau (only they can weakly dominate p); strict marks the survivors that
-    also fall below -tau.  A survivor has no sample above +tau, so it is
-    never refined and its screen row is its verdict, unless
-    segment_witnesses adds eps values to its grid: only those pairs get a
-    full comparison.  The reported eps of the lex-smallest dominator comes
-    from one comparison on its row.
-    """
-    compare = compare_scalar if isinstance(field, ScalarField) else compare_vector
-    verdicts = {}
-    if segment_witnesses is not None:
-        strict = strict.copy()
-        for k in np.flatnonzero(survivor):
-            extra = tuple(segment_witnesses(X[k], p))
-            if extra:
-                verdicts[k] = compare(field, X[k], p, cfg, extra_eps=extra)
-                strict[k] = verdicts[k].relation == STRICTLY_DOMINATES
-    rows = np.flatnonzero(strict)
-    if rows.size == 0:
-        return CheckOutcome(True)
-    lead = rows[np.lexsort(X[rows].T[::-1])[0]]
-    ties = rows[np.all(X[rows] == X[lead], axis=1)]
-
-    def eps_of(k):
-        verdict = verdicts[k] if k in verdicts else compare(field, X[k], p, cfg)
-        return verdict.witness_eps_strict
-
-    pt, eps = _lex_smallest([(tuple(X[k]), eps_of(k)) for k in ties])
-    return CheckOutcome(False, witness=pt, eps=eps)
-
-
 def _minimal_and_maximal(field, p, challengers: SampleSet,
                          cfg: ToleranceConfig | None = None,
                          segment_witnesses=None) -> tuple[CheckOutcome, CheckOutcome]:
     """(minimal, maximal) outcomes of p against the challengers, from one screen.
 
-    Maximality is minimality under -field, and the screen of -field is the
-    mirror of the screen of field (its rowwise max is exactly -(the min),
-    its total change exactly -(the total)), so one screen decides both.
+    p is minimal when no challenger row is StrictlyDominates and maximal
+    when none is ReverseStrict.  A row that is not Incomparable on the
+    screen is never refined, so its screen relation is its verdict, unless
+    segment_witnesses adds eps values to its grid: only those pairs get a
+    full comparison.  The eps reported for the lex-smallest dominator (resp.
+    dominated challenger) comes from one comparison on its row.
     """
     cfg = cfg or ToleranceConfig()
     p = require_in_domain(field.domain, p)
     X = challengers.points
     if X.shape[0] == 0:
         raise ValueError("challenger set is empty")
-    tau = cfg.tau
-    if isinstance(field, ScalarField):
-        smax, smin, total = batch_scalar_steps(field, X, p, cfg)
-        below, above = smax <= tau, smin >= -tau
-        drops, rises = total < -tau, total > tau
-    else:
-        # only the band predicates are read, so Incomparable rows may stop early
-        mx, mn = batch_vector_extremes(field, X, p, cfg, drop_incomparable=True)
-        below, above = mx <= tau, mn >= -tau
-        drops, rises = mn < -tau, mx > tau
-    minimal = _screened_outcome(field, p, X, cfg, below, below & drops, segment_witnesses)
-    maximal = _screened_outcome(negate(field), p, X, cfg, above, above & rises,
-                                segment_witnesses)
-    return minimal, maximal
+    compare = compare_scalar if isinstance(field, ScalarField) else compare_vector
+    relations = batch_relations(field, X, p, cfg)
+    verdicts = {}
+    for k in np.flatnonzero(relations != INCOMPARABLE) if segment_witnesses is not None else ():
+        extra = tuple(segment_witnesses(X[k], p))
+        if extra:
+            verdicts[k] = compare(field, X[k], p, cfg, extra_eps=extra)
+            relations[k] = verdicts[k].relation
+
+    def outcome(relation: str) -> CheckOutcome:
+        rows = np.flatnonzero(relations == relation)
+        if rows.size == 0:
+            return CheckOutcome(True)
+        k = rows[np.lexsort(X[rows].T[::-1])[0]]
+        verdict = verdicts[k] if k in verdicts else compare(field, X[k], p, cfg)
+        return CheckOutcome(False, witness=tuple(X[k]), eps=verdict.witness_eps_strict)
+
+    return outcome(STRICTLY_DOMINATES), outcome(REVERSE_STRICT)
 
 
 def is_minimal(c: VectorField, p, challengers: SampleSet,
@@ -224,13 +190,10 @@ def is_minimal(c: VectorField, p, challengers: SampleSet,
                segment_witnesses=None) -> CheckOutcome:
     """Whether no challenger strictly dominates p.
 
-    One vectorized uniform-grid screen decides every challenger: a row whose
-    profile pokes above +tau cannot weakly dominate (extra grid points can
-    only make that worse), and a row that stays within +tau is never
-    refined, so it strictly dominates exactly when its screen min falls
-    below -tau.  segment_witnesses(x, p), when given, supplies extra eps
-    values for specific pairs (used for analytically known oscillation
-    witnesses); only those pairs are compared in full.  The witness is the
+    One vectorized uniform-grid screen gives every challenger its relation
+    to p.  segment_witnesses(x, p), when given, supplies extra eps values
+    for specific pairs (used for analytically known oscillation witnesses);
+    only those pairs are compared in full.  The witness is the
     lex-smallest dominator, with the eps of its full comparison.
     """
     return _minimal_and_maximal(c, p, challengers, cfg, segment_witnesses)[0]

@@ -27,12 +27,13 @@ row and a single comparison of the same pair see the same bits.
 Refinement bisects between adjacent samples (scalar: adjacent steps) whose
 band signs are +1 and -1, at most MAX_REFINE_DEPTH times.  Added points
 only widen vector extremes, so it never changes a vector relation (a split
-scalar step can shrink, so a scalar relation can change).  A profile whose
-uniform-grid max (scalar: largest step) stays within tau has no +1 sign, so
-it is never refined and its uniform-grid extremes are its verdict.  The
-batch screens at the bottom of this module compute those extremes for many
-pairs at once; the classifier reads the verdicts of such rows straight off
-the screen.
+scalar step can shrink, so a scalar relation can change).
+
+One rule, _relations, turns a profile's band statistics into a relation,
+for a single comparison and for the batch screens at the bottom of this
+module (batch_relations) alike.  A row that is not Incomparable on the
+uniform grid has no adjacent band signs +1 and -1, so it is never refined:
+its screen relation is its verdict, and callers read it off the screen.
 
 The vector screen walks the uniform grid coarse to fine, in disjoint
 levels of grid indices: every 64th point, then the rest of every 16th
@@ -42,11 +43,11 @@ their union is the full grid bit for bit, and a row's extremes are the
 running max/min over the levels.  Extra points can only push a max up and
 a min down, so a row whose coarse levels already reach above +tau and
 below -tau is Incomparable in both directions on the full grid.  Callers
-that read only the four band predicates (max vs +tau, min vs -tau) may ask
-the screen to stop evaluating such rows; every other row, and every row
-when they do not ask, gets its exact full-grid extremes.  The scalar
-screen stays a single pass: a coarse step is a sum of fine steps, not one
-of them, so step extremes do not nest.
+that read only the relation (batch_relations) may ask the screen to stop
+evaluating such rows; every other row, and every row when they do not ask,
+gets its exact full-grid extremes.  The scalar screen stays a single pass:
+a coarse step is a sum of fine steps, not one of them, so step extremes do
+not nest.
 """
 
 from __future__ import annotations
@@ -209,19 +210,37 @@ def scalar_profile(f: ScalarField, x, y, cfg: ToleranceConfig | None = None,
     return _refined_profile(f, x, y, cfg, extra_eps)
 
 
-def _vector_verdict(eps: np.ndarray, delta: np.ndarray, cfg: ToleranceConfig) -> DominanceVerdict:
-    imax, imin = int(np.argmax(delta)), int(np.argmin(delta))
-    mx, mn = float(delta[imax]), float(delta[imin])
-    fw = mx <= cfg.tau
-    rw = mn >= -cfg.tau
-    if fw and rw:
-        return DominanceVerdict(EQUIVALENT, None, None, mx, mn, cfg)
-    if fw:
-        return DominanceVerdict(STRICTLY_DOMINATES, float(eps[imin]), None, mx, mn, cfg)
-    if rw:
-        return DominanceVerdict(REVERSE_STRICT, float(eps[imax]), None, mx, mn, cfg)
-    return DominanceVerdict(INCOMPARABLE, None, (float(eps[imax]), float(eps[imin])),
-                            mx, mn, cfg)
+def _relations(hi, lo, drop, rise, tau: float) -> np.ndarray:
+    """The relation of x to y from band statistics of their profile, rowwise.
+
+    x weakly dominates y when hi <= tau, and strictly when drop < -tau as
+    well; y weakly dominates x when lo >= -tau, and strictly when rise > tau
+    as well.  Vector rows pass (max, min, min, max) of delta, scalar rows
+    (largest step, smallest step, total change, total change) of g.  The
+    first matching label wins, in the order of the select below.
+    """
+    fw, rw = hi <= tau, lo >= -tau
+    return np.select([fw & (drop < -tau), rw & (rise > tau), fw & rw, fw, rw],
+                     [STRICTLY_DOMINATES, REVERSE_STRICT, EQUIVALENT,
+                      WEAKLY_DOMINATES_NOT_STRICT, REVERSE_WEAK], INCOMPARABLE)
+
+
+def _verdict(eps: np.ndarray, profile: np.ndarray, cfg: ToleranceConfig,
+             scalar: bool) -> DominanceVerdict:
+    stats = np.diff(profile) if scalar else profile
+    imax, imin = int(np.argmax(stats)), int(np.argmin(stats))
+    hi, lo = float(stats[imax]), float(stats[imin])
+    if scalar:
+        drop = rise = float(profile[-1] - profile[0])  # f(x) - f(y)
+        at = lambda i: float(0.5 * (eps[i] + eps[i + 1]))
+    else:
+        drop, rise = lo, hi
+        at = lambda i: float(eps[i])
+    relation = str(_relations(hi, lo, drop, rise, cfg.tau))
+    strict = {STRICTLY_DOMINATES: at(imin), REVERSE_STRICT: at(imax)}.get(relation)
+    violation = {WEAKLY_DOMINATES_NOT_STRICT: (at(imin),), REVERSE_WEAK: (at(imax),),
+                 INCOMPARABLE: (at(imax), at(imin))}.get(relation)
+    return DominanceVerdict(relation, strict, violation, hi, min(lo, drop), cfg)
 
 
 def compare_vector(c: VectorField, x, y, cfg: ToleranceConfig | None = None,
@@ -236,31 +255,7 @@ def compare_vector(c: VectorField, x, y, cfg: ToleranceConfig | None = None,
     """
     cfg = cfg or ToleranceConfig()
     eps, delta = segment_profile(c, x, y, cfg, extra_eps)
-    return _vector_verdict(eps, delta, cfg)
-
-
-def _scalar_verdict(eps: np.ndarray, g: np.ndarray, cfg: ToleranceConfig) -> DominanceVerdict:
-    d = np.diff(g)
-    imax, imin = int(np.argmax(d)), int(np.argmin(d))
-    step_max, step_min = float(d[imax]), float(d[imin])
-    total = float(g[-1] - g[0])  # f(x) - f(y)
-    fw = step_max <= cfg.tau
-    rw = step_min >= -cfg.tau
-    strict_f = fw and (-total > cfg.tau)
-    strict_r = rw and (total > cfg.tau)
-    mid = lambda i: float(0.5 * (eps[i] + eps[i + 1]))
-    mx, mn = step_max, min(step_min, total)
-    if strict_f:
-        return DominanceVerdict(STRICTLY_DOMINATES, mid(imin), None, mx, mn, cfg)
-    if strict_r:
-        return DominanceVerdict(REVERSE_STRICT, mid(imax), None, mx, mn, cfg)
-    if fw and rw:
-        return DominanceVerdict(EQUIVALENT, None, None, mx, mn, cfg)
-    if fw:
-        return DominanceVerdict(WEAKLY_DOMINATES_NOT_STRICT, None, (mid(imin),), mx, mn, cfg)
-    if rw:
-        return DominanceVerdict(REVERSE_WEAK, None, (mid(imax),), mx, mn, cfg)
-    return DominanceVerdict(INCOMPARABLE, None, (mid(imax), mid(imin)), mx, mn, cfg)
+    return _verdict(eps, delta, cfg, scalar=False)
 
 
 def compare_scalar(f: ScalarField, x, y, cfg: ToleranceConfig | None = None,
@@ -275,7 +270,7 @@ def compare_scalar(f: ScalarField, x, y, cfg: ToleranceConfig | None = None,
     """
     cfg = cfg or ToleranceConfig()
     eps, g = scalar_profile(f, x, y, cfg, extra_eps)
-    return _scalar_verdict(eps, g, cfg)
+    return _verdict(eps, g, cfg, scalar=True)
 
 
 # ---------------------------------------------------------------------------
@@ -375,3 +370,20 @@ def batch_scalar_steps(f: ScalarField, xs, ys,
         smin[rows] = d.min(axis=1)
         total[rows] = g[:, -1] - g[:, 0]
     return smax, smin, total
+
+
+def batch_relations(field, xs, ys, cfg: ToleranceConfig) -> np.ndarray:
+    """Rowwise relation of x_k to y_k, read off the uniform-grid screen.
+
+    Uses the rule of compare_vector/compare_scalar on the screen statistics:
+    vector rows come from batch_vector_extremes with drop_incomparable (the
+    rule reads only the band predicates), scalar rows from
+    batch_scalar_steps.  A row that is not Incomparable is never refined,
+    so its relation is that of compare_*; a vector row that is Incomparable
+    stays so under refinement, a scalar one may not.
+    """
+    if isinstance(field, ScalarField):
+        smax, smin, total = batch_scalar_steps(field, xs, ys, cfg)
+        return _relations(smax, smin, total, total, cfg.tau)
+    mx, mn = batch_vector_extremes(field, xs, ys, cfg, drop_incomparable=True)
+    return _relations(mx, mn, mn, mx, cfg.tau)

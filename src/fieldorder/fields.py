@@ -218,14 +218,6 @@ def _simplex_grid(s: Simplex, n: int) -> np.ndarray:
     return np.asarray(rows, float) * (s.mass / (n - 1))
 
 
-def _simplex_random(s: Simplex, count: int, rng: np.random.Generator) -> np.ndarray:
-    fixed = np.vstack([s.vertices(), s.barycenter()[None, :]])
-    if count <= fixed.shape[0]:
-        return fixed[:count]
-    interior = rng.dirichlet(np.ones(s.dim), size=count - fixed.shape[0]) * s.mass
-    return np.vstack([fixed, interior])
-
-
 def _cartesian(blocks: Sequence[np.ndarray]) -> np.ndarray:
     out = blocks[0]
     for b in blocks[1:]:
@@ -245,14 +237,14 @@ def sample_domain(domain: Domain, strategy: Strategy, seed: int = 0) -> SampleSe
             require_in_domain(domain, row)
         return SampleSet(pts, strategy="explicit", seed=seed)
 
+    if isinstance(domain, Simplex):  # sampled exactly as its one-part product
+        domain = Product((domain,))
     if isinstance(strategy, Grid):
         n = strategy.n_per_axis
         if n < 1:
             raise ValueError("grid size must be positive")
         if isinstance(domain, Box):
             size = n ** domain.dim
-        elif isinstance(domain, Simplex):
-            size = _simplex_grid_size(domain, n)
         else:
             size = math.prod(_simplex_grid_size(s, n) for s in domain.parts)
         if size > _MAX_GRID_POINTS:
@@ -261,8 +253,6 @@ def sample_domain(domain: Domain, strategy: Strategy, seed: int = 0) -> SampleSe
             axes = [np.linspace(lo, up, n) for lo, up in zip(domain.lower, domain.upper)]
             mesh = np.meshgrid(*axes, indexing="ij")
             pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        elif isinstance(domain, Simplex):
-            pts = _simplex_grid(domain, n)
         else:
             pts = _cartesian([_simplex_grid(s, n) for s in domain.parts])
         return SampleSet(pts, strategy=f"grid(n_per_axis={n})", seed=seed)
@@ -274,8 +264,6 @@ def sample_domain(domain: Domain, strategy: Strategy, seed: int = 0) -> SampleSe
         if isinstance(domain, Box):
             lo, up = np.asarray(domain.lower), np.asarray(domain.upper)
             pts = lo + rng.random((count, domain.dim)) * (up - lo)
-        elif isinstance(domain, Simplex):
-            pts = _simplex_random(domain, count, rng)
         else:
             vertices = _cartesian([s.vertices() for s in domain.parts])
             bary = np.hstack([s.barycenter() for s in domain.parts])[None, :]
@@ -367,65 +355,52 @@ def negate(f: AnyField) -> AnyField:
 # Finite-difference gradients
 # ---------------------------------------------------------------------------
 
+def _fd_gradient(f: ScalarField, pts: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(gradient, one-sided flags) of f at the rows of pts by finite differences.
+
+    Central differences, one-sided along an axis where a step of h would
+    leave the box; f is only evaluated inside the box (within
+    CONTAINMENT_TOL), so a box thinner than h raises DomainViolationError.
+    """
+    grad = np.empty_like(pts)
+    flags = np.zeros(pts.shape, bool)
+    box = f.domain if isinstance(f.domain, Box) else None
+    for j in range(pts.shape[1]):
+        hi, lo = pts.copy(), pts.copy()
+        hi[:, j] += h
+        lo[:, j] -= h
+        if box is not None:
+            over = hi[:, j] > box.upper[j] + CONTAINMENT_TOL
+            under = lo[:, j] < box.lower[j] - CONTAINMENT_TOL
+            if (over & under).any():
+                raise DomainViolationError(f"box thinner than h along axis {j}")
+            # a one-sided difference steps from the point itself
+            hi[over, j] = pts[over, j]
+            lo[under, j] = pts[under, j]
+            flags[:, j] = over | under
+        grad[:, j] = (f.values(hi) - f.values(lo)) / np.where(flags[:, j], h, 2 * h)
+    return grad, flags
+
+
 def gradient_fd(f: ScalarField, p, h: float = 1e-5, return_flags: bool = False):
     """Central finite-difference gradient, one-sided at box boundaries.
 
-    When return_flags is true, also returns a bool array marking the
-    components where a one-sided difference was used.
+    Bitwise one row of gradient_field(f, h).  When return_flags is true,
+    also returns a bool array marking the components where a one-sided
+    difference was used.
     """
     if h <= 0:
         raise ValueError("step h must be positive")
-    p = as_point(p)
-    dim = p.size
-    grad = np.empty(dim)
-    flags = np.zeros(dim, bool)
-    box = f.domain if isinstance(f.domain, Box) else None
-    for j in range(dim):
-        hi, lo = p.copy(), p.copy()
-        hi.setflags(write=True), lo.setflags(write=True)
-        hi[j] += h
-        lo[j] -= h
-        up_ok = box is None or hi[j] <= box.upper[j] + CONTAINMENT_TOL
-        lo_ok = box is None or lo[j] >= box.lower[j] - CONTAINMENT_TOL
-        if up_ok and lo_ok:
-            grad[j] = (f.value(hi) - f.value(lo)) / (2 * h)
-        elif up_ok:
-            grad[j] = (f.value(hi) - f.value(p)) / h
-            flags[j] = True
-        elif lo_ok:
-            grad[j] = (f.value(p) - f.value(lo)) / h
-            flags[j] = True
-        else:
-            raise DomainViolationError(f"box thinner than h along axis {j}")
-    return (grad, flags) if return_flags else grad
+    grad, flags = _fd_gradient(f, as_point(p)[None, :], h)
+    return (grad[0], flags[0]) if return_flags else grad[0]
 
 
 def gradient_field(f: ScalarField, h: float = 1e-5) -> VectorField:
-    """Vector field backed by finite differences of f."""
-
-    def batch(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        n, dim = pts.shape
-        out = np.empty_like(pts)
-        for j in range(dim):
-            hi, lo = pts.copy(), pts.copy()
-            hi[:, j] += h
-            lo[:, j] -= h
-            if isinstance(f.domain, Box):
-                over = hi[:, j] > f.domain.upper[j] + CONTAINMENT_TOL
-                under = lo[:, j] < f.domain.lower[j] - CONTAINMENT_TOL
-            else:
-                over = under = np.zeros(n, bool)
-            fhi, flo = f.values(hi), f.values(lo)
-            col = (fhi - flo) / (2 * h)
-            if over.any():
-                col[over] = (f.values(pts[over]) - flo[over]) / h
-            if under.any():
-                col[under] = (fhi[under] - f.values(pts[under])) / h
-            out[:, j] = col
-        return out
-
-    return VectorField(batch=batch, domain=f.domain, label=f"grad:{f.label}")
+    """Vector field backed by finite differences of f (see gradient_fd)."""
+    if h <= 0:
+        raise ValueError("step h must be positive")
+    return VectorField(batch=lambda P: _fd_gradient(f, P, h)[0], domain=f.domain,
+                       label=f"grad:{f.label}")
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +485,11 @@ def quadratic_form(Q, b, domain: Domain | None = None,
         raise DimensionMismatchError("b must match Q's dimension")
     if not (np.all(np.isfinite(Q)) and np.all(np.isfinite(b))):
         raise ValueError("Q and b must be finite")
+    with np.errstate(over="ignore"):
+        S = 0.5 * (Q + Q.T)
+    if not np.all(np.isfinite(S)):
+        raise ValueError("(Q + Q')/2 overflows to a non-finite value")
     dom = domain or Box(tuple([-1.0] * len(b)), tuple([1.0] * len(b)))
-    S = 0.5 * (Q + Q.T)
 
     # row-wise einsums: unlike a BLAS matmul, a row's value does not depend
     # on how many rows share its batch, so value(p) is bitwise a row of values

@@ -33,23 +33,6 @@ class PopulationGame:
         return self.cost.domain
 
 
-@dataclass(frozen=True)
-class MatrixGame:
-    """Matrix description of a game, loadable from JSON."""
-
-    mode: str  # "symmetric" | "bimatrix"
-    C: tuple | None = None
-    A: tuple | None = None
-    B: tuple | None = None
-    mass: float = 1.0
-
-    def to_dict(self) -> dict:
-        if self.mode == "symmetric":
-            return {"mode": "symmetric", "C": [list(r) for r in self.C], "mass": self.mass}
-        return {"mode": "bimatrix", "A": [list(r) for r in self.A],
-                "B": [list(r) for r in self.B]}
-
-
 def from_symmetric_matrix(C, mass: float = 1.0, label: str = "symmetric") -> PopulationGame:
     """Single-population game with linear costs c(x) = C x."""
     C = np.asarray(C, float)

@@ -51,14 +51,13 @@ class TestCompare:
         assert "finite" in err
 
     def test_overflowing_descriptor_exits_2(self, capsys, tmp_path):
-        # finite Q whose symmetrization (Q + Q')/2 overflows: the gradient is
-        # non-finite everywhere, which the field's batch check must reject
+        # finite Q whose symmetrization (Q + Q')/2 overflows: the descriptor
+        # is rejected where it is loaded, with no numpy warning
         path = tmp_path / "q.json"
         path.write_text('{"Q": [[1.5e308]], "b": [0.0]}')
         out_dir = tmp_path / "run"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run(capsys, "--json", "--out-dir", str(out_dir), "compare",
-                                 "--vector", str(path), "--x", "0.5", "--y", "-0.5")
+        code, out, err = run(capsys, "--json", "--out-dir", str(out_dir), "compare",
+                             "--vector", str(path), "--x", "0.5", "--y", "-0.5")
         assert code == 2
         assert out == ""
         assert "non-finite" in err

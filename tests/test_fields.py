@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from fieldorder.errors import DimensionMismatchError, DomainViolationError
 from fieldorder.fields import (Box, Explicit, Grid, Product, SeededRandom, Simplex,
                                field_from_json, gradient_fd, gradient_field, negate,
-                               quadratic_form, sample_domain, scalar_field,
+                               quadratic_form, registry_names, sample_domain, scalar_field,
                                segment_point, vector_field)
 from fieldorder.fields import _simplex_grid, _simplex_grid_size
 
@@ -89,6 +89,39 @@ class TestGradientFd:
         for row, expect in zip(pts, batch):
             assert g.value(row) == pytest.approx(expect)
 
+    @pytest.mark.parametrize("name", registry_names())
+    def test_gradient_fd_is_a_row_of_gradient_field(self, name):
+        # 200 interior points plus the two box corners; points within h of a
+        # face take the one-sided difference, and the flags must say so
+        f, h = scalar_field(name), 1e-3
+        lo, up = np.asarray(f.domain.lower), np.asarray(f.domain.upper)
+        rng = np.random.default_rng(5)
+        pts = lo + rng.random((200, lo.size)) * (up - lo)
+        pts[:40] = np.where(rng.random((40, lo.size)) < 0.5, lo, up) \
+            + rng.uniform(-h, h, (40, lo.size)) * 0.9
+        pts = np.vstack([f.domain.clip(pts), lo, up])
+        batch = gradient_field(f, h).values(pts)
+        one_sided = 0
+        for row, want in zip(pts, batch):
+            grad, flags = gradient_fd(f, row, h, return_flags=True)
+            assert grad.tobytes() == want.tobytes()
+            assert flags.tolist() == ((row + h > up) | (row - h < lo)).tolist()
+            one_sided += int(flags.any())
+        assert one_sided >= 40
+
+    def test_box_thinner_than_step_rejected(self):
+        # no side of [0, 1e-6] is a step of 1e-5 from 5e-7: f must not be
+        # evaluated outside the box, so both forms refuse
+        f = scalar_field("quadratic", Box((0.0,), (1e-6,)))
+        with pytest.raises(DomainViolationError, match="thinner"):
+            gradient_fd(f, [5e-7], 1e-5)
+        with pytest.raises(DomainViolationError, match="thinner"):
+            gradient_field(f, 1e-5).values(np.array([[5e-7]]))
+
+    def test_bad_field_step_rejected(self):
+        with pytest.raises(ValueError):
+            gradient_field(scalar_field("quadratic"), -1e-5)
+
 
 class TestSampling:
     def test_box_grid_with_endpoints(self):
@@ -152,6 +185,18 @@ class TestSampling:
     def test_grid_sizes_match_count(self, dom, n, size):
         assert len(sample_domain(dom, Grid(n), 0)) == size
 
+    @pytest.mark.parametrize("strategy", [Grid(1), Grid(4), SeededRandom(3), SeededRandom(40)],
+                             ids=repr)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("mass", [1.0, 2.5])
+    def test_simplex_samples_as_one_part_product(self, mass, dim, strategy):
+        s = Simplex(mass, dim)
+        got = sample_domain(s, strategy, 11)
+        want = sample_domain(Product((s,)), strategy, 11)
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.strategy == want.strategy
+        assert all(s.contains(row) for row in got.points)
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
     def test_simplex_grid_size_counts_compositions(self, dim, n):
@@ -204,3 +249,12 @@ class TestFields:
             quadratic_form(Q, b)
         with pytest.raises(ValueError, match="finite"):
             field_from_json({"Q": Q, "b": b})
+
+    @pytest.mark.parametrize("Q", [[[1.5e308]], [[1.0, 1.7e308], [1.7e308, 1.0]]])
+    def test_overflowing_symmetrization_rejected_at_load(self, Q):
+        # every entry is finite, but (Q + Q')/2 overflows; no numpy warning
+        # may escape (warnings are errors under the test configuration)
+        with pytest.raises(ValueError, match="non-finite"):
+            quadratic_form(Q, [0.0] * len(Q))
+        with pytest.raises(ValueError, match="non-finite"):
+            field_from_json({"Q": Q, "b": [0.0] * len(Q)})
