@@ -9,8 +9,8 @@ sign of x f(y) keeps flipping, so 0 is incomparable with every other point
 (hence both minimal and maximal) without being a local extremum of the
 order.  Generic grid sweeps cannot see those flips once they drop below
 grid resolution, so this module supplies exact sub-grid witnesses
-w = 1/(k pi + pi/2), where sin(1/w) = +-1, and injects them into the
-comparisons that involve the origin.
+w = 1/(k pi + pi/2), where sin(1/w) = +-1, which the screens fold into
+every segment that ends at the origin.
 
 Also here: the coverage sweep showing every non-minimal point of a window
 is strictly dominated by the bracketing minimal critical point (the
@@ -29,10 +29,9 @@ import numpy as np
 from .classify import (_minimal_and_maximal, is_almost_strictly_minimal_set, is_ess,
                        is_local_min_polyorder_scalar, is_local_min_polyorder_vector,
                        is_nss, is_strict_local_min_scalar, sample_neighborhood)
-from .dominance import (STRICTLY_DOMINATES, ToleranceConfig, batch_relations, compare_scalar,
-                        compare_vector)
-from .fields import (Domain, Grid, SampleSet, ScalarField, VectorField, require_in_domain,
-                     sample_domain, scalar_field, vector_field)
+from .dominance import STRICTLY_DOMINATES, ToleranceConfig, batch_relations, compare_scalar
+from .fields import (_MAX_GRID_POINTS, Domain, Grid, SampleSet, ScalarField, VectorField,
+                     require_in_domain, sample_domain, scalar_field, vector_field)
 
 PI = math.pi
 
@@ -77,12 +76,6 @@ class CriticalCatalog:
 
     def minimal_points(self) -> list[float]:
         pts = [e.x for e in self.entries if e.kind == MINIMAL]
-        if self.includes_origin:
-            pts.append(0.0)
-        return sorted(pts)
-
-    def maximal_points(self) -> list[float]:
-        pts = [e.x for e in self.entries if e.kind == MAXIMAL]
         if self.includes_origin:
             pts.append(0.0)
         return sorted(pts)
@@ -349,12 +342,14 @@ def check_setwise_dominance(window_hi: float = 2.0, grid_n: int = 2000,
     grows as needed near the origin, where the display catalog truncates but
     the closed form keeps working.  Every window point and its dominator are
     checked against the domain before anything is screened.  One
-    uniform-grid screen confirms all pairs at once (a StrictlyDominates
-    screen row is never refined, so it is the pair's verdict).  Only the
-    pairs it does not confirm get a full comparison, whose relation is
-    reported.
+    uniform-grid screen decides all pairs at once, and a pair it does not
+    confirm reports its screen relation (refinement never changes a vector
+    relation, so that is the pair's verdict).  grid_n must lie in
+    [1, _MAX_GRID_POINTS].
     """
     cfg = cfg or ToleranceConfig()
+    if not 1 <= grid_n <= _MAX_GRID_POINTS:
+        raise ValueError(f"grid_n must lie in [1, {_MAX_GRID_POINTS}]")
     if window_lo is None:
         window_lo = -zero_point(1) + 0.01
     if window_hi <= zero_point(1):
@@ -388,18 +383,17 @@ def check_setwise_dominance(window_hi: float = 2.0, grid_n: int = 2000,
         pairs.append((xstar, x))
     if pairs:
         P = np.asarray(pairs)
-        certified = batch_relations(c, P[:, :1], P[:, 1:], cfg) == STRICTLY_DOMINATES
+        relations = batch_relations(c, P[:, :1], P[:, 1:], cfg)
     failures = []
     for slot in slots:
         if isinstance(slot, dict):
             failures.append(slot)
-        elif certified[slot]:
+        elif relations[slot] == STRICTLY_DOMINATES:
             covered += 1
         else:
             xstar, x = pairs[slot]
-            verdict = compare_vector(c, np.array([xstar]), np.array([x]), cfg)
             failures.append({"x": x, "xstar": xstar, "reason": "confirmation failed",
-                             "relation": verdict.relation})
+                             "relation": str(relations[slot])})
     return DominanceCoverageReport(
         window=(window_lo, window_hi), grid_n=grid_n, total=len(xs),
         excluded_near_critical=excluded, covered=covered,

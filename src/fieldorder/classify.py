@@ -6,11 +6,13 @@ around p intersected with the domain.  Every verdict is a certificate
 relative to the probe sets and the tolerance configuration, both of which
 are echoed in the report.
 
-Minimality and maximality are decided together from the relations of one
-uniform-grid screen of the challengers against p (dominance.batch_relations):
-p is minimal when no row is StrictlyDominates and maximal when no row is
-ReverseStrict.  Full comparisons run only for pairs that gain analytic
-extra eps and for the one reported row of each failed check.
+Every check is one screen or one per-sample statistic, and one rule
+(_decide) turns the statistics into an outcome.  Minimality and maximality
+are decided together from the relations of one uniform-grid screen of the
+challengers against p (dominance.batch_relations, with any analytic witness
+eps folded in): p is minimal when no row is StrictlyDominates and maximal
+when no row is ReverseStrict.  A full comparison runs only for the one
+reported row of each failed minimal/maximal check, for its eps.
 
 The inclusion chains that must hold on shared probe sets (ess implies nss
 and minimal, minimal implies critical, local minimum implies critical,
@@ -26,12 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dominance import (INCOMPARABLE, REVERSE_STRICT, STRICTLY_DOMINATES, ToleranceConfig,
-                        _profiles, batch_relations, batch_scalar_steps, batch_vector_extremes,
-                        compare_scalar, compare_vector)
+from .dominance import (REVERSE_STRICT, STRICTLY_DOMINATES, ToleranceConfig, batch_relations,
+                        batch_scalar_steps, batch_vector_extremes, compare_scalar,
+                        compare_vector)
 from .errors import InvariantBreachError
-from .fields import (Box, Domain, Grid, Product, SampleSet, ScalarField, SeededRandom,
-                     Simplex, VectorField, require_in_domain, sample_domain)
+from .fields import (_MAX_GRID_POINTS, Box, Domain, Grid, Product, SampleSet, ScalarField,
+                     SeededRandom, Simplex, VectorField, require_in_domain, sample_domain)
 
 # ball samples span this many decades of radii so that violations living at
 # small scales are probed without drowning in sub-tau hairline comparisons
@@ -40,7 +42,12 @@ _RADIUS_DECADES = 2.5
 
 @dataclass(frozen=True)
 class CheckOutcome:
-    """Boolean verdict plus the probe that decided it."""
+    """Boolean verdict plus the probe that decided it.
+
+    stat is the deciding per-sample statistic and witness the failing probe.
+    Only the minimal/maximal checks set eps: the strict-witness eps of the
+    full comparison of their reported row.
+    """
 
     ok: bool
     witness: tuple[float, ...] | None = None
@@ -100,8 +107,8 @@ def sample_neighborhood(domain: Domain, center, radius: float, count: int = 512,
     center = require_in_domain(domain, center)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if count < 1:
-        raise ValueError("count must be positive")
+    if not 1 <= count <= _MAX_GRID_POINTS:
+        raise ValueError(f"count must lie in [1, {_MAX_GRID_POINTS}]")
     rng = np.random.default_rng(seed)
     dirs = _tangentize(domain, rng.normal(size=(count, center.size)))
     norms = np.linalg.norm(dirs, axis=1)
@@ -132,6 +139,16 @@ def default_challengers(domain: Domain, seed: int = 42, grid_n: int = 2048,
 # Critical elements and dominance-order extremes
 # ---------------------------------------------------------------------------
 
+def _decide(stats: np.ndarray, X: np.ndarray, passes, pick=np.argmax) -> CheckOutcome:
+    """The outcome of a per-sample check: the sample pick(stats) selects
+    decides, and it is the witness when passes(its stat) is false."""
+    k = int(pick(stats))
+    stat = float(stats[k])
+    if passes(stat):
+        return CheckOutcome(True, stat=stat)
+    return CheckOutcome(False, witness=tuple(X[k]), stat=stat)
+
+
 def is_critical_element(c: VectorField, p, challengers: SampleSet,
                         cfg: ToleranceConfig | None = None) -> CheckOutcome:
     """Whether no challenger direction strictly improves on p at p itself:
@@ -141,11 +158,7 @@ def is_critical_element(c: VectorField, p, challengers: SampleSet,
     if len(challengers) == 0:
         raise ValueError("challenger set is empty")
     stats = (challengers.points - p) @ c.value(p)
-    k = int(np.argmin(stats))
-    stat = float(stats[k])
-    if stat >= -cfg.tau:
-        return CheckOutcome(True, stat=stat)
-    return CheckOutcome(False, witness=tuple(challengers.points[k]), stat=stat)
+    return _decide(stats, challengers.points, lambda s: s >= -cfg.tau, np.argmin)
 
 
 def _minimal_and_maximal(field, p, challengers: SampleSet,
@@ -154,32 +167,26 @@ def _minimal_and_maximal(field, p, challengers: SampleSet,
     """(minimal, maximal) outcomes of p against the challengers, from one screen.
 
     p is minimal when no challenger row is StrictlyDominates and maximal
-    when none is ReverseStrict.  A row that is not Incomparable on the
-    screen is never refined, so its screen relation is its verdict, unless
-    segment_witnesses adds eps values to its grid: only those pairs get a
-    full comparison.  The eps reported for the lex-smallest dominator (resp.
-    dominated challenger) comes from one comparison on its row.
+    when none is ReverseStrict; segment_witnesses(x, p) eps are folded into
+    the screen.  The eps reported for the lex-smallest dominator (resp.
+    dominated challenger) comes from one full comparison of its row, with
+    the same witness eps.
     """
     cfg = cfg or ToleranceConfig()
     p = require_in_domain(field.domain, p)
     X = challengers.points
     if X.shape[0] == 0:
         raise ValueError("challenger set is empty")
-    compare = compare_scalar if isinstance(field, ScalarField) else compare_vector
-    relations = batch_relations(field, X, p, cfg)
-    verdicts = {}
-    for k in np.flatnonzero(relations != INCOMPARABLE) if segment_witnesses is not None else ():
-        extra = tuple(segment_witnesses(X[k], p))
-        if extra:
-            verdicts[k] = compare(field, X[k], p, cfg, extra_eps=extra)
-            relations[k] = verdicts[k].relation
+    relations = batch_relations(field, X, p, cfg, segment_witnesses)
 
     def outcome(relation: str) -> CheckOutcome:
         rows = np.flatnonzero(relations == relation)
         if rows.size == 0:
             return CheckOutcome(True)
         k = rows[np.lexsort(X[rows].T[::-1])[0]]
-        verdict = verdicts[k] if k in verdicts else compare(field, X[k], p, cfg)
+        extra = segment_witnesses(X[k], p) if segment_witnesses is not None else ()
+        compare = compare_scalar if isinstance(field, ScalarField) else compare_vector
+        verdict = compare(field, X[k], p, cfg, extra_eps=extra)
         return CheckOutcome(False, witness=tuple(X[k]), eps=verdict.witness_eps_strict)
 
     return outcome(STRICTLY_DOMINATES), outcome(REVERSE_STRICT)
@@ -192,9 +199,9 @@ def is_minimal(c: VectorField, p, challengers: SampleSet,
 
     One vectorized uniform-grid screen gives every challenger its relation
     to p.  segment_witnesses(x, p), when given, supplies extra eps values
-    for specific pairs (used for analytically known oscillation witnesses);
-    only those pairs are compared in full.  The witness is the
-    lex-smallest dominator, with the eps of its full comparison.
+    for specific pairs (used for analytically known oscillation witnesses),
+    which the screen folds in.  The witness is the lex-smallest dominator,
+    with the eps of its full comparison.
     """
     return _minimal_and_maximal(c, p, challengers, cfg, segment_witnesses)[0]
 
@@ -227,6 +234,14 @@ def _require_samples(samples: SampleSet):
     return samples.points
 
 
+def _off_point(X: np.ndarray, p: np.ndarray, tau: float) -> np.ndarray:
+    """The samples farther than tau from p."""
+    off = np.linalg.norm(X - p, axis=1) > tau
+    if not off.any():
+        raise ValueError("all neighborhood samples coincide with the point")
+    return X[off]
+
+
 def is_nss(c: VectorField, p, radius: float, neighborhood_samples: SampleSet,
            cfg: ToleranceConfig | None = None) -> CheckOutcome:
     """Neutral stability: p . c(x) <= x . c(x) + tau on the sampled ball."""
@@ -234,11 +249,7 @@ def is_nss(c: VectorField, p, radius: float, neighborhood_samples: SampleSet,
     p = require_in_domain(c.domain, p)
     X = _require_samples(neighborhood_samples)
     stats = np.einsum("kd,kd->k", p[None, :] - X, c.values(X))
-    k = int(np.argmax(stats))
-    stat = float(stats[k])
-    if stat <= cfg.tau:
-        return CheckOutcome(True, stat=stat)
-    return CheckOutcome(False, witness=tuple(X[k]), stat=stat)
+    return _decide(stats, X, lambda s: s <= cfg.tau)
 
 
 def is_ess(c: VectorField, p, radius: float, neighborhood_samples: SampleSet,
@@ -246,45 +257,23 @@ def is_ess(c: VectorField, p, radius: float, neighborhood_samples: SampleSet,
     """Evolutionary stability: p . c(x) < x . c(x) - tau for sampled x != p."""
     cfg = cfg or ToleranceConfig()
     p = require_in_domain(c.domain, p)
-    X = _require_samples(neighborhood_samples)
-    off = np.linalg.norm(X - p, axis=1) > cfg.tau
-    if not off.any():
-        raise ValueError("all neighborhood samples coincide with the point")
-    X = X[off]
+    X = _off_point(_require_samples(neighborhood_samples), p, cfg.tau)
     stats = np.einsum("kd,kd->k", p[None, :] - X, c.values(X))
-    k = int(np.argmax(stats))
-    stat = float(stats[k])
-    if stat < -cfg.tau:
-        return CheckOutcome(True, stat=stat)
-    return CheckOutcome(False, witness=tuple(X[k]), stat=stat)
+    return _decide(stats, X, lambda s: s < -cfg.tau)
 
 
 def _local_min_polyorder(field, p, neighborhood_samples: SampleSet,
                          cfg: ToleranceConfig | None, segment_witnesses=None) -> CheckOutcome:
     """No screen row of p against the neighbors (vector: max delta, also over
-    the segment_witnesses eps; scalar: largest step) exceeds tau.  The worst
-    row is compared in full for its violation eps."""
+    the segment_witnesses eps; scalar: largest step) exceeds tau."""
     cfg = cfg or ToleranceConfig()
     p = require_in_domain(field.domain, p)
     X = _require_samples(neighborhood_samples)
     if isinstance(field, ScalarField):
-        stats, compare = batch_scalar_steps(field, p, X, cfg)[0], compare_scalar
+        stats = batch_scalar_steps(field, p, X, cfg)[0]
     else:
-        stats, compare = batch_vector_extremes(field, p, X, cfg)[0], compare_vector
-    extras = {}
-    for k, x in enumerate(X if segment_witnesses is not None else ()):
-        extra = tuple(segment_witnesses(p, x))
-        if extra:
-            extras[k] = extra
-            delta = _profiles(field, p[None, :], x[None, :], np.asarray(extra, float))
-            stats[k] = max(stats[k], float(delta.max()))
-    k = int(np.argmax(stats))
-    stat = float(stats[k])
-    if stat <= cfg.tau:
-        return CheckOutcome(True, stat=stat)
-    verdict = compare(field, p, X[k], cfg, extra_eps=extras.get(k, ()))
-    eps = verdict.witness_eps_violation[0] if verdict.witness_eps_violation else None
-    return CheckOutcome(False, witness=tuple(X[k]), eps=eps, stat=stat)
+        stats = batch_vector_extremes(field, p, X, cfg, segment_witnesses=segment_witnesses)[0]
+    return _decide(stats, X, lambda s: s <= cfg.tau)
 
 
 def is_local_min_polyorder_vector(c: VectorField, p, radius: float,
@@ -308,17 +297,9 @@ def is_strict_local_min_scalar(f: ScalarField, p, radius: float,
     """f(p) < f(x) - tau for every sampled x != p."""
     cfg = cfg or ToleranceConfig()
     p = require_in_domain(f.domain, p)
-    X = _require_samples(neighborhood_samples)
-    off = np.linalg.norm(X - p, axis=1) > cfg.tau
-    if not off.any():
-        raise ValueError("all neighborhood samples coincide with the point")
-    X = X[off]
+    X = _off_point(_require_samples(neighborhood_samples), p, cfg.tau)
     stats = f.values(X) - f.value(p)
-    k = int(np.argmin(stats))
-    stat = float(stats[k])
-    if stat > cfg.tau:
-        return CheckOutcome(True, stat=stat)
-    return CheckOutcome(False, witness=tuple(X[k]), stat=stat)
+    return _decide(stats, X, lambda s: s > cfg.tau, np.argmin)
 
 
 # ---------------------------------------------------------------------------
@@ -459,38 +440,30 @@ def classify_point(kind: str, field, p, challengers: SampleSet | None = None,
     # global sweeps see the local probes too, so the chains are checked on
     # comparable evidence
     full = challengers.union(neighborhood.points, note="ball")
+    # the scalar step screen takes no witness eps
+    witnesses = segment_witnesses if kind == "vector" else None
 
+    minimal, maximal = _minimal_and_maximal(field, p, full, cfg, witnesses)
+    local_min = _local_min_polyorder(field, p, neighborhood, cfg, witnesses)
+    critical = nss = ess = strict_min = None
     if kind == "vector":
         critical = is_critical_element(field, p, full, cfg)
-        minimal, maximal = _minimal_and_maximal(field, p, full, cfg, segment_witnesses)
         nss = is_nss(field, p, radius, neighborhood, cfg)
-        local_min = is_local_min_polyorder_vector(field, p, radius, neighborhood, cfg,
-                                                  segment_witnesses)
         ess = is_ess(field, p, radius, neighborhood, cfg)
         _chain(not ess.ok or nss.ok, "ess held but nss failed on the same samples")
         _chain(not ess.ok or minimal.ok, "ess held but a strict dominator was found")
         _chain(not minimal.ok or critical.ok, "minimal point failed the critical-element check")
         _chain(not local_min.ok or critical.ok, "local minimum failed the critical-element check")
-        report = ClassificationReport(
-            kind="vector", point=tuple(p),
-            is_minimal=minimal.ok, is_maximal=maximal.ok, is_critical=critical.ok,
-            is_nss=nss.ok, is_local_min_polyorder=local_min.ok, is_ess=ess.ok,
-            is_strict_local_min=None,
-            dominating_witness=(minimal.witness, minimal.eps) if not minimal.ok else None,
-            challengers_used=full.strategy, neighborhood_radius=radius, seed=seed,
-            config=cfg, analytic_witnesses=segment_witnesses is not None)
-        return report
-
-    minimal, maximal = _minimal_and_maximal(field, p, full, cfg)
-    strict_min = is_strict_local_min_scalar(field, p, radius, neighborhood, cfg)
-    local_min = is_local_min_polyorder_scalar(field, p, radius, neighborhood, cfg)
-    _chain(not strict_min.ok or minimal.ok,
-           "strict local minimum was strictly dominated by a challenger")
+    else:
+        strict_min = is_strict_local_min_scalar(field, p, radius, neighborhood, cfg)
+        _chain(not strict_min.ok or minimal.ok,
+               "strict local minimum was strictly dominated by a challenger")
+    ok = lambda outcome: None if outcome is None else outcome.ok
     return ClassificationReport(
-        kind="scalar", point=tuple(p),
-        is_minimal=minimal.ok, is_maximal=maximal.ok, is_critical=None,
-        is_nss=None, is_local_min_polyorder=local_min.ok, is_ess=None,
-        is_strict_local_min=strict_min.ok,
+        kind=kind, point=tuple(p),
+        is_minimal=minimal.ok, is_maximal=maximal.ok, is_critical=ok(critical),
+        is_nss=ok(nss), is_local_min_polyorder=local_min.ok, is_ess=ok(ess),
+        is_strict_local_min=ok(strict_min),
         dominating_witness=(minimal.witness, minimal.eps) if not minimal.ok else None,
         challengers_used=full.strategy, neighborhood_radius=radius, seed=seed,
-        config=cfg, analytic_witnesses=False)
+        config=cfg, analytic_witnesses=witnesses is not None)

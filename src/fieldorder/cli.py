@@ -194,7 +194,13 @@ def _candidate_points(args, field, stock):
             raise ValueError("--candidate auto only applies to the xsininv flow")
         return minimal_candidate_points(25, field.domain)
     with open(args.candidate) as fh:
-        return np.asarray(json.load(fh)["points"], float)
+        data = json.load(fh)
+    if not isinstance(data, dict) or "points" not in data:
+        raise ValueError('a candidate file must be a JSON object {"points": [...]}')
+    try:
+        return np.asarray(data["points"], float)
+    except TypeError as exc:
+        raise ValueError(f"candidate points are not numbers: {exc}") from None
 
 
 def cmd_flow(args) -> int:
@@ -236,9 +242,9 @@ def cmd_casestudy(args) -> int:
         payload["mexican_hat"] = {"confirmed": hat.confirmed,
                                   "points": len(hat.records)}
     else:
+        coverage = check_setwise_dominance(args.window_hi, args.dominance_grid, cfg)
         agreement = classify_catalog(args.nmax, cfg, grid_n=args.grid_n, seed=args.seed)
         origin = origin_atypicality(cfg=cfg, grid_n=args.grid_n, seed=args.seed)
-        coverage = check_setwise_dominance(args.window_hi, args.dominance_grid, cfg)
         emitter.write_text("catalog.json", _dumps(build_catalog(args.nmax).to_dict()))
         emitter.write_text("catalog_agreement.json", _dumps(agreement.to_dict()))
         emitter.write_text("origin.json", _dumps(origin.to_dict()))

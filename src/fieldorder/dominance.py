@@ -25,15 +25,18 @@ matmul at dim 1 gives the same bits, several times slower).  So a screen
 row and a single comparison of the same pair see the same bits.
 
 Refinement bisects between adjacent samples (scalar: adjacent steps) whose
-band signs are +1 and -1, at most MAX_REFINE_DEPTH times.  Added points
-only widen vector extremes, so it never changes a vector relation (a split
-scalar step can shrink, so a scalar relation can change).
+band signs are +1 and -1, at most MAX_REFINE_DEPTH times; only a single
+comparison refines.  Added points only widen vector extremes, so it never
+changes a vector relation (a split scalar step can shrink, so a scalar
+relation can change).
 
 One rule, _relations, turns a profile's band statistics into a relation,
 for a single comparison and for the batch screens at the bottom of this
 module (batch_relations) alike.  A row that is not Incomparable on the
 uniform grid has no adjacent band signs +1 and -1, so it is never refined:
 its screen relation is its verdict, and callers read it off the screen.
+Analytic witness eps of a pair (segment_witnesses) are folded into its
+vector screen row, so the screen decides those pairs too.
 
 The vector screen walks the uniform grid coarse to fine, in disjoint
 levels of grid indices: every 64th point, then the rest of every 16th
@@ -67,12 +70,6 @@ INCOMPARABLE = "Incomparable"
 REVERSE_STRICT = "ReverseStrict"
 REVERSE_WEAK = "ReverseWeak"
 EQUIVALENT = "Equivalent"
-
-RELATIONS = frozenset({STRICTLY_DOMINATES, WEAKLY_DOMINATES_NOT_STRICT, INCOMPARABLE,
-                       REVERSE_STRICT, REVERSE_WEAK, EQUIVALENT})
-
-_FORWARD_WEAK = frozenset({STRICTLY_DOMINATES, WEAKLY_DOMINATES_NOT_STRICT, EQUIVALENT})
-_REVERSE_WEAK = frozenset({REVERSE_STRICT, REVERSE_WEAK, EQUIVALENT})
 
 # bisection rounds of a single comparison; one value everywhere, so not a setting
 MAX_REFINE_DEPTH = 20
@@ -111,15 +108,6 @@ class DominanceVerdict:
     min_delta: float
     config: ToleranceConfig
 
-    @property
-    def forward_weak(self) -> bool:
-        """True when the first point weakly dominates the second."""
-        return self.relation in _FORWARD_WEAK
-
-    @property
-    def reverse_weak(self) -> bool:
-        return self.relation in _REVERSE_WEAK
-
     def to_dict(self) -> dict:
         return {
             "relation": self.relation,
@@ -156,14 +144,17 @@ def _band_sign(v: np.ndarray, tau: float) -> np.ndarray:
     return (v > tau).astype(np.int8) - (v < -tau).astype(np.int8)
 
 
+def _extra_eps(extra_eps: Iterable[float]) -> np.ndarray:
+    extra = np.asarray(list(extra_eps), float)
+    if np.any((extra < 0) | (extra > 1)):
+        raise ValueError("extra eps values must lie in [0, 1]")
+    return extra
+
+
 def _base_eps(cfg: ToleranceConfig, extra_eps: Iterable[float]) -> np.ndarray:
     eps = np.linspace(0.0, 1.0, cfg.n_eps)
-    extra = np.asarray(list(extra_eps), float)
-    if extra.size:
-        if np.any((extra < 0) | (extra > 1)):
-            raise ValueError("extra eps values must lie in [0, 1]")
-        eps = np.unique(np.concatenate([eps, extra]))
-    return eps
+    extra = _extra_eps(extra_eps)
+    return np.unique(np.concatenate([eps, extra])) if extra.size else eps
 
 
 def _endpoints(field, x, y):
@@ -324,7 +315,8 @@ def _blocks(rows: np.ndarray, n_points: int, dim: int) -> Iterator[np.ndarray]:
 
 
 def batch_vector_extremes(c: VectorField, xs, ys, cfg: ToleranceConfig, *,
-                          drop_incomparable: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                          drop_incomparable: bool = False,
+                          segment_witnesses=None) -> tuple[np.ndarray, np.ndarray]:
     """Rowwise (max, min) of delta(eps) = (x_k - y_k) . c(eps x_k + (1-eps) y_k).
 
     Uniform-grid screen without refinement.  Adding grid points can only
@@ -339,6 +331,12 @@ def batch_vector_extremes(c: VectorField, xs, ys, cfg: ToleranceConfig, *,
     predicates, so the four band predicates of every row are exactly those
     of the full grid; rows that are never dropped get their exact full-grid
     extremes.  Every (row, eps) point is evaluated at most once either way.
+
+    segment_witnesses(x_k, y_k), when given, names extra eps values of a
+    row (analytic sub-grid witnesses), one _profiles call per row; they are
+    folded into the extremes of every row that is not dropped.  Such a row
+    has the extremes of compare_vector(..., extra_eps=...) whenever that
+    comparison does not refine, and its relation always.
     """
     xs, ys = _broadcast_rows(xs, ys)
     k, dim = xs.shape
@@ -353,6 +351,12 @@ def batch_vector_extremes(c: VectorField, xs, ys, cfg: ToleranceConfig, *,
             delta = _profiles(c, xs[rows], ys[rows], eps)
             out_max[rows] = np.maximum(out_max[rows], delta.max(axis=1))
             out_min[rows] = np.minimum(out_min[rows], delta.min(axis=1))
+    for row in live if segment_witnesses is not None else ():
+        extra = _extra_eps(segment_witnesses(xs[row], ys[row]))
+        if extra.size:
+            delta = _profiles(c, xs[row:row + 1], ys[row:row + 1], extra)
+            out_max[row] = max(out_max[row], delta.max())
+            out_min[row] = min(out_min[row], delta.min())
     return out_max, out_min
 
 
@@ -372,18 +376,23 @@ def batch_scalar_steps(f: ScalarField, xs, ys,
     return smax, smin, total
 
 
-def batch_relations(field, xs, ys, cfg: ToleranceConfig) -> np.ndarray:
+def batch_relations(field, xs, ys, cfg: ToleranceConfig, segment_witnesses=None) -> np.ndarray:
     """Rowwise relation of x_k to y_k, read off the uniform-grid screen.
 
     Uses the rule of compare_vector/compare_scalar on the screen statistics:
     vector rows come from batch_vector_extremes with drop_incomparable (the
-    rule reads only the band predicates), scalar rows from
-    batch_scalar_steps.  A row that is not Incomparable is never refined,
-    so its relation is that of compare_*; a vector row that is Incomparable
-    stays so under refinement, a scalar one may not.
+    rule reads only the band predicates) and segment_witnesses folded in,
+    scalar rows from batch_scalar_steps.  A row that is not Incomparable is
+    never refined, so its relation is that of compare_* with the same extra
+    eps; a vector row that is Incomparable stays so under refinement, a
+    scalar one may not.  The step screen cannot fold witness eps (a witness
+    splits a step), so scalar fields with segment_witnesses raise ValueError.
     """
     if isinstance(field, ScalarField):
+        if segment_witnesses is not None:
+            raise ValueError("the scalar step screen cannot fold segment witnesses")
         smax, smin, total = batch_scalar_steps(field, xs, ys, cfg)
         return _relations(smax, smin, total, total, cfg.tau)
-    mx, mn = batch_vector_extremes(field, xs, ys, cfg, drop_incomparable=True)
+    mx, mn = batch_vector_extremes(field, xs, ys, cfg, drop_incomparable=True,
+                                   segment_witnesses=segment_witnesses)
     return _relations(mx, mn, mn, mx, cfg.tau)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DimensionMismatchError
 from .fields import SampleSet, ScalarField, VectorField, as_point, require_in_domain
 
 MAX_TIME = "MaxTime"
@@ -209,6 +210,10 @@ def check_setwise_stability(F: VectorField, candidate, initial_conditions: Sampl
     C = np.atleast_2d(np.asarray(candidate, float))
     if C.size == 0:
         raise ValueError("candidate set is empty")
+    if C.ndim != 2 or C.shape[1] != F.domain.dim:
+        raise DimensionMismatchError(f"candidate points must be rows of dimension {F.domain.dim}")
+    if not np.all(np.isfinite(C)):
+        raise ValueError("candidate points must be finite")
     if len(initial_conditions) == 0:
         raise ValueError("no initial conditions given")
     trials = []

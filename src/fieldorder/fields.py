@@ -89,8 +89,8 @@ class Simplex:
     dim: int
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError("simplex mass must be positive")
+        if not (math.isfinite(self.mass) and self.mass > 0):
+            raise ValueError("simplex mass must be finite and positive")
         if self.dim < 1:
             raise ValueError("simplex dim must be >= 1")
 
@@ -259,8 +259,8 @@ def sample_domain(domain: Domain, strategy: Strategy, seed: int = 0) -> SampleSe
 
     if isinstance(strategy, SeededRandom):
         count = strategy.count
-        if count < 1:
-            raise ValueError("sample count must be positive")
+        if not 1 <= count <= _MAX_GRID_POINTS:
+            raise ValueError(f"sample count must lie in [1, {_MAX_GRID_POINTS}]")
         if isinstance(domain, Box):
             lo, up = np.asarray(domain.lower), np.asarray(domain.upper)
             pts = lo + rng.random((count, domain.dim)) * (up - lo)
@@ -407,10 +407,17 @@ def gradient_field(f: ScalarField, h: float = 1e-5) -> VectorField:
 # Built-in field registry
 # ---------------------------------------------------------------------------
 
+# the smallest |t| whose reciprocal is a finite double
+_RECIPROCAL_FLOOR = float(np.nextafter(1.0 / np.finfo(float).max, 1.0))
+
+
 def _xsininv_1d(t: np.ndarray) -> np.ndarray:
+    """t sin(1/t), and 0 (the continuous extension at 0) wherever 1/t is not
+    finite: at t = 0 and for |t| < 1/DBL_MAX, where that is off by < |t|."""
     out = np.zeros_like(t)
-    nz = t != 0.0
-    out[nz] = t[nz] * np.sin(1.0 / t[nz])
+    live = np.abs(t) >= _RECIPROCAL_FLOOR
+    tl = t[live]
+    out[live] = tl * np.sin(1.0 / tl)
     return out
 
 

@@ -80,11 +80,16 @@ def load_game(source) -> PopulationGame:
     if isinstance(source, (str, bytes)):
         with open(source) as fh:
             source = json.load(fh)
+    if not isinstance(source, dict):
+        raise ValueError("a game must be a JSON object")
     mode = source.get("mode")
-    if mode == "symmetric":
-        return from_symmetric_matrix(source["C"], float(source.get("mass", 1.0)))
-    if mode == "bimatrix":
-        return from_bimatrix(source["A"], source["B"])
+    try:
+        if mode == "symmetric":
+            return from_symmetric_matrix(source["C"], float(source.get("mass", 1.0)))
+        if mode == "bimatrix":
+            return from_bimatrix(source["A"], source["B"])
+    except TypeError as exc:  # an entry of the wrong JSON type
+        raise ValueError(f"malformed game: {exc}") from None
     raise ValueError(f"unknown game mode {mode!r}")
 
 

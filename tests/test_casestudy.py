@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fieldorder import casestudy
 from fieldorder.casestudy import (MAXIMAL, MINIMAL, build_catalog, case_fields,
                                   check_setwise_dominance, classify_catalog,
                                   dominating_minimal_element, mexican_hat_counterexample,
@@ -161,6 +162,26 @@ class TestDominanceCoverage:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             check_setwise_dominance(0.1, 100, CFG)
+
+    @pytest.mark.parametrize("grid_n", [0, -3, 10**12])
+    def test_grid_size_validation(self, grid_n):
+        # an empty sweep would read as full coverage
+        with pytest.raises(ValueError, match="grid_n must lie in"):
+            check_setwise_dominance(2.0, grid_n, CFG)
+
+    def test_failed_pair_reports_its_screen_relation(self, monkeypatch):
+        # with 1/pi as every positive point's dominator, the segments from
+        # deeper brackets cross zeros of f and fail; each failure reports the
+        # relation a full comparison of the pair gives
+        monkeypatch.setattr(casestudy, "dominating_minimal_element",
+                            lambda x: zero_point(1) if x > 0 else None)
+        rep = check_setwise_dominance(2.0, 300, CFG)
+        c = case_fields()[1]
+        failed = [f for f in rep.failures if f["reason"] == "confirmation failed"]
+        assert len(failed) > 5
+        for f in failed:
+            want = compare_vector(c, [f["xstar"]], [f["x"]], CFG).relation
+            assert f["relation"] == want != STRICTLY_DOMINATES
 
 
 class TestMexicanHat:

@@ -192,6 +192,12 @@ class TestNeighborhoodSampler:
         got = sample_neighborhood(dom, [0.0], 0.1, 64, 4)
         assert np.all(np.abs(got.points) > 0)
 
+    @pytest.mark.parametrize("count", [0, 10**12])
+    def test_count_outside_the_grid_cap_rejected(self, count):
+        # checked before a single direction is drawn
+        with pytest.raises(ValueError, match="count must lie in"):
+            sample_neighborhood(Box((-1.0, -1.0), (1.0, 1.0)), [0.0, 0.0], 0.1, count)
+
 
 class TestClassifyPoint:
     def test_square_vector_report(self, square):

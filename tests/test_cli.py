@@ -1,10 +1,16 @@
+import io
 import json
 import math
+import os
+import tempfile
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fieldorder.cli import _dumps, main
+from fieldorder.fields import registry_names, scalar_field
 
 
 def run(capsys, *argv):
@@ -111,6 +117,15 @@ class TestClassify:
         got = run_json(capsys, "classify", "--vector", str(path), "--point", "0.5")
         assert got["analytic_witnesses"] is False
 
+    def test_oversize_challenger_count_exits_2(self, capsys):
+        # a 2-D box samples --challengers seeded points; the count is
+        # checked against the grid cap before anything is allocated
+        code, out, err = run(capsys, "--json", "classify", "--vector", "mexican_hat",
+                             "--point", "0.3,0.2", "--challengers", str(10**12))
+        assert code == 2
+        assert out == ""
+        assert "sample count" in err
+
     def test_scalar_square(self, capsys):
         got = run_json(capsys, "classify", "--scalar", "quadratic", "--point", "0")
         assert got["is_strict_local_min"] is True
@@ -146,6 +161,21 @@ class TestGame:
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run(capsys, "game", "/nonexistent.json", "--point", "0.5,0.5")
         assert code == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "JSON object"),
+        ('{"mode": "symmetric", "C": [[1, -2], [0, -1]], "mass": NaN}', "finite"),
+        ('{"mode": "symmetric", "C": [[1, -2], [0, -1]], "mass": Infinity}', "finite"),
+        ('{"mode": "symmetric", "C": [[1, -2], [0, -1]], "mass": [1]}', "malformed"),
+        ('{"mode": "bimatrix", "A": {"a": 1}, "B": [[1]]}', "malformed"),
+    ], ids=["list", "nan_mass", "infinite_mass", "list_mass", "object_matrix"])
+    def test_malformed_game_exits_2(self, capsys, tmp_path, text, message):
+        path = tmp_path / "game.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "--json", "game", str(path), "--point", "0.5,0.5")
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 class TestFlow:
@@ -184,6 +214,24 @@ class TestFlow:
         code, _, _ = run(capsys, "flow", "--field", "neg:xsininv", "--x0", "9")
         assert code == 3
 
+    @pytest.mark.parametrize("text, message", [
+        ("[[0.0]]", "JSON object"),
+        ('{"pts": [[0.0]]}', "JSON object"),
+        ('{"points": {"a": 1}}', "not numbers"),
+        ('{"points": [[0.1, 0.2]]}', "dimension 1"),
+        ('{"points": [[NaN]]}', "finite"),
+    ], ids=["list", "no_points_key", "points_object", "two_columns", "nan"])
+    def test_malformed_candidate_exits_2(self, capsys, tmp_path, text, message):
+        path = tmp_path / "cand.json"
+        path.write_text(text)
+        out_dir = tmp_path / "run"
+        code, out, err = run(capsys, "--json", "--out-dir", str(out_dir), "flow",
+                             "--field", "neg:xsininv", "--x0", "0.5", "--candidate", str(path))
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("flag, value", [("--tmax", "inf"), ("--tmax", "nan"),
                                              ("--dt", "nan"), ("--dt", "-0.001")])
     def test_bad_integrator_exits_2(self, capsys, flag, value):
@@ -208,6 +256,14 @@ class TestCasestudy:
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert set(manifest["outputs"]) >= {"catalog.json", "origin.json",
                                             "dominance.json", "field_curve.csv"}
+
+    @pytest.mark.parametrize("grid", ["0", str(10**12)])
+    def test_dominance_grid_out_of_range_exits_2(self, capsys, grid):
+        # zero tested points used to read as full coverage
+        code, out, err = run(capsys, "--json", "casestudy", "--dominance-grid", grid)
+        assert code == 2
+        assert out == ""
+        assert "grid_n" in err
 
     def test_mexican_hat_flag(self, capsys):
         got = run_json(capsys, "casestudy", "--mexican-hat", "--circle-points", "4")
@@ -246,3 +302,55 @@ class TestDeterminism:
         assert lines[2].startswith("0.001,")
         x = float(lines[2].split(",")[1])
         assert x == pytest.approx(math.exp(-0.001), abs=1e-12)
+
+
+def _runs_twice(argv):
+    """(exit code, stdout, {file: bytes} under --out-dir) of two in-process runs."""
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("a", "b"):
+            out_dir = os.path.join(tmp, name)
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                code = main(["--json", "--out-dir", out_dir, *argv])
+            files = {}
+            for fname in sorted(os.listdir(out_dir)) if os.path.isdir(out_dir) else ():
+                with open(os.path.join(out_dir, fname), "rb") as fh:
+                    files[fname] = fh.read()
+            runs.append((code, buf.getvalue(), files))
+    return runs
+
+
+@st.composite
+def _field_points(draw, n_points):
+    """Global options, a --scalar/--vector reference and n_points points in its domain."""
+    name = draw(st.sampled_from(registry_names()))
+    box = scalar_field(name).domain
+    ref = draw(st.sampled_from(["", "neg:"])) + name
+    points = [",".join(repr(draw(st.floats(lo, hi))) for lo, hi in zip(box.lower, box.upper))
+              for _ in range(n_points)]
+    options = ["--seed", str(draw(st.integers(0, 2**31 - 1))),
+               "--neps", str(draw(st.integers(3, 65)))]
+    return options, [draw(st.sampled_from(["--scalar", "--vector"])), ref], points
+
+
+class TestRerunProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(_field_points(2))
+    def test_compare_reruns_are_byte_identical(self, drawn):
+        options, field, (x, y) = drawn
+        # --opt=value: argparse would take a value like -1e-5 for an option
+        first, second = _runs_twice([*options, "compare", *field, f"--x={x}", f"--y={y}"])
+        assert first == second
+        assert first[0] == 0 and "verdict.json" in first[2]
+
+    @settings(max_examples=30, deadline=None)
+    @given(_field_points(1), st.one_of(st.none(), st.integers(1, 48)))
+    def test_classify_reruns_are_byte_identical(self, drawn, challengers):
+        options, field, (point,) = drawn
+        argv = [*options, "classify", *field, f"--point={point}"]
+        if challengers is not None:
+            argv += ["--challengers", str(challengers)]
+        first, second = _runs_twice(argv)
+        assert first == second
+        assert first[0] in (0, 4)

@@ -8,7 +8,8 @@ from fieldorder.casestudy import minimal_candidate_points, zero_point
 from fieldorder.dynamics import (CONVERGED, LEFT_DOMAIN, MAX_TIME, STEP_UNDERFLOW,
                                  IntegratorConfig, check_setwise_stability, integrate,
                                  lyapunov_integral)
-from fieldorder.errors import DomainViolationError
+from fieldorder import dynamics
+from fieldorder.errors import DimensionMismatchError, DomainViolationError
 from fieldorder.fields import (Box, SampleSet, negate, quadratic_form, scalar_field,
                                vector_field)
 
@@ -165,6 +166,22 @@ class TestSetwiseStability:
         ics = SampleSet(np.array([[1.0]]), "explicit", 0)
         with pytest.raises(ValueError):
             check_setwise_stability(decay_flow, [], ics, IntegratorConfig())
+
+    @pytest.mark.parametrize("candidate, error", [
+        ([[0.1, 0.2]], DimensionMismatchError),
+        ([[[0.1]]], DimensionMismatchError),
+        ([[float("nan")]], ValueError),
+        ([[float("inf")]], ValueError),
+    ], ids=["two_columns", "three_axes", "nan", "inf"])
+    def test_bad_candidate_rejected_before_integrating(self, decay_flow, monkeypatch,
+                                                      candidate, error):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("integrated before the candidate was checked")
+
+        monkeypatch.setattr(dynamics, "integrate", no_flow)
+        ics = SampleSet(np.array([[1.0]]), "explicit", 0)
+        with pytest.raises(error):
+            check_setwise_stability(decay_flow, candidate, ics, IntegratorConfig())
 
 
 class TestIntegratorConfig:

@@ -155,6 +155,18 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_domain(Box((-1.0,), (1.0,)), SeededRandom(0), 0)
 
+    @pytest.mark.parametrize("dom", [Box((0.0,) * 2, (1.0,) * 2), Simplex(1.0, 3),
+                                     Product((Simplex(1.0, 2), Simplex(1.0, 2)))])
+    def test_oversize_random_count_rejected_before_drawing(self, dom):
+        # the seeded sampler has the grid's point cap
+        with pytest.raises(ValueError, match="sample count must lie in"):
+            sample_domain(dom, SeededRandom(10 ** 12), 0)
+
+    @pytest.mark.parametrize("mass", [0.0, -1.0, float("nan"), float("inf")])
+    def test_simplex_mass_must_be_finite_and_positive(self, mass):
+        with pytest.raises(ValueError, match="finite and positive"):
+            Simplex(mass, 2)
+
     def test_product_sampling_respects_masses(self):
         dom = Product((Simplex(1.0, 2), Simplex(2.0, 3)))
         got = sample_domain(dom, SeededRandom(50), 1).points
@@ -214,6 +226,18 @@ class TestFields:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             scalar_field("nope")
+
+    def test_xsininv_where_the_reciprocal_overflows(self):
+        # 1/t overflows below 1/DBL_MAX; f keeps its continuous extension 0
+        # there, with no overflow warning, and is t sin(1/t) just above
+        edge = np.nextafter(1.0 / np.finfo(float).max, 1.0)  # 1/edge is finite
+        below = np.nextafter(edge, 0.0)
+        t = np.array([[2.2e-311], [-5e-324], [0.0], [below], [-below], [edge], [1e-300]])
+        for field in (scalar_field("xsininv"), vector_field("xsininv")):
+            got = np.ravel(field.values(t))
+            assert got[:5].tolist() == [0.0] * 5
+            assert got[5] == edge * np.sin(1.0 / edge) and np.isfinite(1.0 / edge)
+            assert got[6] == 1e-300 * np.sin(1.0 / 1e-300)
 
     def test_double_negation_bit_exact(self):
         c = vector_field("xsininv")

@@ -17,7 +17,9 @@ import math
 import numpy as np
 import pytest
 
-from fieldorder.classify import _minimal_and_maximal
+from fieldorder.casestudy import origin_segment_witnesses
+from fieldorder.classify import (_minimal_and_maximal, is_local_min_polyorder_vector,
+                                 sample_neighborhood)
 from fieldorder.dominance import (EQUIVALENT, INCOMPARABLE, REVERSE_STRICT, REVERSE_WEAK,
                                   STRICTLY_DOMINATES, WEAKLY_DOMINATES_NOT_STRICT,
                                   ToleranceConfig, _profiles, batch_relations,
@@ -308,3 +310,89 @@ def test_segment_witnesses_redecide_both_directions(sign, screen_relation):
     cleared = _minimal_and_maximal(c, p, challengers,
                                    segment_witnesses=lambda a, b: (0.30015,))
     assert [o.ok for o in cleared] == [True, True]
+
+
+# ---------------------------------------------------------------------------
+# Witness eps folded into the screen
+# ---------------------------------------------------------------------------
+
+def _dip_witness(a, b):
+    """The eps at which the segment from b to a crosses the _dip sliver."""
+    a, b = float(a[0]), float(b[0])
+    if a == b:
+        return ()
+    eps = (0.30015 - b) / (a - b)
+    return (eps,) if 0.0 <= eps <= 1.0 else ()
+
+
+def _origin_pairs():
+    rng = np.random.default_rng(23)
+    others = np.concatenate([rng.uniform(-1.0, 2.0, 60),
+                             [1.0 / (n * math.pi) for n in range(-6, 7) if n],
+                             # where FOLD_CONFIGS' grids miss the sign changes
+                             np.linspace(0.033, 0.034, 5), np.linspace(1e-3, 1.02e-3, 5),
+                             np.geomspace(1e-4, 1e-3, 5), [-2e-3, 0.5e-6]])[:, None]
+    zero = np.zeros_like(others)
+    X, Y = _uniform_pairs(rng, [-1.0], [2.0], 40)  # no witnesses on these rows
+    return np.vstack([others, zero, X]), np.vstack([zero, others, Y])
+
+
+# configs whose grids the witness eps overrule on some of these rows
+FOLD_CONFIGS = CONFIGS[1:] + [ToleranceConfig(n_eps=5)]
+FOLD_IDS = CONFIG_IDS[1:] + ["n5"]
+
+
+def _fold_cases():
+    rng = np.random.default_rng(29)
+    X, Y = _origin_pairs()
+    dip_x, dip_y = _uniform_pairs(rng, [0.0], [1.0], 120)
+    dip_x[:4], dip_y[:4] = [[1.0], [0.0], [0.9], [0.1]], [[0.0], [1.0], [0.1], [0.9]]
+    return [("xsininv", vector_field("xsininv"), X, Y, origin_segment_witnesses),
+            ("dip+", _dip(1.0), dip_x, dip_y, _dip_witness),
+            ("dip-", _dip(-1.0), dip_x, dip_y, _dip_witness)]
+
+
+@pytest.mark.parametrize("cfg", FOLD_CONFIGS, ids=FOLD_IDS)
+@pytest.mark.parametrize("label, c, X, Y, witnesses", _fold_cases(),
+                         ids=[case[0] for case in _fold_cases()])
+def test_folded_relations_equal_compare_with_witness_eps(label, c, X, Y, witnesses, cfg):
+    folded = batch_relations(c, X, Y, cfg, witnesses)
+    plain = batch_relations(c, X, Y, cfg)
+    for k, (x, y) in enumerate(zip(X, Y)):
+        want = compare_vector(c, x, y, cfg, extra_eps=witnesses(x, y)).relation
+        assert folded[k] == want, (k, x, y)
+    # the witness eps decide rows the uniform grid alone gets wrong
+    assert (folded != plain).any()
+
+
+@pytest.mark.parametrize("label, c, X, Y, witnesses", _fold_cases(),
+                         ids=[case[0] for case in _fold_cases()])
+def test_folded_extremes_are_the_compare_extremes(label, c, X, Y, witnesses):
+    mx, mn = batch_vector_extremes(c, X, Y, CFG, segment_witnesses=witnesses)
+    for k, (x, y) in enumerate(zip(X, Y)):
+        v = compare_vector(c, x, y, CFG, extra_eps=witnesses(x, y))
+        if v.relation != INCOMPARABLE:
+            assert bits([mx[k], mn[k]]) == bits([v.max_delta, v.min_delta]), k
+
+
+@pytest.mark.parametrize("radius", [0.1, 0.01, 0.001])
+def test_local_min_stat_folds_origin_witnesses(radius):
+    c, origin = vector_field("xsininv"), np.array([0.0])
+    ball = sample_neighborhood(c.domain, origin, radius, 64, seed=5)
+    got = is_local_min_polyorder_vector(c, origin, radius, ball, CFG, origin_segment_witnesses)
+    grid = np.linspace(0.0, 1.0, CFG.n_eps)
+    want = -np.inf
+    for x in ball.points:
+        eps = np.concatenate([grid, np.asarray(origin_segment_witnesses(origin, x), float)])
+        delta = c.values(eps[:, None] * origin + (1.0 - eps)[:, None] * x) @ (origin - x)
+        want = max(want, float(delta.max()))
+    assert got.stat == want
+    assert got.eps is None
+    assert got.stat >= is_local_min_polyorder_vector(c, origin, radius, ball, CFG).stat
+
+
+def test_scalar_screen_rejects_witnesses():
+    f = scalar_field("xsininv")
+    X, Y = _origin_pairs()
+    with pytest.raises(ValueError, match="scalar"):
+        batch_relations(f, X, Y, CFG, origin_segment_witnesses)
