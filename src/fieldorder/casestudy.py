@@ -270,7 +270,22 @@ class OriginAtypicalityReport:
                 "per_radius": list(self.per_radius), "confirmed": self.confirmed}
 
 
-def origin_atypicality(radii=(0.1, 0.01, 0.001), cfg: ToleranceConfig | None = None,
+# radii of the origin's neighborhood balls
+ORIGIN_RADII = (0.1, 0.01, 0.001)
+
+
+def require_origin_radii(radii, cfg: ToleranceConfig) -> None:
+    """Raise ValueError unless every radius exceeds tau.
+
+    The ball checks drop samples within tau of the origin, so a ball of
+    radius <= tau has no samples left to check.
+    """
+    for radius in radii:
+        if not radius > cfg.tau:
+            raise ValueError(f"origin radius {radius} must exceed tau = {cfg.tau}")
+
+
+def origin_atypicality(radii=ORIGIN_RADII, cfg: ToleranceConfig | None = None,
                        grid_n: int = 4096, seed: int = 42,
                        neighborhood_count: int = 512,
                        domain: Domain | None = None) -> OriginAtypicalityReport:
@@ -281,6 +296,7 @@ def origin_atypicality(radii=(0.1, 0.01, 0.001), cfg: ToleranceConfig | None = N
     the local refusals never depend on a lucky draw.
     """
     cfg = cfg or ToleranceConfig()
+    require_origin_radii(radii, cfg)
     _, c = case_fields(domain)
     catalog = build_catalog(25)
     challengers = case_challengers(c.domain, catalog, grid_n, seed)

@@ -17,9 +17,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .casestudy import (check_setwise_dominance, classify_catalog, case_challengers,
-                        build_catalog, mexican_hat_counterexample, minimal_candidate_points,
-                        origin_atypicality, origin_segment_witnesses)
+from .casestudy import (ORIGIN_RADII, check_setwise_dominance, classify_catalog,
+                        case_challengers, build_catalog, mexican_hat_counterexample,
+                        minimal_candidate_points, origin_atypicality,
+                        origin_segment_witnesses, require_origin_radii)
 from .classify import classify_point, default_challengers
 from .dominance import ToleranceConfig, compare_scalar, compare_vector
 from .dynamics import IntegratorConfig, check_setwise_stability, integrate
@@ -152,8 +153,10 @@ def cmd_classify(args) -> int:
     emitter = _Emitter(args)
     kind, field, stock = _picked(args)
     cfg = _tolerance(args)
+    if args.challengers is not None and args.challengers < 1:
+        raise ValueError(f"--challengers must be at least 1, got {args.challengers}")
     challengers, witnesses = (None, None) if kind == "scalar" else _xsininv_extras(field, stock)
-    if challengers is None and args.challengers:
+    if challengers is None and args.challengers is not None:
         challengers = default_challengers(field.domain, args.seed, grid_n=args.challengers,
                                           random_n=args.challengers)
     report = classify_point(kind, field, args.point, challengers=challengers,
@@ -242,6 +245,7 @@ def cmd_casestudy(args) -> int:
         payload["mexican_hat"] = {"confirmed": hat.confirmed,
                                   "points": len(hat.records)}
     else:
+        require_origin_radii(ORIGIN_RADII, cfg)  # before the sweeps, not after them
         coverage = check_setwise_dominance(args.window_hi, args.dominance_grid, cfg)
         agreement = classify_catalog(args.nmax, cfg, grid_n=args.grid_n, seed=args.seed)
         origin = origin_atypicality(cfg=cfg, grid_n=args.grid_n, seed=args.seed)

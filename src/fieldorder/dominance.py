@@ -51,6 +51,17 @@ evaluating such rows; every other row, and every row when they do not ask,
 gets its exact full-grid extremes.  The scalar screen stays a single pass:
 a coarse step is a sum of fine steps, not one of them, so step extremes do
 not nest.
+
+A vector field with affine parts c(p) = A p + b (matrix games, gradients
+of quadratic forms, "linear", and their negations) has an exact profile
+that is affine in eps, so its extremes over the segment are its endpoint
+values.  batch_relations evaluates such rows at eps 0 and 1 only and
+settles every row whose endpoint extremes clear the band edges +-tau by
+more than twice a rigorous rounding bound (_affine_rounding_bound); there
+the uniform-grid screen is certain to reach the same band predicates.
+The few rows left open go through the screen as before, so every relation
+is exactly the screen's.  Single comparisons, the extremes screens and the
+local-min check do not use the certificate and still walk the grid.
 """
 
 from __future__ import annotations
@@ -387,12 +398,101 @@ def batch_relations(field, xs, ys, cfg: ToleranceConfig, segment_witnesses=None)
     eps; a vector row that is Incomparable stays so under refinement, a
     scalar one may not.  The step screen cannot fold witness eps (a witness
     splits a step), so scalar fields with segment_witnesses raise ValueError.
+
+    A vector field with affine parts first has every row decided from its
+    two endpoint values (see _affine_endpoints); only the rows that
+    certificate leaves open go through the screen.  The relation of every
+    row equals the screen's either way.
     """
     if isinstance(field, ScalarField):
         if segment_witnesses is not None:
             raise ValueError("the scalar step screen cannot fold segment witnesses")
         smax, smin, total = batch_scalar_steps(field, xs, ys, cfg)
         return _relations(smax, smin, total, total, cfg.tau)
-    mx, mn = batch_vector_extremes(field, xs, ys, cfg, drop_incomparable=True,
-                                   segment_witnesses=segment_witnesses)
+    if field.affine is None:
+        mx, mn = batch_vector_extremes(field, xs, ys, cfg, drop_incomparable=True,
+                                       segment_witnesses=segment_witnesses)
+    else:
+        xs, ys = _broadcast_rows(xs, ys)
+        mx, mn, settled = _affine_endpoints(field, xs, ys, cfg.tau)
+        rest = np.flatnonzero(~settled)
+        if rest.size:
+            mx[rest], mn[rest] = batch_vector_extremes(
+                field, xs[rest], ys[rest], cfg, drop_incomparable=True,
+                segment_witnesses=segment_witnesses)
     return _relations(mx, mn, mn, mx, cfg.tau)
+
+
+# ---------------------------------------------------------------------------
+# Endpoint certificate for affine fields
+# ---------------------------------------------------------------------------
+
+# unit roundoff of float64, and the absolute error bound of a product that
+# underflows (half the smallest subnormal, rounded up to it)
+_UNIT_ROUNDOFF = 2.0 ** -53
+_UNDERFLOW = 2.0 ** -1074
+
+
+def _affine_rounding_bound(c: VectorField, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Per-row E with |computed delta(eps) - exact delta(eps)| <= E at every eps in [0, 1].
+
+    For c(p) = A p + b with d = x - y, s = |x| + |y| and n = dim, every
+    value _profiles computes for the row, at any eps in [0, 1] and in any
+    batch, obeys |computed - exact| <= E with
+
+        E = 4 (2n + 8) (u |d|'(|A| s + |b|) + eta (|d|'(|A| 1 + 1) + 1)),
+
+    |.| taken componentwise, u = 2**-53 and eta = 2**-1074.  With the
+    standard model fl(a op b) = (a op b)(1 + t) + e, |t| <= u, where only a
+    product can underflow (|e| <= eta), and g_k = k u / (1 - k u):
+
+    * the segment point p^ = fl(fl(eps x) + fl(fl(1 - eps) y)) has
+      |p^ - p| <= g_3 s + 3 eta, and |p| <= s for eps in [0, 1];
+    * c^ = fl(A p^ + b), summed in any order (BLAS blocking and FMA
+      included), has |c^ - c(p)| <= g_(n+4) (|A| s + |b|) + eta (4 |A| 1 + 2n);
+    * d^ = fl(x - y) has |d^ - d| <= u |d|;
+    * the reduction fl(d^' c^) (a stacked matmul, or a product plus 0.0 at
+      n = 1) adds g_n |d^|' |c^| + 2n eta.
+
+    Together |computed - exact| <= g_(2n+6) |d|'(|A| s + |b|) + (2n + 6) eta
+    (|d|'(|A| 1 + 1) + 1), to first order in u.  The factor 2n + 8 over
+    2n + 6 absorbs the higher-order terms, and the leading 4 absorbs the
+    rounding of E itself (a sum of nonnegative terms, so at most a relative
+    g_(2n+3) low).  An overflow makes E infinite or NaN, which settles no
+    row.
+    """
+    A, b = c.affine
+    n = xs.shape[1]
+    absA = np.abs(A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.abs(xs - ys)
+        w = np.einsum("ki,ki->k", d, (np.abs(xs) + np.abs(ys)) @ absA.T + np.abs(b))
+        z = d @ (absA.sum(axis=1) + 1.0) + 1.0
+        return 4.0 * (2 * n + 8) * (_UNIT_ROUNDOFF * w + _UNDERFLOW * z)
+
+
+def _affine_endpoints(c: VectorField, xs: np.ndarray,
+                      ys: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(max, min, settled) of each row's delta at eps 0 and 1, for an affine c.
+
+    For c(p) = A p + b the exact profile delta(eps) = d'(A y + b) + eps d'A d
+    is affine in eps, so its extremes over [0, 1] are its endpoint values.
+    Every value the uniform-grid screen computes for the row (grid points,
+    which include eps 0 and 1, and witness eps in [0, 1]) and both values
+    computed here lie within E of that exact profile
+    (_affine_rounding_bound).  So the screen's max and this max differ by
+    at most 2E, and likewise the mins.  A row is settled when
+    |max - tau| > 2E and |min + tau| > 2E: its band predicates, and so its
+    relation, are then exactly those of the full screen.  Other rows must
+    be screened.
+    """
+    k, dim = xs.shape
+    ends = np.array([0.0, 1.0])
+    out_max, out_min = np.empty(k), np.empty(k)
+    for rows in _blocks(np.arange(k), ends.size, dim):
+        delta = _profiles(c, xs[rows], ys[rows], ends)
+        out_max[rows] = delta.max(axis=1)
+        out_min[rows] = delta.min(axis=1)
+    slack = 2.0 * _affine_rounding_bound(c, xs, ys)
+    settled = (np.abs(out_max - tau) > slack) & (np.abs(out_min + tau) > slack)
+    return out_max, out_min, settled

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -315,11 +315,19 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Deterministic c: X -> R^dim given by one batch map (n, dim) -> (n, dim)."""
+    """Deterministic c: X -> R^dim given by one batch map (n, dim) -> (n, dim).
+
+    affine, when set, is the exact (A, b) with c(x) = A x + b that batch
+    evaluates in floating point (any summation order); the dominance
+    screens use it to certify rows from two segment points.  Only the
+    constructors that build such a map set it (see affine_parts).
+    """
 
     batch: Callable[[np.ndarray], np.ndarray]
     domain: Domain
     label: str
+    affine: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False,
+                                                         repr=False)
 
     def value(self, p) -> np.ndarray:
         return self.values(np.asarray(p, float).reshape(1, -1))[0]
@@ -344,11 +352,30 @@ def _checked(f: AnyField, pts: np.ndarray, vals: np.ndarray, shape: tuple) -> np
     return vals
 
 
+def affine_parts(A, b) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float64 copies of the (A, b) of c(x) = A x + b, checked for shape.
+
+    A constructor evaluates its batch with these copies, so no caller array
+    can change the map after its parts are recorded.
+    """
+    A, b = _frozen(np.array(A, np.float64)), _frozen(np.array(b, np.float64))
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):
+        raise DimensionMismatchError("an affine map needs a square A and a matching b")
+    return A, b
+
+
 def negate(f: AnyField) -> AnyField:
-    """Field with all values negated; negate(negate(f)) evaluates bit-identically to f."""
+    """Field with all values negated; negate(negate(f)) evaluates bit-identically to f.
+
+    Negation is exact, so the affine parts of a vector field negate with it.
+    """
     batch = f.batch
     label = f.label[4:] if f.label.startswith("neg:") else f"neg:{f.label}"
-    return type(f)(batch=lambda P: -batch(P), domain=f.domain, label=label)
+    neg = type(f)(batch=lambda P: -batch(P), domain=f.domain, label=label)
+    if isinstance(f, VectorField) and f.affine is not None:
+        A, b = f.affine
+        neg = replace(neg, affine=affine_parts(-A, -b))
+    return neg
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +497,9 @@ def vector_field(name: str, domain: Domain | None = None) -> VectorField:
     """
     if name == "linear":
         dom = domain or _box1(-1.0, 1.0)
-        return VectorField(batch=lambda P: P.copy(), domain=dom, label="linear")
+        n = dom.dim
+        return VectorField(batch=lambda P: P.copy(), domain=dom, label="linear",
+                           affine=affine_parts(np.eye(n), np.zeros(n)))
     if name == "mexican_hat":
         dom = domain or MEXICAN_HAT_BOX
         return VectorField(batch=_mexican_hat_grad, domain=dom, label="mexican_hat")
@@ -496,6 +525,7 @@ def quadratic_form(Q, b, domain: Domain | None = None,
         S = 0.5 * (Q + Q.T)
     if not np.all(np.isfinite(S)):
         raise ValueError("(Q + Q')/2 overflows to a non-finite value")
+    S, b = affine_parts(S, b)
     dom = domain or Box(tuple([-1.0] * len(b)), tuple([1.0] * len(b)))
 
     # row-wise einsums: unlike a BLAS matmul, a row's value does not depend
@@ -508,7 +538,7 @@ def quadratic_form(Q, b, domain: Domain | None = None,
         return np.einsum("ij,nj->ni", S, P) + b
 
     return (ScalarField(batch=fbatch, domain=dom, label=label),
-            VectorField(batch=gbatch, domain=dom, label=f"grad:{label}"))
+            VectorField(batch=gbatch, domain=dom, label=f"grad:{label}", affine=(S, b)))
 
 
 def field_from_json(source) -> tuple[ScalarField, VectorField]:

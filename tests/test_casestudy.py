@@ -145,6 +145,15 @@ class TestOriginAtypicality:
             assert not row["nss"] and not row["ess"] and not row["local_min_polyorder"]
         assert rep.confirmed
 
+    @pytest.mark.parametrize("tau, radius", [(1e-3, 0.001), (0.05, 0.01), (0.2, 0.1)])
+    def test_radius_at_or_below_tau_raises(self, monkeypatch, tau, radius):
+        def sweep(*args, **kwargs):
+            raise AssertionError("the radii are checked before any evaluation")
+
+        monkeypatch.setattr(casestudy, "case_fields", sweep)
+        with pytest.raises(ValueError, match=f"origin radius {radius} "):
+            origin_atypicality(cfg=ToleranceConfig(tau=tau))
+
 
 class TestDominanceCoverage:
     def test_small_window_sweep(self):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fieldorder import cli
 from fieldorder.cli import _dumps, main
 from fieldorder.fields import registry_names, scalar_field
 
@@ -125,6 +126,15 @@ class TestClassify:
         assert code == 2
         assert out == ""
         assert "sample count" in err
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_non_positive_challenger_count_exits_2(self, capsys, count):
+        # zero used to fall back to the default challenger set
+        code, out, err = run(capsys, "--json", "classify", "--vector", "mexican_hat",
+                             "--point", "0.3,0.2", f"--challengers={count}")
+        assert code == 2
+        assert out == ""
+        assert "--challengers must be at least 1" in err
 
     def test_scalar_square(self, capsys):
         got = run_json(capsys, "classify", "--scalar", "quadratic", "--point", "0")
@@ -265,6 +275,17 @@ class TestCasestudy:
         assert out == ""
         assert "grid_n" in err
 
+    def test_tau_at_an_origin_radius_exits_2_before_the_sweeps(self, capsys, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("a sweep ran before the origin radii were checked")
+
+        monkeypatch.setattr(cli, "check_setwise_dominance", sweep)
+        monkeypatch.setattr(cli, "classify_catalog", sweep)
+        code, out, err = run(capsys, "--json", "--tau", "1e-3", "casestudy")
+        assert code == 2
+        assert out == ""
+        assert "origin radius 0.001" in err
+
     def test_mexican_hat_flag(self, capsys):
         got = run_json(capsys, "casestudy", "--mexican-hat", "--circle-points", "4")
         assert got["mexican_hat"]["confirmed"] is True
@@ -334,6 +355,30 @@ def _field_points(draw, n_points):
     return options, [draw(st.sampled_from(["--scalar", "--vector"])), ref], points
 
 
+@st.composite
+def _game_files(draw):
+    """Global options, a JSON symmetric or bimatrix game and a state of it."""
+    entry = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    matrix = lambda m, n: st.lists(st.lists(entry, min_size=n, max_size=n),
+                                   min_size=m, max_size=m)
+    if draw(st.sampled_from(["symmetric", "bimatrix"])) == "symmetric":
+        m = draw(st.integers(2, 3))
+        mass = draw(st.sampled_from([1.0, 2.0]))
+        game = {"mode": "symmetric", "C": draw(matrix(m, m)), "mass": mass}
+        blocks = [(m, mass)]
+    else:
+        m1, m2 = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+        game = {"mode": "bimatrix", "A": draw(matrix(m1, m2)), "B": draw(matrix(m1, m2))}
+        blocks = [(m1, 1.0), (m2, 1.0)]
+    coords = []
+    for m, mass in blocks:
+        w = np.asarray(draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)))
+        coords += (mass * w / w.sum()).tolist()
+    options = ["--seed", str(draw(st.integers(0, 2**31 - 1))),
+               "--neps", str(draw(st.integers(3, 65)))]
+    return options, game, ",".join(repr(v) for v in coords)
+
+
 class TestRerunProperty:
     @settings(max_examples=40, deadline=None)
     @given(_field_points(2))
@@ -354,3 +399,17 @@ class TestRerunProperty:
         first, second = _runs_twice(argv)
         assert first == second
         assert first[0] in (0, 4)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_game_files())
+    def test_game_reruns_are_byte_identical(self, drawn):
+        options, game, point = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "game.json")
+            with open(path, "w") as fh:
+                json.dump(game, fh)
+            first, second = _runs_twice([*options, "game", path, f"--point={point}"])
+        assert first == second
+        assert first[0] in (0, 4)
+        if first[0] == 0:
+            assert "game_report.json" in first[2]

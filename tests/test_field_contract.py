@@ -5,7 +5,13 @@ with any non-finite entry (ValueError), and ``value`` is its one-row case.
 Because the integrator steps through ``value`` and the screens sweep through
 ``values``, ``value(p)`` must equal the matching row of a multi-row
 ``values`` call bit for bit, so both evaluate the same field.
+
+A vector field's affine parts (A, b), which the dominance screens trust
+to certify rows, must be the map its batch evaluates: every value within
+the rounding of an (n + 1)-term sum of A p + b, computed exactly.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +21,7 @@ from fieldorder.errors import DimensionMismatchError
 from fieldorder.fields import (Box, Product, ScalarField, VectorField, gradient_field,
                                negate, quadratic_form, registry_names, scalar_field,
                                vector_field)
-from fieldorder.games import from_symmetric_matrix, hawk_dove, matching_pennies
+from fieldorder.games import from_bimatrix, from_symmetric_matrix, hawk_dove, matching_pennies
 
 BOX = Box((-1.0, -1.0), (1.0, 1.0))
 PTS = np.array([[0.1, 0.2], [0.3, -0.4], [-0.5, 0.6]])
@@ -134,3 +140,52 @@ def test_value_is_bitwise_a_row_of_values(key, data):
     batch = field.values(pts)
     for i, p in enumerate(pts):
         assert _bits(field.value(p)) == _bits(batch[i]), (key, p.tolist())
+
+
+def _random_affine_fields():
+    rng = np.random.default_rng(11)
+    out = {}
+    for m in range(2, 7):
+        C = rng.normal(size=(m, m)) * 10.0 ** (m - 4)
+        out[f"symmetric:{m}"] = from_symmetric_matrix(C).cost
+        m2 = 7 - m
+        out[f"bimatrix:{m}x{m2}"] = from_bimatrix(rng.normal(size=(m, m2)),
+                                                  rng.normal(size=(m, m2)) * 1e3).cost
+        spread = 10.0 ** rng.uniform(-3, 3, size=(m, m))
+        out[f"grad:quadratic_form:spread:{m}"] = quadratic_form(
+            rng.normal(size=(m, m)) * spread, rng.normal(size=m) * 1e2)[1]
+    for dim in range(1, 5):
+        out[f"linear:{dim}"] = vector_field("linear", Box((-1.0,) * dim, (1.0,) * dim))
+    out.update({f"neg:{k}": negate(f) for k, f in list(out.items())})
+    return out
+
+
+AFFINE_FIELDS = {**{k: f for k, f in FIELDS.items() if getattr(f, "affine", None) is not None},
+                 **_random_affine_fields()}
+
+
+def test_only_affine_constructors_mark_a_field():
+    marked = {k for k, f in FIELDS.items() if getattr(f, "affine", None) is not None}
+    assert marked == {"VectorField:linear", "VectorField:neg:linear",
+                      "game:hawk_dove", "game:matching_pennies", "game:rock_paper_scissors",
+                      *(f"grad:quadratic_form:{dim}" for dim in range(1, 5))}
+
+
+@pytest.mark.parametrize("key", sorted(AFFINE_FIELDS))
+def test_affine_mark_agrees_with_batch(key):
+    field = AFFINE_FIELDS[key]
+    A, b = field.affine
+    n = A.shape[0]
+    assert field.domain.dim == n and not A.flags.writeable and not b.flags.writeable
+    rng = np.random.default_rng(sum(map(ord, key)))
+    pts = _domain_points(field.domain, rng.random((12, n)))
+    got = field.values(pts)
+    u, eta = Fraction(2) ** -53, Fraction(2) ** -1074
+    Af = [[Fraction(v) for v in row] for row in A.tolist()]
+    bf = [Fraction(v) for v in b.tolist()]
+    for p, row in zip(pts.tolist(), got.tolist()):
+        p = [Fraction(v) for v in p]
+        for i in range(n):
+            exact = sum(a * pj for a, pj in zip(Af[i], p)) + bf[i]
+            size = sum(abs(a * pj) for a, pj in zip(Af[i], p)) + abs(bf[i])
+            assert abs(Fraction(row[i]) - exact) <= (n + 2) * u * size + 2 * n * eta, (key, i)
