@@ -1,11 +1,19 @@
 """Flows x' = F(x), Lyapunov integrals, and setwise stability certificates.
 
 Integration is classical fixed-step RK4: the fields are cheap and exact
-reproducibility matters more than adaptivity here.  A trajectory stops when
-the field norm drops below the convergence threshold, when time runs out,
-when the next state would leave the domain, or when the state norm falls
-under the floor (the non-Lipschitz pocket around an oscillatory origin,
-surfaced rather than hidden).
+reproducibility matters more than adaptivity here.  One kernel steps an
+(n, dim) array of states, one validated F.values call per stage on the rows
+still live; integrate is its one-row case and check_setwise_stability runs
+all its starts in one call.  A row stops when the field norm drops below
+the convergence threshold, else when the state norm falls under the floor
+(the non-Lipschitz pocket around an oscillatory origin, surfaced rather
+than hidden), else when the next state would leave the domain; rows left
+when time runs out stop with MaxTime.  Each norm is sqrt(row.dot(row)) of
+its own row, never a batched reduction.  So where the field evaluates a
+row independently of its batch, a row flows bit for bit the same in a
+batch as alone; game costs, a BLAS matmul, need not.  Starts whose
+states and times could exceed a fixed byte cap run in groups under it; a
+single start over the cap is refused before it starts.
 
 For one-dimensional fields the potential L(x) = integral of f from a
 reference point is evaluated by adaptive Simpson quadrature; along
@@ -27,6 +35,10 @@ MAX_TIME = "MaxTime"
 CONVERGED = "Converged"
 LEFT_DOMAIN = "LeftDomain"
 STEP_UNDERFLOW = "StepUnderflow"
+
+# cap on the bytes of states and times one kernel call may hold, counted
+# before it starts: a default flow of one start holds a few megabytes
+_MAX_TRAJECTORY_BYTES = 1 << 29
 
 
 @dataclass(frozen=True)
@@ -66,40 +78,94 @@ class Trajectory:
     def write_csv(self, fh) -> None:
         dim = self.states.shape[1]
         fh.write("t," + ",".join(f"x{j + 1}" for j in range(dim)) + "\n")
-        for t, row in zip(self.times, self.states):
-            fh.write("%.17g," % t + ",".join("%.17g" % v for v in row) + "\n")
+        line = ",".join(["%.17g"] * (dim + 1)) + "\n"
+        fh.write("".join([line % tuple(r)
+                          for r in np.column_stack([self.times, self.states]).tolist()]))
+
+
+def _rk4(F: VectorField, starts: np.ndarray, cfg: IntegratorConfig) -> tuple[Trajectory, ...]:
+    """Fixed-step RK4 flows of x' = F(x) from every row of starts, run side by side.
+
+    Each stage evaluates all live rows in one F.values call.  A row stops at
+    the first of Converged, StepUnderflow and LeftDomain that holds, tested
+    in that order; a row still live after t_max stops with MaxTime.  Each
+    norm is sqrt(row.dot(row)), what np.linalg.norm computes on one row: a
+    batched reduction can differ in the last bit and move a stop by a step.
+    Where F evaluates each row independently of the others in its batch,
+    each row's trajectory is bit for bit the one it has when integrated
+    alone.  Game costs are a BLAS matmul, which need not be: a game row can
+    differ in the last bit between a batch and alone.
+
+    Starts whose states and times would together exceed the byte cap run
+    in groups that fit it; a single start over the cap is refused.
+    """
+    n, dim = starts.shape
+    dt = cfg.dt
+    span = cfg.t_max / dt + 1e-9
+    n_steps = int(math.floor(min(span, _MAX_TRAJECTORY_BYTES)))
+    row_bytes = (n_steps + 1) * (dim + 1) * 8
+    if row_bytes > _MAX_TRAJECTORY_BYTES:
+        raise ValueError(f"a flow of {span:.6g} steps would hold more than the cap of "
+                         f"{_MAX_TRAJECTORY_BYTES} bytes of states and times; "
+                         "use a larger dt or a smaller t_max")
+    group = _MAX_TRAJECTORY_BYTES // row_bytes
+    if n > group:
+        return sum((_rk4(F, starts[i:i + group], cfg) for i in range(0, n, group)), ())
+    buf = np.empty((n_steps + 1, n, dim))
+    buf[0] = starts
+    ends = [n_steps + 1] * n
+    reasons = [MAX_TIME] * n
+    rows = np.arange(n)
+    x = buf[0]
+    values, inside = F.values, F.domain.contains_rows
+    eps, floor = cfg.convergence_eps, cfg.floor_eps
+    half, sixth = 0.5 * dt, dt / 6.0
+    for k in range(n_steps):
+        k1 = values(x)
+        keep = None
+        for i, (v, p) in enumerate(zip(k1, x)):
+            if math.sqrt(v.dot(v)) < eps:
+                reasons[rows[i]] = CONVERGED
+            elif math.sqrt(p.dot(p)) < floor:
+                reasons[rows[i]] = STEP_UNDERFLOW
+            else:
+                continue
+            ends[rows[i]] = k + 1
+            if keep is None:
+                keep = np.ones(len(rows), bool)
+            keep[i] = False
+        if keep is not None:
+            rows, x, k1 = rows[keep], x[keep], k1[keep]
+            if not len(rows):
+                break
+        k2 = values(x + half * k1)
+        k3 = values(x + half * k2)
+        k4 = values(x + dt * k3)
+        nxt = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ok = inside(nxt)
+        if not ok.all():
+            for r in rows[~ok]:
+                reasons[r] = LEFT_DOMAIN
+                ends[r] = k + 1
+            rows, nxt = rows[ok], nxt[ok]
+            if not len(rows):
+                break
+        if len(rows) == n:
+            buf[k + 1] = nxt
+        else:
+            buf[k + 1, rows] = nxt
+        x = nxt
+    return tuple(Trajectory(np.arange(m) * dt, buf[:m, i].copy(), reasons[i], cfg)
+                 for i, m in enumerate(ends))
 
 
 def integrate(F: VectorField, x0, cfg: IntegratorConfig | None = None) -> Trajectory:
-    """Fixed-step RK4 flow of x' = F(x) starting at x0, fully deterministic."""
-    cfg = cfg or IntegratorConfig()
-    x = np.array(require_in_domain(F.domain, x0), float)
-    dt = cfg.dt
-    n_steps = int(math.floor(cfg.t_max / dt + 1e-9))
-    times = [0.0]
-    states = [x.copy()]
-    reason = MAX_TIME
-    value = F.value
-    for k in range(n_steps):
-        v = value(x)
-        if float(np.linalg.norm(v)) < cfg.convergence_eps:
-            reason = CONVERGED
-            break
-        if float(np.linalg.norm(x)) < cfg.floor_eps:
-            reason = STEP_UNDERFLOW
-            break
-        k1 = v
-        k2 = value(x + 0.5 * dt * k1)
-        k3 = value(x + 0.5 * dt * k2)
-        k4 = value(x + dt * k3)
-        nxt = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not F.domain.contains(nxt):
-            reason = LEFT_DOMAIN
-            break
-        x = nxt
-        times.append((k + 1) * dt)
-        states.append(x.copy())
-    return Trajectory(np.asarray(times), np.vstack(states), reason, cfg)
+    """Fixed-step RK4 flow of x' = F(x) starting at x0, fully deterministic.
+
+    The one-row case of the kernel that check_setwise_stability runs on all
+    its starts at once.
+    """
+    return _rk4(F, require_in_domain(F.domain, x0)[None, :], cfg or IntegratorConfig())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +288,8 @@ def check_setwise_stability(F: VectorField, candidate, initial_conditions: Sampl
     max_increase = 0.0
     if potential is not None and potential.domain.dim == 1:
         monotone = True
-    for x0 in initial_conditions:
-        traj = integrate(F, x0, cfg)
+    starts = np.array([require_in_domain(F.domain, x0) for x0 in initial_conditions])
+    for x0, traj in zip(initial_conditions, _rk4(F, starts, cfg)):
         trajectories.append(traj)
         dists = np.linalg.norm(traj.final_state[None, :] - C, axis=1)
         j = int(np.argmin(dists))

@@ -64,6 +64,10 @@ class Box:
             raise DimensionMismatchError("box bounds must be 1-D and of equal length")
         if not np.all(lo <= up):
             raise ValueError("box requires lower <= upper componentwise")
+        # the bounds contains_rows compares against, computed once: the
+        # integrator calls it every step
+        object.__setattr__(self, "_bounds", (_frozen(lo - CONTAINMENT_TOL),
+                                             _frozen(up + CONTAINMENT_TOL)))
 
     @property
     def dim(self) -> int:
@@ -73,6 +77,14 @@ class Box:
         p = np.asarray(p, float)
         lo, up = np.asarray(self.lower), np.asarray(self.upper)
         return p.shape == lo.shape and bool(np.all(p >= lo - tol) and np.all(p <= up + tol))
+
+    def contains_rows(self, P) -> np.ndarray:
+        """contains(p) for every row p of P, as a bool array."""
+        P = np.asarray(P, float)
+        lo, up = self._bounds
+        if P.shape[1:] != lo.shape:
+            return np.zeros(len(P), bool)
+        return ((P >= lo) & (P <= up)).all(axis=1)
 
     def clip(self, p: np.ndarray) -> np.ndarray:
         return np.clip(p, np.asarray(self.lower), np.asarray(self.upper))
@@ -99,6 +111,14 @@ class Simplex:
         if p.shape != (self.dim,):
             return False
         return bool(np.all(p >= -tol) and abs(float(p.sum()) - self.mass) <= tol)
+
+    def contains_rows(self, P) -> np.ndarray:
+        """contains(p) for every row p of P, as a bool array."""
+        P = np.asarray(P, float)
+        if P.shape[1:] != (self.dim,):
+            return np.zeros(len(P), bool)
+        return ((P >= -CONTAINMENT_TOL).all(axis=1)
+                & (np.abs(P.sum(axis=1) - self.mass) <= CONTAINMENT_TOL))
 
     def diameter(self) -> float:
         # distance between two vertices
@@ -137,6 +157,17 @@ class Product:
         if p.shape != (self.dim,):
             return False
         return all(s.contains(block, tol) for s, block in zip(self.parts, self.split(p)))
+
+    def contains_rows(self, P) -> np.ndarray:
+        """contains(p) for every row p of P, as a bool array."""
+        P = np.asarray(P, float)
+        if P.shape[1:] != (self.dim,):
+            return np.zeros(len(P), bool)
+        ok, k = np.ones(len(P), bool), 0
+        for s in self.parts:
+            ok &= s.contains_rows(P[:, k:k + s.dim])
+            k += s.dim
+        return ok
 
     def diameter(self) -> float:
         return math.sqrt(sum(s.diameter() ** 2 for s in self.parts))
@@ -441,8 +472,12 @@ _RECIPROCAL_FLOOR = float(np.nextafter(1.0 / np.finfo(float).max, 1.0))
 def _xsininv_1d(t: np.ndarray) -> np.ndarray:
     """t sin(1/t), and 0 (the continuous extension at 0) wherever 1/t is not
     finite: at t = 0 and for |t| < 1/DBL_MAX, where that is off by < |t|."""
-    out = np.zeros_like(t)
     live = np.abs(t) >= _RECIPROCAL_FLOOR
+    # the usual case needs no masked copy and scatter, which on the
+    # screens' large batches set the peak memory of a run
+    if live.all():
+        return t * np.sin(1.0 / t)
+    out = np.zeros_like(t)
     tl = t[live]
     out[live] = tl * np.sin(1.0 / tl)
     return out
@@ -450,6 +485,11 @@ def _xsininv_1d(t: np.ndarray) -> np.ndarray:
 
 def _box1(lo: float, hi: float) -> Box:
     return Box((lo,), (hi,))
+
+
+def _radius(P: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, as np.linalg.norm(P, axis=1) computes it."""
+    return np.sqrt(np.add.reduce(P * P, axis=1))
 
 
 DEFAULT_CASESTUDY_BOX = _box1(-1.0, 2.0)
@@ -461,17 +501,14 @@ _SCALAR_REGISTRY: dict[str, tuple[Callable[[], Domain], Callable[[np.ndarray], n
     "cubic": (lambda: _box1(-1.0, 1.0), lambda P: P[:, 0] ** 3),
     # continuous extension at the origin: value 0 (the derivative is undefined there)
     "xsininv": (lambda: DEFAULT_CASESTUDY_BOX, lambda P: _xsininv_1d(P[:, 0])),
-    "mexican_hat": (lambda: MEXICAN_HAT_BOX,
-                    lambda P: (np.linalg.norm(P, axis=1) - 1.0) ** 2),
+    "mexican_hat": (lambda: MEXICAN_HAT_BOX, lambda P: (_radius(P) - 1.0) ** 2),
     "linear": (lambda: _box1(-1.0, 1.0), lambda P: P.sum(axis=1)),
 }
 
 
 def _mexican_hat_grad(P: np.ndarray) -> np.ndarray:
-    r = np.linalg.norm(P, axis=1)
-    scale = np.zeros_like(r)
-    nz = r > 0
-    scale[nz] = 2.0 * (r[nz] - 1.0) / r[nz]
+    r = _radius(P)
+    scale = np.divide(2.0 * (r - 1.0), r, out=np.zeros_like(r), where=r > 0)
     return P * scale[:, None]
 
 

@@ -179,6 +179,7 @@ class TestSetwiseStability:
             raise AssertionError("integrated before the candidate was checked")
 
         monkeypatch.setattr(dynamics, "integrate", no_flow)
+        monkeypatch.setattr(dynamics, "_rk4", no_flow)
         ics = SampleSet(np.array([[1.0]]), "explicit", 0)
         with pytest.raises(error):
             check_setwise_stability(decay_flow, candidate, ics, IntegratorConfig())

@@ -1,0 +1,357 @@
+"""The RK4 kernel: many starts at once, each row bit for bit its own flow.
+
+``dynamics._rk4`` integrates every row of an (n, dim) start array side by
+side, and ``integrate`` is its one-row case.  A row of a batch must get the
+bit-identical times, states and terminated_reason that it gets alone, and
+alone it must match the one-start loop the kernel replaced (``reference``
+below: F.value per stage, np.linalg.norm, Domain.contains).
+
+Games are left out of the bit-equality properties: their costs are a BLAS
+matmul, whose rows can depend in the last bit on how many rows share the
+batch, so a game row need not flow bit-identically in a batch and alone.
+TestGames pins what does hold for them.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fieldorder import cli, dynamics, games
+from fieldorder.dynamics import (CONVERGED, LEFT_DOMAIN, MAX_TIME, STEP_UNDERFLOW,
+                                 IntegratorConfig, check_setwise_stability, integrate)
+from fieldorder.fields import (CONTAINMENT_TOL, Box, Product, SampleSet, Simplex,
+                               VectorField, negate, quadratic_form, registry_names,
+                               vector_field)
+
+BOX2 = Box((-1.0, -1.0), (1.0, 1.0))
+
+
+def reference(F, x0, cfg):
+    """(times, states, reason) of the one-start RK4 loop, step for step."""
+    x = np.array(x0, float)
+    dt = cfg.dt
+    times, states, reason = [0.0], [x.copy()], MAX_TIME
+    for k in range(int(math.floor(cfg.t_max / dt + 1e-9))):
+        k1 = F.value(x)
+        if float(np.linalg.norm(k1)) < cfg.convergence_eps:
+            reason = CONVERGED
+            break
+        if float(np.linalg.norm(x)) < cfg.floor_eps:
+            reason = STEP_UNDERFLOW
+            break
+        k2 = F.value(x + 0.5 * dt * k1)
+        k3 = F.value(x + 0.5 * dt * k2)
+        k4 = F.value(x + dt * k3)
+        nxt = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not F.domain.contains(nxt):
+            reason = LEFT_DOMAIN
+            break
+        x = nxt
+        times.append((k + 1) * dt)
+        states.append(x.copy())
+    return np.asarray(times), np.vstack(states), reason
+
+
+def _regimes(P):
+    # by x2: rest (x2 < -0.5), fast decay to 0 (x2 < 0), slow drift (x2 < 0.5), growth
+    x2 = P[:, 1:2]
+    return np.where(x2 < -0.5, 0.0,
+                    np.where(x2 < 0.0, -50.0 * P,
+                             np.where(x2 < 0.5, np.array([[1e-3, 0.0]]), 5.0 * P)))
+
+
+REGIMES = VectorField(batch=_regimes, domain=BOX2, label="regimes")
+# under this config a REGIMES row ends Converged, StepUnderflow, MaxTime or
+# LeftDomain by the band its x2 starts in
+REGIME_CFG = IntegratorConfig(dt=0.01, t_max=1.0, convergence_eps=1e-12, floor_eps=1e-6)
+REGIME_STARTS = np.array([[0.1, -0.8], [0.3, -0.2], [0.2, 0.25], [-0.3, 0.6],
+                          [-0.4, -0.6], [0.2, 0.7]])
+
+
+def assert_same(traj, times, states, reason):
+    assert traj.terminated_reason == reason
+    assert traj.times.shape == times.shape and traj.times.tobytes() == times.tobytes()
+    assert traj.states.shape == states.shape and traj.states.tobytes() == states.tobytes()
+
+
+def assert_rows_alone(F, starts, cfg):
+    """Each row of the batch flows as it does alone, and alone as reference."""
+    batch = dynamics._rk4(F, np.asarray(starts, float), cfg)
+    assert len(batch) == len(starts)
+    for row, traj in zip(starts, batch):
+        alone = integrate(F, row, cfg)
+        assert_same(traj, alone.times, alone.states, alone.terminated_reason)
+        assert_same(alone, *reference(F, row, cfg))
+    return batch
+
+
+def counted(F):
+    """F with a log of the number of rows in every batch it evaluates."""
+    rows = []
+
+    def batch(P):
+        rows.append(len(P))
+        return F.batch(P)
+
+    return VectorField(batch=batch, domain=F.domain, label=F.label), rows
+
+
+@st.composite
+def flow_cases(draw):
+    kind = draw(st.sampled_from(["registry", "quadratic_form", "regimes"]))
+    if kind == "registry":
+        name = draw(st.sampled_from(registry_names()))
+        if name == "linear":
+            dim = draw(st.integers(1, 3))
+            F = vector_field(name, Box((-1.0,) * dim, (1.0,) * dim))
+        else:
+            F = vector_field(name)
+    elif kind == "quadratic_form":
+        dim = draw(st.integers(1, 3))
+        entry = st.floats(-3.0, 3.0, allow_subnormal=False)
+        Q = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                          min_size=dim, max_size=dim))
+        b = draw(st.lists(entry, min_size=dim, max_size=dim))
+        F = quadratic_form(Q, b)[1]
+    else:
+        F = REGIMES
+    if draw(st.booleans()):
+        F = negate(F)
+    lo, up = np.asarray(F.domain.lower), np.asarray(F.domain.upper)
+    n = draw(st.integers(1, 5))
+    u = np.array(draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=lo.size,
+                                        max_size=lo.size), min_size=n, max_size=n)))
+    cfg = IntegratorConfig(dt=draw(st.sampled_from([0.005, 0.01, 0.02])),
+                           t_max=draw(st.floats(0.05, 1.0)),
+                           convergence_eps=draw(st.sampled_from([1e-9, 1e-3, 0.05, 0.5])),
+                           floor_eps=draw(st.sampled_from([1e-12, 1e-3, 0.2, 0.5])))
+    return F, lo + u * (up - lo), cfg
+
+
+class TestRowsAlone:
+    @settings(max_examples=60, deadline=None)
+    @given(case=flow_cases())
+    def test_each_row_flows_as_alone(self, case):
+        assert_rows_alone(*case)
+
+    def test_rows_ending_for_every_reason(self):
+        batch = assert_rows_alone(REGIMES, REGIME_STARTS, REGIME_CFG)
+        assert [t.terminated_reason for t in batch] == [
+            CONVERGED, STEP_UNDERFLOW, MAX_TIME, LEFT_DOMAIN, CONVERGED, LEFT_DOMAIN]
+
+    def test_batch_evaluates_only_live_rows(self):
+        F, rows = counted(REGIMES)
+        dynamics._rk4(F, REGIME_STARTS, REGIME_CFG)
+        batched = sum(rows)
+        rows.clear()
+        for x0 in REGIME_STARTS:
+            integrate(F, x0, REGIME_CFG)
+        assert batched == sum(rows)
+
+    def test_setwise_stability_runs_one_batch(self):
+        F, rows = counted(negate(vector_field("xsininv")))
+        ics = SampleSet(np.array([[0.5], [0.2], [-0.3]]), "explicit", 0)
+        rep = check_setwise_stability(F, [[1 / math.pi]], ics, IntegratorConfig(t_max=0.5))
+        assert max(rows) == 3
+        for x0, traj in zip(ics, rep.trajectories):
+            assert_same(traj, *reference(negate(vector_field("xsininv")), x0,
+                                         IntegratorConfig(t_max=0.5)))
+
+
+class TestGames:
+    """Batched game flows: bit-equal for the stock games, whose small integer
+    costs make every product exact, and within rounding for real costs."""
+
+    @pytest.mark.parametrize("game", [games.hawk_dove, games.matching_pennies,
+                                      games.prisoners_dilemma])
+    def test_stock_game_rows_flow_as_alone(self, game):
+        F = game().cost
+        u = np.random.default_rng(5).dirichlet(np.ones(F.domain.dim), size=4)
+        starts = np.array([np.hstack([s.mass * r[:s.dim] / r[:s.dim].sum()
+                                      for s in F.domain.parts]) for r in u])
+        assert_rows_alone(F, starts, IntegratorConfig(dt=0.01, t_max=1.0))
+
+    def test_real_costs_flow_within_rounding_of_alone(self):
+        rng = np.random.default_rng(3)
+        C = rng.standard_normal((4, 4))
+        C -= C.mean(axis=0)  # c(x) = C x keeps x on the simplex plane
+        F = games.from_symmetric_matrix(C, label="real").cost
+        cfg = IntegratorConfig(dt=0.01, t_max=2.0)
+        ics = SampleSet(rng.dirichlet(np.ones(4), size=6), "explicit", 0)
+        rep = check_setwise_stability(F, [[0.25] * 4], ics, cfg)
+        exact = 0
+        for x0, traj in zip(ics, rep.trajectories):
+            alone = integrate(F, x0, cfg)
+            assert traj.terminated_reason == alone.terminated_reason
+            assert traj.times.tobytes() == alone.times.tobytes()
+            np.testing.assert_allclose(traj.states, alone.states, rtol=0, atol=1e-12)
+            exact += traj.states.tobytes() == alone.states.tobytes()
+        if exact == len(ics):
+            pytest.skip("batched and single-row BLAS products agree on this platform")
+
+
+class TestTermination:
+    def test_converged_is_tested_before_step_underflow(self):
+        # |F(x)| = |x| = 1e-10 lies under both thresholds at the start
+        cfg = IntegratorConfig(convergence_eps=1e-6, floor_eps=1e-9)
+        F = negate(vector_field("linear"))
+        assert integrate(F, [1e-10], cfg).terminated_reason == CONVERGED
+        batch = dynamics._rk4(F, np.array([[0.5], [1e-10]]), cfg)
+        assert [t.terminated_reason for t in batch] == [CONVERGED, CONVERGED]
+        assert len(batch[1].times) == 1
+
+    @staticmethod
+    def _straddling(dim, below):
+        """A row v whose sqrt(v.dot(v)) lies below (or above) the batched
+        np.sqrt(np.add.reduce(v * v)), with the larger of the two."""
+        V = np.random.default_rng(7).standard_normal((4000, dim)) / 8.0
+        dot = np.array([math.sqrt(v.dot(v)) for v in V])
+        red = np.sqrt(np.add.reduce(V * V, axis=1))
+        hit = np.flatnonzero(dot < red if below else dot > red)
+        if not hit.size:
+            pytest.skip("row and batched norms agree on this platform")
+        return V[hit[0]], max(dot[hit[0]], red[hit[0]])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("below", [True, False])
+    def test_field_norm_is_the_row_dot(self, dim, below):
+        v, eps = self._straddling(dim, below)
+        F = VectorField(batch=lambda P: np.tile(v, (len(P), 1)),
+                        domain=Box((-1.0,) * dim, (1.0,) * dim), label="constant")
+        cfg = IntegratorConfig(dt=1e-3, t_max=1.5e-3, convergence_eps=eps)
+        want = CONVERGED if below else MAX_TIME
+        assert integrate(F, np.full(dim, 0.5), cfg).terminated_reason == want
+        batch = dynamics._rk4(F, np.full((3, dim), 0.5), cfg)
+        assert [t.terminated_reason for t in batch] == [want] * 3
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("below", [True, False])
+    def test_state_norm_is_the_row_dot(self, dim, below):
+        x0, floor = self._straddling(dim, below)
+        F = VectorField(batch=lambda P: np.ones_like(P), label="constant",
+                        domain=Box((-1.0,) * dim, (1.0,) * dim))
+        # one step: a second would test the moved state
+        cfg = IntegratorConfig(dt=1e-3, t_max=1.5e-3, floor_eps=floor)
+        want = STEP_UNDERFLOW if below else MAX_TIME
+        assert integrate(F, x0, cfg).terminated_reason == want
+        batch = dynamics._rk4(F, np.array([x0, 0.5 * np.ones(dim), x0]), cfg)
+        assert [t.terminated_reason for t in batch] == [want, MAX_TIME, want]
+
+
+def _never(P):
+    raise AssertionError("evaluated a flow that is over the size cap")
+
+
+NEVER = VectorField(batch=_never, domain=Box((-1.0,), (1.0,)), label="never")
+
+
+class TestSizeCap:
+    def test_one_step_over_the_cap(self):
+        # one row of dim 1 holds (n_steps + 1) * 2 * 8 bytes
+        n_steps = dynamics._MAX_TRAJECTORY_BYTES // 16
+        with pytest.raises(ValueError, match="cap"):
+            integrate(NEVER, [0.5], IntegratorConfig(dt=1.0, t_max=float(n_steps)))
+
+    @pytest.mark.parametrize("cfg", [IntegratorConfig(t_max=1e12),
+                                     IntegratorConfig(dt=1e-10, t_max=1e300)],
+                             ids=["tmax_1e12", "steps_overflow"])
+    def test_far_over_the_cap(self, cfg):
+        with pytest.raises(ValueError, match="cap"):
+            integrate(NEVER, [0.5], cfg)
+
+    def test_starts_over_the_cap_run_in_groups(self, monkeypatch):
+        # one row of dim 1 and 100 steps holds 101 * 2 * 8 = 1616 bytes
+        cfg = IntegratorConfig(dt=0.01, t_max=1.0)
+        starts = np.linspace(-0.9, 0.9, 7)[:, None]
+        F, rows = counted(negate(vector_field("xsininv")))
+        whole = dynamics._rk4(F, starts, cfg)
+        assert max(rows) == 7
+        rows.clear()
+        monkeypatch.setattr(dynamics, "_MAX_TRAJECTORY_BYTES", 3 * 1616 + 5)
+        grouped = dynamics._rk4(F, starts, cfg)
+        assert max(rows) == 3
+        assert len(grouped) == len(starts)
+        for a, b in zip(grouped, whole):
+            assert_same(a, b.times, b.states, b.terminated_reason)
+
+    def test_cli_exits_2(self, capsys):
+        code = cli.main(["--json", "flow", "--field", "neg:linear", "--x0", "0.5",
+                         "--tmax", "1e12"])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert "cap" in out.err
+
+
+# ---------------------------------------------------------------------------
+# contains_rows
+# ---------------------------------------------------------------------------
+
+TOL = CONTAINMENT_TOL
+
+
+def _near(draw, edge):
+    """A coordinate within a few ulps of edge - TOL, edge or edge + TOL, or
+    a few TOL from edge."""
+    if draw(st.booleans()):
+        c = edge + draw(st.sampled_from([-1.0, 0.0, 1.0])) * TOL
+        for _ in range(draw(st.integers(0, 3))):
+            c = np.nextafter(c, draw(st.sampled_from([-np.inf, np.inf])))
+        return float(c)
+    return edge + draw(st.sampled_from([-2.0, -0.5, 0.5, 2.0])) * TOL
+
+
+@st.composite
+def boxes(draw):
+    dim = draw(st.integers(1, 3))
+    lo = draw(st.lists(st.floats(-2.0, 1.0), min_size=dim, max_size=dim))
+    width = draw(st.lists(st.sampled_from([0.0, 1e-12, 0.5, 2.0]), min_size=dim,
+                          max_size=dim))
+    box = Box(tuple(lo), tuple(a + w for a, w in zip(lo, width)))
+    rows = [[_near(draw, draw(st.sampled_from([a, b])))
+             for a, b in zip(box.lower, box.upper)] for _ in range(draw(st.integers(1, 8)))]
+    return box, np.array(rows)
+
+
+def _simplex_rows(draw, s, n):
+    rows = []
+    for _ in range(n):
+        w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=s.dim, max_size=s.dim)))
+        p = s.mass * w / w.sum() if w.sum() > 0 else s.barycenter()
+        j = draw(st.integers(0, s.dim - 1))
+        # push the sum near mass - TOL, mass or mass + TOL, or one coordinate near 0
+        p[j] += _near(draw, 0.0) if draw(st.booleans()) else -p[j] + _near(draw, 0.0)
+        rows.append(p)
+    return np.array(rows)
+
+
+@st.composite
+def simplexes(draw):
+    s = Simplex(draw(st.sampled_from([1.0, 0.3, 2.5])), draw(st.integers(1, 12)))
+    return s, _simplex_rows(draw, s, draw(st.integers(1, 8)))
+
+
+@st.composite
+def products(draw):
+    parts = tuple(Simplex(draw(st.sampled_from([1.0, 0.3])), draw(st.integers(1, 4)))
+                  for _ in range(draw(st.integers(1, 3))))
+    n = draw(st.integers(1, 8))
+    return Product(parts), np.hstack([_simplex_rows(draw, s, n) for s in parts])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kind=st.sampled_from([boxes, simplexes, products]))
+def test_contains_rows_is_contains_per_row(data, kind):
+    domain, P = data.draw(kind())
+    got = domain.contains_rows(P)
+    assert got.dtype == bool and got.shape == (len(P),)
+    assert got.tolist() == [domain.contains(p) for p in P]
+
+
+@pytest.mark.parametrize("domain", [BOX2, Simplex(1.0, 2), Product((Simplex(1.0, 2),))],
+                         ids=["box", "simplex", "product"])
+def test_contains_rows_of_the_wrong_width(domain):
+    P = np.full((3, 3), 0.25)
+    assert domain.contains_rows(P).tolist() == [domain.contains(p) for p in P] == [False] * 3
