@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import (_minimal_and_maximal, is_almost_strictly_minimal_set, is_ess,
-                       is_local_min_polyorder_scalar, is_local_min_polyorder_vector,
+from .classify import (_minimal_and_maximal, _require_set_size, is_almost_strictly_minimal_set,
+                       is_ess, is_local_min_polyorder_scalar, is_local_min_polyorder_vector,
                        is_nss, is_strict_local_min_scalar, sample_neighborhood)
 from .dominance import STRICTLY_DOMINATES, ToleranceConfig, batch_relations, compare_scalar
 from .fields import (_MAX_GRID_POINTS, Domain, Grid, SampleSet, ScalarField, VectorField,
@@ -37,6 +37,9 @@ PI = math.pi
 
 MINIMAL = "Minimal"
 MAXIMAL = "Maximal"
+
+# a segment endpoint within this of 0 is the origin, for its witnesses
+_ORIGIN_ATOL = 1e-12
 
 
 def zero_point(n: int) -> float:
@@ -123,21 +126,21 @@ def origin_witness(x: float, want_sign: int) -> float:
     return w
 
 
-def origin_segment_witnesses(a, b, atol: float = 1e-12):
+def origin_segment_witnesses(a, b):
     """Extra eps values for a comparison whose segment ends at the origin.
 
-    The segment is eps*a + (1-eps)*b.  When one endpoint is (numerically)
-    the origin, returns the two eps locations where x f takes each sign,
-    with x the other endpoint; otherwise returns ().
+    The segment is eps*a + (1-eps)*b.  When one endpoint is the origin
+    (within _ORIGIN_ATOL), returns the two eps locations where x f takes
+    each sign, with x the other endpoint; otherwise returns ().
     """
     a = np.atleast_1d(np.asarray(a, float))
     b = np.atleast_1d(np.asarray(b, float))
     if a.size != 1 or b.size != 1:
         return ()
     a0, b0 = float(a[0]), float(b[0])
-    if abs(a0) <= atol and abs(b0) > atol:
+    if abs(a0) <= _ORIGIN_ATOL and abs(b0) > _ORIGIN_ATOL:
         return tuple(1.0 - origin_witness(b0, s) / b0 for s in (1, -1))
-    if abs(b0) <= atol and abs(a0) > atol:
+    if abs(b0) <= _ORIGIN_ATOL and abs(a0) > _ORIGIN_ATOL:
         return tuple(origin_witness(a0, s) / a0 for s in (1, -1))
     return ()
 
@@ -232,8 +235,7 @@ class CatalogAgreementReport:
 
 
 def classify_catalog(n_max: int = 25, cfg: ToleranceConfig | None = None,
-                     grid_n: int = 4096, seed: int = 42,
-                     domain: Domain | None = None) -> CatalogAgreementReport:
+                     grid_n: int = 4096, seed: int = 42) -> CatalogAgreementReport:
     """Classify every catalog point numerically and compare with the oracle.
 
     One uniform-grid screen per point serves both directions: each
@@ -241,7 +243,7 @@ def classify_catalog(n_max: int = 25, cfg: ToleranceConfig | None = None,
     point, is dominated by it, or neither.
     """
     cfg = cfg or ToleranceConfig()
-    f, c = case_fields(domain)
+    _, c = case_fields()
     catalog = build_catalog(n_max)
     challengers = case_challengers(c.domain, catalog, grid_n, seed)
     verdicts = []
@@ -287,8 +289,7 @@ def require_origin_radii(radii, cfg: ToleranceConfig) -> None:
 
 def origin_atypicality(radii=ORIGIN_RADII, cfg: ToleranceConfig | None = None,
                        grid_n: int = 4096, seed: int = 42,
-                       neighborhood_count: int = 512,
-                       domain: Domain | None = None) -> OriginAtypicalityReport:
+                       neighborhood_count: int = 512) -> OriginAtypicalityReport:
     """Certify that the origin is minimal and maximal yet locally nothing.
 
     Neighborhood samples at every radius are augmented with the exact
@@ -297,7 +298,7 @@ def origin_atypicality(radii=ORIGIN_RADII, cfg: ToleranceConfig | None = None,
     """
     cfg = cfg or ToleranceConfig()
     require_origin_radii(radii, cfg)
-    _, c = case_fields(domain)
+    _, c = case_fields()
     catalog = build_catalog(25)
     challengers = case_challengers(c.domain, catalog, grid_n, seed)
     origin = np.array([0.0])
@@ -458,19 +459,22 @@ class MexicanHatReport:
 
 
 def mexican_hat_counterexample(n_circle: int = 16, cfg: ToleranceConfig | None = None,
-                               radius: float | None = None, seed: int = 42) -> MexicanHatReport:
+                               seed: int = 42) -> MexicanHatReport:
     """Global minima on the unit circle of the rotated well are not local
     minima of the scalar dominance order.
 
     Each circle point is paired with a nearby circle point inside its ball;
     the chord between them leaves the circle, so the profile rises strictly
-    in the interior and weak descent fails in both directions.
+    in the interior and weak descent fails in both directions.  Every ball
+    has radius 0.05 times the domain's diameter.  The circle is checked
+    against the set-check byte cap before it is built.
     """
     if n_circle < 2:
         raise ValueError("need at least two circle points")
+    _require_set_size(n_circle, 2)
     cfg = cfg or ToleranceConfig()
     f = scalar_field("mexican_hat")
-    radius = radius if radius is not None else 0.05 * f.domain.diameter()
+    radius = 0.05 * f.domain.diameter()
     angles = 2.0 * PI * np.arange(n_circle) / n_circle
     circle = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     phi = 0.9 * min(radius, 1.0)  # witness stays inside the ball and on the circle

@@ -38,6 +38,11 @@ from .fields import (_MAX_GRID_POINTS, Box, Domain, Grid, Product, SampleSet, Sc
 # ball samples span this many decades of radii so that violations living at
 # small scales are probed without drowning in sub-tau hairline comparisons
 _RADIUS_DECADES = 2.5
+# seeded samples of every neighborhood ball
+_BALL_COUNT = 512
+# cap on the bytes of the pairwise difference arrays of a set check,
+# counted before the check starts
+_MAX_SET_BYTES = 1 << 29
 
 
 @dataclass(frozen=True)
@@ -95,7 +100,7 @@ def _axis_probes(domain: Domain, center: np.ndarray, radius: float) -> np.ndarra
     return _feasible_steps(domain, center, dirs * radius)
 
 
-def sample_neighborhood(domain: Domain, center, radius: float, count: int = 512,
+def sample_neighborhood(domain: Domain, center, radius: float, count: int = _BALL_COUNT,
                         seed: int = 0) -> SampleSet:
     """Deterministic sample of ball(center, radius) intersected with the domain.
 
@@ -125,10 +130,17 @@ def sample_neighborhood(domain: Domain, center, radius: float, count: int = 512,
 
 def default_challengers(domain: Domain, seed: int = 42, grid_n: int = 2048,
                         random_n: int = 4096) -> SampleSet:
-    """Default global challenger set: 1-D grid, otherwise seeded points + extremes."""
+    """Default global challenger set: 1-D grid, otherwise seeded points + extremes.
+
+    A box's 2^dim corners are counted before they are built and must not
+    exceed the grid cap (so dim <= 20).
+    """
     if isinstance(domain, Box):
         if domain.dim == 1:
             return sample_domain(domain, Grid(grid_n), seed)
+        if 2 ** domain.dim > _MAX_GRID_POINTS:
+            raise ValueError(f"a {domain.dim}-dim box has more than {_MAX_GRID_POINTS} "
+                             "corners to challenge with")
         base = sample_domain(domain, SeededRandom(random_n), seed)
         corners = np.array(list(itertools.product(*zip(domain.lower, domain.upper))), float)
         return base.union(corners, note="corners")
@@ -313,16 +325,26 @@ def _candidate_matrix(candidate) -> np.ndarray:
     return C
 
 
-def _set_tolerance(C: np.ndarray, cfg: ToleranceConfig, set_tol: float | None) -> float:
+def _require_set_size(m: int, dim: int) -> None:
+    """Raise ValueError when a set check of m candidates in dim dimensions
+    would hold a pairwise difference array over _MAX_SET_BYTES: the
+    (m, m, dim) one of the set tolerance or the (ball, m, dim) one of a
+    member's neighborhood ball, whose samples are at most _BALL_COUNT plus
+    2 dim axis probes."""
+    rows = max(m, _BALL_COUNT + 2 * dim)
+    if rows * m * dim * 8 > _MAX_SET_BYTES:
+        raise ValueError(f"a set check of {m} candidates in {dim} dimensions would hold "
+                         f"more than {_MAX_SET_BYTES} bytes of pairwise differences")
+
+
+def _set_tolerance(C: np.ndarray, cfg: ToleranceConfig) -> float:
     """Distance below which a sample counts as lying on the candidate set.
 
     A finite discretization cannot certify strict inequalities for points
-    closer to the true set than its own mesh, so the default widens tau to
-    half the largest nearest-neighbor gap (plus sqrt(tau) to absorb the band
-    where quadratic growth off the set dips under tau).
+    closer to the true set than its own mesh, so tau is widened to half the
+    largest nearest-neighbor gap (plus sqrt(tau) to absorb the band where
+    quadratic growth off the set dips under tau).
     """
-    if set_tol is not None:
-        return set_tol
     if C.shape[0] == 1:
         gap = 0.0
     else:
@@ -333,16 +355,16 @@ def _set_tolerance(C: np.ndarray, cfg: ToleranceConfig, set_tol: float | None) -
 
 
 def _set_check(domain: Domain, candidate, radius: float, cfg: ToleranceConfig | None,
-               samples_per_point: int, seed: int, set_tol: float | None,
-               stats_of) -> CheckOutcome:
+               seed: int, stats_of) -> CheckOutcome:
     """Sample each member's neighborhood and require stats_of(member, X) to
     stay <= tau on the candidate set and < -tau off it; the worst bad
-    sample is the witness."""
+    sample is the witness.  The set's size is checked before any work."""
     cfg = cfg or ToleranceConfig()
     C = _candidate_matrix(candidate)
-    tol = _set_tolerance(C, cfg, set_tol)
+    _require_set_size(len(C), C.shape[-1])
+    tol = _set_tolerance(C, cfg)
     for i, xstar in enumerate(C):
-        X = sample_neighborhood(domain, xstar, radius, samples_per_point, seed + i).points
+        X = sample_neighborhood(domain, xstar, radius, seed=seed + i).points
         stats = stats_of(xstar, X)
         d2 = np.sum((X[:, None, :] - C[None, :, :]) ** 2, axis=-1)
         off_set = np.sqrt(d2.min(axis=1)) > tol
@@ -354,24 +376,22 @@ def _set_check(domain: Domain, candidate, radius: float, cfg: ToleranceConfig | 
 
 
 def is_ess_set(c: VectorField, candidate, radius: float,
-               cfg: ToleranceConfig | None = None, samples_per_point: int = 512,
-               seed: int = 0, set_tol: float | None = None) -> CheckOutcome:
+               cfg: ToleranceConfig | None = None, seed: int = 0) -> CheckOutcome:
     """Evolutionarily-stable-set check on a finite discretization.
 
     Every member must weakly resist invasion by its sampled neighborhood,
     strictly so for samples farther than the set tolerance from the
     candidate list.
     """
-    return _set_check(c.domain, candidate, radius, cfg, samples_per_point, seed, set_tol,
+    return _set_check(c.domain, candidate, radius, cfg, seed,
                       lambda xstar, X: np.einsum("kd,kd->k", xstar[None, :] - X, c.values(X)))
 
 
 def is_almost_strictly_minimal_set(f: ScalarField, candidate, radius: float,
                                    cfg: ToleranceConfig | None = None,
-                                   samples_per_point: int = 512, seed: int = 0,
-                                   set_tol: float | None = None) -> CheckOutcome:
+                                   seed: int = 0) -> CheckOutcome:
     """Scalar analogue of is_ess_set: on-set values tie, nearby off-set values exceed."""
-    return _set_check(f.domain, candidate, radius, cfg, samples_per_point, seed, set_tol,
+    return _set_check(f.domain, candidate, radius, cfg, seed,
                       lambda xstar, X: f.value(xstar) - f.values(X))
 
 
@@ -426,8 +446,7 @@ def _chain(condition: bool, message: str):
 
 def classify_point(kind: str, field, p, challengers: SampleSet | None = None,
                    radius: float | None = None, cfg: ToleranceConfig | None = None,
-                   seed: int = 42, neighborhood_count: int = 512,
-                   segment_witnesses=None) -> ClassificationReport:
+                   seed: int = 42, segment_witnesses=None) -> ClassificationReport:
     """Run every applicable check with shared probe sets and assert the
     theorem inclusion chains before returning."""
     if kind not in ("scalar", "vector"):
@@ -436,7 +455,7 @@ def classify_point(kind: str, field, p, challengers: SampleSet | None = None,
     p = require_in_domain(field.domain, p)
     radius = radius if radius is not None else 0.05 * field.domain.diameter()
     challengers = challengers or default_challengers(field.domain, seed)
-    neighborhood = sample_neighborhood(field.domain, p, radius, neighborhood_count, seed)
+    neighborhood = sample_neighborhood(field.domain, p, radius, seed=seed)
     # global sweeps see the local probes too, so the chains are checked on
     # comparable evidence
     full = challengers.union(neighborhood.points, note="ball")

@@ -15,10 +15,12 @@ batch as alone; game costs, a BLAS matmul, need not.  Starts whose
 states and times could exceed a fixed byte cap run in groups under it; a
 single start over the cap is refused before it starts.
 
-For one-dimensional fields the potential L(x) = integral of f from a
-reference point is evaluated by adaptive Simpson quadrature; along
-trajectories of x' = -f(x) its increments are checked to be nonincreasing
-up to a small slack, since dL/dt = -f(x)^2 <= 0 on true solutions.
+For a one-dimensional field f, the potential L(x) is the integral of f
+from a reference point; along trajectories of x' = -f(x), dL/dt = -f(x)^2
+<= 0 on true solutions.  check_setwise_stability checks that L never rises
+by more than LYAPUNOV_SLACK between consecutive trajectory samples, each
+increment by two-panel Simpson over its step.  lyapunov_integral, the only
+adaptive Simpson quadrature here, evaluates L itself to LYAPUNOV_ABS_TOL.
 """
 
 from __future__ import annotations
@@ -39,6 +41,11 @@ STEP_UNDERFLOW = "StepUnderflow"
 # cap on the bytes of states and times one kernel call may hold, counted
 # before it starts: a default flow of one start holds a few megabytes
 _MAX_TRAJECTORY_BYTES = 1 << 29
+# largest rise of the potential between trajectory samples that still
+# counts as nonincreasing
+LYAPUNOV_SLACK = 1e-8
+# absolute error target of lyapunov_integral's adaptive Simpson quadrature
+LYAPUNOV_ABS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -185,9 +192,9 @@ def _adaptive_simpson(fv, a: float, fa: float, b: float, fb: float,
             + _adaptive_simpson(fv, m, fm, b, fb, right, frm, tol / 2.0, depth - 1))
 
 
-def lyapunov_integral(f: ScalarField, x_ref: float, x: float,
-                      abs_tol: float = 1e-10) -> float:
-    """Oriented integral of a 1-D scalar field from x_ref to x (adaptive Simpson)."""
+def lyapunov_integral(f: ScalarField, x_ref: float, x: float) -> float:
+    """Oriented integral of a 1-D scalar field from x_ref to x (adaptive
+    Simpson to LYAPUNOV_ABS_TOL)."""
     if f.domain.dim != 1:
         raise ValueError("lyapunov_integral needs a one-dimensional field")
     lo, hi = (x_ref, x) if x_ref <= x else (x, x_ref)
@@ -203,7 +210,7 @@ def lyapunov_integral(f: ScalarField, x_ref: float, x: float,
     m = 0.5 * (lo + hi)
     fm = fv(m)
     whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
-    val = _adaptive_simpson(fv, lo, fa, hi, fb, whole, fm, abs_tol, depth=48)
+    val = _adaptive_simpson(fv, lo, fa, hi, fb, whole, fm, LYAPUNOV_ABS_TOL, depth=48)
     return val if x_ref <= x else -val
 
 
@@ -211,7 +218,7 @@ def _segment_increments(f: ScalarField, states: np.ndarray) -> np.ndarray:
     """L increments between consecutive 1-D samples via two-panel Simpson.
 
     Steps are tiny (|dx| <= dt * max|f|), where the rule is far more accurate
-    than the 1e-8 monotonicity slack it feeds.
+    than the LYAPUNOV_SLACK it feeds.
     """
     x = states[:, 0]
     a, b = x[:-1], x[1:]
@@ -264,12 +271,11 @@ class SetStabilityReport:
 
 def check_setwise_stability(F: VectorField, candidate, initial_conditions: SampleSet,
                             cfg: IntegratorConfig | None = None,
-                            potential: ScalarField | None = None,
-                            lyap_slack: float = 1e-8) -> SetStabilityReport:
+                            potential: ScalarField | None = None) -> SetStabilityReport:
     """Integrate from each start and certify convergence into the candidate set.
 
     When a 1-D potential is supplied, the report also states whether its
-    value never increased by more than lyap_slack between consecutive
+    value never increased by more than LYAPUNOV_SLACK between consecutive
     trajectory samples.
     """
     cfg = cfg or IntegratorConfig()
@@ -298,7 +304,7 @@ def check_setwise_stability(F: VectorField, candidate, initial_conditions: Sampl
         if monotone is not None and traj.states.shape[0] > 1:
             inc = float(_segment_increments(potential, traj.states).max())
             max_increase = max(max_increase, inc)
-            monotone = monotone and inc <= lyap_slack
+            monotone = monotone and inc <= LYAPUNOV_SLACK
         trials.append(TrialRecord(
             x0=tuple(as_point(x0)), final_distance=final_distance,
             limit_point=tuple(C[j]) if converged else None, converged=converged,

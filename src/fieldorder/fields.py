@@ -51,8 +51,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 # Domains
 # ---------------------------------------------------------------------------
 
+class _RowContainment:
+    """A domain's point test is the one-row case of its contains_rows: a
+    point is in the domain when its only row is."""
+
+    def contains(self, p) -> bool:
+        return bool(self.contains_rows(np.asarray(p, float)[None])[0])
+
+
 @dataclass(frozen=True)
-class Box:
+class Box(_RowContainment):
     """Axis-aligned box [lower, upper], closed and convex."""
 
     lower: tuple[float, ...]
@@ -73,13 +81,8 @@ class Box:
     def dim(self) -> int:
         return len(self.lower)
 
-    def contains(self, p, tol: float = CONTAINMENT_TOL) -> bool:
-        p = np.asarray(p, float)
-        lo, up = np.asarray(self.lower), np.asarray(self.upper)
-        return p.shape == lo.shape and bool(np.all(p >= lo - tol) and np.all(p <= up + tol))
-
     def contains_rows(self, P) -> np.ndarray:
-        """contains(p) for every row p of P, as a bool array."""
+        """Whether each row of P lies in the box within CONTAINMENT_TOL."""
         P = np.asarray(P, float)
         lo, up = self._bounds
         if P.shape[1:] != lo.shape:
@@ -94,7 +97,7 @@ class Box:
 
 
 @dataclass(frozen=True)
-class Simplex:
+class Simplex(_RowContainment):
     """The set {x in R^dim : x >= 0, sum(x) = mass}."""
 
     mass: float
@@ -106,14 +109,9 @@ class Simplex:
         if self.dim < 1:
             raise ValueError("simplex dim must be >= 1")
 
-    def contains(self, p, tol: float = CONTAINMENT_TOL) -> bool:
-        p = np.asarray(p, float)
-        if p.shape != (self.dim,):
-            return False
-        return bool(np.all(p >= -tol) and abs(float(p.sum()) - self.mass) <= tol)
-
     def contains_rows(self, P) -> np.ndarray:
-        """contains(p) for every row p of P, as a bool array."""
+        """Whether each row of P is >= -CONTAINMENT_TOL with a sum within
+        CONTAINMENT_TOL of mass."""
         P = np.asarray(P, float)
         if P.shape[1:] != (self.dim,):
             return np.zeros(len(P), bool)
@@ -132,7 +130,7 @@ class Simplex:
 
 
 @dataclass(frozen=True)
-class Product:
+class Product(_RowContainment):
     """Cartesian product of simplexes (strategy-profile spaces)."""
 
     parts: tuple[Simplex, ...]
@@ -145,21 +143,8 @@ class Product:
     def dim(self) -> int:
         return sum(s.dim for s in self.parts)
 
-    def split(self, p: np.ndarray) -> list[np.ndarray]:
-        out, k = [], 0
-        for s in self.parts:
-            out.append(np.asarray(p)[k:k + s.dim])
-            k += s.dim
-        return out
-
-    def contains(self, p, tol: float = CONTAINMENT_TOL) -> bool:
-        p = np.asarray(p, float)
-        if p.shape != (self.dim,):
-            return False
-        return all(s.contains(block, tol) for s, block in zip(self.parts, self.split(p)))
-
     def contains_rows(self, P) -> np.ndarray:
-        """contains(p) for every row p of P, as a bool array."""
+        """Whether each block of each row of P lies in its simplex."""
         P = np.asarray(P, float)
         if P.shape[1:] != (self.dim,):
             return np.zeros(len(P), bool)
@@ -176,9 +161,9 @@ class Product:
 Domain = Union[Box, Simplex, Product]
 
 
-def require_in_domain(domain: Domain, p, tol: float = CONTAINMENT_TOL) -> np.ndarray:
+def require_in_domain(domain: Domain, p) -> np.ndarray:
     p = as_point(p)
-    if not domain.contains(p, tol):
+    if not domain.contains(p):
         raise DomainViolationError(f"point {p.tolist()} outside domain {domain}")
     return p
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fieldorder import classify
 from fieldorder.classify import (classify_point, default_challengers,
                                  is_almost_strictly_minimal_set, is_critical_element,
                                  is_ess, is_ess_set, is_local_min_polyorder_scalar,
@@ -164,6 +165,18 @@ class TestSetConcepts:
         with pytest.raises(ValueError):
             is_ess_set(square, [], 0.1, CFG)
 
+    def test_oversize_candidate_set_rejected_before_any_work(self, monkeypatch):
+        # 20,000 planar candidates would need a 6.4 GB (m, m, dim) array
+        def work(*args, **kwargs):
+            raise AssertionError("the set check started before its size was checked")
+
+        monkeypatch.setattr(classify, "_set_tolerance", work)
+        monkeypatch.setattr(classify, "sample_neighborhood", work)
+        angles = 2 * np.pi * np.arange(20_000) / 20_000
+        circle = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        with pytest.raises(ValueError, match="bytes of pairwise differences"):
+            is_ess_set(vector_field("mexican_hat"), circle, 0.28, CFG)
+
 
 class TestNeighborhoodSampler:
     def test_box_samples_inside_ball_and_domain(self):
@@ -172,7 +185,7 @@ class TestNeighborhoodSampler:
         center = np.array([0.9, 0.0])
         assert np.all(np.linalg.norm(got.points - center, axis=1) <= 0.3 + 1e-12)
         for row in got.points:
-            assert dom.contains(row, tol=1e-12)
+            assert dom.contains(row)
 
     def test_simplex_samples_keep_mass(self):
         dom = Product((Simplex(1.0, 2), Simplex(1.0, 2)))

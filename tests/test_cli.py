@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fieldorder import cli
+from fieldorder import casestudy, classify, cli
 from fieldorder.cli import _dumps, main
 from fieldorder.fields import registry_names, scalar_field
 
@@ -126,6 +126,21 @@ class TestClassify:
         assert code == 2
         assert out == ""
         assert "sample count" in err
+
+    def test_too_many_box_corners_exit_2_before_they_are_built(self, capsys, monkeypatch,
+                                                              tmp_path):
+        # a 22-dim box has 4,194,304 corners, over the 2,000,000-point cap
+        def product(*args):
+            raise AssertionError("the corner list was built before it was counted")
+
+        monkeypatch.setattr(classify.itertools, "product", product)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"Q": np.eye(22).tolist(), "b": [0.0] * 22}))
+        code, out, err = run(capsys, "--json", "classify", "--vector", str(path),
+                             "--point", ",".join(["0"] * 22))
+        assert code == 2
+        assert out == ""
+        assert "corners" in err
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_non_positive_challenger_count_exits_2(self, capsys, count):
@@ -286,6 +301,17 @@ class TestCasestudy:
         assert out == ""
         assert "origin radius 0.001" in err
 
+    def test_oversize_circle_exits_2_before_it_is_built(self, capsys, monkeypatch):
+        def field(*args):
+            raise AssertionError("the counterexample started before the circle was checked")
+
+        monkeypatch.setattr(casestudy, "scalar_field", field)
+        code, out, err = run(capsys, "--json", "casestudy", "--mexican-hat",
+                             "--circle-points", str(10**9))
+        assert code == 2
+        assert out == ""
+        assert "bytes of pairwise differences" in err
+
     def test_mexican_hat_flag(self, capsys):
         got = run_json(capsys, "casestudy", "--mexican-hat", "--circle-points", "4")
         assert got["mexican_hat"]["confirmed"] is True
@@ -413,3 +439,22 @@ class TestRerunProperty:
         assert first[0] in (0, 4)
         if first[0] == 0:
             assert "game_report.json" in first[2]
+
+    @settings(max_examples=25, deadline=None)
+    @given(_field_points(1), st.sampled_from(["0.01", "0.05", "0.2"]), st.booleans())
+    def test_flow_reruns_are_byte_identical(self, drawn, tmax, auto):
+        options, (_, ref), (x0,) = drawn
+        argv = [*options, "flow", "--field", ref, f"--x0={x0}", "--tmax", tmax]
+        if auto and ref.endswith("xsininv"):
+            argv += ["--candidate", "auto"]
+        first, second = _runs_twice(argv)
+        assert first == second
+        assert first[0] == 0 and "trajectory.csv" in first[2]
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 2**31 - 1), st.integers(3, 65))
+    def test_mexican_hat_reruns_are_byte_identical(self, circle_points, seed, neps):
+        first, second = _runs_twice(["--seed", str(seed), "--neps", str(neps), "casestudy",
+                                     "--mexican-hat", "--circle-points", str(circle_points)])
+        assert first == second
+        assert first[0] == 0 and "mexican_hat.json" in first[2]

@@ -37,13 +37,13 @@ class TestSegmentPoint:
         box = Box((-1.0, -1.0), (1.0, 2.0))
         x, y = np.array([x0, x1]), np.array([y0, y1])
         for eps in np.linspace(0, 1, 101):
-            assert box.contains(segment_point(x, y, eps), tol=1e-12)
+            assert box.contains(segment_point(x, y, eps))
 
     def test_simplex_segment_stays_on_mass_plane(self):
         s = Simplex(2.0, 3)
         x, y = np.array([2.0, 0.0, 0.0]), np.array([0.5, 0.5, 1.0])
         for eps in np.linspace(0, 1, 101):
-            assert s.contains(segment_point(x, y, eps), tol=1e-12)
+            assert s.contains(segment_point(x, y, eps))
 
 
 class TestGradientFd:
@@ -173,7 +173,7 @@ class TestSampling:
         assert np.allclose(got[:, :2].sum(axis=1), 1.0, atol=1e-12)
         assert np.allclose(got[:, 2:].sum(axis=1), 2.0, atol=1e-12)
         for row in got:
-            assert dom.contains(row, tol=1e-12)
+            assert dom.contains(row)
 
     def test_explicit_points_validated(self):
         with pytest.raises(DomainViolationError):

@@ -39,7 +39,7 @@ class TestSymmetric:
         g = hawk_dove()
         ch = default_challengers(g.domain, 3)
         for row in ch.points:
-            assert g.domain.contains(row, tol=1e-12)
+            assert g.domain.contains(row)
 
 
 class TestBimatrix:
