@@ -9,11 +9,11 @@ the convergence threshold, else when the state norm falls under the floor
 (the non-Lipschitz pocket around an oscillatory origin, surfaced rather
 than hidden), else when the next state would leave the domain; rows left
 when time runs out stop with MaxTime.  Each norm is sqrt(row.dot(row)) of
-its own row, never a batched reduction.  So where the field evaluates a
-row independently of its batch, a row flows bit for bit the same in a
-batch as alone; game costs, a BLAS matmul, need not.  Starts whose
-states and times could exceed a fixed byte cap run in groups under it; a
-single start over the cap is refused before it starts.
+its own row, never a batched reduction.  Every field in the package
+evaluates a row independently of its batch, so a row flows bit for bit the
+same in a batch as alone.  Starts whose states and times could exceed a
+fixed byte cap run in groups under it; a single start over the cap is
+refused before it starts.
 
 For a one-dimensional field f, the potential L(x) is the integral of f
 from a reference point; along trajectories of x' = -f(x), dL/dt = -f(x)^2
@@ -99,9 +99,8 @@ def _rk4(F: VectorField, starts: np.ndarray, cfg: IntegratorConfig) -> tuple[Tra
     norm is sqrt(row.dot(row)), what np.linalg.norm computes on one row: a
     batched reduction can differ in the last bit and move a stop by a step.
     Where F evaluates each row independently of the others in its batch,
-    each row's trajectory is bit for bit the one it has when integrated
-    alone.  Game costs are a BLAS matmul, which need not be: a game row can
-    differ in the last bit between a batch and alone.
+    as every field in the package does, each row's trajectory is bit for
+    bit the one it has when integrated alone.
 
     Starts whose states and times would together exceed the byte cap run
     in groups that fit it; a single start over the cap is refused.

@@ -5,10 +5,11 @@ freezes them).  Domains are closed convex sets of three kinds: axis-aligned
 boxes, mass simplexes ``{x >= 0, sum(x) = mass}``, and products of
 simplexes.  A scalar or vector field is one deterministic batch map over a
 domain, so that sweep code evaluates thousands of segment points in one
-numpy call.  ``values`` is the only place that calls it: it checks the
-shape of every batch and that every value is finite, raising
-``DimensionMismatchError`` or ``ValueError``.  ``value`` is its one-row
-case.
+numpy call.  ``values`` is the only place that calls it: it checks that
+the points are as wide as the domain, the shape of every batch and that
+every value is finite, raising ``DimensionMismatchError`` or
+``ValueError``.  ``value`` is its one-row case.  Every affine map is built
+by ``affine_field``, whose rows do not depend on their batch.
 
 All objects are immutable after construction and all operations are pure,
 so everything here is safe to call concurrently.
@@ -325,7 +326,7 @@ class ScalarField:
         return float(self.values(np.asarray(p, float).reshape(1, -1))[0])
 
     def values(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, float))
+        pts = _points(self, pts)
         return _checked(self, pts, np.asarray(self.batch(pts), float), (pts.shape[0],))
 
 
@@ -334,9 +335,8 @@ class VectorField:
     """Deterministic c: X -> R^dim given by one batch map (n, dim) -> (n, dim).
 
     affine, when set, is the exact (A, b) with c(x) = A x + b that batch
-    evaluates in floating point (any summation order); the dominance
-    screens use it to certify rows from two segment points.  Only the
-    constructors that build such a map set it (see affine_parts).
+    evaluates in floating point; the dominance screens use it to certify
+    rows from two segment points.  Only affine_field and negate set it.
     """
 
     batch: Callable[[np.ndarray], np.ndarray]
@@ -349,16 +349,25 @@ class VectorField:
         return self.values(np.asarray(p, float).reshape(1, -1))[0]
 
     def values(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, float))
+        pts = _points(self, pts)
         return _checked(self, pts, np.asarray(self.batch(pts), float), pts.shape)
 
 
 AnyField = Union[ScalarField, VectorField]
 
 
+def _points(f: AnyField, pts) -> np.ndarray:
+    """pts as an (n, dim) float array for f's domain, else DimensionMismatchError."""
+    pts = np.atleast_2d(np.asarray(pts, float))
+    if pts.ndim != 2 or pts.shape[1] != f.domain.dim:
+        raise DimensionMismatchError(f"field {f.label!r} on a {f.domain.dim}-D domain "
+                                     f"got points of shape {pts.shape}")
+    return pts
+
+
 def _checked(f: AnyField, pts: np.ndarray, vals: np.ndarray, shape: tuple) -> np.ndarray:
     """vals, once its shape and finiteness are verified for the whole batch."""
-    if pts.ndim != 2 or vals.shape != shape:
+    if vals.shape != shape:
         raise DimensionMismatchError(
             f"field {f.label!r} returned shape {vals.shape} for points of shape {pts.shape}")
     if not np.isfinite(vals).all():
@@ -368,16 +377,23 @@ def _checked(f: AnyField, pts: np.ndarray, vals: np.ndarray, shape: tuple) -> np
     return vals
 
 
-def affine_parts(A, b) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only float64 copies of the (A, b) of c(x) = A x + b, checked for shape.
+def affine_field(A, b, domain: Domain, label: str) -> VectorField:
+    """The vector field c(x) = A x + b: the one constructor of an affine map.
 
-    A constructor evaluates its batch with these copies, so no caller array
-    can change the map after its parts are recorded.
+    affine holds read-only copies of (A, b), and the batch evaluates them,
+    so no caller array can change the map afterwards.  Each row is one
+    einsum row over C-ordered points: unlike a BLAS matmul, a row's value
+    then depends neither on how many rows share its batch nor on their
+    layout, so value(p) is bitwise a row of values.
     """
-    A, b = _frozen(np.array(A, np.float64)), _frozen(np.array(b, np.float64))
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):
-        raise DimensionMismatchError("an affine map needs a square A and a matching b")
-    return A, b
+    A, b, n = _frozen(np.array(A, np.float64)), _frozen(np.array(b, np.float64)), domain.dim
+    if A.shape != (n, n) or b.shape != (n,):
+        raise DimensionMismatchError(f"an affine map on a {n}-D domain needs an {n}x{n} A "
+                                     f"and {n} b entries, got {A.shape} and {b.shape}")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("an affine map has non-finite entries")
+    return VectorField(batch=lambda P: np.einsum("nj,ij->ni", np.ascontiguousarray(P), A) + b,
+                       domain=domain, label=label, affine=(A, b))
 
 
 def negate(f: AnyField) -> AnyField:
@@ -390,7 +406,7 @@ def negate(f: AnyField) -> AnyField:
     neg = type(f)(batch=lambda P: -batch(P), domain=f.domain, label=label)
     if isinstance(f, VectorField) and f.affine is not None:
         A, b = f.affine
-        neg = replace(neg, affine=affine_parts(-A, -b))
+        neg = replace(neg, affine=(_frozen(-A), _frozen(-b)))
     return neg
 
 
@@ -519,9 +535,7 @@ def vector_field(name: str, domain: Domain | None = None) -> VectorField:
     """
     if name == "linear":
         dom = domain or _box1(-1.0, 1.0)
-        n = dom.dim
-        return VectorField(batch=lambda P: P.copy(), domain=dom, label="linear",
-                           affine=affine_parts(np.eye(n), np.zeros(n)))
+        return affine_field(np.eye(dom.dim), np.zeros(dom.dim), dom, "linear")
     if name == "mexican_hat":
         dom = domain or MEXICAN_HAT_BOX
         return VectorField(batch=_mexican_hat_grad, domain=dom, label="mexican_hat")
@@ -532,35 +546,27 @@ def vector_field(name: str, domain: Domain | None = None) -> VectorField:
     raise ValueError(f"unknown field {name!r}; known: {registry_names()}")
 
 
-def quadratic_form(Q, b, domain: Domain | None = None,
-                   label: str = "quadratic_form") -> tuple[ScalarField, VectorField]:
-    """f(x) = x'Qx/2 + b'x and its exact gradient field (Q+Q')x/2 + b."""
-    Q = np.asarray(Q, float)
-    b = np.asarray(b, float)
+def quadratic_form(Q, b, label: str = "quadratic_form") -> tuple[ScalarField, VectorField]:
+    """f(x) = x'Qx/2 + b'x on [-1, 1]^n and its exact gradient field (Q+Q')x/2 + b."""
+    Q, b = np.array(Q, float), np.array(b, float)  # private copies for f's batch
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise DimensionMismatchError("Q must be square")
     if b.shape != (Q.shape[0],):
         raise DimensionMismatchError("b must match Q's dimension")
-    if not (np.all(np.isfinite(Q)) and np.all(np.isfinite(b))):
-        raise ValueError("Q and b must be finite")
-    with np.errstate(over="ignore"):
+    # a non-finite entry of Q, or an overflow of (Q + Q')/2, leaves S
+    # non-finite, and affine_field rejects it without a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
         S = 0.5 * (Q + Q.T)
-    if not np.all(np.isfinite(S)):
-        raise ValueError("(Q + Q')/2 overflows to a non-finite value")
-    S, b = affine_parts(S, b)
-    dom = domain or Box(tuple([-1.0] * len(b)), tuple([1.0] * len(b)))
+    dom = Box(tuple([-1.0] * len(b)), tuple([1.0] * len(b)))
+    grad = affine_field(S, b, dom, f"grad:{label}")
 
-    # row-wise einsums: unlike a BLAS matmul, a row's value does not depend
-    # on how many rows share its batch, so value(p) is bitwise a row of values
+    # row-wise einsums, as in affine_field: value(p) is bitwise a row of values
     def fbatch(P: np.ndarray) -> np.ndarray:
+        P = np.ascontiguousarray(P)
         return (0.5 * np.einsum("ni,ni->n", P, np.einsum("ij,nj->ni", Q, P))
                 + np.einsum("ni,i->n", P, b))
 
-    def gbatch(P: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,nj->ni", S, P) + b
-
-    return (ScalarField(batch=fbatch, domain=dom, label=label),
-            VectorField(batch=gbatch, domain=dom, label=f"grad:{label}", affine=(S, b)))
+    return ScalarField(batch=fbatch, domain=dom, label=label), grad
 
 
 def field_from_json(source) -> tuple[ScalarField, VectorField]:

@@ -19,7 +19,7 @@ import numpy as np
 from .classify import CheckOutcome, is_critical_element
 from .dominance import ToleranceConfig
 from .errors import DimensionMismatchError
-from .fields import Product, SampleSet, Simplex, VectorField, affine_parts
+from .fields import Product, SampleSet, Simplex, VectorField, affine_field
 
 
 @dataclass(frozen=True)
@@ -38,36 +38,23 @@ def from_symmetric_matrix(C, mass: float = 1.0, label: str = "symmetric") -> Pop
     C = np.asarray(C, float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise DimensionMismatchError("cost matrix must be square")
-    if not np.all(np.isfinite(C)):
-        raise ValueError("cost matrix must be finite")
     m = C.shape[0]
-    domain = Product((Simplex(mass, m),))
-    C, zero = affine_parts(C, np.zeros(m))
-    field = VectorField(batch=lambda X: X @ C.T, domain=domain, label=f"game:{label}",
-                        affine=(C, zero))
-    return PopulationGame(populations=((mass, m),), cost=field, label=label)
+    cost = affine_field(C, np.zeros(m), Product((Simplex(mass, m),)), f"game:{label}")
+    return PopulationGame(populations=((mass, m),), cost=cost, label=label)
 
 
 def from_bimatrix(A, B, label: str = "bimatrix") -> PopulationGame:
     """Two-population game: player-1 costs A y, player-2 costs B' x, concatenated."""
-    A = np.array(A, float)  # private copies: the batch and the affine parts must agree
-    B = np.array(B, float)
+    A = np.asarray(A, float)
+    B = np.asarray(B, float)
     if A.shape != B.shape or A.ndim != 2:
         raise DimensionMismatchError("A and B must be matrices of equal shape")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-        raise ValueError("cost matrices must be finite")
     m1, m2 = A.shape
     domain = Product((Simplex(1.0, m1), Simplex(1.0, m2)))
     # the cost is [[0, A], [B', 0]] applied to the stacked state (x, y)
-    M, zero = affine_parts(np.block([[np.zeros((m1, m1)), A], [B.T, np.zeros((m2, m2))]]),
-                           np.zeros(m1 + m2))
-
-    def batch(P: np.ndarray) -> np.ndarray:
-        x, y = P[:, :m1], P[:, m1:]
-        return np.hstack([y @ A.T, x @ B])
-
-    field = VectorField(batch=batch, domain=domain, label=f"game:{label}", affine=(M, zero))
-    return PopulationGame(populations=((1.0, m1), (1.0, m2)), cost=field, label=label)
+    M = np.block([[np.zeros((m1, m1)), A], [B.T, np.zeros((m2, m2))]])
+    cost = affine_field(M, np.zeros(m1 + m2), domain, f"game:{label}")
+    return PopulationGame(populations=((1.0, m1), (1.0, m2)), cost=cost, label=label)
 
 
 def is_nash(game: PopulationGame, p, challengers: SampleSet,

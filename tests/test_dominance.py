@@ -9,7 +9,7 @@ from fieldorder.dominance import (EQUIVALENT, INCOMPARABLE, REVERSE_STRICT,
                                   batch_scalar_steps, compare_scalar, compare_vector,
                                   scalar_profile, segment_profile)
 from fieldorder.errors import DomainViolationError
-from fieldorder.fields import (_MAX_GRID_POINTS, Box, quadratic_form, gradient_field,
+from fieldorder.fields import (_MAX_GRID_POINTS, quadratic_form, gradient_field,
                                scalar_field, vector_field)
 
 CFG = ToleranceConfig()
@@ -141,8 +141,7 @@ class TestScalarVerdicts:
 
 def _random_quadratic(rng, dim):
     Q = rng.normal(size=(dim, dim))
-    return quadratic_form(Q + Q.T, rng.normal(size=dim),
-                          Box(tuple([-1.0] * dim), tuple([1.0] * dim)))
+    return quadratic_form(Q + Q.T, rng.normal(size=dim))
 
 
 class TestAlgebraicProperties:

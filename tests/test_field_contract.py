@@ -1,10 +1,12 @@
 """The evaluator contract: a field is one batch map, checked once per batch.
 
-``values`` rejects a batch of the wrong shape (DimensionMismatchError) or
-with any non-finite entry (ValueError), and ``value`` is its one-row case.
+``values`` rejects points whose width is not the domain's dim, before the
+batch runs, and a batch of the wrong shape (both DimensionMismatchError) or
+with any non-finite entry (ValueError); ``value`` is its one-row case.
 Because the integrator steps through ``value`` and the screens sweep through
 ``values``, ``value(p)`` must equal the matching row of a multi-row
-``values`` call bit for bit, so both evaluate the same field.
+``values`` call bit for bit, whatever the batch's memory layout, so both
+evaluate the same field.
 
 A vector field's affine parts (A, b), which the dominance screens trust
 to certify rows, must be the map its batch evaluates: every value within
@@ -85,6 +87,18 @@ def test_well_formed_batch_passes_through():
     assert c.value([0.25, 0.5]).tolist() == [-0.25, -0.5]
 
 
+@pytest.mark.parametrize("make", [_scalar, _vector])
+def test_points_of_the_wrong_width_never_reach_the_batch(make):
+    calls = []
+    field = make(lambda P: calls.append(P) or -P)
+    for pts in (np.zeros((3, 3)), np.zeros((2, 1)), [0.1, 0.2, 0.3], np.zeros((1, 2, 2))):
+        with pytest.raises(DimensionMismatchError, match="2-D domain"):
+            field.values(pts)
+    with pytest.raises(DimensionMismatchError, match="2-D domain"):
+        field.value([0.1])
+    assert calls == []
+
+
 def _rock_paper_scissors():
     return from_symmetric_matrix([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]],
                                  label="rock_paper_scissors")
@@ -128,20 +142,6 @@ def _bits(v) -> bytes:
     return np.asarray(v, np.float64).tobytes()
 
 
-@given(st.sampled_from(sorted(FIELDS)), st.data())
-@settings(max_examples=300, deadline=None)
-def test_value_is_bitwise_a_row_of_values(key, data):
-    field = FIELDS[key]
-    dim = field.domain.dim
-    rows = data.draw(st.integers(2, 40))
-    unit = data.draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=dim, max_size=dim),
-                              min_size=rows, max_size=rows))
-    pts = _domain_points(field.domain, np.asarray(unit, float))
-    batch = field.values(pts)
-    for i, p in enumerate(pts):
-        assert _bits(field.value(p)) == _bits(batch[i]), (key, p.tolist())
-
-
 def _random_affine_fields():
     rng = np.random.default_rng(11)
     out = {}
@@ -162,6 +162,27 @@ def _random_affine_fields():
 
 AFFINE_FIELDS = {**{k: f for k, f in FIELDS.items() if getattr(f, "affine", None) is not None},
                  **_random_affine_fields()}
+
+
+# every field above, and real-cost affine fields: random games, spread
+# quadratic-form gradients, linear in dims 1-4 and all their negations
+CONTRACT_FIELDS = {**FIELDS, **AFFINE_FIELDS}
+
+
+@given(st.sampled_from(sorted(CONTRACT_FIELDS)), st.data())
+@settings(max_examples=500, deadline=None)
+def test_value_is_bitwise_a_row_of_values(key, data):
+    field = CONTRACT_FIELDS[key]
+    dim = field.domain.dim
+    rows = data.draw(st.integers(2, 40))
+    unit = data.draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=dim, max_size=dim),
+                              min_size=rows, max_size=rows))
+    pts = _domain_points(field.domain, np.asarray(unit, float))
+    batch = field.values(pts)
+    for i, p in enumerate(pts):
+        assert _bits(field.value(p)) == _bits(batch[i]), (key, p.tolist())
+    # nor does a row depend on the memory layout of its batch
+    assert _bits(field.values(np.asfortranarray(pts))) == _bits(batch), key
 
 
 def test_only_affine_constructors_mark_a_field():

@@ -221,7 +221,11 @@ class TestFields:
         assert scalar_field("xsininv").value([0.0]) == 0.0
         assert scalar_field("xsininv").value([1 / np.pi]) == pytest.approx(0.0, abs=1e-15)
         assert scalar_field("mexican_hat").value([1.0, 0.0]) == pytest.approx(0.0)
-        assert vector_field("linear").value([0.3, -0.2]) == pytest.approx([0.3, -0.2])
+        plane = vector_field("linear", Box((-1, -1), (1, 1)))
+        assert plane.value([0.3, -0.2]) == pytest.approx([0.3, -0.2])
+        # the default box is 1-D, so a 2-D point is rejected before the batch runs
+        with pytest.raises(DimensionMismatchError, match="1-D domain"):
+            vector_field("linear").value([0.3, -0.2])
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):

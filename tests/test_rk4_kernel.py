@@ -7,10 +7,8 @@ alone it must match the one-start loop the kernel replaced (``reference``
 below: F.value per stage, np.linalg.norm, the per-point containment
 rules of ``contains_reference``).
 
-Games are left out of the bit-equality properties: their costs are a BLAS
-matmul, whose rows can depend in the last bit on how many rows share the
-batch, so a game row need not flow bit-identically in a batch and alone.
-TestGames pins what does hold for them.
+Every field here evaluates a row independently of its batch; TestGames
+holds the games, stock and real-cost, to the same bit-equality.
 """
 
 import math
@@ -181,8 +179,8 @@ class TestRowsAlone:
 
 
 class TestGames:
-    """Batched game flows: bit-equal for the stock games, whose small integer
-    costs make every product exact, and within rounding for real costs."""
+    """Batched game flows are bit-equal to their flows alone, whether small
+    integer costs make every product exact or real costs round."""
 
     @pytest.mark.parametrize("game", [games.hawk_dove, games.matching_pennies,
                                       games.prisoners_dilemma])
@@ -193,23 +191,18 @@ class TestGames:
                                       for s in F.domain.parts]) for r in u])
         assert_rows_alone(F, starts, IntegratorConfig(dt=0.01, t_max=1.0))
 
-    def test_real_costs_flow_within_rounding_of_alone(self):
+    def test_real_costs_flow_as_alone(self):
         rng = np.random.default_rng(3)
         C = rng.standard_normal((4, 4))
         C -= C.mean(axis=0)  # c(x) = C x keeps x on the simplex plane
         F = games.from_symmetric_matrix(C, label="real").cost
         cfg = IntegratorConfig(dt=0.01, t_max=2.0)
         ics = SampleSet(rng.dirichlet(np.ones(4), size=6), "explicit", 0)
+        assert_rows_alone(F, ics.points, cfg)
         rep = check_setwise_stability(F, [[0.25] * 4], ics, cfg)
-        exact = 0
         for x0, traj in zip(ics, rep.trajectories):
             alone = integrate(F, x0, cfg)
-            assert traj.terminated_reason == alone.terminated_reason
-            assert traj.times.tobytes() == alone.times.tobytes()
-            np.testing.assert_allclose(traj.states, alone.states, rtol=0, atol=1e-12)
-            exact += traj.states.tobytes() == alone.states.tobytes()
-        if exact == len(ics):
-            pytest.skip("batched and single-row BLAS products agree on this platform")
+            assert_same(traj, alone.times, alone.states, alone.terminated_reason)
 
 
 class TestTermination:
