@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dominance import (REVERSE_STRICT, STRICTLY_DOMINATES, ToleranceConfig, batch_relations,
-                        batch_scalar_steps, batch_vector_extremes, compare_scalar,
+from .dominance import (REVERSE_STRICT, STRICTLY_DOMINATES, ToleranceConfig, batch_affine_max,
+                        batch_relations, batch_scalar_steps, batch_vector_extremes, compare_scalar,
                         compare_vector)
 from .errors import InvariantBreachError
 from .fields import (_MAX_GRID_POINTS, Box, Domain, Grid, Product, SampleSet, ScalarField,
@@ -283,6 +283,9 @@ def _local_min_polyorder(field, p, neighborhood_samples: SampleSet,
     X = _require_samples(neighborhood_samples)
     if isinstance(field, ScalarField):
         stats = batch_scalar_steps(field, p, X, cfg)[0]
+    elif field.affine is not None and segment_witnesses is None:
+        # the same first argmax and stat as the screen, mostly from segment ends
+        stats = batch_affine_max(field, p, X, cfg)
     else:
         stats = batch_vector_extremes(field, p, X, cfg, segment_witnesses=segment_witnesses)[0]
     return _decide(stats, X, lambda s: s <= cfg.tau)

@@ -18,11 +18,14 @@ decided from one sweep of the shared segment (the reverse relation sees
 
 Every segment evaluation goes through one primitive, _profiles, which
 builds the segment points of many (x, y) rows and evaluates the field once.
-Vector rows are reduced with the arithmetic of a one-row values @ (x - y):
-a stacked matmul for dim > 1, and for dim 1 the product plus 0.0 (a matmul
-accumulates from +0.0, which turns a -0.0 product into +0.0; a stacked
-matmul at dim 1 gives the same bits, several times slower).  So a screen
-row and a single comparison of the same pair see the same bits.
+A side that every row shares (the point p of a screen) stays one row: its
+products with eps are formed once and added into the other side's, with
+the same bits as the side repeated per row.  Vector rows are reduced with
+the arithmetic of a one-row values @ (x - y): a stacked matmul for
+dim > 1, and for dim 1 the product plus 0.0 (a matmul accumulates from
++0.0, which turns a -0.0 product into +0.0; a stacked matmul at dim 1
+gives the same bits, several times slower).  So a screen row and a single
+comparison of the same pair see the same bits.
 
 Refinement bisects between adjacent samples (scalar: adjacent steps) whose
 band signs are +1 and -1, at most MAX_REFINE_DEPTH times; only a single
@@ -60,8 +63,17 @@ settles every row whose endpoint extremes clear the band edges +-tau by
 more than twice a rigorous rounding bound (_affine_rounding_bound); there
 the uniform-grid screen is certain to reach the same band predicates.
 The few rows left open go through the screen as before, so every relation
-is exactly the screen's.  Single comparisons, the extremes screens and the
-local-min check do not use the certificate and still walk the grid.
+is exactly the screen's.
+
+The local-min check reads only the first argmax of the rows' grid maxima
+and its value.  For affine fields batch_affine_max gets both from the
+endpoints where it can: a row whose two ends differ by enough (relative
+to the grid's gap at the ends) has its grid max at an end, and reads that
+end as the grid computes it; a row whose endpoint max plus 2E is below
+another row's reading cannot be the argmax; only the rest are screened.
+Its ok, stat and witness are the full sweep's bit for bit.  Single
+comparisons, the extremes screens, fields with segment witnesses and flat
+profiles still walk the grid.
 """
 
 from __future__ import annotations
@@ -131,24 +143,63 @@ class DominanceVerdict:
         }
 
 
+# sides up to this dim are scaled column by column, each multiply running
+# along eps (about 3x faster at dim 2 than one broadcast multiply, whose
+# inner loop runs over dim coordinates; slower from dim 6 on)
+_COLUMNWISE_MAX_DIM = 5
+
+
+def _scaled(w: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """(k, e, dim) products w[e] * side[k, d]."""
+    k, dim = side.shape
+    if dim > _COLUMNWISE_MAX_DIM:
+        return w[:, None] * side[:, None, :]
+    out = np.empty((k, w.size, dim))
+    for d in range(dim):
+        np.multiply(w, side[:, d, None], out=out[:, :, d])
+    return out
+
+
+def _segment_points(xs: np.ndarray, ys: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """(k, e, dim) points eps*x + (1-eps)*y of the rows (xs[i], ys[i]).
+
+    Either side may be one row that every row shares.  Its products with
+    eps are formed once, as an (e, dim) array, and added into the other
+    side's products in place, so a block holds one full-size array.  Each
+    point is fl(fl(eps x) + fl((1 - eps) y)) whichever side is the single
+    row, since floating-point addition is commutative.
+    """
+    ex, ey = _scaled(eps, xs), _scaled(1.0 - eps, ys)
+    if xs.shape[0] == 1:
+        return np.add(ey, ex, out=ey)
+    return np.add(ex, ey, out=ex)
+
+
+def _deltas(vals: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """(k, e) products of (k, e, dim) field values with the (k, dim) directions x - y."""
+    k, e, dim = vals.shape
+    if dim == 1:
+        delta = vals.reshape(k, e) * direction
+        delta += 0.0
+        return delta
+    return np.matmul(vals, direction[:, :, None])[:, :, 0]
+
+
 def _profiles(field, xs: np.ndarray, ys: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """(k, e) segment profiles of the rows (xs[i], ys[i]) at the e values eps.
 
     Scalar fields give g = f(eps x + (1-eps) y); vector fields give
     delta = (x - y) . c(eps x + (1-eps) y), bit-identical to a one-row
-    ``values @ (x - y)`` (see the module docstring).
+    ``values @ (x - y)`` (see the module docstring).  Either side may be a
+    single (1, dim) row shared by every row; the profile is bitwise that of
+    the side repeated k times (_segment_points).
     """
-    k, dim = xs.shape
-    pts = eps[None, :, None] * xs[:, None, :] + (1.0 - eps)[None, :, None] * ys[:, None, :]
+    pts = _segment_points(xs, ys, eps)
+    k, e, dim = pts.shape
     vals = field.values(pts.reshape(-1, dim))
     if isinstance(field, ScalarField):
-        return vals.reshape(k, -1)
-    direction = xs - ys
-    if dim == 1:
-        delta = vals.reshape(k, -1) * direction
-        delta += 0.0
-        return delta
-    return np.matmul(vals.reshape(k, -1, dim), direction[:, :, None])[:, :, 0]
+        return vals.reshape(k, e)
+    return _deltas(vals.reshape(k, e, dim), xs - ys)
 
 
 def _band_sign(v: np.ndarray, tau: float) -> np.ndarray:
@@ -286,6 +337,7 @@ _LADDER_STRIDES = (64, 16)
 
 
 def _broadcast_rows(xs, ys):
+    """xs and ys as (k, dim) float arrays; a one-row side becomes a stride-0 view."""
     xs = np.atleast_2d(np.asarray(xs, float))
     ys = np.atleast_2d(np.asarray(ys, float))
     k = max(xs.shape[0], ys.shape[0])
@@ -296,6 +348,11 @@ def _broadcast_rows(xs, ys):
     if xs.shape != ys.shape:
         raise DimensionMismatchError("xs and ys rows do not broadcast")
     return xs, ys
+
+
+def _rows(side: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """side[rows], or the one row of a side whose rows all share it (stride 0)."""
+    return side[:1] if side.strides[0] == 0 else side[rows]
 
 
 def _eps_levels(n_eps: int, strides: Sequence[int]) -> list[np.ndarray]:
@@ -359,7 +416,7 @@ def batch_vector_extremes(c: VectorField, xs, ys, cfg: ToleranceConfig, *,
         if level:
             live = live[~((out_max[live] > tau) & (out_min[live] < -tau))]
         for rows in _blocks(live, eps.size, dim):
-            delta = _profiles(c, xs[rows], ys[rows], eps)
+            delta = _profiles(c, _rows(xs, rows), _rows(ys, rows), eps)
             out_max[rows] = np.maximum(out_max[rows], delta.max(axis=1))
             out_min[rows] = np.minimum(out_min[rows], delta.min(axis=1))
     for row in live if segment_witnesses is not None else ():
@@ -379,7 +436,7 @@ def batch_scalar_steps(f: ScalarField, xs, ys,
     eps = np.linspace(0.0, 1.0, cfg.n_eps)
     smax, smin, total = np.empty(k), np.empty(k), np.empty(k)
     for rows in _blocks(np.arange(k), eps.size, dim):
-        g = _profiles(f, xs[rows], ys[rows], eps)
+        g = _profiles(f, _rows(xs, rows), _rows(ys, rows), eps)
         d = np.diff(g, axis=1)
         smax[rows] = d.max(axis=1)
         smin[rows] = d.min(axis=1)
@@ -418,7 +475,7 @@ def batch_relations(field, xs, ys, cfg: ToleranceConfig, segment_witnesses=None)
         rest = np.flatnonzero(~settled)
         if rest.size:
             mx[rest], mn[rest] = batch_vector_extremes(
-                field, xs[rest], ys[rest], cfg, drop_incomparable=True,
+                field, _rows(xs, rest), _rows(ys, rest), cfg, drop_incomparable=True,
                 segment_witnesses=segment_witnesses)
     return _relations(mx, mn, mn, mx, cfg.tau)
 
@@ -437,8 +494,10 @@ def _affine_rounding_bound(c: VectorField, xs: np.ndarray, ys: np.ndarray) -> np
     """Per-row E with |computed delta(eps) - exact delta(eps)| <= E at every eps in [0, 1].
 
     For c(p) = A p + b with d = x - y, s = |x| + |y| and n = dim, every
-    value _profiles computes for the row, at any eps in [0, 1] and in any
-    batch, obeys |computed - exact| <= E with
+    value _profiles or _end_deltas computes for the row obeys
+    |computed - exact| <= E, at any eps in [0, 1], in any batch, at any
+    position of a grid row and whether or not a side is one shared row,
+    with
 
         E = 4 (2n + 8) (u |d|'(|A| s + |b|) + eta (|d|'(|A| 1 + 1) + 1)),
 
@@ -471,6 +530,31 @@ def _affine_rounding_bound(c: VectorField, xs: np.ndarray, ys: np.ndarray) -> np
         return 4.0 * (2 * n + 8) * (_UNIT_ROUNDOFF * w + _UNDERFLOW * z)
 
 
+def _end_deltas(c: VectorField, xs: np.ndarray, ys: np.ndarray,
+                n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's delta at eps 0 and at eps 1, rounded as an n_points grid rounds them.
+
+    The field is evaluated at the two ends only.  Their values sit at
+    positions 0 and n_points - 1 of grid rows that are zero elsewhere, so
+    the reduction sees the grid's layout: at dim > 1 it is a BLAS
+    matrix-vector product, which may round a row differently by its
+    position in the matrix (seen at dim 8 in the stacked matmul).  Every
+    other step is elementwise or row-independent, so these are bitwise the
+    first and last values of _profiles over an n_points grid.
+    """
+    k, dim = xs.shape
+    ends = np.array([0.0, 1.0])
+    at0, at1 = np.empty(k), np.empty(k)
+    for rows in _blocks(np.arange(k), n_points, dim):
+        x, y = _rows(xs, rows), _rows(ys, rows)
+        vals = np.zeros((rows.size, n_points, dim))
+        vals[:, [0, -1]] = c.values(_segment_points(x, y, ends).reshape(-1, dim)).reshape(
+            rows.size, 2, dim)
+        delta = _deltas(vals, x - y)
+        at0[rows], at1[rows] = delta[:, 0], delta[:, -1]
+    return at0, at1
+
+
 def _affine_endpoints(c: VectorField, xs: np.ndarray,
                       ys: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(max, min, settled) of each row's delta at eps 0 and 1, for an affine c.
@@ -486,13 +570,69 @@ def _affine_endpoints(c: VectorField, xs: np.ndarray,
     relation, are then exactly those of the full screen.  Other rows must
     be screened.
     """
-    k, dim = xs.shape
-    ends = np.array([0.0, 1.0])
-    out_max, out_min = np.empty(k), np.empty(k)
-    for rows in _blocks(np.arange(k), ends.size, dim):
-        delta = _profiles(c, xs[rows], ys[rows], ends)
-        out_max[rows] = delta.max(axis=1)
-        out_min[rows] = delta.min(axis=1)
+    at0, at1 = _end_deltas(c, xs, ys, 2)
+    out_max, out_min = np.maximum(at0, at1), np.minimum(at0, at1)
     slack = 2.0 * _affine_rounding_bound(c, xs, ys)
     settled = (np.abs(out_max - tau) > slack) & (np.abs(out_min + tau) > slack)
     return out_max, out_min, settled
+
+
+def _interior_below_ends(at0: np.ndarray, at1: np.ndarray, bound: np.ndarray,
+                         n_eps: int) -> np.ndarray:
+    """Rows whose n_eps-grid max is certainly the grid's value at one end.
+
+    at0 and at1 are a row's computed delta at eps 0 and 1, in any layout,
+    and bound its E (_affine_rounding_bound).  Let g = min(eps_1,
+    1 - eps_(n-2)), the smallest distance of an interior grid point from
+    either end (exact: 1 - eps_(n-2) is a Sterbenz difference).  When
+    g |at1 - at0| > 4E, the exact profile's ends differ by more than
+    4E/g - 2E >= 6E, in the order of at0 and at1, and at every interior
+    point the exact profile lies more than 4E - 2gE >= 3E below its higher
+    end.  Every value the grid computes is within E of the exact profile,
+    so its interior values lie below its value at the higher end, and so
+    does its value at the other end.  The test reads rounded values, which
+    costs at most a factor (1 + u)**2 of the 3E margin.
+    """
+    eps = np.linspace(0.0, 1.0, n_eps)
+    gap = min(eps[1], 1.0 - eps[-2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = np.abs(at1 - at0)
+        return np.isfinite(spread) & (gap * spread > 4.0 * bound)
+
+
+def batch_affine_max(c: VectorField, xs, ys, cfg: ToleranceConfig) -> np.ndarray:
+    """Rowwise statistics with the first argmax of batch_vector_extremes(c, xs, ys, cfg)[0].
+
+    For c with affine parts.  The returned array has its first argmax at
+    the same row as the screen's max, with the same value bit for bit;
+    every other row reads at most its screen max.  So a check that reads
+    only the argmax row and its stat (classify's local-min check) sees the
+    screen's outcome, though most rows never touch the grid.
+
+    Every row's ends are first computed at eps 0 and 1 alone, as at0 and
+    at1, with M = max(at0, at1) and E the row's rounding bound.  Every
+    grid value is within E of the exact affine profile, whose max is an
+    end, and so is each of at0 and at1: the row's grid max G lies in
+    [M - 2E, M + 2E].  A row that passes _interior_below_ends has as G the
+    larger of its two grid ends, and reads exactly that, computed as the
+    grid computes it (_end_deltas).  Every other row first reads one ulp
+    below the rounded M - 2E, a lower bound of its G.  So T, the largest
+    reading, is at most the screen's max, and a row whose M + 2E rounds
+    below T cannot hold it and keeps its reading; the rest go through
+    batch_vector_extremes.  On a flat profile no row passes the
+    certificate, and only the rows near the top are screened.
+    """
+    xs, ys = _broadcast_rows(xs, ys)
+    bound = _affine_rounding_bound(c, xs, ys)
+    at0, at1 = _end_deltas(c, xs, ys, 2)
+    top = np.maximum(at0, at1)
+    exact = _interior_below_ends(at0, at1, bound, cfg.n_eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = np.nextafter(top - 2.0 * bound, -np.inf)
+        reach = top + 2.0 * bound
+    if exact.any():
+        stats[exact] = np.maximum(*_end_deltas(c, xs[exact], ys[exact], cfg.n_eps))
+    grid = np.flatnonzero(~exact & ~(reach < stats.max()))
+    if grid.size:
+        stats[grid] = batch_vector_extremes(c, _rows(xs, grid), _rows(ys, grid), cfg)[0]
+    return stats

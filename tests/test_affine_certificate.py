@@ -9,6 +9,12 @@ field without its affine parts on every row, including rows that sit on
 the band edge and must fall back.  The bound itself is checked against
 exact rational profiles, and a work count shows the certificate is what
 keeps a game's dominance sweep off the grid.
+
+The local-min check reads only the first argmax of the rows' grid maxima
+and its value.  For affine fields batch_affine_max reads them from the
+segment ends where it can: the check's ok, stat and witness must be those
+of the full sweep bit for bit, also on flat (exactly zero-sum) profiles
+where every row is rounding noise.
 """
 
 import dataclasses
@@ -18,15 +24,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fieldorder.classify import classify_point, default_challengers, sample_neighborhood
+from fieldorder.classify import (classify_point, default_challengers,
+                                 is_local_min_polyorder_vector, sample_neighborhood)
 from fieldorder.dominance import (ToleranceConfig, _affine_endpoints, _affine_rounding_bound,
-                                  _broadcast_rows, _profiles, _relations, batch_relations,
+                                  _broadcast_rows, _end_deltas, _interior_below_ends, _profiles,
+                                  _relations, batch_affine_max, batch_relations,
                                   batch_vector_extremes)
-from fieldorder.fields import Box, negate, quadratic_form, vector_field
+from fieldorder.fields import Box, SampleSet, negate, quadratic_form, vector_field
 from fieldorder.games import (from_bimatrix, from_symmetric_matrix, hawk_dove,
                              matching_pennies)
 
-KINDS = ("quadratic_form", "symmetric", "bimatrix", "linear")
+KINDS = ("quadratic_form", "symmetric", "bimatrix", "linear", "wide_quadratic_form")
 
 
 def _spread(rng, shape, decades=3.0):
@@ -38,24 +46,32 @@ def _simplex_rows(rng, blocks, count):
     return np.hstack([rng.dirichlet(np.ones(m), size=count) for m in blocks])
 
 
-def affine_case(kind, seed, negated, rows, one_y):
-    """(field, xs, ys) of a random affine field of the given kind and rows in its domain."""
+def affine_case(kind, seed, negated, rows, one_y, flat=False):
+    """(field, xs, ys) of a random affine field of the given kind and rows in its domain.
+
+    flat drops the hair off the (near) zero-sum games, and makes a
+    quadratic form's Q skew-symmetric (a constant gradient): every exact
+    profile of those kinds is then constant in eps.
+    """
     rng = np.random.default_rng(seed)
-    if kind == "quadratic_form":
-        dim = int(rng.integers(1, 7))
-        _, c = quadratic_form(_spread(rng, (dim, dim)), _spread(rng, dim))
+    hair = 0.0 if flat else 1e-12
+    if kind in ("quadratic_form", "wide_quadratic_form"):
+        # wide forms reach the dims where a BLAS row depends on its position
+        dim = int(rng.integers(1, 7) if kind == "quadratic_form" else rng.integers(7, 11))
+        Q = _spread(rng, (dim, dim))
+        _, c = quadratic_form(Q - Q.T if flat else Q, _spread(rng, dim))
         draw = lambda n: rng.uniform(-1.0, 1.0, size=(n, dim))
     elif kind == "symmetric":
         m = int(rng.integers(2, 5))
         C = rng.normal(size=(m, m)) * 10.0 ** rng.uniform(-2, 2)
-        if rng.random() < 0.5:  # near zero-sum: antisymmetric plus a hair
-            C = C - C.T + 1e-12 * rng.normal(size=(m, m))
+        if flat or rng.random() < 0.5:  # near zero-sum: antisymmetric plus a hair
+            C = C - C.T + hair * rng.normal(size=(m, m))
         c = from_symmetric_matrix(C).cost
         draw = lambda n: _simplex_rows(rng, [m], n)
     elif kind == "bimatrix":
         m1, m2 = (int(v) for v in rng.integers(2, 4, size=2))
         A = rng.normal(size=(m1, m2)) * 10.0 ** rng.uniform(-2, 2)
-        B = (-A + 1e-12 * rng.normal(size=A.shape) if rng.random() < 0.5
+        B = (-A + hair * rng.normal(size=A.shape) if flat or rng.random() < 0.5
              else rng.normal(size=(m1, m2)))
         c = from_bimatrix(A, B).cost
         draw = lambda n: _simplex_rows(rng, [m1, m2], n)
@@ -134,9 +150,10 @@ def test_rounding_bound_covers_the_computed_profile(kind, seed, negated):
 
 
 def test_hawk_dove_classification_stays_off_the_grid():
-    """The dominance sweep of classify_point evaluates at most 10 % of its
-    rows x n_eps; the local-min sweep over the ball is a full-grid screen
-    that the certificate does not touch, so it is allowed on top."""
+    """classify_point evaluates at most 1 % of its challenger and ball rows
+    x n_eps, plus four points per ball row: the dominance sweep and the
+    local-min check both settle nearly every row from its two ends (about
+    13-15k rows in all, where the full grids hold 4.7 M)."""
     c = hawk_dove().cost
     evaluated = [0]
 
@@ -153,7 +170,7 @@ def test_hawk_dove_classification_stays_off_the_grid():
         rows = len(default_challengers(c.domain, 42))
         ball = len(sample_neighborhood(c.domain, p, 0.05 * c.domain.diameter(), 512, 42))
         assert report.challengers_used.endswith(f"+ball({ball})")
-        assert evaluated[0] <= 0.10 * (rows + ball) * cfg.n_eps + ball * cfg.n_eps
+        assert evaluated[0] <= 0.01 * (rows + ball) * cfg.n_eps + 4 * ball
 
 
 @pytest.mark.parametrize("make, blocks", [
@@ -168,3 +185,80 @@ def test_certificate_settles_the_stock_game_rows(make, blocks):
     y = np.hstack([np.full(m, 1.0 / m) for m in blocks])
     xs, ys = _broadcast_rows(_simplex_rows(rng, blocks, 500), y)
     assert _affine_endpoints(c, xs, ys, ToleranceConfig().tau)[2].all()
+
+
+def bits(values):
+    return np.asarray(values, float).view(np.int64).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**31 - 1), negated=st.booleans(),
+       flat=st.booleans(), rows=st.integers(1, 120),
+       n_eps=st.sampled_from([3, 5, 17, 65, 1025]), edge=st.sampled_from([None, "at", "below"]))
+def test_local_min_from_the_ends_is_the_sweep(kind, seed, negated, flat, rows, n_eps, edge):
+    c, X, P = affine_case(kind, seed, negated, rows, one_y=True, flat=flat)
+    p = P[0]
+    cfg = ToleranceConfig(n_eps=n_eps)
+    sweep = batch_vector_extremes(c, p, X, cfg)[0]
+    got = batch_affine_max(c, p, X, cfg)
+    assert (got <= sweep).all()
+    top = int(np.argmax(sweep))
+    assert int(np.argmax(got)) == top and bits(got[top]) == bits(sweep[top])
+    if edge is not None and sweep[top] > 0:
+        # the stat on the band edge: passes at tau == stat, fails one ulp below
+        tau = float(sweep[top]) if edge == "at" else float(np.nextafter(sweep[top], 0.0))
+        if tau > 0:
+            cfg = ToleranceConfig(tau=tau, n_eps=n_eps)
+    samples = SampleSet(X)
+    plain = dataclasses.replace(c, affine=None)
+    want = is_local_min_polyorder_vector(plain, p, 0.05, samples, cfg)
+    out = is_local_min_polyorder_vector(c, p, 0.05, samples, cfg)
+    assert (out.ok, out.witness, bits(out.stat)) == (want.ok, want.witness, bits(want.stat))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**31 - 1), negated=st.booleans(),
+       flat=st.booleans(), rows=st.integers(1, 30), one_y=st.booleans(),
+       n_eps=st.sampled_from([3, 5, 17, 65, 1025]))
+def test_rows_certified_exact_have_their_end_max(kind, seed, negated, flat, rows, one_y, n_eps):
+    c, xs, ys = affine_case(kind, seed, negated, rows, one_y, flat=flat)
+    bx, by = _broadcast_rows(xs, ys)
+    grid = _profiles(c, bx, by, np.linspace(0.0, 1.0, n_eps))
+    at0, at1 = _end_deltas(c, bx, by, n_eps)
+    assert bits(at0) == bits(grid[:, 0]) and bits(at1) == bits(grid[:, -1])
+    # the certificate reads the two-point ends; the grid max is then a grid end
+    exact = _interior_below_ends(*_end_deltas(c, bx, by, 2), _affine_rounding_bound(c, bx, by),
+                                 n_eps)
+    ends = np.maximum(at0, at1)[exact]
+    assert bits(grid[exact].max(axis=1)) == bits(ends)
+    assert (grid[exact, 1:-1] < ends[:, None]).all()
+    # the many-row screen has the same first argmax and value as well
+    got, sweep = batch_affine_max(c, xs, ys, ToleranceConfig(n_eps=n_eps)), grid.max(axis=1)
+    top = int(np.argmax(sweep))
+    assert int(np.argmax(got)) == top and bits(got[top]) == bits(sweep[top])
+    assert (got <= sweep).all()
+
+
+RPS = [[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]]
+
+
+@pytest.mark.parametrize("n_eps", [3, 65, 1025])
+@pytest.mark.parametrize("negated", [False, True])
+@pytest.mark.parametrize("make, p", [
+    (hawk_dove, [0.5, 0.5]), (hawk_dove, [0.2, 0.8]),
+    (matching_pennies, [0.5, 0.5, 0.5, 0.5]), (matching_pennies, [0.3, 0.7, 0.6, 0.4]),
+    (lambda: from_symmetric_matrix(RPS), [1 / 3, 1 / 3, 1 / 3]),
+    (lambda: from_symmetric_matrix(RPS), [0.2, 0.3, 0.5]),
+], ids=["hawk_dove", "hawk_dove_off", "matching_pennies", "matching_pennies_off", "rps",
+        "rps_off"])
+def test_stock_game_local_min_is_the_sweep(make, p, negated, n_eps):
+    # at the equilibria of the zero-sum games every row is rounding noise
+    c = make().cost
+    c = negate(c) if negated else c
+    p = np.asarray(p)
+    samples = sample_neighborhood(c.domain, p, 0.05 * c.domain.diameter(), 512, 42)
+    cfg = ToleranceConfig(n_eps=n_eps)
+    want = is_local_min_polyorder_vector(dataclasses.replace(c, affine=None), p, 0.05,
+                                         samples, cfg)
+    out = is_local_min_polyorder_vector(c, p, 0.05, samples, cfg)
+    assert (out.ok, out.witness, bits(out.stat)) == (want.ok, want.witness, bits(want.stat))
