@@ -25,7 +25,10 @@ the arithmetic of a one-row values @ (x - y): a stacked matmul for
 dim > 1, and for dim 1 the product plus 0.0 (a matmul accumulates from
 +0.0, which turns a -0.0 product into +0.0; a stacked matmul at dim 1
 gives the same bits, several times slower).  So a screen row and a single
-comparison of the same pair see the same bits.
+comparison of the same pair see the same bits at dim <= 7, and at any dim
+when both use the same eps set: from dim 8 the BLAS product can round a
+row differently by its position in the grid and by the grid's length,
+which is why _end_deltas reduces endpoint values in the grid's layout.
 
 Refinement bisects between adjacent samples (scalar: adjacent steps) whose
 band signs are +1 and -1, at most MAX_REFINE_DEPTH times; only a single
@@ -143,17 +146,13 @@ class DominanceVerdict:
         }
 
 
-# sides up to this dim are scaled column by column, each multiply running
-# along eps (about 3x faster at dim 2 than one broadcast multiply, whose
-# inner loop runs over dim coordinates; slower from dim 6 on)
-_COLUMNWISE_MAX_DIM = 5
-
-
 def _scaled(w: np.ndarray, side: np.ndarray) -> np.ndarray:
-    """(k, e, dim) products w[e] * side[k, d]."""
+    """(k, e, dim) products w[e] * side[k, d], one coordinate at a time.
+
+    Each multiply runs along eps, a loop as long as the grid; one broadcast
+    multiply would run its inner loop over the dim coordinates instead.
+    """
     k, dim = side.shape
-    if dim > _COLUMNWISE_MAX_DIM:
-        return w[:, None] * side[:, None, :]
     out = np.empty((k, w.size, dim))
     for d in range(dim):
         np.multiply(w, side[:, d, None], out=out[:, :, d])
@@ -190,7 +189,9 @@ def _profiles(field, xs: np.ndarray, ys: np.ndarray, eps: np.ndarray) -> np.ndar
 
     Scalar fields give g = f(eps x + (1-eps) y); vector fields give
     delta = (x - y) . c(eps x + (1-eps) y), bit-identical to a one-row
-    ``values @ (x - y)`` (see the module docstring).  Either side may be a
+    ``values @ (x - y)`` over the same eps, and at dim <= 7 over any eps
+    set holding the same points (see the module docstring; _end_deltas
+    keeps the grid's layout for the ends).  Either side may be a
     single (1, dim) row shared by every row; the profile is bitwise that of
     the side repeated k times (_segment_points).
     """
@@ -530,27 +531,37 @@ def _affine_rounding_bound(c: VectorField, xs: np.ndarray, ys: np.ndarray) -> np
         return 4.0 * (2 * n + 8) * (_UNIT_ROUNDOFF * w + _UNDERFLOW * z)
 
 
-def _end_deltas(c: VectorField, xs: np.ndarray, ys: np.ndarray,
+def _end_values(c: VectorField, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """(k, 2, dim) values of c at each row's segment points for eps 0 and eps 1.
+
+    The points are built as every grid builds them (_segment_points), and
+    an affine field's batch gives a row the same bits in any batch
+    (affine_field), so these are the values a grid sweep evaluates at its
+    two ends.
+    """
+    k, dim = xs.shape
+    pts = _segment_points(xs, ys, np.array([0.0, 1.0]))
+    return c.values(pts.reshape(-1, dim)).reshape(k, 2, dim)
+
+
+def _end_deltas(ends: np.ndarray, direction: np.ndarray,
                 n_points: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's delta at eps 0 and at eps 1, rounded as an n_points grid rounds them.
 
-    The field is evaluated at the two ends only.  Their values sit at
-    positions 0 and n_points - 1 of grid rows that are zero elsewhere, so
-    the reduction sees the grid's layout: at dim > 1 it is a BLAS
-    matrix-vector product, which may round a row differently by its
-    position in the matrix (seen at dim 8 in the stacked matmul).  Every
-    other step is elementwise or row-independent, so these are bitwise the
-    first and last values of _profiles over an n_points grid.
+    ends are the rows' end values (_end_values) and direction their x - y.
+    The values sit at positions 0 and n_points - 1 of grid rows that are
+    zero elsewhere, so the reduction sees the grid's layout: at dim > 1 it
+    is a BLAS matrix-vector product, which may round a row differently by
+    its position in the matrix and by the matrix's length (seen from dim 8
+    on).  Every other step is elementwise or row-independent, so these are
+    bitwise the first and last values of _profiles over an n_points grid.
     """
-    k, dim = xs.shape
-    ends = np.array([0.0, 1.0])
+    k, _, dim = ends.shape
     at0, at1 = np.empty(k), np.empty(k)
     for rows in _blocks(np.arange(k), n_points, dim):
-        x, y = _rows(xs, rows), _rows(ys, rows)
         vals = np.zeros((rows.size, n_points, dim))
-        vals[:, [0, -1]] = c.values(_segment_points(x, y, ends).reshape(-1, dim)).reshape(
-            rows.size, 2, dim)
-        delta = _deltas(vals, x - y)
+        vals[:, [0, -1]] = ends[rows]
+        delta = _deltas(vals, direction[rows])
         at0[rows], at1[rows] = delta[:, 0], delta[:, -1]
     return at0, at1
 
@@ -570,7 +581,7 @@ def _affine_endpoints(c: VectorField, xs: np.ndarray,
     relation, are then exactly those of the full screen.  Other rows must
     be screened.
     """
-    at0, at1 = _end_deltas(c, xs, ys, 2)
+    at0, at1 = _end_deltas(_end_values(c, xs, ys), xs - ys, 2)
     out_max, out_min = np.maximum(at0, at1), np.minimum(at0, at1)
     slack = 2.0 * _affine_rounding_bound(c, xs, ys)
     settled = (np.abs(out_max - tau) > slack) & (np.abs(out_min + tau) > slack)
@@ -623,15 +634,16 @@ def batch_affine_max(c: VectorField, xs, ys, cfg: ToleranceConfig) -> np.ndarray
     certificate, and only the rows near the top are screened.
     """
     xs, ys = _broadcast_rows(xs, ys)
+    ends, direction = _end_values(c, xs, ys), xs - ys
     bound = _affine_rounding_bound(c, xs, ys)
-    at0, at1 = _end_deltas(c, xs, ys, 2)
+    at0, at1 = _end_deltas(ends, direction, 2)
     top = np.maximum(at0, at1)
     exact = _interior_below_ends(at0, at1, bound, cfg.n_eps)
     with np.errstate(over="ignore", invalid="ignore"):
         stats = np.nextafter(top - 2.0 * bound, -np.inf)
         reach = top + 2.0 * bound
     if exact.any():
-        stats[exact] = np.maximum(*_end_deltas(c, xs[exact], ys[exact], cfg.n_eps))
+        stats[exact] = np.maximum(*_end_deltas(ends[exact], direction[exact], cfg.n_eps))
     grid = np.flatnonzero(~exact & ~(reach < stats.max()))
     if grid.size:
         stats[grid] = batch_vector_extremes(c, _rows(xs, grid), _rows(ys, grid), cfg)[0]

@@ -27,8 +27,8 @@ from hypothesis import given, settings, strategies as st
 from fieldorder.classify import (classify_point, default_challengers,
                                  is_local_min_polyorder_vector, sample_neighborhood)
 from fieldorder.dominance import (ToleranceConfig, _affine_endpoints, _affine_rounding_bound,
-                                  _broadcast_rows, _end_deltas, _interior_below_ends, _profiles,
-                                  _relations, batch_affine_max, batch_relations,
+                                  _broadcast_rows, _end_deltas, _end_values, _interior_below_ends,
+                                  _profiles, _relations, batch_affine_max, batch_relations,
                                   batch_vector_extremes)
 from fieldorder.fields import Box, SampleSet, negate, quadratic_form, vector_field
 from fieldorder.games import (from_bimatrix, from_symmetric_matrix, hawk_dove,
@@ -151,9 +151,9 @@ def test_rounding_bound_covers_the_computed_profile(kind, seed, negated):
 
 def test_hawk_dove_classification_stays_off_the_grid():
     """classify_point evaluates at most 1 % of its challenger and ball rows
-    x n_eps, plus four points per ball row: the dominance sweep and the
+    x n_eps, plus two points per ball row: the dominance sweep and the
     local-min check both settle nearly every row from its two ends (about
-    13-15k rows in all, where the full grids hold 4.7 M)."""
+    12-13k rows in all, where the full grids hold 4.7 M)."""
     c = hawk_dove().cost
     evaluated = [0]
 
@@ -170,7 +170,7 @@ def test_hawk_dove_classification_stays_off_the_grid():
         rows = len(default_challengers(c.domain, 42))
         ball = len(sample_neighborhood(c.domain, p, 0.05 * c.domain.diameter(), 512, 42))
         assert report.challengers_used.endswith(f"+ball({ball})")
-        assert evaluated[0] <= 0.01 * (rows + ball) * cfg.n_eps + 4 * ball
+        assert evaluated[0] <= 0.01 * (rows + ball) * cfg.n_eps + 2 * ball
 
 
 @pytest.mark.parametrize("make, blocks", [
@@ -224,14 +224,15 @@ def test_rows_certified_exact_have_their_end_max(kind, seed, negated, flat, rows
     c, xs, ys = affine_case(kind, seed, negated, rows, one_y, flat=flat)
     bx, by = _broadcast_rows(xs, ys)
     grid = _profiles(c, bx, by, np.linspace(0.0, 1.0, n_eps))
-    at0, at1 = _end_deltas(c, bx, by, n_eps)
+    ends = _end_values(c, bx, by)
+    at0, at1 = _end_deltas(ends, bx - by, n_eps)
     assert bits(at0) == bits(grid[:, 0]) and bits(at1) == bits(grid[:, -1])
     # the certificate reads the two-point ends; the grid max is then a grid end
-    exact = _interior_below_ends(*_end_deltas(c, bx, by, 2), _affine_rounding_bound(c, bx, by),
-                                 n_eps)
-    ends = np.maximum(at0, at1)[exact]
-    assert bits(grid[exact].max(axis=1)) == bits(ends)
-    assert (grid[exact, 1:-1] < ends[:, None]).all()
+    exact = _interior_below_ends(*_end_deltas(ends, bx - by, 2),
+                                 _affine_rounding_bound(c, bx, by), n_eps)
+    end_max = np.maximum(at0, at1)[exact]
+    assert bits(grid[exact].max(axis=1)) == bits(end_max)
+    assert (grid[exact, 1:-1] < end_max[:, None]).all()
     # the many-row screen has the same first argmax and value as well
     got, sweep = batch_affine_max(c, xs, ys, ToleranceConfig(n_eps=n_eps)), grid.max(axis=1)
     top = int(np.argmax(sweep))

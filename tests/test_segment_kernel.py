@@ -6,8 +6,7 @@ place, and the batch screens pass the shared side as one row instead of
 copying it per row.  The points are the same elementwise roundings, added
 in the other order, so every profile must equal, bit for bit, the one of
 the side repeated k times, as the kernel built it before: three full-size
-temporaries, eps*x + (1-eps)*y.  Dims up to 8 cover both ways the kernel
-scales a side: column by column at low dims, in one broadcast above.
+temporaries, eps*x + (1-eps)*y, at dims 1 to 8.
 """
 
 import numpy as np
