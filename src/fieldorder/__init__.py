@@ -3,17 +3,16 @@
 __version__ = "0.1.0"
 
 from .dominance import (DominanceVerdict, ToleranceConfig, compare_scalar,  # noqa: F401
-                        compare_vector, scalar_profile, segment_profile)
+                        compare_vector, profile)
 from .fields import (Box, Explicit, Grid, Product, SampleSet, ScalarField,  # noqa: F401
                      SeededRandom, Simplex, VectorField, as_point, field_from_json,
                      gradient_fd, gradient_field, negate, quadratic_form,
                      sample_domain, scalar_field, segment_point, vector_field)
 from .classify import (ClassificationReport, classify_point,  # noqa: F401
                        default_challengers, is_almost_strictly_minimal_set,
-                       is_critical_element, is_ess, is_ess_set,
-                       is_local_min_polyorder_scalar, is_local_min_polyorder_vector,
-                       is_maximal, is_minimal, is_minimal_scalar, is_nss,
-                       is_strict_local_min_scalar, sample_neighborhood)
+                       is_critical_element, is_ess, is_ess_set, is_local_min_polyorder,
+                       is_nss, is_strict_local_min_scalar, minimal_and_maximal,
+                       sample_neighborhood)
 from .dynamics import (IntegratorConfig, SetStabilityReport, Trajectory,  # noqa: F401
                        check_setwise_stability, integrate, lyapunov_integral)
 from .games import (PopulationGame, from_bimatrix, from_symmetric_matrix,  # noqa: F401

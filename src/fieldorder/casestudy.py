@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import (_minimal_and_maximal, _require_set_size, is_almost_strictly_minimal_set,
-                       is_ess, is_local_min_polyorder_scalar, is_local_min_polyorder_vector,
-                       is_nss, is_strict_local_min_scalar, sample_neighborhood)
+from .classify import (_require_set_size, is_almost_strictly_minimal_set, is_ess,
+                       is_local_min_polyorder, is_nss, is_strict_local_min_scalar,
+                       minimal_and_maximal, sample_neighborhood)
 from .dominance import STRICTLY_DOMINATES, ToleranceConfig, batch_relations, compare_scalar
 from .fields import (_MAX_GRID_POINTS, Domain, Grid, SampleSet, ScalarField, VectorField,
                      require_in_domain, sample_domain, scalar_field, vector_field)
@@ -248,10 +248,10 @@ def classify_catalog(n_max: int = 25, cfg: ToleranceConfig | None = None,
     challengers = case_challengers(c.domain, catalog, grid_n, seed)
     verdicts = []
     for entry in catalog.entries:
-        got_min, got_max = _minimal_and_maximal(c, [entry.x], challengers, cfg,
-                                                origin_segment_witnesses)
+        got_min, got_max = minimal_and_maximal(c, [entry.x], challengers, cfg,
+                                               origin_segment_witnesses)
         verdicts.append(EntryVerdict(entry, got_min.ok, got_max.ok))
-    o_min, o_max = _minimal_and_maximal(c, [0.0], challengers, cfg, origin_segment_witnesses)
+    o_min, o_max = minimal_and_maximal(c, [0.0], challengers, cfg, origin_segment_witnesses)
     return CatalogAgreementReport(tuple(verdicts), o_min.ok, o_max.ok, challengers.strategy)
 
 
@@ -302,18 +302,17 @@ def origin_atypicality(radii=ORIGIN_RADII, cfg: ToleranceConfig | None = None,
     catalog = build_catalog(25)
     challengers = case_challengers(c.domain, catalog, grid_n, seed)
     origin = np.array([0.0])
-    minimal, maximal = _minimal_and_maximal(c, origin, challengers, cfg,
-                                            origin_segment_witnesses)
+    minimal, maximal = minimal_and_maximal(c, origin, challengers, cfg,
+                                           origin_segment_witnesses)
     rows = []
     for radius in radii:
         ball = sample_neighborhood(c.domain, origin, radius, neighborhood_count, seed)
         exact = np.array([[origin_witness(radius, 1)], [origin_witness(radius, -1)],
                           [origin_witness(-radius, 1)], [origin_witness(-radius, -1)]])
         ball = ball.union(exact, note="witness")
-        nss = is_nss(c, origin, radius, ball, cfg)
-        ess = is_ess(c, origin, radius, ball, cfg)
-        local_min = is_local_min_polyorder_vector(c, origin, radius, ball, cfg,
-                                                  origin_segment_witnesses)
+        nss = is_nss(c, origin, ball, cfg)
+        ess = is_ess(c, origin, ball, cfg)
+        local_min = is_local_min_polyorder(c, origin, ball, cfg, origin_segment_witnesses)
         rows.append({"radius": radius, "nss": nss.ok, "ess": ess.ok,
                      "local_min_polyorder": local_min.ok})
     return OriginAtypicalityReport(minimal.ok, maximal.ok, tuple(rows))
@@ -484,8 +483,8 @@ def mexican_hat_counterexample(n_circle: int = 16, cfg: ToleranceConfig | None =
         q = np.array([math.cos(theta + phi), math.sin(theta + phi)])
         ball = sample_neighborhood(f.domain, p, radius, 512, seed + i).union(
             q[None, :], note="circle_witness")
-        strict = is_strict_local_min_scalar(f, p, radius, ball, cfg)
-        local_min = is_local_min_polyorder_scalar(f, p, radius, ball, cfg)
+        strict = is_strict_local_min_scalar(f, p, ball, cfg)
+        local_min = is_local_min_polyorder(f, p, ball, cfg)
         chord = compare_scalar(f, p, q, cfg)
         eps = chord.witness_eps_violation[0] if chord.witness_eps_violation else None
         midpoint = 0.5 * (p + q)

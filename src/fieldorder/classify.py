@@ -6,13 +6,16 @@ around p intersected with the domain.  Every verdict is a certificate
 relative to the probe sets and the tolerance configuration, both of which
 are echoed in the report.
 
-Every check is one screen or one per-sample statistic, and one rule
-(_decide) turns the statistics into an outcome.  Minimality and maximality
-are decided together from the relations of one uniform-grid screen of the
-challengers against p (dominance.batch_relations, with any analytic witness
-eps folded in): p is minimal when no row is StrictlyDominates and maximal
-when no row is ReverseStrict.  A full comparison runs only for the one
-reported row of each failed minimal/maximal check, for its eps.
+There is one function per check; one that applies to both kinds of field
+takes either.  Every check is one screen or one per-sample statistic, and
+one rule (_decide) turns the statistics into an outcome.
+minimal_and_maximal decides both from the relations of one uniform-grid
+screen of the challengers against p (dominance.batch_relations, with any
+analytic witness eps folded in): p is minimal when no row is
+StrictlyDominates and maximal when no row is ReverseStrict.  A full
+comparison runs only for the one reported row of each failed check, for
+its eps.  is_local_min_polyorder reads the screen that
+dominance.batch_local_min_stats picks for the field.
 
 The inclusion chains that must hold on shared probe sets (ess implies nss
 and minimal, minimal implies critical, local minimum implies critical,
@@ -28,9 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dominance import (REVERSE_STRICT, STRICTLY_DOMINATES, ToleranceConfig, batch_affine_max,
-                        batch_relations, batch_scalar_steps, batch_vector_extremes, compare_scalar,
-                        compare_vector)
+from .dominance import (REVERSE_STRICT, STRICTLY_DOMINATES, ToleranceConfig,
+                        batch_local_min_stats, batch_relations, compare_scalar, compare_vector)
 from .errors import InvariantBreachError
 from .fields import (_MAX_GRID_POINTS, Box, Domain, Grid, Product, SampleSet, ScalarField,
                      SeededRandom, Simplex, VectorField, require_in_domain, sample_domain)
@@ -110,8 +112,8 @@ def sample_neighborhood(domain: Domain, center, radius: float, count: int = _BAL
     always included.  The center itself is excluded.
     """
     center = require_in_domain(domain, center)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     if not 1 <= count <= _MAX_GRID_POINTS:
         raise ValueError(f"count must lie in [1, {_MAX_GRID_POINTS}]")
     rng = np.random.default_rng(seed)
@@ -173,16 +175,18 @@ def is_critical_element(c: VectorField, p, challengers: SampleSet,
     return _decide(stats, challengers.points, lambda s: s >= -cfg.tau, np.argmin)
 
 
-def _minimal_and_maximal(field, p, challengers: SampleSet,
-                         cfg: ToleranceConfig | None = None,
-                         segment_witnesses=None) -> tuple[CheckOutcome, CheckOutcome]:
+def minimal_and_maximal(field, p, challengers: SampleSet,
+                        cfg: ToleranceConfig | None = None,
+                        segment_witnesses=None) -> tuple[CheckOutcome, CheckOutcome]:
     """(minimal, maximal) outcomes of p against the challengers, from one screen.
 
     p is minimal when no challenger row is StrictlyDominates and maximal
-    when none is ReverseStrict; segment_witnesses(x, p) eps are folded into
-    the screen.  The eps reported for the lex-smallest dominator (resp.
-    dominated challenger) comes from one full comparison of its row, with
-    the same witness eps.
+    when none is ReverseStrict (exactly minimality under -field).
+    segment_witnesses(x, p), when given, supplies extra eps of specific
+    pairs (analytic oscillation witnesses), which the screen folds in;
+    scalar fields take none.  The eps reported for the lex-smallest
+    dominator (resp. dominated challenger) comes from one full comparison
+    of its row, with the same witness eps.
     """
     cfg = cfg or ToleranceConfig()
     p = require_in_domain(field.domain, p)
@@ -204,38 +208,6 @@ def _minimal_and_maximal(field, p, challengers: SampleSet,
     return outcome(STRICTLY_DOMINATES), outcome(REVERSE_STRICT)
 
 
-def is_minimal(c: VectorField, p, challengers: SampleSet,
-               cfg: ToleranceConfig | None = None,
-               segment_witnesses=None) -> CheckOutcome:
-    """Whether no challenger strictly dominates p.
-
-    One vectorized uniform-grid screen gives every challenger its relation
-    to p.  segment_witnesses(x, p), when given, supplies extra eps values
-    for specific pairs (used for analytically known oscillation witnesses),
-    which the screen folds in.  The witness is the lex-smallest dominator,
-    with the eps of its full comparison.
-    """
-    return _minimal_and_maximal(c, p, challengers, cfg, segment_witnesses)[0]
-
-
-def is_maximal(c: VectorField, p, challengers: SampleSet,
-               cfg: ToleranceConfig | None = None,
-               segment_witnesses=None) -> CheckOutcome:
-    """Whether p strictly dominates no challenger; exactly minimality under -c."""
-    return _minimal_and_maximal(c, p, challengers, cfg, segment_witnesses)[1]
-
-
-def is_minimal_scalar(f: ScalarField, p, challengers: SampleSet,
-                      cfg: ToleranceConfig | None = None) -> CheckOutcome:
-    """Whether no challenger strictly dominates p in the scalar order."""
-    return _minimal_and_maximal(f, p, challengers, cfg)[0]
-
-
-def is_maximal_scalar(f: ScalarField, p, challengers: SampleSet,
-                      cfg: ToleranceConfig | None = None) -> CheckOutcome:
-    return _minimal_and_maximal(f, p, challengers, cfg)[1]
-
-
 # ---------------------------------------------------------------------------
 # Neighborhood (local) concepts
 # ---------------------------------------------------------------------------
@@ -254,7 +226,7 @@ def _off_point(X: np.ndarray, p: np.ndarray, tau: float) -> np.ndarray:
     return X[off]
 
 
-def is_nss(c: VectorField, p, radius: float, neighborhood_samples: SampleSet,
+def is_nss(c: VectorField, p, neighborhood_samples: SampleSet,
            cfg: ToleranceConfig | None = None) -> CheckOutcome:
     """Neutral stability: p . c(x) <= x . c(x) + tau on the sampled ball."""
     cfg = cfg or ToleranceConfig()
@@ -264,7 +236,7 @@ def is_nss(c: VectorField, p, radius: float, neighborhood_samples: SampleSet,
     return _decide(stats, X, lambda s: s <= cfg.tau)
 
 
-def is_ess(c: VectorField, p, radius: float, neighborhood_samples: SampleSet,
+def is_ess(c: VectorField, p, neighborhood_samples: SampleSet,
            cfg: ToleranceConfig | None = None) -> CheckOutcome:
     """Evolutionary stability: p . c(x) < x . c(x) - tau for sampled x != p."""
     cfg = cfg or ToleranceConfig()
@@ -274,40 +246,22 @@ def is_ess(c: VectorField, p, radius: float, neighborhood_samples: SampleSet,
     return _decide(stats, X, lambda s: s < -cfg.tau)
 
 
-def _local_min_polyorder(field, p, neighborhood_samples: SampleSet,
-                         cfg: ToleranceConfig | None, segment_witnesses=None) -> CheckOutcome:
-    """No screen row of p against the neighbors (vector: max delta, also over
-    the segment_witnesses eps; scalar: largest step) exceeds tau."""
+def is_local_min_polyorder(field, p, neighborhood_samples: SampleSet,
+                           cfg: ToleranceConfig | None = None,
+                           segment_witnesses=None) -> CheckOutcome:
+    """Whether p weakly dominates every sampled neighbor along its segment.
+
+    No screen row of p against the neighbors (vector: max delta, also over
+    the segment_witnesses eps; scalar: largest step) exceeds tau.
+    """
     cfg = cfg or ToleranceConfig()
     p = require_in_domain(field.domain, p)
     X = _require_samples(neighborhood_samples)
-    if isinstance(field, ScalarField):
-        stats = batch_scalar_steps(field, p, X, cfg)[0]
-    elif field.affine is not None and segment_witnesses is None:
-        # the same first argmax and stat as the screen, mostly from segment ends
-        stats = batch_affine_max(field, p, X, cfg)
-    else:
-        stats = batch_vector_extremes(field, p, X, cfg, segment_witnesses=segment_witnesses)[0]
+    stats = batch_local_min_stats(field, p, X, cfg, segment_witnesses)
     return _decide(stats, X, lambda s: s <= cfg.tau)
 
 
-def is_local_min_polyorder_vector(c: VectorField, p, radius: float,
-                                  neighborhood_samples: SampleSet,
-                                  cfg: ToleranceConfig | None = None,
-                                  segment_witnesses=None) -> CheckOutcome:
-    """Whether p weakly dominates every sampled neighbor along segments."""
-    return _local_min_polyorder(c, p, neighborhood_samples, cfg, segment_witnesses)
-
-
-def is_local_min_polyorder_scalar(f: ScalarField, p, radius: float,
-                                  neighborhood_samples: SampleSet,
-                                  cfg: ToleranceConfig | None = None) -> CheckOutcome:
-    """Whether every sampled neighbor is reached from p by a weak-descent path."""
-    return _local_min_polyorder(f, p, neighborhood_samples, cfg)
-
-
-def is_strict_local_min_scalar(f: ScalarField, p, radius: float,
-                               neighborhood_samples: SampleSet,
+def is_strict_local_min_scalar(f: ScalarField, p, neighborhood_samples: SampleSet,
                                cfg: ToleranceConfig | None = None) -> CheckOutcome:
     """f(p) < f(x) - tau for every sampled x != p."""
     cfg = cfg or ToleranceConfig()
@@ -447,37 +401,40 @@ def _chain(condition: bool, message: str):
         raise InvariantBreachError(message)
 
 
-def classify_point(kind: str, field, p, challengers: SampleSet | None = None,
+def classify_point(field, p, challengers: SampleSet | None = None,
                    radius: float | None = None, cfg: ToleranceConfig | None = None,
                    seed: int = 42, segment_witnesses=None) -> ClassificationReport:
     """Run every applicable check with shared probe sets and assert the
-    theorem inclusion chains before returning."""
-    if kind not in ("scalar", "vector"):
-        raise ValueError("kind must be 'scalar' or 'vector'")
+    theorem inclusion chains before returning.
+
+    A ScalarField gives a "scalar" report, any other field a "vector" one.
+    The radius is checked before any challenger is built.
+    """
+    kind = "scalar" if isinstance(field, ScalarField) else "vector"
     cfg = cfg or ToleranceConfig()
     p = require_in_domain(field.domain, p)
     radius = radius if radius is not None else 0.05 * field.domain.diameter()
-    challengers = challengers or default_challengers(field.domain, seed)
     neighborhood = sample_neighborhood(field.domain, p, radius, seed=seed)
+    challengers = challengers or default_challengers(field.domain, seed)
     # global sweeps see the local probes too, so the chains are checked on
     # comparable evidence
     full = challengers.union(neighborhood.points, note="ball")
     # the scalar step screen takes no witness eps
     witnesses = segment_witnesses if kind == "vector" else None
 
-    minimal, maximal = _minimal_and_maximal(field, p, full, cfg, witnesses)
-    local_min = _local_min_polyorder(field, p, neighborhood, cfg, witnesses)
+    minimal, maximal = minimal_and_maximal(field, p, full, cfg, witnesses)
+    local_min = is_local_min_polyorder(field, p, neighborhood, cfg, witnesses)
     critical = nss = ess = strict_min = None
     if kind == "vector":
         critical = is_critical_element(field, p, full, cfg)
-        nss = is_nss(field, p, radius, neighborhood, cfg)
-        ess = is_ess(field, p, radius, neighborhood, cfg)
+        nss = is_nss(field, p, neighborhood, cfg)
+        ess = is_ess(field, p, neighborhood, cfg)
         _chain(not ess.ok or nss.ok, "ess held but nss failed on the same samples")
         _chain(not ess.ok or minimal.ok, "ess held but a strict dominator was found")
         _chain(not minimal.ok or critical.ok, "minimal point failed the critical-element check")
         _chain(not local_min.ok or critical.ok, "local minimum failed the critical-element check")
     else:
-        strict_min = is_strict_local_min_scalar(field, p, radius, neighborhood, cfg)
+        strict_min = is_strict_local_min_scalar(field, p, neighborhood, cfg)
         _chain(not strict_min.ok or minimal.ok,
                "strict local minimum was strictly dominated by a challenger")
     ok = lambda outcome: None if outcome is None else outcome.ok

@@ -159,7 +159,7 @@ def cmd_classify(args) -> int:
     if challengers is None and args.challengers is not None:
         challengers = default_challengers(field.domain, args.seed, grid_n=args.challengers,
                                           random_n=args.challengers)
-    report = classify_point(kind, field, args.point, challengers=challengers,
+    report = classify_point(field, args.point, challengers=challengers,
                             radius=args.radius, cfg=cfg, seed=args.seed,
                             segment_witnesses=witnesses)
     emitter.write_text("classification.json", _dumps(report.to_dict()))
@@ -176,7 +176,7 @@ def cmd_game(args) -> int:
     cfg = _tolerance(args)
     challengers = default_challengers(game.domain, args.seed)
     nash = is_nash(game, args.point, challengers, cfg)
-    report = classify_point("vector", game.cost, args.point, challengers=challengers,
+    report = classify_point(game.cost, args.point, challengers=challengers,
                             radius=args.radius, cfg=cfg, seed=args.seed)
     payload = {"is_nash": nash.ok,
                "nash_witness": list(nash.witness) if nash.witness else None,

@@ -30,11 +30,12 @@ when both use the same eps set: from dim 8 the BLAS product can round a
 row differently by its position in the grid and by the grid's length,
 which is why _end_deltas reduces endpoint values in the grid's layout.
 
-Refinement bisects between adjacent samples (scalar: adjacent steps) whose
-band signs are +1 and -1, at most MAX_REFINE_DEPTH times; only a single
-comparison refines.  Added points only widen vector extremes, so it never
-changes a vector relation (a split scalar step can shrink, so a scalar
-relation can change).
+A single comparison reads one refined profile (profile, for either kind
+of field).  Refinement bisects between adjacent samples (scalar: adjacent
+steps) whose band signs are +1 and -1, at most MAX_REFINE_DEPTH times;
+only a single comparison refines.  Added points only widen vector
+extremes, so it never changes a vector relation (a split scalar step can
+shrink, so a scalar relation can change).
 
 One rule, _relations, turns a profile's band statistics into a relation,
 for a single comparison and for the batch screens at the bottom of this
@@ -69,14 +70,16 @@ The few rows left open go through the screen as before, so every relation
 is exactly the screen's.
 
 The local-min check reads only the first argmax of the rows' grid maxima
-and its value.  For affine fields batch_affine_max gets both from the
-endpoints where it can: a row whose two ends differ by enough (relative
-to the grid's gap at the ends) has its grid max at an end, and reads that
-end as the grid computes it; a row whose endpoint max plus 2E is below
-another row's reading cannot be the argmax; only the rest are screened.
-Its ok, stat and witness are the full sweep's bit for bit.  Single
-comparisons, the extremes screens, fields with segment witnesses and flat
-profiles still walk the grid.
+and its value, from one screen of p against its ball that
+batch_local_min_stats picks by field: the scalar steps, the vector
+extremes, or, for an affine field without witness eps, batch_affine_max.
+That one gets both from the endpoints where it can: a row whose two ends
+differ by enough (relative to the grid's gap at the ends) has its grid max
+at an end, and reads that end as the grid computes it; a row whose
+endpoint max plus 2E is below another row's reading cannot be the argmax;
+only the rest are screened.  Its ok, stat and witness are the full
+sweep's bit for bit.  Single comparisons, the extremes screens, fields
+with segment witnesses and flat profiles still walk the grid.
 """
 
 from __future__ import annotations
@@ -228,9 +231,15 @@ def _endpoints(field, x, y):
     return x, y
 
 
-def _refined_profile(field, x, y, cfg: ToleranceConfig | None,
-                     extra_eps: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """(eps, profile) on the uniform grid plus extra_eps, refined near band-sign flips."""
+def profile(field, x, y, cfg: ToleranceConfig | None = None,
+            extra_eps: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """(eps, profile) of the segment from y to x, sorted by eps.
+
+    The profile is delta(eps) = (x - y) . c(eps*x + (1-eps)*y) for a vector
+    field and g(eps) = f(eps*x + (1-eps)*y) for a scalar one, on the uniform
+    grid plus extra_eps, refined near band-sign flips (of delta, resp. of
+    the steps of g).
+    """
     cfg = cfg or ToleranceConfig()
     x, y = _endpoints(field, x, y)
     xs, ys = x[None, :], y[None, :]
@@ -250,18 +259,6 @@ def _refined_profile(field, x, y, cfg: ToleranceConfig | None,
         eps = np.insert(eps, idx, mids)
         vals = np.insert(vals, idx, _profiles(field, xs, ys, mids)[0])
     return eps, vals
-
-
-def segment_profile(c: VectorField, x, y, cfg: ToleranceConfig | None = None,
-                    extra_eps: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """delta(eps) = (x - y) . c(eps*x + (1-eps)*y), sorted by eps, refined near sign changes."""
-    return _refined_profile(c, x, y, cfg, extra_eps)
-
-
-def scalar_profile(f: ScalarField, x, y, cfg: ToleranceConfig | None = None,
-                   extra_eps: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """g(eps) = f(eps*x + (1-eps)*y), sorted by eps, refined where monotonicity flips."""
-    return _refined_profile(f, x, y, cfg, extra_eps)
 
 
 def _relations(hi, lo, drop, rise, tau: float) -> np.ndarray:
@@ -308,7 +305,7 @@ def compare_vector(c: VectorField, x, y, cfg: ToleranceConfig | None = None,
     Equivalent.
     """
     cfg = cfg or ToleranceConfig()
-    eps, delta = segment_profile(c, x, y, cfg, extra_eps)
+    eps, delta = profile(c, x, y, cfg, extra_eps)
     return _verdict(eps, delta, cfg, scalar=False)
 
 
@@ -323,7 +320,7 @@ def compare_scalar(f: ScalarField, x, y, cfg: ToleranceConfig | None = None,
     strictness.
     """
     cfg = cfg or ToleranceConfig()
-    eps, g = scalar_profile(f, x, y, cfg, extra_eps)
+    eps, g = profile(f, x, y, cfg, extra_eps)
     return _verdict(eps, g, cfg, scalar=True)
 
 
@@ -479,6 +476,25 @@ def batch_relations(field, xs, ys, cfg: ToleranceConfig, segment_witnesses=None)
                 field, _rows(xs, rest), _rows(ys, rest), cfg, drop_incomparable=True,
                 segment_witnesses=segment_witnesses)
     return _relations(mx, mn, mn, mx, cfg.tau)
+
+
+def batch_local_min_stats(field, xs, ys, cfg: ToleranceConfig,
+                          segment_witnesses=None) -> np.ndarray:
+    """Rowwise uniform-grid hi of _relations: x_k weakly dominates y_k when it is <= tau.
+
+    Scalar rows read their largest step, vector rows their max delta with
+    the segment_witnesses eps folded in.  An affine field without witnesses
+    goes through batch_affine_max, whose other rows may read less, so only
+    the first argmax and its value are the screen's.  Scalar fields with
+    segment_witnesses raise ValueError, as in batch_relations.
+    """
+    if isinstance(field, ScalarField):
+        if segment_witnesses is not None:
+            raise ValueError("the scalar step screen cannot fold segment witnesses")
+        return batch_scalar_steps(field, xs, ys, cfg)[0]
+    if field.affine is not None and segment_witnesses is None:
+        return batch_affine_max(field, xs, ys, cfg)
+    return batch_vector_extremes(field, xs, ys, cfg, segment_witnesses=segment_witnesses)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -392,8 +392,13 @@ def affine_field(A, b, domain: Domain, label: str) -> VectorField:
                                      f"and {n} b entries, got {A.shape} and {b.shape}")
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("an affine map has non-finite entries")
-    return VectorField(batch=lambda P: np.einsum("nj,ij->ni", np.ascontiguousarray(P), A) + b,
-                       domain=domain, label=label, affine=(A, b))
+
+    def batch(P):
+        out = np.einsum("nj,ij->ni", np.ascontiguousarray(P), A)
+        out += b
+        return out
+
+    return VectorField(batch=batch, domain=domain, label=label, affine=(A, b))
 
 
 def negate(f: AnyField) -> AnyField:

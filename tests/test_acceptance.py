@@ -13,9 +13,8 @@ from fieldorder.casestudy import (check_setwise_dominance, classify_catalog,
                                   mexican_hat_counterexample, minimal_candidate_points,
                                   origin_atypicality, zero_point)
 from fieldorder.classify import (default_challengers, is_critical_element, is_ess,
-                                 is_local_min_polyorder_vector, is_maximal, is_minimal,
-                                 is_minimal_scalar, is_nss, is_strict_local_min_scalar,
-                                 sample_neighborhood)
+                                 is_local_min_polyorder, is_nss, is_strict_local_min_scalar,
+                                 minimal_and_maximal, sample_neighborhood)
 from fieldorder.dominance import (EQUIVALENT, STRICTLY_DOMINATES, ToleranceConfig,
                                   batch_scalar_steps, compare_scalar, compare_vector)
 from fieldorder.dynamics import IntegratorConfig, check_setwise_stability
@@ -174,9 +173,9 @@ def test_criterion_5_theorem_property_suite():
             radius = [0.02, 0.05, 0.1][trial % 3] * f.domain.diameter()
             ball = sample_neighborhood(f.domain, p, radius, 128, seed=trial)
             full = challengers_for(f).union(ball.points)
-            strict = is_strict_local_min_scalar(f, p, radius, ball, FAST)
+            strict = is_strict_local_min_scalar(f, p, ball, FAST)
             if strict.ok:
-                mini = is_minimal_scalar(f, p, full, FAST)
+                mini = minimal_and_maximal(f, p, full, FAST)[0]
                 if not mini.ok:
                     violations.append(f"scalar strict-local-min not minimal: {f.label} @ {p}")
         else:
@@ -186,11 +185,11 @@ def test_criterion_5_theorem_property_suite():
             ball = sample_neighborhood(c.domain, p, radius, 128, seed=trial)
             full = challengers_for(c).union(ball.points)
             crit = is_critical_element(c, p, full, FAST)
-            mini = is_minimal(c, p, full, FAST)
-            dual = is_maximal(negate(c), p, full, FAST)
-            nss = is_nss(c, p, radius, ball, FAST)
-            loc = is_local_min_polyorder_vector(c, p, radius, ball, FAST)
-            ess = is_ess(c, p, radius, ball, FAST)
+            mini = minimal_and_maximal(c, p, full, FAST)[0]
+            dual = minimal_and_maximal(negate(c), p, full, FAST)[1]
+            nss = is_nss(c, p, ball, FAST)
+            loc = is_local_min_polyorder(c, p, ball, FAST)
+            ess = is_ess(c, p, ball, FAST)
             if (mini.ok, mini.witness, mini.eps) != (dual.ok, dual.witness, dual.eps):
                 violations.append(f"duality mismatch: {c.label} @ {p}")
             if ess.ok and not mini.ok:
@@ -326,9 +325,9 @@ def test_criterion_9_hawk_dove_end_to_end():
     ball = sample_neighborhood(game.domain, p, 0.1, 512, 42)
     full = challengers.union(ball.points)
     nash = is_critical_element(game.cost, p, full, cfg)
-    nss = is_nss(game.cost, p, 0.1, ball, cfg)
-    ess = is_ess(game.cost, p, 0.1, ball, cfg)
-    mini = is_minimal(game.cost, p, full, cfg)
+    nss = is_nss(game.cost, p, ball, cfg)
+    ess = is_ess(game.cost, p, ball, cfg)
+    mini = minimal_and_maximal(game.cost, p, full, cfg)[0]
 
     # independent oracle: dense simplex sweep of p.c(x) vs x.c(x)
     sweep = sample_domain(game.domain, Grid(10_000), 42).points

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fieldorder.classify import (classify_point, default_challengers,
-                                 is_local_min_polyorder_vector, sample_neighborhood)
+                                 is_local_min_polyorder, sample_neighborhood)
 from fieldorder.dominance import (ToleranceConfig, _affine_endpoints, _affine_rounding_bound,
                                   _broadcast_rows, _end_deltas, _end_values, _interior_below_ends,
                                   _profiles, _relations, batch_affine_max, batch_relations,
@@ -165,7 +165,7 @@ def test_hawk_dove_classification_stays_off_the_grid():
     cfg = ToleranceConfig()
     for p in ([0.5, 0.5], [0.2, 0.8]):
         evaluated[0] = 0
-        report = classify_point("vector", counted, p, cfg=cfg)
+        report = classify_point(counted, p, cfg=cfg)
         p = np.asarray(p)
         rows = len(default_challengers(c.domain, 42))
         ball = len(sample_neighborhood(c.domain, p, 0.05 * c.domain.diameter(), 512, 42))
@@ -211,8 +211,8 @@ def test_local_min_from_the_ends_is_the_sweep(kind, seed, negated, flat, rows, n
             cfg = ToleranceConfig(tau=tau, n_eps=n_eps)
     samples = SampleSet(X)
     plain = dataclasses.replace(c, affine=None)
-    want = is_local_min_polyorder_vector(plain, p, 0.05, samples, cfg)
-    out = is_local_min_polyorder_vector(c, p, 0.05, samples, cfg)
+    want = is_local_min_polyorder(plain, p, samples, cfg)
+    out = is_local_min_polyorder(c, p, samples, cfg)
     assert (out.ok, out.witness, bits(out.stat)) == (want.ok, want.witness, bits(want.stat))
 
 
@@ -259,7 +259,6 @@ def test_stock_game_local_min_is_the_sweep(make, p, negated, n_eps):
     p = np.asarray(p)
     samples = sample_neighborhood(c.domain, p, 0.05 * c.domain.diameter(), 512, 42)
     cfg = ToleranceConfig(n_eps=n_eps)
-    want = is_local_min_polyorder_vector(dataclasses.replace(c, affine=None), p, 0.05,
-                                         samples, cfg)
-    out = is_local_min_polyorder_vector(c, p, 0.05, samples, cfg)
+    want = is_local_min_polyorder(dataclasses.replace(c, affine=None), p, samples, cfg)
+    out = is_local_min_polyorder(c, p, samples, cfg)
     assert (out.ok, out.witness, bits(out.stat)) == (want.ok, want.witness, bits(want.stat))

@@ -4,9 +4,8 @@ import pytest
 from fieldorder import classify
 from fieldorder.classify import (classify_point, default_challengers,
                                  is_almost_strictly_minimal_set, is_critical_element,
-                                 is_ess, is_ess_set, is_local_min_polyorder_scalar,
-                                 is_local_min_polyorder_vector, is_maximal, is_minimal,
-                                 is_minimal_scalar, is_nss, is_strict_local_min_scalar,
+                                 is_ess, is_ess_set, is_local_min_polyorder, is_nss,
+                                 is_strict_local_min_scalar, minimal_and_maximal,
                                  sample_neighborhood)
 from fieldorder.dominance import ToleranceConfig
 from fieldorder.fields import (Box, Product, SampleSet, Simplex, negate, scalar_field,
@@ -50,37 +49,37 @@ class TestCriticalElement:
 
 class TestMinimalMaximal:
     def test_square_origin_neither(self, square, square_challengers):
-        mini = is_minimal(square, [0.0], square_challengers, CFG)
+        mini = minimal_and_maximal(square, [0.0], square_challengers, CFG)[0]
         assert not mini.ok
         assert mini.witness[0] < 0  # any left-axis point dominates
-        assert not is_maximal(square, [0.0], square_challengers, CFG).ok
+        assert not minimal_and_maximal(square, [0.0], square_challengers, CFG)[1].ok
 
     def test_oscillator_first_zero_minimal(self):
         c = vector_field("xsininv")
         ch = case_challengers(c.domain, build_catalog(5))
         p = np.array([1 / np.pi])
-        assert is_minimal(c, p, ch, CFG, origin_segment_witnesses).ok
-        assert not is_maximal(c, p, ch, CFG, origin_segment_witnesses).ok
+        assert minimal_and_maximal(c, p, ch, CFG, origin_segment_witnesses)[0].ok
+        assert not minimal_and_maximal(c, p, ch, CFG, origin_segment_witnesses)[1].ok
 
     def test_oscillator_second_zero_maximal(self):
         c = vector_field("xsininv")
         ch = case_challengers(c.domain, build_catalog(5))
         p = np.array([1 / (2 * np.pi)])
-        assert not is_minimal(c, p, ch, CFG, origin_segment_witnesses).ok
-        assert is_maximal(c, p, ch, CFG, origin_segment_witnesses).ok
+        assert not minimal_and_maximal(c, p, ch, CFG, origin_segment_witnesses)[0].ok
+        assert minimal_and_maximal(c, p, ch, CFG, origin_segment_witnesses)[1].ok
 
     def test_duality_is_bit_exact(self, square, square_challengers):
         rng = np.random.default_rng(3)
         for _ in range(25):
             p = rng.uniform(-1, 1, 1)
-            a = is_minimal(square, p, square_challengers, CFG)
-            b = is_maximal(negate(square), p, square_challengers, CFG)
+            a = minimal_and_maximal(square, p, square_challengers, CFG)[0]
+            b = minimal_and_maximal(negate(square), p, square_challengers, CFG)[1]
             assert (a.ok, a.witness, a.eps) == (b.ok, b.witness, b.eps)
 
     def test_scalar_minimality(self, square_challengers):
         f = scalar_field("quadratic")
-        assert is_minimal_scalar(f, [0.0], square_challengers, CFG).ok
-        out = is_minimal_scalar(scalar_field("cubic"), [0.0], square_challengers, CFG)
+        assert minimal_and_maximal(f, [0.0], square_challengers, CFG)[0].ok
+        out = minimal_and_maximal(scalar_field("cubic"), [0.0], square_challengers, CFG)[0]
         assert not out.ok
 
 
@@ -88,44 +87,44 @@ class TestLocalConcepts:
     def test_identity_origin_full_house(self):
         c = vector_field("linear")
         ball = sample_neighborhood(c.domain, [0.0], 0.1, 256, 5)
-        assert is_nss(c, [0.0], 0.1, ball, CFG).ok
-        assert is_ess(c, [0.0], 0.1, ball, CFG).ok
-        assert is_local_min_polyorder_vector(c, [0.0], 0.1, ball, CFG).ok
+        assert is_nss(c, [0.0], ball, CFG).ok
+        assert is_ess(c, [0.0], ball, CFG).ok
+        assert is_local_min_polyorder(c, [0.0], ball, CFG).ok
 
     def test_square_origin_locally_nothing(self, square):
         ball = sample_neighborhood(square.domain, [0.0], 0.1, 256, 5)
-        nss = is_nss(square, [0.0], 0.1, ball, CFG)
+        nss = is_nss(square, [0.0], ball, CFG)
         assert not nss.ok
         assert nss.witness[0] < 0
-        assert not is_ess(square, [0.0], 0.1, ball, CFG).ok
-        assert not is_local_min_polyorder_vector(square, [0.0], 0.1, ball, CFG).ok
+        assert not is_ess(square, [0.0], ball, CFG).ok
+        assert not is_local_min_polyorder(square, [0.0], ball, CFG).ok
 
     def test_trivial_neighborhood_is_local_min(self, square):
         ball = SampleSet(np.array([[0.0]]), "explicit", 0)
-        assert is_local_min_polyorder_vector(square, [0.0], 0.1, ball, CFG).ok
+        assert is_local_min_polyorder(square, [0.0], ball, CFG).ok
 
     def test_square_scalar_strict_local_min(self):
         f = scalar_field("quadratic")
         ball = sample_neighborhood(f.domain, [0.0], 0.1, 256, 5)
-        assert is_strict_local_min_scalar(f, [0.0], 0.1, ball, CFG).ok
+        assert is_strict_local_min_scalar(f, [0.0], ball, CFG).ok
 
     def test_cubic_scalar_not_strict_local_min(self):
         f = scalar_field("cubic")
         ball = sample_neighborhood(f.domain, [0.0], 0.1, 256, 5)
-        assert not is_strict_local_min_scalar(f, [0.0], 0.1, ball, CFG).ok
+        assert not is_strict_local_min_scalar(f, [0.0], ball, CFG).ok
 
     def test_hat_circle_point_not_strict_local_min(self):
         f = scalar_field("mexican_hat")
         p = np.array([1.0, 0.0])
         q = np.array([np.cos(0.1), np.sin(0.1)])
         ball = sample_neighborhood(f.domain, p, 0.2, 256, 5).union(q[None, :])
-        assert not is_strict_local_min_scalar(f, p, 0.2, ball, CFG).ok
-        assert not is_local_min_polyorder_scalar(f, p, 0.2, ball, CFG).ok
+        assert not is_strict_local_min_scalar(f, p, ball, CFG).ok
+        assert not is_local_min_polyorder(f, p, ball, CFG).ok
 
     def test_no_samples_rejected(self, square):
         empty = SampleSet(np.empty((0, 1)), "explicit", 0)
         with pytest.raises(ValueError):
-            is_nss(square, [0.0], 0.1, empty, CFG)
+            is_nss(square, [0.0], empty, CFG)
 
 
 class TestSetConcepts:
@@ -135,7 +134,7 @@ class TestSetConcepts:
         assert is_ess_set(g.cost, [[0.5, 0.5]], 0.1, CFG).ok
         # members of a passing candidate set must themselves be minimal
         ch = default_challengers(g.domain, 13)
-        assert is_minimal(g.cost, [0.5, 0.5], ch, CFG).ok
+        assert minimal_and_maximal(g.cost, [0.5, 0.5], ch, CFG)[0].ok
 
     def test_square_origin_fails_set_check(self, square):
         out = is_ess_set(square, [[0.0]], 0.1, CFG)
@@ -205,6 +204,11 @@ class TestNeighborhoodSampler:
         got = sample_neighborhood(dom, [0.0], 0.1, 64, 4)
         assert np.all(np.abs(got.points) > 0)
 
+    @pytest.mark.parametrize("radius", [0.0, -0.1, np.inf, -np.inf, np.nan])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            sample_neighborhood(Box((-1.0,), (1.0,)), [0.0], radius)
+
     @pytest.mark.parametrize("count", [0, 10**12])
     def test_count_outside_the_grid_cap_rejected(self, count):
         # checked before a single direction is drawn
@@ -214,7 +218,7 @@ class TestNeighborhoodSampler:
 
 class TestClassifyPoint:
     def test_square_vector_report(self, square):
-        rep = classify_point("vector", square, [0.0], radius=0.1, seed=7)
+        rep = classify_point(square, [0.0], radius=0.1, seed=7)
         assert rep.is_critical and not rep.is_minimal and not rep.is_maximal
         assert not rep.is_nss and not rep.is_ess and not rep.is_local_min_polyorder
         assert rep.dominating_witness is not None
@@ -222,7 +226,7 @@ class TestClassifyPoint:
     def test_oscillator_first_zero_report(self):
         c = vector_field("xsininv")
         ch = case_challengers(c.domain, build_catalog(5), grid_n=2048)
-        rep = classify_point("vector", c, [1 / np.pi], challengers=ch, radius=0.1,
+        rep = classify_point(c, [1 / np.pi], challengers=ch, radius=0.1,
                              seed=7, segment_witnesses=origin_segment_witnesses)
         assert rep.is_critical and rep.is_minimal and not rep.is_maximal
         assert rep.is_nss and rep.is_ess
@@ -230,17 +234,29 @@ class TestClassifyPoint:
 
     def test_square_scalar_report(self):
         f = scalar_field("quadratic")
-        rep = classify_point("scalar", f, [0.0], radius=0.1, seed=7)
+        rep = classify_point(f, [0.0], radius=0.1, seed=7)
         assert rep.is_minimal and rep.is_strict_local_min
         assert rep.dominating_witness is None
 
     def test_report_serializes(self, square):
-        rep = classify_point("vector", square, [0.0], radius=0.1, seed=7)
+        rep = classify_point(square, [0.0], radius=0.1, seed=7)
         d = rep.to_dict()
         assert d["kind"] == "vector"
         assert d["is_critical"] is True
         assert "is_strict_local_min" not in d
 
-    def test_bad_kind(self, square):
-        with pytest.raises(ValueError):
-            classify_point("tensor", square, [0.0])
+    @pytest.mark.parametrize("make, kind, keys", [
+        (scalar_field, "scalar", {"is_strict_local_min"}),
+        (vector_field, "vector", {"is_critical", "is_nss", "is_ess"}),
+    ], ids=["scalar", "vector"])
+    def test_kind_comes_from_the_field(self, make, kind, keys):
+        rep = classify_point(make("quadratic"), [0.0], radius=0.1, seed=7)
+        d = rep.to_dict()
+        assert rep.kind == d["kind"] == kind
+        others = {"is_strict_local_min", "is_critical", "is_nss", "is_ess"} - keys
+        assert keys <= d.keys() and not others & d.keys()
+
+    def test_scalar_field_takes_no_witnesses(self):
+        rep = classify_point(scalar_field("quadratic"), [0.0], radius=0.1, seed=7,
+                             segment_witnesses=lambda x, y: (0.3,))
+        assert rep.kind == "scalar" and not rep.analytic_witnesses

@@ -155,6 +155,23 @@ class TestClassify:
         got = run_json(capsys, "classify", "--scalar", "quadratic", "--point", "0")
         assert got["is_strict_local_min"] is True
 
+    @pytest.mark.parametrize("radius", ["inf", "nan"])
+    def test_non_finite_radius_exits_2_before_any_work(self, capsys, monkeypatch, tmp_path,
+                                                        radius):
+        # inf used to run the whole classification and fail in the JSON
+        # writer; nan used to report an empty ball
+        def work(*args, **kwargs):
+            raise AssertionError("the classification started before the radius was checked")
+
+        monkeypatch.setattr(classify, "default_challengers", work)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "--json", "--out-dir", str(out_dir), "classify",
+                             "--vector", "linear", "--point", "0.0", "--radius", radius)
+        assert code == 2
+        assert out == ""
+        assert "radius must be finite and positive" in err
+        assert not out_dir.exists()
+
 
 class TestGame:
     @pytest.fixture()
@@ -182,6 +199,21 @@ class TestGame:
                                     "B": [[1, -1], [-1, 1]]}))
         got = run_json(capsys, "game", str(path), "--point", "0.5,0.5,0.5,0.5")
         assert got["is_nash"] is True
+
+    @pytest.mark.parametrize("radius", ["inf", "nan"])
+    def test_non_finite_radius_exits_2(self, capsys, monkeypatch, tmp_path, hawk_dove_file,
+                                       radius):
+        def work(*args, **kwargs):
+            raise AssertionError("the screen ran before the radius was checked")
+
+        monkeypatch.setattr(classify, "batch_relations", work)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "--json", "--out-dir", str(out_dir), "game",
+                             hawk_dove_file, "--point", "0.5,0.5", "--radius", radius)
+        assert code == 2
+        assert out == ""
+        assert "radius must be finite and positive" in err
+        assert not out_dir.exists()
 
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run(capsys, "game", "/nonexistent.json", "--point", "0.5,0.5")

@@ -7,7 +7,7 @@ import pytest
 from fieldorder.dominance import (EQUIVALENT, INCOMPARABLE, REVERSE_STRICT,
                                   STRICTLY_DOMINATES, ToleranceConfig,
                                   batch_scalar_steps, compare_scalar, compare_vector,
-                                  scalar_profile, segment_profile)
+                                  profile)
 from fieldorder.errors import DomainViolationError
 from fieldorder.fields import (_MAX_GRID_POINTS, quadratic_form, gradient_field,
                                scalar_field, vector_field)
@@ -20,48 +20,48 @@ class TestProfiles:
     def test_linear_field_closed_form(self):
         # delta(eps) = (0 - 1) * c(1 - eps) = eps - 1
         c = vector_field("linear")
-        eps, delta = segment_profile(c, [0.0], [1.0], CFG)
+        eps, delta = profile(c, [0.0], [1.0], CFG)
         assert delta == pytest.approx(eps - 1.0)
         assert delta[0] == pytest.approx(-1.0)
         assert delta[-1] == pytest.approx(0.0)
 
     def test_equal_points_flat(self):
         c = vector_field("quadratic")
-        _, delta = segment_profile(c, [0.3], [0.3], CFG)
+        _, delta = profile(c, [0.3], [0.3], CFG)
         assert np.all(delta == 0.0)
 
     def test_square_field_closed_form(self):
         # delta(eps) = -0.5 * (0.25 eps^2) = -0.125 eps^2
         c = vector_field("quadratic")
-        eps, delta = segment_profile(c, [-0.5], [0.0], CFG)
+        eps, delta = profile(c, [-0.5], [0.0], CFG)
         assert delta == pytest.approx(-0.125 * eps ** 2)
         assert delta[-1] == pytest.approx(-0.125)
 
     def test_scalar_square_profile_decreasing(self):
         f = scalar_field("quadratic")
-        eps, g = scalar_profile(f, [0.0], [1.0], CFG)
+        eps, g = profile(f, [0.0], [1.0], CFG)
         assert g == pytest.approx((1.0 - eps) ** 2)
         assert np.all(np.diff(g) <= 0)
 
     def test_scalar_cubic_profile(self):
         f = scalar_field("cubic")
-        eps, g = scalar_profile(f, [-1.0], [0.0], CFG)
+        eps, g = profile(f, [-1.0], [0.0], CFG)
         assert g == pytest.approx(-eps ** 3)
 
     def test_scalar_constant_on_tie(self):
         f = scalar_field("quadratic")
-        _, g = scalar_profile(f, [0.4], [0.4], CFG)
+        _, g = profile(f, [0.4], [0.4], CFG)
         assert np.ptp(g) == 0.0
 
     def test_outside_domain_rejected(self):
         with pytest.raises(DomainViolationError):
-            segment_profile(vector_field("quadratic"), [3.0], [0.0], CFG)
+            profile(vector_field("quadratic"), [3.0], [0.0], CFG)
 
     def test_refinement_adds_points_near_sign_change(self):
         # f flips sign inside [0.1, 1.0], so delta must get bisection points
         c = vector_field("xsininv")
         coarse = ToleranceConfig(n_eps=17)
-        eps, _ = segment_profile(c, np.array([1.0]), np.array([0.1]), coarse)
+        eps, _ = profile(c, np.array([1.0]), np.array([0.1]), coarse)
         assert eps.size > 17
 
 

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fieldorder.casestudy import build_catalog, case_challengers, origin_segment_witnesses
-from fieldorder.classify import (CheckOutcome, default_challengers, is_maximal,
-                                 is_maximal_scalar, is_minimal, is_minimal_scalar,
+from fieldorder.classify import (CheckOutcome, default_challengers, minimal_and_maximal,
                                  sample_neighborhood)
 from fieldorder.dominance import (STRICTLY_DOMINATES, ToleranceConfig, batch_scalar_steps,
                                   batch_vector_extremes, compare_scalar, compare_vector)
@@ -65,8 +64,7 @@ def _triple(out):
 def assert_vector_matches(c, p, challengers, cfg, segment_witnesses=None):
     want_min = reference_minimal(c, p, challengers, cfg, segment_witnesses)
     want_max = reference_minimal(negate(c), p, challengers, cfg, segment_witnesses)
-    got_min = is_minimal(c, p, challengers, cfg, segment_witnesses)
-    got_max = is_maximal(c, p, challengers, cfg, segment_witnesses)
+    got_min, got_max = minimal_and_maximal(c, p, challengers, cfg, segment_witnesses)
     assert _triple(got_min) == _triple(want_min)
     assert _triple(got_max) == _triple(want_max)
     return got_min, got_max
@@ -75,8 +73,7 @@ def assert_vector_matches(c, p, challengers, cfg, segment_witnesses=None):
 def assert_scalar_matches(f, p, challengers, cfg):
     want_min = reference_minimal_scalar(f, p, challengers, cfg)
     want_max = reference_minimal_scalar(negate(f), p, challengers, cfg)
-    got_min = is_minimal_scalar(f, p, challengers, cfg)
-    got_max = is_maximal_scalar(f, p, challengers, cfg)
+    got_min, got_max = minimal_and_maximal(f, p, challengers, cfg)
     assert _triple(got_min) == _triple(want_min)
     assert _triple(got_max) == _triple(want_max)
     return got_min, got_max

@@ -69,7 +69,7 @@ class TestBimatrix:
 class TestEndToEnd:
     def test_hawk_dove_full_chain(self):
         g = hawk_dove()
-        rep = classify_point("vector", g.cost, [0.5, 0.5], radius=0.1, seed=11)
+        rep = classify_point(g.cost, [0.5, 0.5], radius=0.1, seed=11)
         assert rep.is_critical and rep.is_nss and rep.is_ess and rep.is_minimal
 
     def test_scaling_invariance_of_verdicts(self):

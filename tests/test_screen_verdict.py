@@ -18,13 +18,13 @@ import numpy as np
 import pytest
 
 from fieldorder.casestudy import origin_segment_witnesses
-from fieldorder.classify import (_minimal_and_maximal, is_local_min_polyorder_vector,
+from fieldorder.classify import (is_local_min_polyorder, minimal_and_maximal,
                                  sample_neighborhood)
 from fieldorder.dominance import (EQUIVALENT, INCOMPARABLE, REVERSE_STRICT, REVERSE_WEAK,
                                   STRICTLY_DOMINATES, WEAKLY_DOMINATES_NOT_STRICT,
-                                  ToleranceConfig, _profiles, batch_relations,
-                                  batch_scalar_steps, batch_vector_extremes, compare_scalar,
-                                  compare_vector)
+                                  ToleranceConfig, _profiles, batch_local_min_stats,
+                                  batch_relations, batch_scalar_steps, batch_vector_extremes,
+                                  compare_scalar, compare_vector)
 from fieldorder.fields import (Box, SampleSet, ScalarField, VectorField, negate, quadratic_form,
                                registry_names, scalar_field, vector_field)
 from fieldorder.games import from_symmetric_matrix, hawk_dove, matching_pennies
@@ -280,8 +280,8 @@ def test_maximal_is_minimal_under_negation(label, field):
     X, _ = _pairs(field, seed=3)
     challengers = SampleSet(X[1:])
     p = X[0]
-    minimal, maximal = _minimal_and_maximal(field, p, challengers)
-    neg_minimal, neg_maximal = _minimal_and_maximal(negate(field), p, challengers)
+    minimal, maximal = minimal_and_maximal(field, p, challengers)
+    neg_minimal, neg_maximal = minimal_and_maximal(negate(field), p, challengers)
     assert maximal == neg_minimal and minimal == neg_maximal
     for outcome in (minimal, maximal):
         assert outcome.ok or outcome.eps is not None
@@ -304,11 +304,11 @@ def test_segment_witnesses_redecide_both_directions(sign, screen_relation):
     # must clear the failed check whichever direction it is
     c, p, challengers = _dip(sign), np.array([0.0]), SampleSet(np.array([[1.0]]))
     assert batch_relations(c, challengers.points, p, CFG).tolist() == [screen_relation]
-    failed = [not o.ok for o in _minimal_and_maximal(c, p, challengers)]
+    failed = [not o.ok for o in minimal_and_maximal(c, p, challengers)]
     assert failed == [screen_relation == STRICTLY_DOMINATES,
                       screen_relation == REVERSE_STRICT]
-    cleared = _minimal_and_maximal(c, p, challengers,
-                                   segment_witnesses=lambda a, b: (0.30015,))
+    cleared = minimal_and_maximal(c, p, challengers,
+                                  segment_witnesses=lambda a, b: (0.30015,))
     assert [o.ok for o in cleared] == [True, True]
 
 
@@ -379,7 +379,7 @@ def test_folded_extremes_are_the_compare_extremes(label, c, X, Y, witnesses):
 def test_local_min_stat_folds_origin_witnesses(radius):
     c, origin = vector_field("xsininv"), np.array([0.0])
     ball = sample_neighborhood(c.domain, origin, radius, 64, seed=5)
-    got = is_local_min_polyorder_vector(c, origin, radius, ball, CFG, origin_segment_witnesses)
+    got = is_local_min_polyorder(c, origin, ball, CFG, origin_segment_witnesses)
     grid = np.linspace(0.0, 1.0, CFG.n_eps)
     want = -np.inf
     for x in ball.points:
@@ -388,11 +388,12 @@ def test_local_min_stat_folds_origin_witnesses(radius):
         want = max(want, float(delta.max()))
     assert got.stat == want
     assert got.eps is None
-    assert got.stat >= is_local_min_polyorder_vector(c, origin, radius, ball, CFG).stat
+    assert got.stat >= is_local_min_polyorder(c, origin, ball, CFG).stat
 
 
-def test_scalar_screen_rejects_witnesses():
+@pytest.mark.parametrize("screen", [batch_relations, batch_local_min_stats])
+def test_scalar_screen_rejects_witnesses(screen):
     f = scalar_field("xsininv")
     X, Y = _origin_pairs()
     with pytest.raises(ValueError, match="scalar"):
-        batch_relations(f, X, Y, CFG, origin_segment_witnesses)
+        screen(f, X, Y, CFG, origin_segment_witnesses)
