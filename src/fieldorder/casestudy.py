@@ -17,6 +17,8 @@ is strictly dominated by the bracketing minimal critical point (the
 decision inequality is (x* - x) f(x) < 0 plus whole-segment confirmation),
 and the rotated-well counterexample where a circle of global scalar minima
 fails the local-minimum test of the dominance order.
+The study is fixed: the stock box [-1, 2], the 25-entry catalog, the
+radii ORIGIN_RADII and the window start -1/pi + 0.01.  The CLI sets the rest.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .classify import (_require_set_size, is_almost_strictly_minimal_set, is_ess
                        is_local_min_polyorder, is_nss, is_strict_local_min_scalar,
                        minimal_and_maximal, sample_neighborhood)
 from .dominance import STRICTLY_DOMINATES, ToleranceConfig, batch_relations, compare_scalar
-from .fields import (_MAX_GRID_POINTS, Domain, Grid, SampleSet, ScalarField, VectorField,
-                     require_in_domain, sample_domain, scalar_field, vector_field)
+from .fields import (_MAX_GRID_POINTS, DEFAULT_CASESTUDY_BOX, Grid, SampleSet, ScalarField,
+                     VectorField, require_in_domain, sample_domain, scalar_field, vector_field)
 
 PI = math.pi
 
@@ -75,23 +77,20 @@ class CatalogEntry:
 class CriticalCatalog:
     n_max: int
     entries: tuple[CatalogEntry, ...]
-    includes_origin: bool = True  # the origin is both minimal and maximal
 
-    def minimal_points(self) -> list[float]:
-        pts = [e.x for e in self.entries if e.kind == MINIMAL]
-        if self.includes_origin:
-            pts.append(0.0)
-        return sorted(pts)
+    def minimal_points(self) -> list[float]:  # the origin is minimal and maximal
+        return sorted([e.x for e in self.entries if e.kind == MINIMAL] + [0.0])
 
     def to_dict(self) -> dict:
-        return {"n_max": self.n_max, "includes_origin": self.includes_origin,
+        # includes_origin is always true; still written because catalog.json is pinned
+        return {"n_max": self.n_max, "includes_origin": True,
                 "entries": [e.to_dict() for e in self.entries]}
 
 
 def build_catalog(n_max: int) -> CriticalCatalog:
     """All critical points 1/(n pi) for 1 <= |n| <= n_max with their order class."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    if not 1 <= n_max <= _MAX_GRID_POINTS // 2:
+        raise ValueError(f"n_max must lie in [1, {_MAX_GRID_POINTS // 2}]")
     ns = [n for n in range(-n_max, n_max + 1) if n != 0]
     entries = tuple(CatalogEntry(n, zero_point(n), slope_at_zero(n), kind_of(n)) for n in ns)
     return CriticalCatalog(n_max=n_max, entries=entries)
@@ -149,19 +148,19 @@ def origin_segment_witnesses(a, b):
 # Oscillation-aware challenger sets and bracketing selectors
 # ---------------------------------------------------------------------------
 
-def case_fields(domain: Domain | None = None) -> tuple[ScalarField, VectorField]:
-    return scalar_field("xsininv", domain), vector_field("xsininv", domain)
+def case_fields() -> tuple[ScalarField, VectorField]:
+    return scalar_field("xsininv"), vector_field("xsininv")
 
 
-def case_challengers(domain: Domain, catalog: CriticalCatalog, grid_n: int = 4096,
+def case_challengers(catalog: CriticalCatalog, grid_n: int = 4096,
                      seed: int = 42) -> SampleSet:
-    """Grid challengers augmented with catalog points, the origin, and
-    analytic origin-witness points."""
+    """Stock-box grid challengers augmented with catalog points, the origin,
+    and analytic origin-witness points."""
+    domain = DEFAULT_CASESTUDY_BOX
     base = sample_domain(domain, Grid(grid_n), seed)
-    extra = [[0.0]] + [[e.x] for e in catalog.entries if domain.contains([e.x])]
+    extra = [[0.0]] + [[e.x] for e in catalog.entries]
     for bound in (domain.lower[0], domain.upper[0]):
-        if abs(bound) > 0:
-            extra.extend([[origin_witness(bound, 1)], [origin_witness(bound, -1)]])
+        extra.extend([[origin_witness(bound, 1)], [origin_witness(bound, -1)]])
     return base.union(np.asarray(extra, float), note="analytic")
 
 
@@ -182,8 +181,8 @@ def dominating_minimal_element(x: float) -> float | None:
     For x beyond the outermost positive zero this is 1/pi; inside (0, 1/pi)
     it is the odd-indexed zero bracketing x; mirrored with even indices on
     the negative side.  It doubles as the attractor of x' = -f(x) for the
-    same brackets.  Returns None left of -1/pi, where only maximal points
-    live.
+    same brackets.  Returns None at 0 and left of -1/pi, where only
+    maximal points live.
     """
     if x == 0.0:
         return None
@@ -245,7 +244,7 @@ def classify_catalog(n_max: int = 25, cfg: ToleranceConfig | None = None,
     cfg = cfg or ToleranceConfig()
     _, c = case_fields()
     catalog = build_catalog(n_max)
-    challengers = case_challengers(c.domain, catalog, grid_n, seed)
+    challengers = case_challengers(catalog, grid_n, seed)
     verdicts = []
     for entry in catalog.entries:
         got_min, got_max = minimal_and_maximal(c, [entry.x], challengers, cfg,
@@ -276,37 +275,36 @@ class OriginAtypicalityReport:
 ORIGIN_RADII = (0.1, 0.01, 0.001)
 
 
-def require_origin_radii(radii, cfg: ToleranceConfig) -> None:
-    """Raise ValueError unless every radius exceeds tau.
+def require_origin_radii(cfg: ToleranceConfig) -> None:
+    """Raise ValueError unless every radius of ORIGIN_RADII exceeds tau.
 
     The ball checks drop samples within tau of the origin, so a ball of
     radius <= tau has no samples left to check.
     """
-    for radius in radii:
+    for radius in ORIGIN_RADII:
         if not radius > cfg.tau:
             raise ValueError(f"origin radius {radius} must exceed tau = {cfg.tau}")
 
 
-def origin_atypicality(radii=ORIGIN_RADII, cfg: ToleranceConfig | None = None,
-                       grid_n: int = 4096, seed: int = 42,
-                       neighborhood_count: int = 512) -> OriginAtypicalityReport:
+def origin_atypicality(cfg: ToleranceConfig | None = None, grid_n: int = 4096,
+                       seed: int = 42) -> OriginAtypicalityReport:
     """Certify that the origin is minimal and maximal yet locally nothing.
 
-    Neighborhood samples at every radius are augmented with the exact
-    witness points below that radius at which x f(x) takes each sign, so
+    The 512 neighborhood samples at every radius of ORIGIN_RADII are
+    augmented with the exact witness points below that radius at which x f(x) takes each sign, so
     the local refusals never depend on a lucky draw.
     """
     cfg = cfg or ToleranceConfig()
-    require_origin_radii(radii, cfg)
+    require_origin_radii(cfg)
     _, c = case_fields()
     catalog = build_catalog(25)
-    challengers = case_challengers(c.domain, catalog, grid_n, seed)
+    challengers = case_challengers(catalog, grid_n, seed)
     origin = np.array([0.0])
     minimal, maximal = minimal_and_maximal(c, origin, challengers, cfg,
                                            origin_segment_witnesses)
     rows = []
-    for radius in radii:
-        ball = sample_neighborhood(c.domain, origin, radius, neighborhood_count, seed)
+    for radius in ORIGIN_RADII:
+        ball = sample_neighborhood(c.domain, origin, radius, seed=seed)
         exact = np.array([[origin_witness(radius, 1)], [origin_witness(radius, -1)],
                           [origin_witness(-radius, 1)], [origin_witness(-radius, -1)]])
         ball = ball.union(exact, note="witness")
@@ -347,30 +345,28 @@ class DominanceCoverageReport:
 
 
 def check_setwise_dominance(window_hi: float = 2.0, grid_n: int = 2000,
-                            cfg: ToleranceConfig | None = None,
-                            window_lo: float | None = None,
-                            domain: Domain | None = None) -> DominanceCoverageReport:
-    """For every non-minimal window point, certify strict dominance by the
-    bracketing minimal critical point.
+                            cfg: ToleranceConfig | None = None) -> DominanceCoverageReport:
+    """For every non-minimal point of the window [-1/pi + 0.01, window_hi],
+    certify strict dominance by the bracketing minimal critical point.
 
     Points within tau of a critical point are excluded (f vanishes there and
     the decision inequality cannot clear the slack); the bracketing index
     grows as needed near the origin, where the display catalog truncates but
-    the closed form keeps working.  Every window point and its dominator are
-    checked against the domain before anything is screened.  One
-    uniform-grid screen decides all pairs at once, and a pair it does not
-    confirm reports its screen relation (refinement never changes a vector
+    the closed form keeps working.  Every window point is checked against
+    the box before anything is screened; its dominator lies in [-1/pi,
+    1/pi].  One uniform-grid screen decides all pairs at once.  A point
+    fails with "margin under tau", or with "confirmation failed" and the
+    screen relation of its pair (refinement never changes a vector
     relation, so that is the pair's verdict).  grid_n must lie in
     [1, _MAX_GRID_POINTS].
     """
     cfg = cfg or ToleranceConfig()
     if not 1 <= grid_n <= _MAX_GRID_POINTS:
         raise ValueError(f"grid_n must lie in [1, {_MAX_GRID_POINTS}]")
-    if window_lo is None:
-        window_lo = -zero_point(1) + 0.01
     if window_hi <= zero_point(1):
         raise ValueError("window_hi must exceed the outermost minimal point")
-    f, c = case_fields(domain)
+    window_lo = -zero_point(1) + 0.01  # just right of the outermost maximal point
+    f, c = case_fields()
     xs = np.linspace(window_lo, window_hi, grid_n)
     excluded = covered = 0
     max_index = 0
@@ -384,10 +380,6 @@ def check_setwise_dominance(window_hi: float = 2.0, grid_n: int = 2000,
             excluded += 1
             continue
         xstar = dominating_minimal_element(x)
-        if xstar is None:
-            slots.append({"x": x, "reason": "no bracketing minimal element"})
-            continue
-        require_in_domain(c.domain, [xstar])
         if abs(x) < zero_point(1):
             max_index = max(max_index, math.floor(1.0 / (PI * abs(x))) + 1)
         margin = (xstar - x) * f.value(np.array([x]))
@@ -497,9 +489,7 @@ def mexican_hat_counterexample(n_circle: int = 16, cfg: ToleranceConfig | None =
     return MexicanHatReport(tuple(records), set_check.ok, radius)
 
 
-def minimal_candidate_points(n_max: int = 25, domain: Domain | None = None) -> np.ndarray:
-    """Truncated minimal set (origin included) as dynamics candidates."""
-    catalog = build_catalog(n_max)
-    dom = domain or scalar_field("xsininv").domain
-    pts = [x for x in catalog.minimal_points() if dom.contains([x])]
-    return np.asarray(pts, float)[:, None]
+def minimal_candidate_points() -> np.ndarray:
+    """Minimal points of the 25-entry catalog, origin included, as dynamics
+    candidates."""
+    return np.asarray(build_catalog(25).minimal_points(), float)[:, None]

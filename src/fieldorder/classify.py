@@ -102,6 +102,12 @@ def _axis_probes(domain: Domain, center: np.ndarray, radius: float) -> np.ndarra
     return _feasible_steps(domain, center, dirs * radius)
 
 
+def require_radius(radius: float) -> None:
+    """Raise ValueError unless a ball radius is finite and positive."""
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
+
+
 def sample_neighborhood(domain: Domain, center, radius: float, count: int = _BALL_COUNT,
                         seed: int = 0) -> SampleSet:
     """Deterministic sample of ball(center, radius) intersected with the domain.
@@ -112,8 +118,7 @@ def sample_neighborhood(domain: Domain, center, radius: float, count: int = _BAL
     always included.  The center itself is excluded.
     """
     center = require_in_domain(domain, center)
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be finite and positive, got {radius}")
+    require_radius(radius)
     if not 1 <= count <= _MAX_GRID_POINTS:
         raise ValueError(f"count must lie in [1, {_MAX_GRID_POINTS}]")
     rng = np.random.default_rng(seed)

@@ -17,11 +17,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .casestudy import (ORIGIN_RADII, check_setwise_dominance, classify_catalog,
-                        case_challengers, build_catalog, mexican_hat_counterexample,
-                        minimal_candidate_points, origin_atypicality,
-                        origin_segment_witnesses, require_origin_radii)
-from .classify import classify_point, default_challengers
+from .casestudy import (check_setwise_dominance, classify_catalog, case_challengers,
+                        build_catalog, mexican_hat_counterexample, minimal_candidate_points,
+                        origin_atypicality, origin_segment_witnesses, require_origin_radii)
+from .classify import classify_point, default_challengers, require_radius
 from .dominance import ToleranceConfig, compare_scalar, compare_vector
 from .dynamics import IntegratorConfig, check_setwise_stability, integrate
 from .errors import DimensionMismatchError, DomainViolationError, InvariantBreachError
@@ -143,19 +142,21 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _xsininv_extras(field, stock):
+def _xsininv_extras(stock):
     if stock == "xsininv":
-        return case_challengers(field.domain, build_catalog(25)), origin_segment_witnesses
+        return case_challengers(build_catalog(25)), origin_segment_witnesses
     return None, None
 
 
 def cmd_classify(args) -> int:
+    if args.radius is not None:  # before any work; the default always passes
+        require_radius(args.radius)
     emitter = _Emitter(args)
     kind, field, stock = _picked(args)
     cfg = _tolerance(args)
     if args.challengers is not None and args.challengers < 1:
         raise ValueError(f"--challengers must be at least 1, got {args.challengers}")
-    challengers, witnesses = (None, None) if kind == "scalar" else _xsininv_extras(field, stock)
+    challengers, witnesses = (None, None) if kind == "scalar" else _xsininv_extras(stock)
     if challengers is None and args.challengers is not None:
         challengers = default_challengers(field.domain, args.seed, grid_n=args.challengers,
                                           random_n=args.challengers)
@@ -171,6 +172,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_game(args) -> int:
+    if args.radius is not None:  # before any work; the default always passes
+        require_radius(args.radius)
     emitter = _Emitter(args)
     game = load_game(args.file)
     cfg = _tolerance(args)
@@ -189,13 +192,13 @@ def cmd_game(args) -> int:
     return 0
 
 
-def _candidate_points(args, field, stock):
+def _candidate_points(args, stock):
     if args.candidate == "none":
         return None
     if args.candidate == "auto":
         if stock != "xsininv":
             raise ValueError("--candidate auto only applies to the xsininv flow")
-        return minimal_candidate_points(25, field.domain)
+        return minimal_candidate_points()
     with open(args.candidate) as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or "points" not in data:
@@ -210,7 +213,7 @@ def cmd_flow(args) -> int:
     emitter = _Emitter(args)
     field, stock, negated = _resolve(args.field, "vector")
     icfg = IntegratorConfig(dt=args.dt, t_max=args.tmax)
-    candidate = _candidate_points(args, field, stock)
+    candidate = _candidate_points(args, stock)
     # x' = -f'(x) descends the stock potential f
     potential = scalar_field(stock) if negated and stock and field.domain.dim == 1 else None
     if candidate is None:
@@ -245,11 +248,12 @@ def cmd_casestudy(args) -> int:
         payload["mexican_hat"] = {"confirmed": hat.confirmed,
                                   "points": len(hat.records)}
     else:
-        require_origin_radii(ORIGIN_RADII, cfg)  # before the sweeps, not after them
+        require_origin_radii(cfg)  # the checks that need no sweep go first
+        catalog = build_catalog(args.nmax)
         coverage = check_setwise_dominance(args.window_hi, args.dominance_grid, cfg)
         agreement = classify_catalog(args.nmax, cfg, grid_n=args.grid_n, seed=args.seed)
         origin = origin_atypicality(cfg=cfg, grid_n=args.grid_n, seed=args.seed)
-        emitter.write_text("catalog.json", _dumps(build_catalog(args.nmax).to_dict()))
+        emitter.write_text("catalog.json", _dumps(catalog.to_dict()))
         emitter.write_text("catalog_agreement.json", _dumps(agreement.to_dict()))
         emitter.write_text("origin.json", _dumps(origin.to_dict()))
         emitter.write_text("dominance.json", _dumps(coverage.to_dict()))

@@ -49,12 +49,13 @@ def test_criterion_1_catalog_classification():
 
 
 def test_criterion_2_origin_atypicality():
-    rep = origin_atypicality(radii=(0.1, 0.01, 0.001), cfg=CFG, grid_n=4096, seed=42)
-    ok = rep.minimal and rep.maximal and all(
+    rep = origin_atypicality(cfg=CFG, grid_n=4096, seed=42)
+    radii = [r["radius"] for r in rep.per_radius]
+    ok = radii == [0.1, 0.01, 0.001] and rep.minimal and rep.maximal and all(
         not row["nss"] and not row["ess"] and not row["local_min_polyorder"]
         for row in rep.per_radius)
     _criterion(2, "origin minimal+maximal yet fails nss/ess/local-min at all radii",
-               ok, f"radii={[r['radius'] for r in rep.per_radius]}")
+               ok, f"radii={radii}")
 
 
 def test_criterion_3_setwise_local_dominance():
@@ -74,7 +75,7 @@ def test_criterion_4_flow_convergence():
     basin_starts = [0.5 * (zero_point(2 * k) + zero_point(2 * (k + 1))) for k in (1, 2, 3)]
     basin_limits = [zero_point(2 * k + 1) for k in (1, 2, 3)]
     starts = [[0.5], [1.0], [2.0]] + [[x] for x in basin_starts]
-    rep = check_setwise_stability(flow, minimal_candidate_points(25),
+    rep = check_setwise_stability(flow, minimal_candidate_points(),
                                   SampleSet(np.array(starts), "explicit", 42),
                                   IntegratorConfig(), potential=potential)
     elapsed = time.perf_counter() - t0

@@ -138,9 +138,9 @@ class TestAgreement:
 
 class TestOriginAtypicality:
     def test_origin_is_extreme_but_not_local(self):
-        rep = origin_atypicality(radii=(0.1, 0.01), cfg=CFG, grid_n=1024, seed=2,
-                                 neighborhood_count=256)
+        rep = origin_atypicality(cfg=CFG, grid_n=1024, seed=2)
         assert rep.minimal and rep.maximal
+        assert [row["radius"] for row in rep.per_radius] == [0.1, 0.01, 0.001]
         for row in rep.per_radius:
             assert not row["nss"] and not row["ess"] and not row["local_min_polyorder"]
         assert rep.confirmed
@@ -163,9 +163,9 @@ class TestDominanceCoverage:
 
     def test_minimal_points_are_not_challenged(self):
         # a grid aligned to land exactly on 1/3pi must skip it as critical
-        hi = 0.4
-        lo = 2 * zero_point(3) - hi
-        rep = check_setwise_dominance(hi, 3, CFG, window_lo=lo)
+        lo = -zero_point(1) + 0.01
+        rep = check_setwise_dominance(2 * zero_point(3) - lo, 3, CFG)
+        assert rep.window[0] == lo
         assert rep.excluded_near_critical >= 1
 
     def test_window_validation(self):
@@ -182,8 +182,9 @@ class TestDominanceCoverage:
         # with 1/pi as every positive point's dominator, the segments from
         # deeper brackets cross zeros of f and fail; each failure reports the
         # relation a full comparison of the pair gives
+        bracketing = casestudy.dominating_minimal_element
         monkeypatch.setattr(casestudy, "dominating_minimal_element",
-                            lambda x: zero_point(1) if x > 0 else None)
+                            lambda x: zero_point(1) if x > 0 else bracketing(x))
         rep = check_setwise_dominance(2.0, 300, CFG)
         c = case_fields()[1]
         failed = [f for f in rep.failures if f["reason"] == "confirmation failed"]
@@ -217,7 +218,7 @@ class TestMexicanHat:
 
 
 def test_minimal_candidates_inside_domain():
-    pts = minimal_candidate_points(25)
+    pts = minimal_candidate_points()
     f, _ = case_fields()
     assert np.any(pts == 0.0)
     for row in pts:

@@ -56,14 +56,14 @@ class TestMinimalMaximal:
 
     def test_oscillator_first_zero_minimal(self):
         c = vector_field("xsininv")
-        ch = case_challengers(c.domain, build_catalog(5))
+        ch = case_challengers(build_catalog(5))
         p = np.array([1 / np.pi])
         assert minimal_and_maximal(c, p, ch, CFG, origin_segment_witnesses)[0].ok
         assert not minimal_and_maximal(c, p, ch, CFG, origin_segment_witnesses)[1].ok
 
     def test_oscillator_second_zero_maximal(self):
         c = vector_field("xsininv")
-        ch = case_challengers(c.domain, build_catalog(5))
+        ch = case_challengers(build_catalog(5))
         p = np.array([1 / (2 * np.pi)])
         assert not minimal_and_maximal(c, p, ch, CFG, origin_segment_witnesses)[0].ok
         assert minimal_and_maximal(c, p, ch, CFG, origin_segment_witnesses)[1].ok
@@ -225,7 +225,7 @@ class TestClassifyPoint:
 
     def test_oscillator_first_zero_report(self):
         c = vector_field("xsininv")
-        ch = case_challengers(c.domain, build_catalog(5), grid_n=2048)
+        ch = case_challengers(build_catalog(5), grid_n=2048)
         rep = classify_point(c, [1 / np.pi], challengers=ch, radius=0.1,
                              seed=7, segment_witnesses=origin_segment_witnesses)
         assert rep.is_critical and rep.is_minimal and not rep.is_maximal

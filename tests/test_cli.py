@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fieldorder import casestudy, classify, cli
+from fieldorder.casestudy import zero_point
 from fieldorder.cli import _dumps, main
-from fieldorder.fields import registry_names, scalar_field
+from fieldorder.fields import _MAX_GRID_POINTS, registry_names, scalar_field
 
 
 def run(capsys, *argv):
@@ -235,6 +236,27 @@ class TestGame:
         assert message in err
 
 
+@pytest.mark.parametrize("command", [
+    ["game", "{game}", "--point", "0.5,0.5", "--radius", "inf"],
+    ["classify", "--vector", "xsininv", "--point", "0.1", "--radius", "nan"],
+], ids=["game", "classify_xsininv"])
+def test_bad_radius_exits_2_before_any_challenger_is_built(capsys, monkeypatch, tmp_path,
+                                                          command):
+    game = tmp_path / "hawk_dove.json"
+    game.write_text(json.dumps({"mode": "symmetric", "C": [[1, -2], [0, -1]], "mass": 1.0}))
+    calls = []
+    for name in ("default_challengers", "is_nash", "case_challengers"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, _real=real, **k:
+                            calls.append(_name) or _real(*a, **k))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "--json", "--out-dir", str(out_dir),
+                         *[arg.format(game=game) for arg in command])
+    assert (code, out, calls) == (2, "", [])
+    assert "radius must be finite and positive" in err
+    assert not out_dir.exists()
+
+
 class TestFlow:
     def test_linear_decay(self, capsys):
         got = run_json(capsys, "flow", "--field", "neg:linear", "--x0", "1", "--tmax", "20")
@@ -332,6 +354,21 @@ class TestCasestudy:
         assert code == 2
         assert out == ""
         assert "origin radius 0.001" in err
+
+    @pytest.mark.parametrize("nmax", [0, _MAX_GRID_POINTS // 2 + 1])
+    def test_bad_nmax_exits_2_before_the_sweeps(self, capsys, monkeypatch, tmp_path, nmax):
+        # 2 nmax catalog entries; the cap is checked before any is built
+        def sweep(*args, **kwargs):
+            raise AssertionError("a sweep ran before --nmax was checked")
+
+        for name in ("check_setwise_dominance", "classify_catalog", "origin_atypicality"):
+            monkeypatch.setattr(cli, name, sweep)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "--json", "--out-dir", str(out_dir), "casestudy",
+                             "--nmax", str(nmax))
+        assert (code, out) == (2, "")
+        assert f"n_max must lie in [1, {_MAX_GRID_POINTS // 2}]" in err
+        assert not out_dir.exists()
 
     def test_oversize_circle_exits_2_before_it_is_built(self, capsys, monkeypatch):
         def field(*args):
@@ -490,3 +527,17 @@ class TestRerunProperty:
                                      "--mexican-hat", "--circle-points", str(circle_points)])
         assert first == second
         assert first[0] == 0 and "mexican_hat.json" in first[2]
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(1, 4), st.integers(2, 256), st.integers(1, 200),
+           st.floats(zero_point(1), 2.0, exclude_min=True), st.integers(0, 2**31 - 1))
+    def test_casestudy_reruns_are_byte_identical(self, nmax, grid_n, dominance_grid,
+                                                 window_hi, seed):
+        first, second = _runs_twice(["--seed", str(seed), "--neps", "65", "casestudy",
+                                     "--nmax", str(nmax), "--grid-n", str(grid_n),
+                                     "--dominance-grid", str(dominance_grid),
+                                     f"--window-hi={window_hi!r}"])
+        assert first == second
+        assert first[0] == 0
+        assert set(first[2]) == {"catalog.json", "catalog_agreement.json", "origin.json",
+                                 "dominance.json", "field_curve.csv", "manifest.json"}

@@ -135,7 +135,7 @@ class TestSetwiseStability:
         for k in (1, 2, 3):
             starts.append([-0.5 * (zero_point(2 * k - 1) + zero_point(2 * k + 1))])
             expected.append(-zero_point(2 * k))
-        cand = minimal_candidate_points(25)
+        cand = minimal_candidate_points()
         ics = SampleSet(np.array(starts), "explicit", 0)
         rep = check_setwise_stability(oscillator_flow, cand, ics, IntegratorConfig(),
                                       potential=scalar_field("xsininv"))
@@ -146,14 +146,14 @@ class TestSetwiseStability:
 
     def test_first_basin_goes_to_first_zero_only(self, oscillator_flow):
         ics = SampleSet(np.array([[0.5]]), "explicit", 0)
-        rep = check_setwise_stability(oscillator_flow, minimal_candidate_points(25),
+        rep = check_setwise_stability(oscillator_flow, minimal_candidate_points(),
                                       ics, IntegratorConfig())
         assert rep.trials[0].limit_point[0] == pytest.approx(1 / PI, abs=1e-6)
 
     def test_report_carries_each_trajectory(self, oscillator_flow):
         cfg = IntegratorConfig(t_max=5.0)
         ics = SampleSet(np.array([[0.5], [0.2]]), "explicit", 0)
-        rep = check_setwise_stability(oscillator_flow, minimal_candidate_points(25), ics, cfg)
+        rep = check_setwise_stability(oscillator_flow, minimal_candidate_points(), ics, cfg)
         assert len(rep.trajectories) == len(rep.trials) == 2
         for x0, traj, trial in zip(ics, rep.trajectories, rep.trials):
             alone = integrate(oscillator_flow, x0, cfg)

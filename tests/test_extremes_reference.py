@@ -108,7 +108,7 @@ def test_stock_scalar_fields(name):
 def test_oscillator_with_origin_witnesses():
     c = vector_field("xsininv")
     catalog = build_catalog(5)
-    challengers = case_challengers(c.domain, catalog, grid_n=256)
+    challengers = case_challengers(catalog, grid_n=256)
     for x in [*(e.x for e in catalog.entries), 0.5]:
         assert_vector_matches(c, [x], challengers, CFG, origin_segment_witnesses)
     origin = assert_vector_matches(c, [0.0], challengers, CFG, origin_segment_witnesses)

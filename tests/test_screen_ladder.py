@@ -131,7 +131,7 @@ def test_ladder_on_stock_fields(name, dim):
 
 def test_ladder_drops_catalog_rows():
     _, c = case_fields()
-    challengers = case_challengers(c.domain, build_catalog(25))
+    challengers = case_challengers(build_catalog(25))
     for x in (zero_point(3), zero_point(-8), 0.0):
         both = assert_ladder_matches(c, challengers.points, [x], CFG)
         assert both.mean() > 0.5
@@ -141,11 +141,10 @@ def test_ladder_drops_catalog_rows():
 # Coverage sweep against its per-point loop
 # ---------------------------------------------------------------------------
 
-def reference_setwise_dominance(window_hi=2.0, grid_n=2000, cfg=None, window_lo=None):
+def reference_setwise_dominance(window_hi=2.0, grid_n=2000, cfg=None):
     """The coverage sweep as one compare_vector per window point."""
     cfg = cfg or ToleranceConfig()
-    if window_lo is None:
-        window_lo = -zero_point(1) + 0.01
+    window_lo = -zero_point(1) + 0.01
     f, c = case_fields()
     xs = np.linspace(window_lo, window_hi, grid_n)
     excluded = covered = 0
@@ -156,9 +155,6 @@ def reference_setwise_dominance(window_hi=2.0, grid_n=2000, cfg=None, window_lo=
             excluded += 1
             continue
         xstar = dominating_minimal_element(float(x))
-        if xstar is None:
-            failures.append({"x": float(x), "reason": "no bracketing minimal element"})
-            continue
         if abs(x) < zero_point(1):
             max_index = max(max_index, math.floor(1.0 / (PI * abs(x))) + 1)
         margin = (xstar - float(x)) * f.value(np.array([x]))
@@ -178,30 +174,23 @@ def reference_setwise_dominance(window_hi=2.0, grid_n=2000, cfg=None, window_lo=
             "failures": failures, "max_bracket_index": max_index}
 
 
-@pytest.mark.parametrize("cfg, window_lo, reasons", [
-    (CFG, None, {"margin under tau"}),
-    # a wide band excludes points and fails margins; left of -1/pi nothing brackets
-    (ToleranceConfig(tau=0.05), -0.9, {"margin under tau", "no bracketing minimal element"}),
+@pytest.mark.parametrize("cfg, reasons", [
+    (CFG, {"margin under tau"}),
+    # a wide band excludes points and fails margins
+    (ToleranceConfig(tau=0.05), {"margin under tau"}),
     # a band below the rounding of sin(n pi) makes segments to the zeros Incomparable
-    (ToleranceConfig(tau=1e-30), -0.9, {"confirmation failed", "no bracketing minimal element"}),
-    (ToleranceConfig(tau=1e-30, n_eps=1000), None, {"confirmation failed"}),
+    (ToleranceConfig(tau=1e-30), {"confirmation failed"}),
+    (ToleranceConfig(tau=1e-30, n_eps=1000), {"confirmation failed"}),
 ])
-def test_coverage_matches_per_point_loop(cfg, window_lo, reasons):
-    got = check_setwise_dominance(2.0, 2000, cfg, window_lo=window_lo).to_dict()
-    assert got == reference_setwise_dominance(2.0, 2000, cfg, window_lo)
+def test_coverage_matches_per_point_loop(cfg, reasons):
+    got = check_setwise_dominance(2.0, 2000, cfg).to_dict()
+    assert got == reference_setwise_dominance(2.0, 2000, cfg)
     assert {f["reason"] for f in got["failures"]} == reasons
 
 
-@pytest.mark.parametrize("hi, lo", [(2.5, None), (2.0, -1.5)])
-def test_coverage_rejects_window_outside_domain(hi, lo):
+def test_coverage_rejects_window_outside_domain():
     with pytest.raises(DomainViolationError):
-        check_setwise_dominance(hi, 50, CFG, window_lo=lo)
-
-
-def test_coverage_rejects_dominator_outside_domain():
-    # on [0.12, 2] the point 0.15 is bracketed by 1/(3 pi) ~ 0.106, outside
-    with pytest.raises(DomainViolationError):
-        check_setwise_dominance(2.0, 200, CFG, window_lo=0.15, domain=Box((0.12,), (2.0,)))
+        check_setwise_dominance(2.5, 50, CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +206,9 @@ def test_catalog_evaluates_a_small_share_of_the_grid(monkeypatch):
         return batch(P)
 
     counted = dataclasses.replace(c, batch=counting)
-    monkeypatch.setattr(casestudy, "case_fields", lambda domain=None: (f, counted))
+    monkeypatch.setattr(casestudy, "case_fields", lambda: (f, counted))
     report = classify_catalog(25)
     assert report.all_agree
     catalog = build_catalog(25)
-    rows = len(case_challengers(c.domain, catalog)) * (len(catalog.entries) + 1)
+    rows = len(case_challengers(catalog)) * (len(catalog.entries) + 1)
     assert evaluated[0] <= 0.10 * rows * CFG.n_eps
