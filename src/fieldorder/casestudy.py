@@ -363,8 +363,9 @@ def check_setwise_dominance(window_hi: float = 2.0, grid_n: int = 2000,
     cfg = cfg or ToleranceConfig()
     if not 1 <= grid_n <= _MAX_GRID_POINTS:
         raise ValueError(f"grid_n must lie in [1, {_MAX_GRID_POINTS}]")
-    if window_hi <= zero_point(1):
-        raise ValueError("window_hi must exceed the outermost minimal point")
+    if not (math.isfinite(window_hi) and window_hi > zero_point(1)):
+        raise ValueError("window_hi must be finite and exceed the outermost minimal point, "
+                         f"got {window_hi}")
     window_lo = -zero_point(1) + 0.01  # just right of the outermost maximal point
     f, c = case_fields()
     xs = np.linspace(window_lo, window_hi, grid_n)

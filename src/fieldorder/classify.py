@@ -7,15 +7,18 @@ relative to the probe sets and the tolerance configuration, both of which
 are echoed in the report.
 
 There is one function per check; one that applies to both kinds of field
-takes either.  Every check is one screen or one per-sample statistic, and
-one rule (_decide) turns the statistics into an outcome.
-minimal_and_maximal decides both from the relations of one uniform-grid
-screen of the challengers against p (dominance.batch_relations, with any
-analytic witness eps folded in): p is minimal when no row is
-StrictlyDominates and maximal when no row is ReverseStrict.  A full
-comparison runs only for the one reported row of each failed check, for
-its eps.  is_local_min_polyorder reads the screen that
-dominance.batch_local_min_stats picks for the field.
+takes either.  The order checks read the relations of one screen; every
+other check is one per-sample statistic, which one rule (_decide) turns
+into an outcome.  minimal_and_maximal decides both from the relations of
+one uniform-grid screen of the challengers against p
+(dominance.batch_relations, with any analytic witness eps folded in): p
+is minimal when no row is StrictlyDominates and maximal when no row is
+ReverseStrict.  A full comparison runs only for the one reported row of
+each failed check, for its eps.  is_local_min_polyorder reads the same
+screen of its neighbors against p: p weakly dominates x exactly when the
+row (x, p) is ReverseStrict, ReverseWeak or Equivalent.  classify_point
+runs that screen once, over the challengers and the ball together, and
+reads all three checks off it.
 
 The inclusion chains that must hold on shared probe sets (ess implies nss
 and minimal, minimal implies critical, local minimum implies critical,
@@ -31,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dominance import (REVERSE_STRICT, STRICTLY_DOMINATES, ToleranceConfig,
-                        batch_local_min_stats, batch_relations, compare_scalar, compare_vector)
+from .dominance import (EQUIVALENT, REVERSE_STRICT, REVERSE_WEAK, STRICTLY_DOMINATES,
+                        ToleranceConfig, batch_relations, compare_scalar, compare_vector)
 from .errors import InvariantBreachError
 from .fields import (_MAX_GRID_POINTS, Box, Domain, Grid, Product, SampleSet, ScalarField,
                      SeededRandom, Simplex, VectorField, require_in_domain, sample_domain)
@@ -53,7 +56,8 @@ class CheckOutcome:
 
     stat is the deciding per-sample statistic and witness the failing probe.
     Only the minimal/maximal checks set eps: the strict-witness eps of the
-    full comparison of their reported row.
+    full comparison of their reported row.  The checks read off a relation
+    screen (minimal, maximal and local-min) set no stat.
     """
 
     ok: bool
@@ -180,6 +184,28 @@ def is_critical_element(c: VectorField, p, challengers: SampleSet,
     return _decide(stats, challengers.points, lambda s: s >= -cfg.tau, np.argmin)
 
 
+def _lex_first(X: np.ndarray, rows: np.ndarray) -> int:
+    """The row of X[rows] that is smallest in lexicographic order."""
+    return int(rows[np.lexsort(X[rows].T[::-1])[0]])
+
+
+def _extremes(field, p: np.ndarray, X: np.ndarray, relations: np.ndarray,
+              cfg: ToleranceConfig, segment_witnesses) -> tuple[CheckOutcome, CheckOutcome]:
+    """(minimal, maximal) outcomes of p from the relations of the rows (X[k], p)."""
+
+    def outcome(relation: str) -> CheckOutcome:
+        rows = np.flatnonzero(relations == relation)
+        if rows.size == 0:
+            return CheckOutcome(True)
+        k = _lex_first(X, rows)
+        extra = segment_witnesses(X[k], p) if segment_witnesses is not None else ()
+        compare = compare_scalar if isinstance(field, ScalarField) else compare_vector
+        verdict = compare(field, X[k], p, cfg, extra_eps=extra)
+        return CheckOutcome(False, witness=tuple(X[k]), eps=verdict.witness_eps_strict)
+
+    return outcome(STRICTLY_DOMINATES), outcome(REVERSE_STRICT)
+
+
 def minimal_and_maximal(field, p, challengers: SampleSet,
                         cfg: ToleranceConfig | None = None,
                         segment_witnesses=None) -> tuple[CheckOutcome, CheckOutcome]:
@@ -199,18 +225,7 @@ def minimal_and_maximal(field, p, challengers: SampleSet,
     if X.shape[0] == 0:
         raise ValueError("challenger set is empty")
     relations = batch_relations(field, X, p, cfg, segment_witnesses)
-
-    def outcome(relation: str) -> CheckOutcome:
-        rows = np.flatnonzero(relations == relation)
-        if rows.size == 0:
-            return CheckOutcome(True)
-        k = rows[np.lexsort(X[rows].T[::-1])[0]]
-        extra = segment_witnesses(X[k], p) if segment_witnesses is not None else ()
-        compare = compare_scalar if isinstance(field, ScalarField) else compare_vector
-        verdict = compare(field, X[k], p, cfg, extra_eps=extra)
-        return CheckOutcome(False, witness=tuple(X[k]), eps=verdict.witness_eps_strict)
-
-    return outcome(STRICTLY_DOMINATES), outcome(REVERSE_STRICT)
+    return _extremes(field, p, X, relations, cfg, segment_witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -251,19 +266,29 @@ def is_ess(c: VectorField, p, neighborhood_samples: SampleSet,
     return _decide(stats, X, lambda s: s < -cfg.tau)
 
 
+def _local_min(X: np.ndarray, relations: np.ndarray) -> CheckOutcome:
+    """Local-min outcome from the relations of the rows (X[k], p); the
+    lex-smallest neighbor that p does not weakly dominate is the witness."""
+    rows = np.flatnonzero(~np.isin(relations, (REVERSE_STRICT, REVERSE_WEAK, EQUIVALENT)))
+    if rows.size == 0:
+        return CheckOutcome(True)
+    return CheckOutcome(False, witness=tuple(X[_lex_first(X, rows)]))
+
+
 def is_local_min_polyorder(field, p, neighborhood_samples: SampleSet,
                            cfg: ToleranceConfig | None = None,
                            segment_witnesses=None) -> CheckOutcome:
     """Whether p weakly dominates every sampled neighbor along its segment.
 
-    No screen row of p against the neighbors (vector: max delta, also over
-    the segment_witnesses eps; scalar: largest step) exceeds tau.
+    p weakly dominates x exactly when the screen row (x, p), with the
+    segment_witnesses(x, p) eps folded in, is ReverseStrict, ReverseWeak
+    or Equivalent (README "Notes on semantics" ties this to a sweep of the
+    rows (p, x)).
     """
     cfg = cfg or ToleranceConfig()
     p = require_in_domain(field.domain, p)
     X = _require_samples(neighborhood_samples)
-    stats = batch_local_min_stats(field, p, X, cfg, segment_witnesses)
-    return _decide(stats, X, lambda s: s <= cfg.tau)
+    return _local_min(X, batch_relations(field, X, p, cfg, segment_witnesses))
 
 
 def is_strict_local_min_scalar(f: ScalarField, p, neighborhood_samples: SampleSet,
@@ -427,8 +452,12 @@ def classify_point(field, p, challengers: SampleSet | None = None,
     # the scalar step screen takes no witness eps
     witnesses = segment_witnesses if kind == "vector" else None
 
-    minimal, maximal = minimal_and_maximal(field, p, full, cfg, witnesses)
-    local_min = is_local_min_polyorder(field, p, neighborhood, cfg, witnesses)
+    # one screen decides minimal, maximal and local-min: union stacks the
+    # ball's rows last
+    relations = batch_relations(field, full.points, p, cfg, witnesses)
+    minimal, maximal = _extremes(field, p, full.points, relations, cfg, witnesses)
+    ball = len(neighborhood)
+    local_min = _local_min(full.points[-ball:], relations[-ball:])
     critical = nss = ess = strict_min = None
     if kind == "vector":
         critical = is_critical_element(field, p, full, cfg)

@@ -27,8 +27,7 @@ dim > 1, and for dim 1 the product plus 0.0 (a matmul accumulates from
 gives the same bits, several times slower).  So a screen row and a single
 comparison of the same pair see the same bits at dim <= 7, and at any dim
 when both use the same eps set: from dim 8 the BLAS product can round a
-row differently by its position in the grid and by the grid's length,
-which is why _end_deltas reduces endpoint values in the grid's layout.
+row differently by its position in the grid and by the grid's length.
 
 A single comparison reads one refined profile (profile, for either kind
 of field).  Refinement bisects between adjacent samples (scalar: adjacent
@@ -41,8 +40,10 @@ One rule, _relations, turns a profile's band statistics into a relation,
 for a single comparison and for the batch screens at the bottom of this
 module (batch_relations) alike.  A row that is not Incomparable on the
 uniform grid has no adjacent band signs +1 and -1, so it is never refined:
-its screen relation is its verdict, and callers read it off the screen.
-Analytic witness eps of a pair (segment_witnesses) are folded into its
+its screen relation is its verdict, and callers read it off the screen
+(classify reads minimality, maximality and the local minimum of the
+order from one screen of a point's challengers and ball).  Analytic
+witness eps of a pair (segment_witnesses) are folded into its
 vector screen row, so the screen decides those pairs too.
 
 The vector screen walks the uniform grid coarse to fine, in disjoint
@@ -68,18 +69,6 @@ more than twice a rigorous rounding bound (_affine_rounding_bound); there
 the uniform-grid screen is certain to reach the same band predicates.
 The few rows left open go through the screen as before, so every relation
 is exactly the screen's.
-
-The local-min check reads only the first argmax of the rows' grid maxima
-and its value, from one screen of p against its ball that
-batch_local_min_stats picks by field: the scalar steps, the vector
-extremes, or, for an affine field without witness eps, batch_affine_max.
-That one gets both from the endpoints where it can: a row whose two ends
-differ by enough (relative to the grid's gap at the ends) has its grid max
-at an end, and reads that end as the grid computes it; a row whose
-endpoint max plus 2E is below another row's reading cannot be the argmax;
-only the rest are screened.  Its ok, stat and witness are the full
-sweep's bit for bit.  Single comparisons, the extremes screens, fields
-with segment witnesses and flat profiles still walk the grid.
 """
 
 from __future__ import annotations
@@ -193,10 +182,9 @@ def _profiles(field, xs: np.ndarray, ys: np.ndarray, eps: np.ndarray) -> np.ndar
     Scalar fields give g = f(eps x + (1-eps) y); vector fields give
     delta = (x - y) . c(eps x + (1-eps) y), bit-identical to a one-row
     ``values @ (x - y)`` over the same eps, and at dim <= 7 over any eps
-    set holding the same points (see the module docstring; _end_deltas
-    keeps the grid's layout for the ends).  Either side may be a
-    single (1, dim) row shared by every row; the profile is bitwise that of
-    the side repeated k times (_segment_points).
+    set holding the same points (see the module docstring).  Either side
+    may be a single (1, dim) row shared by every row; the profile is
+    bitwise that of the side repeated k times (_segment_points).
     """
     pts = _segment_points(xs, ys, eps)
     k, e, dim = pts.shape
@@ -478,25 +466,6 @@ def batch_relations(field, xs, ys, cfg: ToleranceConfig, segment_witnesses=None)
     return _relations(mx, mn, mn, mx, cfg.tau)
 
 
-def batch_local_min_stats(field, xs, ys, cfg: ToleranceConfig,
-                          segment_witnesses=None) -> np.ndarray:
-    """Rowwise uniform-grid hi of _relations: x_k weakly dominates y_k when it is <= tau.
-
-    Scalar rows read their largest step, vector rows their max delta with
-    the segment_witnesses eps folded in.  An affine field without witnesses
-    goes through batch_affine_max, whose other rows may read less, so only
-    the first argmax and its value are the screen's.  Scalar fields with
-    segment_witnesses raise ValueError, as in batch_relations.
-    """
-    if isinstance(field, ScalarField):
-        if segment_witnesses is not None:
-            raise ValueError("the scalar step screen cannot fold segment witnesses")
-        return batch_scalar_steps(field, xs, ys, cfg)[0]
-    if field.affine is not None and segment_witnesses is None:
-        return batch_affine_max(field, xs, ys, cfg)
-    return batch_vector_extremes(field, xs, ys, cfg, segment_witnesses=segment_witnesses)[0]
-
-
 # ---------------------------------------------------------------------------
 # Endpoint certificate for affine fields
 # ---------------------------------------------------------------------------
@@ -511,7 +480,7 @@ def _affine_rounding_bound(c: VectorField, xs: np.ndarray, ys: np.ndarray) -> np
     """Per-row E with |computed delta(eps) - exact delta(eps)| <= E at every eps in [0, 1].
 
     For c(p) = A p + b with d = x - y, s = |x| + |y| and n = dim, every
-    value _profiles or _end_deltas computes for the row obeys
+    value _profiles or _affine_endpoints computes for the row obeys
     |computed - exact| <= E, at any eps in [0, 1], in any batch, at any
     position of a grid row and whether or not a side is one shared row,
     with
@@ -560,28 +529,6 @@ def _end_values(c: VectorField, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return c.values(pts.reshape(-1, dim)).reshape(k, 2, dim)
 
 
-def _end_deltas(ends: np.ndarray, direction: np.ndarray,
-                n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's delta at eps 0 and at eps 1, rounded as an n_points grid rounds them.
-
-    ends are the rows' end values (_end_values) and direction their x - y.
-    The values sit at positions 0 and n_points - 1 of grid rows that are
-    zero elsewhere, so the reduction sees the grid's layout: at dim > 1 it
-    is a BLAS matrix-vector product, which may round a row differently by
-    its position in the matrix and by the matrix's length (seen from dim 8
-    on).  Every other step is elementwise or row-independent, so these are
-    bitwise the first and last values of _profiles over an n_points grid.
-    """
-    k, _, dim = ends.shape
-    at0, at1 = np.empty(k), np.empty(k)
-    for rows in _blocks(np.arange(k), n_points, dim):
-        vals = np.zeros((rows.size, n_points, dim))
-        vals[:, [0, -1]] = ends[rows]
-        delta = _deltas(vals, direction[rows])
-        at0[rows], at1[rows] = delta[:, 0], delta[:, -1]
-    return at0, at1
-
-
 def _affine_endpoints(c: VectorField, xs: np.ndarray,
                       ys: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(max, min, settled) of each row's delta at eps 0 and 1, for an affine c.
@@ -597,70 +544,8 @@ def _affine_endpoints(c: VectorField, xs: np.ndarray,
     relation, are then exactly those of the full screen.  Other rows must
     be screened.
     """
-    at0, at1 = _end_deltas(_end_values(c, xs, ys), xs - ys, 2)
-    out_max, out_min = np.maximum(at0, at1), np.minimum(at0, at1)
+    ends = _deltas(_end_values(c, xs, ys), xs - ys)
+    out_max, out_min = ends.max(axis=1), ends.min(axis=1)
     slack = 2.0 * _affine_rounding_bound(c, xs, ys)
     settled = (np.abs(out_max - tau) > slack) & (np.abs(out_min + tau) > slack)
     return out_max, out_min, settled
-
-
-def _interior_below_ends(at0: np.ndarray, at1: np.ndarray, bound: np.ndarray,
-                         n_eps: int) -> np.ndarray:
-    """Rows whose n_eps-grid max is certainly the grid's value at one end.
-
-    at0 and at1 are a row's computed delta at eps 0 and 1, in any layout,
-    and bound its E (_affine_rounding_bound).  Let g = min(eps_1,
-    1 - eps_(n-2)), the smallest distance of an interior grid point from
-    either end (exact: 1 - eps_(n-2) is a Sterbenz difference).  When
-    g |at1 - at0| > 4E, the exact profile's ends differ by more than
-    4E/g - 2E >= 6E, in the order of at0 and at1, and at every interior
-    point the exact profile lies more than 4E - 2gE >= 3E below its higher
-    end.  Every value the grid computes is within E of the exact profile,
-    so its interior values lie below its value at the higher end, and so
-    does its value at the other end.  The test reads rounded values, which
-    costs at most a factor (1 + u)**2 of the 3E margin.
-    """
-    eps = np.linspace(0.0, 1.0, n_eps)
-    gap = min(eps[1], 1.0 - eps[-2])
-    with np.errstate(over="ignore", invalid="ignore"):
-        spread = np.abs(at1 - at0)
-        return np.isfinite(spread) & (gap * spread > 4.0 * bound)
-
-
-def batch_affine_max(c: VectorField, xs, ys, cfg: ToleranceConfig) -> np.ndarray:
-    """Rowwise statistics with the first argmax of batch_vector_extremes(c, xs, ys, cfg)[0].
-
-    For c with affine parts.  The returned array has its first argmax at
-    the same row as the screen's max, with the same value bit for bit;
-    every other row reads at most its screen max.  So a check that reads
-    only the argmax row and its stat (classify's local-min check) sees the
-    screen's outcome, though most rows never touch the grid.
-
-    Every row's ends are first computed at eps 0 and 1 alone, as at0 and
-    at1, with M = max(at0, at1) and E the row's rounding bound.  Every
-    grid value is within E of the exact affine profile, whose max is an
-    end, and so is each of at0 and at1: the row's grid max G lies in
-    [M - 2E, M + 2E].  A row that passes _interior_below_ends has as G the
-    larger of its two grid ends, and reads exactly that, computed as the
-    grid computes it (_end_deltas).  Every other row first reads one ulp
-    below the rounded M - 2E, a lower bound of its G.  So T, the largest
-    reading, is at most the screen's max, and a row whose M + 2E rounds
-    below T cannot hold it and keeps its reading; the rest go through
-    batch_vector_extremes.  On a flat profile no row passes the
-    certificate, and only the rows near the top are screened.
-    """
-    xs, ys = _broadcast_rows(xs, ys)
-    ends, direction = _end_values(c, xs, ys), xs - ys
-    bound = _affine_rounding_bound(c, xs, ys)
-    at0, at1 = _end_deltas(ends, direction, 2)
-    top = np.maximum(at0, at1)
-    exact = _interior_below_ends(at0, at1, bound, cfg.n_eps)
-    with np.errstate(over="ignore", invalid="ignore"):
-        stats = np.nextafter(top - 2.0 * bound, -np.inf)
-        reach = top + 2.0 * bound
-    if exact.any():
-        stats[exact] = np.maximum(*_end_deltas(ends[exact], direction[exact], cfg.n_eps))
-    grid = np.flatnonzero(~exact & ~(reach < stats.max()))
-    if grid.size:
-        stats[grid] = batch_vector_extremes(c, _rows(xs, grid), _rows(ys, grid), cfg)[0]
-    return stats

@@ -494,8 +494,27 @@ def _box1(lo: float, hi: float) -> Box:
 
 
 def _radius(P: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, as np.linalg.norm(P, axis=1) computes it."""
-    return np.sqrt(np.add.reduce(P * P, axis=1))
+    """Euclidean norm of each row: the squared columns summed in column order.
+
+    That is np.linalg.norm(P, axis=1) bit for bit at dim <= 7, where numpy
+    sums a row in order too; from dim 8 its unrolled sum may round apart.
+    Each column sum is an elementwise loop over the rows, where a reduce
+    over short rows runs its inner loop dim elements at a time.
+    """
+    sq = P * P
+    r = sq[:, 0]
+    for d in range(1, P.shape[1]):
+        r = r + sq[:, d]
+    return np.sqrt(r, out=r)
+
+
+def _cube(P: np.ndarray) -> np.ndarray:
+    """x * x * x of the first coordinate, in IEEE products (numpy's power
+    rounds by the SIMD loop it dispatches to)."""
+    t = P[:, 0]
+    out = t * t
+    out *= t
+    return out
 
 
 DEFAULT_CASESTUDY_BOX = _box1(-1.0, 2.0)
@@ -504,7 +523,7 @@ MEXICAN_HAT_BOX = Box((-2.0, -2.0), (2.0, 2.0))
 # name -> (default domain builder, scalar batch over (n, dim) -> (n,))
 _SCALAR_REGISTRY: dict[str, tuple[Callable[[], Domain], Callable[[np.ndarray], np.ndarray]]] = {
     "quadratic": (lambda: _box1(-1.0, 1.0), lambda P: P[:, 0] ** 2),
-    "cubic": (lambda: _box1(-1.0, 1.0), lambda P: P[:, 0] ** 3),
+    "cubic": (lambda: _box1(-1.0, 1.0), _cube),
     # continuous extension at the origin: value 0 (the derivative is undefined there)
     "xsininv": (lambda: DEFAULT_CASESTUDY_BOX, lambda P: _xsininv_1d(P[:, 0])),
     "mexican_hat": (lambda: MEXICAN_HAT_BOX, lambda P: (_radius(P) - 1.0) ** 2),

@@ -16,7 +16,8 @@ from fieldorder.classify import (default_challengers, is_critical_element, is_es
                                  is_local_min_polyorder, is_nss, is_strict_local_min_scalar,
                                  minimal_and_maximal, sample_neighborhood)
 from fieldorder.dominance import (EQUIVALENT, STRICTLY_DOMINATES, ToleranceConfig,
-                                  batch_scalar_steps, compare_scalar, compare_vector)
+                                  batch_scalar_steps, batch_vector_extremes, compare_scalar,
+                                  compare_vector)
 from fieldorder.dynamics import IntegratorConfig, check_setwise_stability
 from fieldorder.fields import (Box, Grid, SampleSet, SeededRandom, gradient_field,
                                negate, quadratic_form, sample_domain, scalar_field,
@@ -190,6 +191,9 @@ def test_criterion_5_theorem_property_suite():
             dual = minimal_and_maximal(negate(c), p, full, FAST)[1]
             nss = is_nss(c, p, ball, FAST)
             loc = is_local_min_polyorder(c, p, ball, FAST)
+            # the largest delta of the rows (p, x) over the uniform grid: p
+            # weakly dominates every x exactly when it is <= tau
+            loc_stat = float(batch_vector_extremes(c, p, ball.points, FAST)[0].max())
             ess = is_ess(c, p, ball, FAST)
             if (mini.ok, mini.witness, mini.eps) != (dual.ok, dual.witness, dual.eps):
                 violations.append(f"duality mismatch: {c.label} @ {p}")
@@ -202,9 +206,11 @@ def test_criterion_5_theorem_property_suite():
                     violations.append(f"extreme point not critical: {c.label} @ {p}")
                 else:
                     filtered_chain += 1
-            if min(abs(nss.stat), abs(loc.stat)) > 10 * FAST.tau and nss.ok != loc.ok:
+            if loc.ok != (loc_stat <= FAST.tau):
+                violations.append(f"local-min verdict is not the sweep's: {c.label} @ {p}")
+            if min(abs(nss.stat), abs(loc_stat)) > 10 * FAST.tau and nss.ok != loc.ok:
                 violations.append(f"nss/local-min split: {c.label} @ {p}")
-            elif min(abs(nss.stat), abs(loc.stat)) <= 10 * FAST.tau:
+            elif min(abs(nss.stat), abs(loc_stat)) <= 10 * FAST.tau:
                 filtered_equiv += 1
         trials += 1
     ok = trials >= 1000 and not violations

@@ -10,11 +10,10 @@ the band edge and must fall back.  The bound itself is checked against
 exact rational profiles, and a work count shows the certificate is what
 keeps a game's dominance sweep off the grid.
 
-The local-min check reads only the first argmax of the rows' grid maxima
-and its value.  For affine fields batch_affine_max reads them from the
-segment ends where it can: the check's ok, stat and witness must be those
-of the full sweep bit for bit, also on flat (exactly zero-sum) profiles
-where every row is rounding noise.
+The local-min check reads the same relations, so on the stock games its
+verdict and witness must be those of the same field screened without its
+affine parts, also on flat (exactly zero-sum) profiles where every row is
+rounding noise.
 """
 
 import dataclasses
@@ -27,10 +26,9 @@ from hypothesis import given, settings, strategies as st
 from fieldorder.classify import (classify_point, default_challengers,
                                  is_local_min_polyorder, sample_neighborhood)
 from fieldorder.dominance import (ToleranceConfig, _affine_endpoints, _affine_rounding_bound,
-                                  _broadcast_rows, _end_deltas, _end_values, _interior_below_ends,
-                                  _profiles, _relations, batch_affine_max, batch_relations,
+                                  _broadcast_rows, _profiles, _relations, batch_relations,
                                   batch_vector_extremes)
-from fieldorder.fields import Box, SampleSet, negate, quadratic_form, vector_field
+from fieldorder.fields import Box, negate, quadratic_form, vector_field
 from fieldorder.games import (from_bimatrix, from_symmetric_matrix, hawk_dove,
                              matching_pennies)
 
@@ -94,13 +92,15 @@ def screen_relations(c, xs, ys, cfg):
 
 @settings(max_examples=150, deadline=None)
 @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**31 - 1), negated=st.booleans(),
-       rows=st.integers(1, 30), one_y=st.booleans(),
+       rows=st.integers(1, 30), one_y=st.booleans(), flat=st.booleans(),
        n_eps=st.sampled_from([3, 5, 17, 65, 1025]), tau=st.sampled_from([1e-9, 1e-3, 0.1]),
        edge=st.sampled_from([None, -1.5, -1.0, 0.0, 1.0, 1.5]), edge_row=st.integers(0, 29),
        edge_side=st.booleans())
-def test_certified_relations_equal_the_screen(kind, seed, negated, rows, one_y, n_eps, tau,
-                                              edge, edge_row, edge_side):
-    c, xs, ys = affine_case(kind, seed, negated, rows, one_y)
+def test_certified_relations_equal_the_screen(kind, seed, negated, rows, one_y, flat, n_eps,
+                                              tau, edge, edge_row, edge_side):
+    # flat profiles are where the local-min check of a game's equilibrium
+    # reads its relations
+    c, xs, ys = affine_case(kind, seed, negated, rows, one_y, flat=flat)
     assert c.affine is not None
     fall_back = None
     if edge is not None:
@@ -151,9 +151,9 @@ def test_rounding_bound_covers_the_computed_profile(kind, seed, negated):
 
 def test_hawk_dove_classification_stays_off_the_grid():
     """classify_point evaluates at most 1 % of its challenger and ball rows
-    x n_eps, plus two points per ball row: the dominance sweep and the
-    local-min check both settle nearly every row from its two ends (about
-    12-13k rows in all, where the full grids hold 4.7 M)."""
+    x n_eps: its one screen settles nearly every row, the ball's included,
+    from its two ends (about 11-12k points in all, where the full grids
+    hold 4.7 M)."""
     c = hawk_dove().cost
     evaluated = [0]
 
@@ -170,7 +170,7 @@ def test_hawk_dove_classification_stays_off_the_grid():
         rows = len(default_challengers(c.domain, 42))
         ball = len(sample_neighborhood(c.domain, p, 0.05 * c.domain.diameter(), 512, 42))
         assert report.challengers_used.endswith(f"+ball({ball})")
-        assert evaluated[0] <= 0.01 * (rows + ball) * cfg.n_eps + 2 * ball
+        assert evaluated[0] <= 0.01 * (rows + ball) * cfg.n_eps
 
 
 @pytest.mark.parametrize("make, blocks", [
@@ -185,59 +185,6 @@ def test_certificate_settles_the_stock_game_rows(make, blocks):
     y = np.hstack([np.full(m, 1.0 / m) for m in blocks])
     xs, ys = _broadcast_rows(_simplex_rows(rng, blocks, 500), y)
     assert _affine_endpoints(c, xs, ys, ToleranceConfig().tau)[2].all()
-
-
-def bits(values):
-    return np.asarray(values, float).view(np.int64).tolist()
-
-
-@settings(max_examples=150, deadline=None)
-@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**31 - 1), negated=st.booleans(),
-       flat=st.booleans(), rows=st.integers(1, 120),
-       n_eps=st.sampled_from([3, 5, 17, 65, 1025]), edge=st.sampled_from([None, "at", "below"]))
-def test_local_min_from_the_ends_is_the_sweep(kind, seed, negated, flat, rows, n_eps, edge):
-    c, X, P = affine_case(kind, seed, negated, rows, one_y=True, flat=flat)
-    p = P[0]
-    cfg = ToleranceConfig(n_eps=n_eps)
-    sweep = batch_vector_extremes(c, p, X, cfg)[0]
-    got = batch_affine_max(c, p, X, cfg)
-    assert (got <= sweep).all()
-    top = int(np.argmax(sweep))
-    assert int(np.argmax(got)) == top and bits(got[top]) == bits(sweep[top])
-    if edge is not None and sweep[top] > 0:
-        # the stat on the band edge: passes at tau == stat, fails one ulp below
-        tau = float(sweep[top]) if edge == "at" else float(np.nextafter(sweep[top], 0.0))
-        if tau > 0:
-            cfg = ToleranceConfig(tau=tau, n_eps=n_eps)
-    samples = SampleSet(X)
-    plain = dataclasses.replace(c, affine=None)
-    want = is_local_min_polyorder(plain, p, samples, cfg)
-    out = is_local_min_polyorder(c, p, samples, cfg)
-    assert (out.ok, out.witness, bits(out.stat)) == (want.ok, want.witness, bits(want.stat))
-
-
-@settings(max_examples=100, deadline=None)
-@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**31 - 1), negated=st.booleans(),
-       flat=st.booleans(), rows=st.integers(1, 30), one_y=st.booleans(),
-       n_eps=st.sampled_from([3, 5, 17, 65, 1025]))
-def test_rows_certified_exact_have_their_end_max(kind, seed, negated, flat, rows, one_y, n_eps):
-    c, xs, ys = affine_case(kind, seed, negated, rows, one_y, flat=flat)
-    bx, by = _broadcast_rows(xs, ys)
-    grid = _profiles(c, bx, by, np.linspace(0.0, 1.0, n_eps))
-    ends = _end_values(c, bx, by)
-    at0, at1 = _end_deltas(ends, bx - by, n_eps)
-    assert bits(at0) == bits(grid[:, 0]) and bits(at1) == bits(grid[:, -1])
-    # the certificate reads the two-point ends; the grid max is then a grid end
-    exact = _interior_below_ends(*_end_deltas(ends, bx - by, 2),
-                                 _affine_rounding_bound(c, bx, by), n_eps)
-    end_max = np.maximum(at0, at1)[exact]
-    assert bits(grid[exact].max(axis=1)) == bits(end_max)
-    assert (grid[exact, 1:-1] < end_max[:, None]).all()
-    # the many-row screen has the same first argmax and value as well
-    got, sweep = batch_affine_max(c, xs, ys, ToleranceConfig(n_eps=n_eps)), grid.max(axis=1)
-    top = int(np.argmax(sweep))
-    assert int(np.argmax(got)) == top and bits(got[top]) == bits(sweep[top])
-    assert (got <= sweep).all()
 
 
 RPS = [[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]]
@@ -261,4 +208,4 @@ def test_stock_game_local_min_is_the_sweep(make, p, negated, n_eps):
     cfg = ToleranceConfig(n_eps=n_eps)
     want = is_local_min_polyorder(dataclasses.replace(c, affine=None), p, samples, cfg)
     out = is_local_min_polyorder(c, p, samples, cfg)
-    assert (out.ok, out.witness, bits(out.stat)) == (want.ok, want.witness, bits(want.stat))
+    assert (out.ok, out.witness) == (want.ok, want.witness)

@@ -260,3 +260,57 @@ class TestClassifyPoint:
         rep = classify_point(scalar_field("quadratic"), [0.0], radius=0.1, seed=7,
                              segment_witnesses=lambda x, y: (0.3,))
         assert rep.kind == "scalar" and not rep.analytic_witnesses
+
+
+RPS = [[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]]
+
+
+def _one_screen_cases():
+    from fieldorder.games import from_symmetric_matrix, hawk_dove, matching_pennies
+    stock = {"quadratic": ([0.0], [0.3]), "cubic": ([0.0], [-0.5]),
+             "xsininv": ([0.0], [1 / np.pi]), "linear": ([-1.0], [0.2]),
+             "mexican_hat": ([1.0, 0.0], [0.3, -0.4])}
+    cases = []
+    for name, points in stock.items():
+        for make, kind in ((scalar_field, "scalar"), (vector_field, "vector")):
+            cases += [(f"{kind}:{name}@{p}", make(name), p, None) for p in points]
+    games = [("hawk_dove", hawk_dove, [0.5, 0.5], [0.2, 0.8]),
+             ("matching_pennies", matching_pennies, [0.5] * 4, [0.3, 0.7, 0.6, 0.4]),
+             ("rps", lambda: from_symmetric_matrix(RPS), [1 / 3] * 3, [0.2, 0.3, 0.5])]
+    for name, make, *points in games:
+        cases += [(f"game:{name}@{p}", make().cost, p, None) for p in points]
+    cases += [(f"xsininv+witnesses@{p}", vector_field("xsininv"), p, origin_segment_witnesses)
+              for p in ([0.0], [1 / np.pi], [0.5])]
+    return cases
+
+
+@pytest.mark.parametrize("label, field, p, witnesses", _one_screen_cases(),
+                         ids=[case[0] for case in _one_screen_cases()])
+def test_one_screen_is_the_one_check_path(label, field, p, witnesses):
+    # classify_point reads minimal, maximal and local-min off one screen of
+    # challengers and ball; each must equal its own entry point on the same
+    # probe sets
+    seed = 7
+    radius = 0.05 * field.domain.diameter()
+    rep = classify_point(field, p, radius=radius, cfg=CFG, seed=seed,
+                         segment_witnesses=witnesses)
+    ball = sample_neighborhood(field.domain, p, radius, seed=seed)
+    full = default_challengers(field.domain, seed).union(ball.points, note="ball")
+    assert rep.challengers_used == full.strategy
+    local_min = is_local_min_polyorder(field, p, ball, CFG, witnesses)
+    minimal, maximal = minimal_and_maximal(field, p, full, CFG, witnesses)
+    assert rep.is_local_min_polyorder == local_min.ok
+    assert (rep.is_minimal, rep.is_maximal) == (minimal.ok, maximal.ok)
+    assert rep.dominating_witness == (None if minimal.ok else (minimal.witness, minimal.eps))
+
+
+def test_scalar_local_min_rejects_a_strict_dominator_inside_the_band():
+    # f(x) = x: the neighbor -1e-8 lies 10 tau below p = 0 along a climb of
+    # sub-tau steps, so both weak relations hold and x strictly dominates p
+    f = scalar_field("linear")
+    p, ball = np.array([0.0]), SampleSet([[-1e-8]])
+    steps = np.diff(f.values(np.linspace(0.0, 1.0, CFG.n_eps)[:, None] * ball.points[0]))
+    assert (np.abs(steps) <= CFG.tau).all()
+    out = is_local_min_polyorder(f, p, ball, CFG)
+    assert not out.ok and out.witness == (-1e-8,)
+    assert not minimal_and_maximal(f, p, ball, CFG)[0].ok

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -343,6 +344,17 @@ class TestCasestudy:
         assert code == 2
         assert out == ""
         assert "grid_n" in err
+
+    @pytest.mark.parametrize("window_hi", ["nan", "inf"])
+    def test_non_finite_window_hi_exits_2(self, capsys, window_hi):
+        # a numpy warning from building the window would reach stderr first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "--json", "casestudy", "--dominance-grid", "5",
+                                 "--window-hi", window_hi)
+        assert (code, out) == (2, "")
+        assert "window_hi must be finite" in err
+        assert "RuntimeWarning" not in err
 
     def test_tau_at_an_origin_radius_exits_2_before_the_sweeps(self, capsys, monkeypatch):
         def sweep(*args, **kwargs):

@@ -7,7 +7,7 @@ from fieldorder.fields import (Box, Explicit, Grid, Product, SeededRandom, Simpl
                                field_from_json, gradient_fd, gradient_field, negate,
                                quadratic_form, registry_names, sample_domain, scalar_field,
                                segment_point, vector_field)
-from fieldorder.fields import _simplex_grid, _simplex_grid_size
+from fieldorder.fields import _radius, _simplex_grid, _simplex_grid_size
 
 
 class TestSegmentPoint:
@@ -286,3 +286,32 @@ class TestFields:
             quadratic_form(Q, [0.0] * len(Q))
         with pytest.raises(ValueError, match="non-finite"):
             field_from_json({"Q": Q, "b": [0.0] * len(Q)})
+
+
+def bits(values):
+    return np.asarray(values, float).view(np.int64).tolist()
+
+
+class TestKernels:
+    """The stock fields' batch kernels are plain IEEE arithmetic, with the
+    bits of the numpy expressions they replace."""
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_radius_is_the_linalg_norm(self, dim):
+        rng = np.random.default_rng(dim)
+        rows = 20000
+        # entries of every scale from zero through subnormal squares to 1e150
+        scale = 10.0 ** rng.choice([-310.0, -160.0, -3.0, 0.0, 3.0, 150.0], size=(rows, dim))
+        P = rng.normal(size=(rows, dim)) * scale * 10.0 ** rng.uniform(-2, 2, (rows, 1))
+        P[rng.random(P.shape) < 0.1] = 0.0
+        P[0] = 0.0
+        assert bits(_radius(P)) == bits(np.linalg.norm(P, axis=1))
+        # one row alone, as a flow evaluates it
+        assert bits(_radius(P[1:2])) == bits(np.linalg.norm(P[1:2], axis=1))
+
+    def test_cubic_is_the_product(self):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1.0, 1.0, 50000) * 10.0 ** rng.choice([-200.0, -5.0, 0.0], 50000)
+        x[:4] = [0.0, -0.0, 1.0, -1.0]
+        got = scalar_field("cubic").values(x[:, None])
+        assert bits(got) == bits(x * x * x)
