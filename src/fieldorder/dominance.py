@@ -56,9 +56,20 @@ a min down, so a row whose coarse levels already reach above +tau and
 below -tau is Incomparable in both directions on the full grid.  Callers
 that read only the relation (batch_relations) may ask the screen to stop
 evaluating such rows; every other row, and every row when they do not ask,
-gets its exact full-grid extremes.  The scalar screen stays a single pass:
-a coarse step is a sum of fine steps, not one of them, so step extremes do
-not nest.
+gets its exact full-grid extremes.  Scalar step extremes do not nest (a
+coarse step is a sum of fine steps, not one of them), so the scalar screen
+has one coarse level, every 64th point, and reads it as a certificate: a
+coarse step above 64 tau, with a rounding margin, proves that one of the
+fine steps it sums is above tau (batch_scalar_steps).  A row with a coarse
+step above that threshold and one below its negative is Incomparable on
+the full grid and stops there; every other row evaluates only the points
+off the coarse level.
+
+Every screen runs in blocks of rows holding at most _BLOCK_BYTES of
+segment points.  The field's temporaries are about as large again each, so
+the bound is chosen small enough that a block's working set stays in a
+core's cache instead of streaming through memory and touching freshly
+mapped pages; a measured sweep set it.
 
 A vector field with affine parts c(p) = A p + b (matrix games, gradients
 of quadratic forms, "linear", and their negations) has an exact profile
@@ -316,9 +327,11 @@ def compare_scalar(f: ScalarField, x, y, cfg: ToleranceConfig | None = None,
 # Vectorized screens over many pairs (uniform grid, no refinement)
 # ---------------------------------------------------------------------------
 
-# float64 bytes of segment points per screen block: 2**21 points at dim 1
-_BLOCK_BYTES = 1 << 24
-# coarse-to-fine strides of the vector screen's index levels, coarsest first
+# float64 bytes of segment points per screen block (32,768 points at dim 1),
+# the one memory bound of every screen and certificate block
+_BLOCK_BYTES = 1 << 18
+# coarse-to-fine strides of the vector screen's index levels, coarsest first;
+# the scalar screen's one coarse level is the first
 _LADDER_STRIDES = (64, 16)
 
 
@@ -362,7 +375,11 @@ def _eps_levels(n_eps: int, strides: Sequence[int]) -> list[np.ndarray]:
 
 
 def _blocks(rows: np.ndarray, n_points: int, dim: int) -> Iterator[np.ndarray]:
-    """rows in consecutive blocks of at most _BLOCK_BYTES of segment points each."""
+    """rows in consecutive blocks of at most _BLOCK_BYTES of segment points each.
+
+    A block always holds at least one row, so a row of more than
+    _BLOCK_BYTES of points makes a block of its own that exceeds the bound.
+    """
     step = max(1, _BLOCK_BYTES // (8 * n_points * dim))
     for s in range(0, rows.size, step):
         yield rows[s:s + step]
@@ -414,19 +431,68 @@ def batch_vector_extremes(c: VectorField, xs, ys, cfg: ToleranceConfig, *,
     return out_max, out_min
 
 
-def batch_scalar_steps(f: ScalarField, xs, ys,
-                       cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rowwise (max step, min step, total change) of g(eps) = f(eps x + (1-eps) y)."""
+def _step_stats(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rowwise (max step, min step, total change) of (k, e) profiles g."""
+    d = np.diff(g, axis=1)
+    return d.max(axis=1), d.min(axis=1), g[:, -1] - g[:, 0]
+
+
+def batch_scalar_steps(f: ScalarField, xs, ys, cfg: ToleranceConfig, *,
+                       drop_incomparable: bool = False
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rowwise (max step, min step, total change) of g(eps) = f(eps x + (1-eps) y).
+
+    By default the screen is one pass over the full uniform grid and every
+    row gets its exact statistics.  With drop_incomparable, when s =
+    _LADDER_STRIDES[0] (a power of two) divides n_eps - 1, every row is
+    first evaluated on the coarse grid eps[::s], the same bits as those
+    points of the full grid.  A row with a coarse step above T and one
+    below -T is Incomparable on the full grid (see below).  It is not
+    evaluated further and returns its coarse step extremes, which satisfy
+    max step > tau and min step < -tau, and its exact total change (the
+    coarse grid holds both ends).  Every other row evaluates only the points
+    off the coarse grid, with the coarse values scattered into place, and
+    gets its exact full-grid statistics.  Every (row, eps) point is
+    evaluated at most once either way.
+
+    The certificate.  Let E = g[i+s] - g[i] exactly, the sum of the s exact
+    fine steps D_j = g[j+1] - g[j] it spans.  The computed coarse step is
+    C = fl(E) = E(1 + d) with |d| <= u = 2**-53 (a difference of two floats
+    that lands in the subnormal range is exact), and a computed fine step is
+    fl(D_j) >= D_j(1 - u) for D_j > 0.  The threshold is T = fl(x), x =
+    s tau (1 + 2**-50): s tau is exact for a power of two s, subnormal tau
+    included, so T rounds once, and a float C > fl(x) has C > x under round
+    to nearest (no float lies in (fl(x), x]).  Then E >= C / (1 + u) >
+    s tau (1 + 2**-50) / (1 + u), some D_j >= E / s, and fl(D_j) >
+    tau (1 + 8u)(1 - u) / (1 + u) > tau.  So the full grid has a step above
+    tau; the mirror argument gives one below -tau when C < -T.  An overflow
+    makes T infinite, which certifies no row.
+    """
     xs, ys = _broadcast_rows(xs, ys)
     k, dim = xs.shape
-    eps = np.linspace(0.0, 1.0, cfg.n_eps)
+    n, s = cfg.n_eps, _LADDER_STRIDES[0]
+    eps = np.linspace(0.0, 1.0, n)
     smax, smin, total = np.empty(k), np.empty(k), np.empty(k)
-    for rows in _blocks(np.arange(k), eps.size, dim):
-        g = _profiles(f, _rows(xs, rows), _rows(ys, rows), eps)
-        d = np.diff(g, axis=1)
-        smax[rows] = d.max(axis=1)
-        smin[rows] = d.min(axis=1)
-        total[rows] = g[:, -1] - g[:, 0]
+    live, coarse = np.arange(k), None
+    if drop_incomparable and (n - 1) % s == 0:
+        coarse = np.empty((k, (n - 1) // s + 1))
+        for rows in _blocks(live, coarse.shape[1], dim):
+            coarse[rows] = g = _profiles(f, _rows(xs, rows), _rows(ys, rows), eps[::s])
+            smax[rows], smin[rows], total[rows] = _step_stats(g)
+        bound = s * cfg.tau * (1.0 + 2.0 ** -50)
+        live = np.flatnonzero((smax <= bound) | (smin >= -bound))
+        off = eps[np.arange(n) % s != 0]  # the points off the coarse grid, in order
+    for rows in _blocks(live, n, dim):
+        xb, yb = _rows(xs, rows), _rows(ys, rows)
+        if coarse is None:
+            g = _profiles(f, xb, yb, eps)
+        else:
+            g = np.empty((rows.size, n))
+            g[:, ::s] = coarse[rows]
+            # s - 1 off-grid points follow each coarse point but the last
+            g[:, :-1].reshape(rows.size, -1, s)[:, :, 1:] = _profiles(
+                f, xb, yb, off).reshape(rows.size, -1, s - 1)
+        smax[rows], smin[rows], total[rows] = _step_stats(g)
     return smax, smin, total
 
 
@@ -436,11 +502,12 @@ def batch_relations(field, xs, ys, cfg: ToleranceConfig, segment_witnesses=None)
     Uses the rule of compare_vector/compare_scalar on the screen statistics:
     vector rows come from batch_vector_extremes with drop_incomparable (the
     rule reads only the band predicates) and segment_witnesses folded in,
-    scalar rows from batch_scalar_steps.  A row that is not Incomparable is
-    never refined, so its relation is that of compare_* with the same extra
-    eps; a vector row that is Incomparable stays so under refinement, a
-    scalar one may not.  The step screen cannot fold witness eps (a witness
-    splits a step), so scalar fields with segment_witnesses raise ValueError.
+    scalar rows from batch_scalar_steps with drop_incomparable.  A row that
+    is not Incomparable is never refined, so its relation is that of
+    compare_* with the same extra eps; a vector row that is Incomparable
+    stays so under refinement, a scalar one may not.  The step screen cannot
+    fold witness eps (a witness splits a step), so scalar fields with
+    segment_witnesses raise ValueError.
 
     A vector field with affine parts first has every row decided from its
     two endpoint values (see _affine_endpoints); only the rows that
@@ -450,7 +517,7 @@ def batch_relations(field, xs, ys, cfg: ToleranceConfig, segment_witnesses=None)
     if isinstance(field, ScalarField):
         if segment_witnesses is not None:
             raise ValueError("the scalar step screen cannot fold segment witnesses")
-        smax, smin, total = batch_scalar_steps(field, xs, ys, cfg)
+        smax, smin, total = batch_scalar_steps(field, xs, ys, cfg, drop_incomparable=True)
         return _relations(smax, smin, total, total, cfg.tau)
     if field.affine is None:
         mx, mn = batch_vector_extremes(field, xs, ys, cfg, drop_incomparable=True,
@@ -542,10 +609,16 @@ def _affine_endpoints(c: VectorField, xs: np.ndarray,
     at most 2E, and likewise the mins.  A row is settled when
     |max - tau| > 2E and |min + tau| > 2E: its band predicates, and so its
     relation, are then exactly those of the full screen.  Other rows must
-    be screened.
+    be screened.  Rows are certified in blocks of two points each
+    (_blocks), so the temporaries stay within the screen's memory bound.
     """
-    ends = _deltas(_end_values(c, xs, ys), xs - ys)
-    out_max, out_min = ends.max(axis=1), ends.min(axis=1)
-    slack = 2.0 * _affine_rounding_bound(c, xs, ys)
-    settled = (np.abs(out_max - tau) > slack) & (np.abs(out_min + tau) > slack)
+    k = xs.shape[0]
+    out_max, out_min, settled = np.empty(k), np.empty(k), np.empty(k, bool)
+    for rows in _blocks(np.arange(k), 2, xs.shape[1]):
+        bx, by = xs[rows], ys[rows]
+        ends = _deltas(_end_values(c, bx, by), bx - by)
+        mx, mn = ends.max(axis=1), ends.min(axis=1)
+        slack = 2.0 * _affine_rounding_bound(c, bx, by)
+        out_max[rows], out_min[rows] = mx, mn
+        settled[rows] = (np.abs(mx - tau) > slack) & (np.abs(mn + tau) > slack)
     return out_max, out_min, settled

@@ -1,13 +1,15 @@
-"""The coarse-to-fine vector screen against a plain single-pass screen.
+"""The coarse-to-fine screens against a plain single-pass screen.
 
 batch_vector_extremes walks the uniform eps grid in disjoint index levels
 and, when asked for band verdicts only, stops evaluating a row once it is
 Incomparable both ways.  The reference below is the single pass over the
 full grid that the ladder replaces.  Band predicates must agree on every
 row, rows that are not Incomparable must carry bit-identical extremes, and
-without band verdicts every row must.  The coverage sweep, which now
-confirms all window points through one screen, is checked against its old
-per-point loop, and the catalog sweep against a bound on its field work.
+without band verdicts every row must.  batch_scalar_steps' coarse
+certificate is checked the same way against its own single pass.  The
+coverage sweep, which now confirms all window points through one screen,
+is checked against its old per-point loop, and the catalog sweep against a
+bound on its field work.
 """
 
 import dataclasses
@@ -23,9 +25,10 @@ from fieldorder.casestudy import (build_catalog, case_challengers, case_fields,
                                   dominating_minimal_element, nearest_critical_distance,
                                   zero_point)
 from fieldorder.dominance import (_LADDER_STRIDES, STRICTLY_DOMINATES, ToleranceConfig,
-                                  _eps_levels, batch_vector_extremes, compare_vector)
+                                  _eps_levels, _relations, batch_scalar_steps,
+                                  batch_vector_extremes, compare_vector)
 from fieldorder.errors import DomainViolationError
-from fieldorder.fields import Box, quadratic_form, vector_field
+from fieldorder.fields import Box, ScalarField, quadratic_form, scalar_field, vector_field
 from fieldorder.games import from_symmetric_matrix, hawk_dove, matching_pennies
 
 CFG = ToleranceConfig()
@@ -135,6 +138,131 @@ def test_ladder_drops_catalog_rows():
     for x in (zero_point(3), zero_point(-8), 0.0):
         both = assert_ladder_matches(c, challengers.points, [x], CFG)
         assert both.mean() > 0.5
+
+
+# ---------------------------------------------------------------------------
+# The scalar screen's coarse certificate against its single pass
+# ---------------------------------------------------------------------------
+
+def _counted(f):
+    evaluated = [0]
+
+    def counting(P, batch=f.batch):
+        evaluated[0] += P.shape[0]
+        return batch(P)
+
+    return dataclasses.replace(f, batch=counting), evaluated
+
+
+def assert_prescreen_matches(f, xs, ys, cfg):
+    """Return how many rows the pre-screen certified without the full grid."""
+    full = batch_scalar_steps(f, xs, ys, cfg)
+    f, evaluated = _counted(f)
+    got = batch_scalar_steps(f, xs, ys, cfg, drop_incomparable=True)
+    tau = cfg.tau
+    assert (_relations(got[0], got[1], got[2], got[2], tau).tolist()
+            == _relations(full[0], full[1], full[2], full[2], tau).tolist())
+    np.testing.assert_array_equal(got[2], full[2])
+    # only a row that is Incomparable both ways may stop on the coarse grid;
+    # it still reads past both band edges
+    both = (full[0] > tau) & (full[1] < -tau)
+    np.testing.assert_array_equal(got[0][~both], full[0][~both])
+    np.testing.assert_array_equal(got[1][~both], full[1][~both])
+    assert np.all(got[0][both] > tau) and np.all(got[1][both] < -tau)
+    # every (row, eps) point at most once; a dropped row saw only the coarse grid
+    rows, n, s = len(full[0]), cfg.n_eps, _LADDER_STRIDES[0]
+    coarse = (n - 1) // s + 1 if (n - 1) % s == 0 else n
+    dropped = (rows * n - evaluated[0]) // (n - coarse) if coarse < n else 0
+    assert evaluated[0] == rows * n - dropped * (n - coarse)
+    return dropped
+
+
+SCALAR_FIELDS = ["quadratic", "cubic", "xsininv", "mexican_hat", "linear"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(SCALAR_FIELDS + ["quadratic_form"]), dim=st.integers(1, 4),
+       seed=st.integers(0, 2**31 - 1), n_eps=st.sampled_from([3, 65, 129, 193, 1000, 1025]),
+       tau=st.sampled_from([1e-9, 1e-3, 0.05]), rows=st.integers(1, 40), one_y=st.booleans())
+def test_prescreen_keeps_scalar_relations(name, dim, seed, n_eps, tau, rows, one_y):
+    rng = np.random.default_rng(seed)
+    if name == "quadratic_form":
+        f, _ = quadratic_form(rng.uniform(-2.0, 2.0, size=(dim, dim)),
+                              rng.uniform(-1.0, 1.0, size=dim))
+        lo, hi = -np.ones(dim), np.ones(dim)
+    else:
+        f = scalar_field(name)
+        lo, hi = np.asarray(f.domain.lower), np.asarray(f.domain.upper)
+    xs = rng.uniform(lo, hi, size=(rows, lo.size))
+    ys = rng.uniform(lo, hi, size=(1 if one_y else rows, lo.size))
+    xs[0] = ys[0]  # a flat segment sits exactly on the band
+    assert_prescreen_matches(f, xs, ys, ToleranceConfig(tau=tau, n_eps=n_eps))
+
+
+def test_prescreen_drops_most_mexican_hat_rows():
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(-2.0, 2.0, size=(400, 2))
+    assert assert_prescreen_matches(scalar_field("mexican_hat"), xs, [[0.6, 0.8]], CFG) > 200
+
+
+def _zigzag(steps):
+    """A 1-D field on [0, 1] whose profile from 0 to 1 takes these grid steps.
+
+    Segment points from y = 0 to x = 1 are the grid eps themselves, and
+    np.interp returns its table at its nodes exactly.
+    """
+    eps = np.linspace(0.0, 1.0, steps.size + 1)
+    table = np.concatenate([[0.0], np.cumsum(steps)])
+    return ScalarField(batch=lambda P: np.interp(P[:, 0], eps, table),
+                       domain=Box((0.0,), (1.0,)), label="zigzag")
+
+
+def _edge_taus(step):
+    return [step, np.nextafter(step, 0.0), np.nextafter(step, np.inf)]
+
+
+def test_prescreen_at_fine_steps_within_an_ulp_of_tau():
+    # linear: a monotone profile whose steps of about 0.3/1024 differ only by
+    # the rounding of g; tau at the smallest and largest step and next to them
+    f = scalar_field("linear")
+    steps = np.diff(0.3 * np.linspace(0.0, 1.0, 1025))
+    assert steps.max() - steps.min() <= 2 * np.spacing(0.3)
+    for tau in _edge_taus(steps.min()) + _edge_taus(steps.max()):
+        assert assert_prescreen_matches(f, [[0.3]], [[0.0]], ToleranceConfig(tau=tau)) == 0
+    # a zigzag of runs of 64 exact steps of +-step: every coarse step is
+    # exactly +-64 step, so the rounding margin decides at the ulp
+    step = 3.0 * 2.0 ** -10
+    f = _zigzag(step * np.where(np.arange(1024) // 64 % 2 == 0, 1.0, -1.0))
+    # tau = step and the ulp above: steps are not above tau, no row may drop;
+    # the ulp below: Incomparable, but 64 tau plus the margin is above 64 step
+    for tau in _edge_taus(step):
+        assert assert_prescreen_matches(f, [[1.0]], [[0.0]], ToleranceConfig(tau=tau)) == 0
+    # further below, the coarse steps clear the margin and certify the row
+    tau = step * (1.0 - 2.0 ** -45)
+    assert assert_prescreen_matches(f, [[1.0]], [[0.0]], ToleranceConfig(tau=tau)) == 1
+
+
+def test_prescreen_with_a_subnormal_tau():
+    # exact subnormal steps of +-4 units: a coarse step is exactly +-256 units
+    unit = 2.0 ** -1074
+    sign = np.where(np.arange(1024) // 64 % 2 == 0, 1.0, -1.0)
+    f = _zigzag(4 * unit * sign)
+    # steps of 4 units are not above tau = 4 units, so 64 tau must not drop the row
+    assert assert_prescreen_matches(f, [[1.0]], [[0.0]], ToleranceConfig(tau=4 * unit)) == 0
+    assert assert_prescreen_matches(f, [[1.0]], [[0.0]], ToleranceConfig(tau=3 * unit)) == 1
+
+
+@pytest.mark.parametrize("n_eps", [65, 1000])
+def test_prescreen_leaves_every_row_whole(n_eps):
+    # 65: the two-point coarse grid has one step, which cannot cross both
+    # band edges; 1000: 64 does not divide n_eps - 1, so there is no coarse grid
+    rng = np.random.default_rng(n_eps)
+    f, xs, ys = scalar_field("mexican_hat"), rng.uniform(-2.0, 2.0, size=(200, 2)), [[0.6, 0.8]]
+    cfg = ToleranceConfig(n_eps=n_eps)
+    assert assert_prescreen_matches(f, xs, ys, cfg) == 0
+    for want, got in zip(batch_scalar_steps(f, xs, ys, cfg),
+                         batch_scalar_steps(f, xs, ys, cfg, drop_incomparable=True)):
+        np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

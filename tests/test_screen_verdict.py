@@ -193,9 +193,8 @@ def signless_bits(values):
 
 
 def _screen(field, X, Y, cfg, **kw):
-    if isinstance(field, ScalarField):
-        return batch_scalar_steps(field, X, Y, cfg)
-    return batch_vector_extremes(field, X, Y, cfg, **kw)
+    screen = batch_scalar_steps if isinstance(field, ScalarField) else batch_vector_extremes
+    return screen(field, X, Y, cfg, **kw)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
@@ -226,9 +225,10 @@ def test_negated_screen_is_the_mirror(label, field, cfg):
     X, Y = _pairs(field, seed=len(label) + 1)
     neg = negate(field)
     if isinstance(field, ScalarField):
-        smax, smin, total = batch_scalar_steps(field, X, Y, cfg)
-        got = batch_scalar_steps(neg, X, Y, cfg)
-        assert signless_bits(got) == signless_bits([-smin, -smax, -total])
+        for drop in (False, True):
+            smax, smin, total = batch_scalar_steps(field, X, Y, cfg, drop_incomparable=drop)
+            got = batch_scalar_steps(neg, X, Y, cfg, drop_incomparable=drop)
+            assert signless_bits(got) == signless_bits([-smin, -smax, -total])
     else:
         for drop in (False, True):
             mx, mn = batch_vector_extremes(field, X, Y, cfg, drop_incomparable=drop)
