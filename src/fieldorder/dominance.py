@@ -444,16 +444,20 @@ def batch_scalar_steps(f: ScalarField, xs, ys, cfg: ToleranceConfig, *,
 
     By default the screen is one pass over the full uniform grid and every
     row gets its exact statistics.  With drop_incomparable, when s =
-    _LADDER_STRIDES[0] (a power of two) divides n_eps - 1, every row is
-    first evaluated on the coarse grid eps[::s], the same bits as those
-    points of the full grid.  A row with a coarse step above T and one
-    below -T is Incomparable on the full grid (see below).  It is not
+    _LADDER_STRIDES[0] (a power of two) divides n_eps - 1 and the coarse
+    grid eps[::s] has at least two steps (one step cannot cross both band
+    edges), every row is first evaluated on that coarse grid, the same bits
+    as those points of the full grid.  A row with a coarse step above T and
+    one below -T is Incomparable on the full grid (see below).  It is not
     evaluated further and returns its coarse step extremes, which satisfy
     max step > tau and min step < -tau, and its exact total change (the
     coarse grid holds both ends).  Every other row evaluates only the points
     off the coarse grid, with the coarse values scattered into place, and
-    gets its exact full-grid statistics.  Every (row, eps) point is
-    evaluated at most once either way.
+    gets its exact full-grid statistics.  When no row is certified (every
+    segment of a monotone field, say), the screen skips that scatter and
+    takes the plain full pass, re-evaluating the coarse points; otherwise
+    every (row, eps) point is evaluated at most once.  Such a screen still
+    pays for the coarse pass, the one cost the pre-screen adds.
 
     The certificate.  Let E = g[i+s] - g[i] exactly, the sum of the s exact
     fine steps D_j = g[j+1] - g[j] it spans.  The computed coarse step is
@@ -474,13 +478,15 @@ def batch_scalar_steps(f: ScalarField, xs, ys, cfg: ToleranceConfig, *,
     eps = np.linspace(0.0, 1.0, n)
     smax, smin, total = np.empty(k), np.empty(k), np.empty(k)
     live, coarse = np.arange(k), None
-    if drop_incomparable and (n - 1) % s == 0:
+    if drop_incomparable and (n - 1) % s == 0 and n - 1 >= 2 * s:
         coarse = np.empty((k, (n - 1) // s + 1))
         for rows in _blocks(live, coarse.shape[1], dim):
             coarse[rows] = g = _profiles(f, _rows(xs, rows), _rows(ys, rows), eps[::s])
             smax[rows], smin[rows], total[rows] = _step_stats(g)
         bound = s * cfg.tau * (1.0 + 2.0 ** -50)
         live = np.flatnonzero((smax <= bound) | (smin >= -bound))
+        if live.size == k:  # nothing certified: a plain pass costs less than the scatter
+            coarse = None
         off = eps[np.arange(n) % s != 0]  # the points off the coarse grid, in order
     for rows in _blocks(live, n, dim):
         xb, yb = _rows(xs, rows), _rows(ys, rows)

@@ -169,11 +169,18 @@ def assert_prescreen_matches(f, xs, ys, cfg):
     np.testing.assert_array_equal(got[0][~both], full[0][~both])
     np.testing.assert_array_equal(got[1][~both], full[1][~both])
     assert np.all(got[0][both] > tau) and np.all(got[1][both] < -tau)
-    # every (row, eps) point at most once; a dropped row saw only the coarse grid
+    # a dropped row saw only the coarse grid, and when some row dropped every
+    # (row, eps) point was evaluated at most once; when none dropped, the
+    # coarse pass is followed by one plain full pass
     rows, n, s = len(full[0]), cfg.n_eps, _LADDER_STRIDES[0]
-    coarse = (n - 1) // s + 1 if (n - 1) % s == 0 else n
-    dropped = (rows * n - evaluated[0]) // (n - coarse) if coarse < n else 0
-    assert evaluated[0] == rows * n - dropped * (n - coarse)
+    if (n - 1) % s or n - 1 < 2 * s:  # no pre-screen: one plain full pass
+        assert evaluated[0] == rows * n
+        return 0
+    coarse = (n - 1) // s + 1
+    if evaluated[0] == rows * coarse + rows * n:
+        return 0
+    dropped, rest = divmod(rows * n - evaluated[0], n - coarse)
+    assert rest == 0 and 0 < dropped <= rows
     return dropped
 
 

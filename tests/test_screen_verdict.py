@@ -193,8 +193,9 @@ def signless_bits(values):
 
 
 def _screen(field, X, Y, cfg, **kw):
-    screen = batch_scalar_steps if isinstance(field, ScalarField) else batch_vector_extremes
-    return screen(field, X, Y, cfg, **kw)
+    if isinstance(field, ScalarField):
+        return batch_scalar_steps(field, X, Y, cfg)
+    return batch_vector_extremes(field, X, Y, cfg, **kw)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
