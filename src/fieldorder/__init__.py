@@ -4,20 +4,18 @@ __version__ = "0.1.0"
 
 from .dominance import (DominanceVerdict, ToleranceConfig, compare_scalar,  # noqa: F401
                         compare_vector, profile)
-from .fields import (Box, Explicit, Grid, Product, SampleSet, ScalarField,  # noqa: F401
-                     SeededRandom, Simplex, VectorField, as_point, field_from_json,
-                     gradient_fd, gradient_field, negate, quadratic_form,
-                     sample_domain, scalar_field, segment_point, vector_field)
+from .fields import (Box, Grid, Product, SampleSet, ScalarField, SeededRandom,  # noqa: F401
+                     Simplex, VectorField, as_point, field_from_json, gradient_field,
+                     negate, quadratic_form, sample_domain, scalar_field, vector_field)
 from .classify import (ClassificationReport, classify_point,  # noqa: F401
                        default_challengers, is_almost_strictly_minimal_set,
                        is_critical_element, is_ess, is_ess_set, is_local_min_polyorder,
                        is_nss, is_strict_local_min_scalar, minimal_and_maximal,
                        sample_neighborhood)
 from .dynamics import (IntegratorConfig, SetStabilityReport, Trajectory,  # noqa: F401
-                       check_setwise_stability, integrate, lyapunov_integral)
+                       check_setwise_stability, integrate)
 from .games import (PopulationGame, from_bimatrix, from_symmetric_matrix,  # noqa: F401
-                    hawk_dove, is_nash, load_game, matching_pennies,
-                    prisoners_dilemma)
+                    hawk_dove, is_nash, load_game, matching_pennies)
 from .casestudy import (CriticalCatalog, build_catalog,  # noqa: F401
                         check_setwise_dominance, classify_catalog,
                         dominating_minimal_element, mexican_hat_counterexample,

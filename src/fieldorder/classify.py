@@ -438,14 +438,18 @@ def classify_point(field, p, challengers: SampleSet | None = None,
     theorem inclusion chains before returning.
 
     A ScalarField gives a "scalar" report, any other field a "vector" one.
-    The radius is checked before any challenger is built.
+    The radius is checked, and an empty challenger set refused, before any
+    challenger is built.
     """
     kind = "scalar" if isinstance(field, ScalarField) else "vector"
     cfg = cfg or ToleranceConfig()
     p = require_in_domain(field.domain, p)
+    if challengers is not None and len(challengers) == 0:
+        raise ValueError("challenger set is empty")
     radius = radius if radius is not None else 0.05 * field.domain.diameter()
     neighborhood = sample_neighborhood(field.domain, p, radius, seed=seed)
-    challengers = challengers or default_challengers(field.domain, seed)
+    if challengers is None:
+        challengers = default_challengers(field.domain, seed)
     # global sweeps see the local probes too, so the chains are checked on
     # comparable evidence
     full = challengers.union(neighborhood.points, note="ball")

@@ -19,8 +19,7 @@ For a one-dimensional field f, the potential L(x) is the integral of f
 from a reference point; along trajectories of x' = -f(x), dL/dt = -f(x)^2
 <= 0 on true solutions.  check_setwise_stability checks that L never rises
 by more than LYAPUNOV_SLACK between consecutive trajectory samples, each
-increment by two-panel Simpson over its step.  lyapunov_integral, the only
-adaptive Simpson quadrature here, evaluates L itself to LYAPUNOV_ABS_TOL.
+increment by two-panel Simpson over its step.
 """
 
 from __future__ import annotations
@@ -44,8 +43,6 @@ _MAX_TRAJECTORY_BYTES = 1 << 29
 # largest rise of the potential between trajectory samples that still
 # counts as nonincreasing
 LYAPUNOV_SLACK = 1e-8
-# absolute error target of lyapunov_integral's adaptive Simpson quadrature
-LYAPUNOV_ABS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -178,41 +175,6 @@ def integrate(F: VectorField, x0, cfg: IntegratorConfig | None = None) -> Trajec
 # Quadrature
 # ---------------------------------------------------------------------------
 
-def _adaptive_simpson(fv, a: float, fa: float, b: float, fb: float,
-                      whole: float, fm: float, tol: float, depth: int) -> float:
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = fv(lm), fv(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return (_adaptive_simpson(fv, a, fa, m, fm, left, flm, tol / 2.0, depth - 1)
-            + _adaptive_simpson(fv, m, fm, b, fb, right, frm, tol / 2.0, depth - 1))
-
-
-def lyapunov_integral(f: ScalarField, x_ref: float, x: float) -> float:
-    """Oriented integral of a 1-D scalar field from x_ref to x (adaptive
-    Simpson to LYAPUNOV_ABS_TOL)."""
-    if f.domain.dim != 1:
-        raise ValueError("lyapunov_integral needs a one-dimensional field")
-    lo, hi = (x_ref, x) if x_ref <= x else (x, x_ref)
-    require_in_domain(f.domain, [lo])
-    require_in_domain(f.domain, [hi])
-    if lo == hi:
-        return 0.0
-
-    def fv(t: float) -> float:
-        return f.value(np.array([t]))
-
-    fa, fb = fv(lo), fv(hi)
-    m = 0.5 * (lo + hi)
-    fm = fv(m)
-    whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
-    val = _adaptive_simpson(fv, lo, fa, hi, fb, whole, fm, LYAPUNOV_ABS_TOL, depth=48)
-    return val if x_ref <= x else -val
-
-
 def _segment_increments(f: ScalarField, states: np.ndarray) -> np.ndarray:
     """L increments between consecutive 1-D samples via two-panel Simpson.
 
@@ -256,10 +218,6 @@ class SetStabilityReport:
     max_lyapunov_increase: float
     # one per trial, for callers that also export the paths; not serialized
     trajectories: tuple[Trajectory, ...] = field(default=(), repr=False, compare=False)
-
-    @property
-    def all_converged(self) -> bool:
-        return all(t.converged for t in self.trials)
 
     def to_dict(self) -> dict:
         return {"candidate_set": [list(p) for p in self.candidate_set],

@@ -183,12 +183,7 @@ class SeededRandom:
     count: int
 
 
-@dataclass(frozen=True)
-class Explicit:
-    points: tuple[tuple[float, ...], ...]
-
-
-Strategy = Union[Grid, SeededRandom, Explicit]
+Strategy = Union[Grid, SeededRandom]
 
 
 @dataclass(frozen=True)
@@ -248,12 +243,6 @@ def _cartesian(blocks: Sequence[np.ndarray]) -> np.ndarray:
 def sample_domain(domain: Domain, strategy: Strategy, seed: int = 0) -> SampleSet:
     """Deterministic sample of a domain; equal arguments give bit-identical output."""
     rng = np.random.default_rng(seed)
-    if isinstance(strategy, Explicit):
-        pts = np.atleast_2d(np.asarray(strategy.points, float))
-        for row in pts:
-            require_in_domain(domain, row)
-        return SampleSet(pts, strategy="explicit", seed=seed)
-
     if isinstance(domain, Simplex):  # sampled exactly as its one-part product
         domain = Product((domain,))
     if isinstance(strategy, Grid):
@@ -294,20 +283,6 @@ def sample_domain(domain: Domain, strategy: Strategy, seed: int = 0) -> SampleSe
         return SampleSet(pts, strategy=f"seeded(count={count})", seed=seed)
 
     raise TypeError(f"unknown sampling strategy: {strategy!r}")
-
-
-# ---------------------------------------------------------------------------
-# Segment parametrization
-# ---------------------------------------------------------------------------
-
-def segment_point(x, y, eps: float) -> np.ndarray:
-    """Point eps*x + (1-eps)*y on the segment from y (eps=0) to x (eps=1)."""
-    x, y = as_point(x), as_point(y)
-    if x.shape != y.shape:
-        raise DimensionMismatchError(f"segment endpoints differ in dim: {x.shape} vs {y.shape}")
-    if not (0.0 <= eps <= 1.0):
-        raise ValueError(f"eps must lie in [0, 1], got {eps}")
-    return _frozen(eps * x + (1.0 - eps) * y)
 
 
 # ---------------------------------------------------------------------------
@@ -419,20 +394,20 @@ def negate(f: AnyField) -> AnyField:
 # Finite-difference gradients
 # ---------------------------------------------------------------------------
 
-def _fd_gradient(f: ScalarField, pts: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(gradient, one-sided flags) of f at the rows of pts by finite differences.
+def _fd_gradient(f: ScalarField, pts: np.ndarray, h: float) -> np.ndarray:
+    """Gradient of f at the rows of pts by finite differences.
 
     Central differences, one-sided along an axis where a step of h would
     leave the box; f is only evaluated inside the box (within
     CONTAINMENT_TOL), so a box thinner than h raises DomainViolationError.
     """
     grad = np.empty_like(pts)
-    flags = np.zeros(pts.shape, bool)
     box = f.domain if isinstance(f.domain, Box) else None
     for j in range(pts.shape[1]):
         hi, lo = pts.copy(), pts.copy()
         hi[:, j] += h
         lo[:, j] -= h
+        one_sided = False
         if box is not None:
             over = hi[:, j] > box.upper[j] + CONTAINMENT_TOL
             under = lo[:, j] < box.lower[j] - CONTAINMENT_TOL
@@ -441,29 +416,16 @@ def _fd_gradient(f: ScalarField, pts: np.ndarray, h: float) -> tuple[np.ndarray,
             # a one-sided difference steps from the point itself
             hi[over, j] = pts[over, j]
             lo[under, j] = pts[under, j]
-            flags[:, j] = over | under
-        grad[:, j] = (f.values(hi) - f.values(lo)) / np.where(flags[:, j], h, 2 * h)
-    return grad, flags
-
-
-def gradient_fd(f: ScalarField, p, h: float = 1e-5, return_flags: bool = False):
-    """Central finite-difference gradient, one-sided at box boundaries.
-
-    Bitwise one row of gradient_field(f, h).  When return_flags is true,
-    also returns a bool array marking the components where a one-sided
-    difference was used.
-    """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    grad, flags = _fd_gradient(f, as_point(p)[None, :], h)
-    return (grad[0], flags[0]) if return_flags else grad[0]
+            one_sided = over | under
+        grad[:, j] = (f.values(hi) - f.values(lo)) / np.where(one_sided, h, 2 * h)
+    return grad
 
 
 def gradient_field(f: ScalarField, h: float = 1e-5) -> VectorField:
-    """Vector field backed by finite differences of f (see gradient_fd)."""
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    return VectorField(batch=lambda P: _fd_gradient(f, P, h)[0], domain=f.domain,
+    """Vector field backed by finite differences of f with step h (see _fd_gradient)."""
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError("step h must be finite and positive")
+    return VectorField(batch=lambda P: _fd_gradient(f, P, h), domain=f.domain,
                        label=f"grad:{f.label}")
 
 
@@ -541,30 +503,27 @@ def registry_names() -> tuple[str, ...]:
     return tuple(sorted(_SCALAR_REGISTRY))
 
 
-def scalar_field(name: str, domain: Domain | None = None) -> ScalarField:
-    """Named built-in scalar field; optional domain override."""
+def scalar_field(name: str) -> ScalarField:
+    """Named built-in scalar field on its stock domain."""
     if name not in _SCALAR_REGISTRY:
         raise ValueError(f"unknown field {name!r}; known: {registry_names()}")
     default_domain, batch = _SCALAR_REGISTRY[name]
-    dom = domain or default_domain()
-    return ScalarField(batch=batch, domain=dom, label=name)
+    return ScalarField(batch=batch, domain=default_domain(), label=name)
 
 
-def vector_field(name: str, domain: Domain | None = None) -> VectorField:
-    """Named built-in vector field.
+def vector_field(name: str) -> VectorField:
+    """Named built-in vector field on its stock domain.
 
     One-dimensional scalar names double as 1-D vector fields (the same map
-    read as c: R -> R).  "linear" is c(x) = x in any dimension and
-    "mexican_hat" is the closed-form radial gradient of its scalar form.
+    read as c: R -> R).  "linear" is c(x) = x and "mexican_hat" is the
+    closed-form radial gradient of its scalar form.
     """
     if name == "linear":
-        dom = domain or _box1(-1.0, 1.0)
-        return affine_field(np.eye(dom.dim), np.zeros(dom.dim), dom, "linear")
+        return affine_field(np.eye(1), np.zeros(1), _box1(-1.0, 1.0), "linear")
     if name == "mexican_hat":
-        dom = domain or MEXICAN_HAT_BOX
-        return VectorField(batch=_mexican_hat_grad, domain=dom, label="mexican_hat")
+        return VectorField(batch=_mexican_hat_grad, domain=MEXICAN_HAT_BOX, label="mexican_hat")
     if name in ("quadratic", "cubic", "xsininv"):
-        sf = scalar_field(name, domain)
+        sf = scalar_field(name)
         sbatch = sf.batch
         return VectorField(batch=lambda P: sbatch(P)[:, None], domain=sf.domain, label=name)
     raise ValueError(f"unknown field {name!r}; known: {registry_names()}")

@@ -96,9 +96,3 @@ def matching_pennies() -> PopulationGame:
     B = [[1.0, -1.0], [-1.0, 1.0]]
     return from_bimatrix(A, B, label="matching_pennies")
 
-
-def prisoners_dilemma() -> PopulationGame:
-    """Costs from the standard payoffs (T=5, R=3, P=1, S=0); defect dominates."""
-    A = [[-3.0, 0.0], [-5.0, -1.0]]
-    B = [[-3.0, -5.0], [0.0, -1.0]]
-    return from_bimatrix(A, B, label="prisoners_dilemma")

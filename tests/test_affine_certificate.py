@@ -28,7 +28,7 @@ from fieldorder.classify import (classify_point, default_challengers,
 from fieldorder.dominance import (ToleranceConfig, _affine_endpoints, _affine_rounding_bound,
                                   _broadcast_rows, _profiles, _relations, batch_relations,
                                   batch_vector_extremes)
-from fieldorder.fields import Box, negate, quadratic_form, vector_field
+from fieldorder.fields import Box, affine_field, negate, quadratic_form
 from fieldorder.games import (from_bimatrix, from_symmetric_matrix, hawk_dove,
                              matching_pennies)
 
@@ -75,7 +75,7 @@ def affine_case(kind, seed, negated, rows, one_y, flat=False):
         draw = lambda n: _simplex_rows(rng, [m1, m2], n)
     else:
         dim = int(rng.integers(1, 5))
-        c = vector_field("linear", Box((-1.0,) * dim, (1.0,) * dim))
+        c = affine_field(np.eye(dim), np.zeros(dim), Box((-1.0,) * dim, (1.0,) * dim), "linear")
         draw = lambda n: rng.uniform(-1.0, 1.0, size=(n, dim))
     xs = draw(rows)
     ys = draw(1 if one_y else rows)

@@ -1,14 +1,23 @@
-"""No library keyword keeps a default that no caller in the package sets.
+"""The package keeps no code and no setting that only tests or outside code use.
 
-A parameter with a default that no call inside src/fieldorder ever passes
+Two checks read the source with ast.
+
+No library keyword keeps a default that no caller in the package sets.  A
+parameter with a default that no call inside src/fieldorder ever passes
 can only be changed by tests or outside code, and the design keeps no such
-setting: it becomes a constant instead.  The check reads the source with
-ast.  A callee is matched by name (a bare name, or the attribute of a
-dotted call), a class call is a call of its __init__, and the first
-parameter of a method is its instance.  A call sets a parameter when it
-names it as a keyword or passes a positional argument in its place, and a
-call with *args or **kwargs sets all of them.  Only functions the package
-calls are listed.
+setting: it becomes a constant instead.  A callee is matched by name (a
+bare name, or the attribute of a dotted call), a class call is a call of
+its __init__, and the first parameter of a method is its instance.  A call
+sets a parameter when it names it as a keyword or passes a positional
+argument in its place, and a call with *args or **kwargs sets all of them.
+Only functions the package calls are listed.
+
+Every top-level def, class, method and module-level constant is reached
+from the CLI entry point or from one of a few named library roots.  Code
+reaches a definition by naming it, as a bare name or as the attribute of a
+dotted name, so a use reaches every definition of that name.  A class
+reaches its bases, decorators, class body and dunder methods; a
+module-level assignment is code of each name it binds.
 """
 
 import ast
@@ -86,11 +95,10 @@ def unset_defaults(trees):
                    for p in defaulted if label in called and (label, p) not in set_by_calls})
 
 
-def test_unset_defaults_are_the_entry_point_and_the_stock_field_domain():
+def test_the_only_unset_default_is_the_entry_point():
     # main(argv) is the entry point, and argv is how a caller outside the
-    # package drives it.  vector_field(domain) puts the stock "linear" field
-    # in n dimensions, which only tests do.
-    assert unset_defaults(_parse_package()) == ["cli.main(argv)", "fields.vector_field(domain)"]
+    # package drives it
+    assert unset_defaults(_parse_package()) == ["cli.main(argv)"]
 
 
 def test_the_check_sees_positional_keyword_and_unset_defaults():
@@ -101,3 +109,88 @@ def test_the_check_sees_positional_keyword_and_unset_defaults():
         "def g(u=0):\n    pass\n"
         "f(0, 1, c=2)\nK(5)\nK().m(1)\n")
     assert unset_defaults({"mod": tree}) == ["mod.K.__init__(y)", "mod.f(d)"]
+
+
+# definitions no CLI path reaches that the package keeps, each for its reason
+LIBRARY_ROOTS = {
+    "classify.is_ess_set": "the paper's setwise ESS concept; the benchmark tracer wraps it",
+    "fields.gradient_field": "acceptance criterion 7 compares a field with its gradient",
+    "games.hawk_dove": "the stock game of acceptance criterion 9",
+    "games.matching_pennies": "the stock two-population game of the game tests",
+}
+
+
+def _reach_code(trees):
+    """{name: [label]} of every definition, and {label: [ast node]} of its code."""
+    labels, code = {}, {}
+
+    def add(name, label, nodes):
+        labels.setdefault(name, []).append(label)
+        code.setdefault(label, []).extend(nodes)
+
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                add(node.name, f"{module}.{node.name}", [node])
+            elif isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, (ast.FunctionDef,
+                                                                  ast.AsyncFunctionDef))
+                           and not (m.name.startswith("__") and m.name.endswith("__"))]
+                add(node.name, f"{module}.{node.name}",
+                    node.bases + node.keywords + node.decorator_list
+                    + [s for s in node.body if s not in methods])
+                for m in methods:
+                    add(m.name, f"{module}.{node.name}.{m.name}", [m])
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for name in {n.id for t in targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name)}:
+                    add(name, f"{module}.{name}", [node])
+    return labels, code
+
+
+def unreached(trees, roots):
+    """Every "module.name" definition that no code reached from roots names."""
+    labels, code = _reach_code(trees)
+    reached, todo = set(), list(roots)
+    while todo:
+        label = todo.pop()
+        if label in reached:
+            continue
+        reached.add(label)
+        for node in code[label]:
+            for n in ast.walk(node):
+                name = (n.id if isinstance(n, ast.Name)
+                        else n.attr if isinstance(n, ast.Attribute) else None)
+                todo.extend(labels.get(name, ()))
+    return sorted(set(code) - reached)
+
+
+def test_every_definition_is_reached_from_the_cli_or_a_library_root():
+    assert unreached(_parse_package(), ["cli.main", *LIBRARY_ROOTS]) == []
+
+
+def test_no_library_root_is_reached_from_the_cli():
+    # a root the CLI reaches needs no place on the list
+    assert set(LIBRARY_ROOTS) <= set(unreached(_parse_package(), ["cli.main"]))
+
+
+def test_the_reach_check_follows_names_from_the_roots():
+    tree = ast.parse(
+        "LIMIT = 3\n"
+        "TABLE = {'a': lambda: _helper()}\n"
+        "UNUSED = 0\n"
+        "def _helper():\n    return LIMIT\n"
+        "def main():\n    return K().run() + TABLE['a']()\n"
+        "def orphan():\n    return orphan()\n"
+        "@decorate\n"
+        "class K(Base):\n    def __init__(self):\n        self.x = 1\n"
+        "    def run(self):\n        return self.x\n"
+        "    def spare(self):\n        return 0\n"
+        "    @property\n    def gone(self):\n        return UNUSED\n"
+        "def decorate(cls):\n    return cls\n"
+        "class Base:\n    pass\n")
+    assert unreached({"mod": tree}, ["mod.main"]) == [
+        "mod.K.gone", "mod.K.spare", "mod.UNUSED", "mod.orphan"]
+    assert unreached({"mod": tree}, ["mod.main", "mod.orphan"]) == [
+        "mod.K.gone", "mod.K.spare", "mod.UNUSED"]

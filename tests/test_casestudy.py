@@ -11,7 +11,7 @@ from fieldorder.casestudy import (MAXIMAL, MINIMAL, build_catalog, case_fields,
                                   origin_atypicality, origin_segment_witnesses,
                                   origin_witness, slope_at_zero, zero_point)
 from fieldorder.dominance import STRICTLY_DOMINATES, ToleranceConfig, compare_vector
-from fieldorder.fields import gradient_fd, scalar_field
+from fieldorder.fields import gradient_field, scalar_field
 
 PI = math.pi
 CFG = ToleranceConfig()
@@ -40,9 +40,9 @@ class TestCatalog:
         assert mins == {1, 3, 5, -2, -4, -6}
 
     def test_slopes_match_finite_differences(self):
-        f = scalar_field("xsininv")
+        grad = gradient_field(scalar_field("xsininv"), 1e-7)
         for n in list(range(1, 11)) + list(range(-10, 0)):
-            got = gradient_fd(f, [zero_point(n)], 1e-7)[0]
+            got = grad.value([zero_point(n)])[0]
             assert got == pytest.approx(slope_at_zero(n), abs=1e-4)
 
     def test_bad_nmax(self):

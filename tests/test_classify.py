@@ -256,6 +256,18 @@ class TestClassifyPoint:
         others = {"is_strict_local_min", "is_critical", "is_nss", "is_ess"} - keys
         assert keys <= d.keys() and not others & d.keys()
 
+    @pytest.mark.parametrize("make", [scalar_field, vector_field], ids=["scalar", "vector"])
+    def test_empty_challengers_rejected_before_any_sampling(self, make, monkeypatch):
+        # an empty set is refused, not replaced by the default grid
+        def never(*args, **kwargs):
+            raise AssertionError("a challenger was built")
+
+        monkeypatch.setattr(classify, "sample_neighborhood", never)
+        monkeypatch.setattr(classify, "default_challengers", never)
+        empty = SampleSet(np.empty((0, 1)))
+        with pytest.raises(ValueError, match="challenger set is empty"):
+            classify_point(make("quadratic"), [0.0], challengers=empty)
+
     def test_scalar_field_takes_no_witnesses(self):
         rep = classify_point(scalar_field("quadratic"), [0.0], radius=0.1, seed=7,
                              segment_witnesses=lambda x, y: (0.3,))

@@ -6,11 +6,11 @@ import pytest
 
 from fieldorder.casestudy import minimal_candidate_points, zero_point
 from fieldorder.dynamics import (CONVERGED, LEFT_DOMAIN, MAX_TIME, STEP_UNDERFLOW,
-                                 IntegratorConfig, check_setwise_stability, integrate,
-                                 lyapunov_integral)
+                                 IntegratorConfig, _segment_increments,
+                                 check_setwise_stability, integrate)
 from fieldorder import dynamics
 from fieldorder.errors import DimensionMismatchError, DomainViolationError
-from fieldorder.fields import (Box, SampleSet, negate, quadratic_form, scalar_field,
+from fieldorder.fields import (SampleSet, negate, quadratic_form, scalar_field,
                                vector_field)
 
 PI = math.pi
@@ -87,42 +87,31 @@ class TestIntegrate:
         assert len(lines) == len(traj.times) + 1
 
 
-class TestLyapunovIntegral:
+class TestSegmentIncrements:
     def test_linear_ramp(self):
-        f = scalar_field("linear", Box((-1.0,), (2.0,)))
-        assert lyapunov_integral(f, 0.0, 1.0) == pytest.approx(0.5, abs=1e-10)
-
-    def test_empty_interval(self):
-        f = scalar_field("xsininv")
-        assert lyapunov_integral(f, 1 / PI, 1 / PI) == 0.0
-
-    def test_orientation(self):
-        f = scalar_field("linear", Box((-1.0,), (2.0,)))
-        assert lyapunov_integral(f, 1.0, 0.0) == pytest.approx(-0.5, abs=1e-10)
+        # the potential of f(x) = x is x^2 / 2; the rule is exact on it, a
+        # backward step gives a negative increment and a null step none
+        x = np.array([-1.0, -0.3, 0.2, 0.9, 0.5, 0.5])
+        got = _segment_increments(scalar_field("linear"), x[:, None])
+        want = (x[1:] ** 2 - x[:-1] ** 2) / 2
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-16)
+        assert got[-1] == 0.0
 
     def test_oscillator_against_midpoint_rule(self):
-        f = scalar_field("xsininv")
-        got = lyapunov_integral(f, 1 / PI, 0.5)
-        xs = np.linspace(1 / PI, 0.5, 1_000_001)
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        brute = float(np.sum(mids * np.sin(1.0 / mids)) * (xs[1] - xs[0]))
+        xs = np.linspace(1 / PI, 0.5, 20_001)
+        got = float(_segment_increments(scalar_field("xsininv"), xs[:, None]).sum())
+        fine = np.linspace(1 / PI, 0.5, 1_000_001)
+        mids = 0.5 * (fine[:-1] + fine[1:])
+        brute = float(np.sum(mids * np.sin(1.0 / mids)) * (fine[1] - fine[0]))
         assert got > 0
         assert got == pytest.approx(brute, abs=1e-8)
-
-    def test_needs_one_dimension(self):
-        with pytest.raises(ValueError):
-            lyapunov_integral(scalar_field("mexican_hat"), 0.0, 1.0)
-
-    def test_interval_must_stay_inside_domain(self):
-        with pytest.raises(DomainViolationError):
-            lyapunov_integral(scalar_field("xsininv"), 0.0, 5.0)
 
 
 class TestSetwiseStability:
     def test_decay_to_origin(self, decay_flow):
         ics = SampleSet(np.array([[1.0]]), "explicit", 0)
         rep = check_setwise_stability(decay_flow, [[0.0]], ics, IntegratorConfig(t_max=20.0))
-        assert rep.all_converged
+        assert all(t.converged for t in rep.trials)
         assert rep.trials[0].limit_point == (0.0,)
 
     def test_oscillator_basins(self, oscillator_flow):
@@ -139,7 +128,7 @@ class TestSetwiseStability:
         ics = SampleSet(np.array(starts), "explicit", 0)
         rep = check_setwise_stability(oscillator_flow, cand, ics, IntegratorConfig(),
                                       potential=scalar_field("xsininv"))
-        assert rep.all_converged
+        assert all(t.converged for t in rep.trials)
         assert rep.lyapunov_monotone
         for trial, want in zip(rep.trials, expected):
             assert trial.limit_point[0] == pytest.approx(want, abs=1e-4)

@@ -20,9 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fieldorder.errors import DimensionMismatchError
-from fieldorder.fields import (Box, Product, ScalarField, VectorField, gradient_field,
-                               negate, quadratic_form, registry_names, scalar_field,
-                               vector_field)
+from fieldorder.fields import (Box, Product, ScalarField, VectorField, affine_field,
+                               gradient_field, negate, quadratic_form, registry_names,
+                               scalar_field, vector_field)
 from fieldorder.games import from_bimatrix, from_symmetric_matrix, hawk_dove, matching_pennies
 
 BOX = Box((-1.0, -1.0), (1.0, 1.0))
@@ -155,7 +155,8 @@ def _random_affine_fields():
         out[f"grad:quadratic_form:spread:{m}"] = quadratic_form(
             rng.normal(size=(m, m)) * spread, rng.normal(size=m) * 1e2)[1]
     for dim in range(1, 5):
-        out[f"linear:{dim}"] = vector_field("linear", Box((-1.0,) * dim, (1.0,) * dim))
+        out[f"linear:{dim}"] = affine_field(np.eye(dim), np.zeros(dim),
+                                            Box((-1.0,) * dim, (1.0,) * dim), "linear")
     out.update({f"neg:{k}": negate(f) for k, f in list(out.items())})
     return out
 

@@ -5,7 +5,7 @@ from fieldorder.classify import classify_point, default_challengers
 from fieldorder.dominance import ToleranceConfig
 from fieldorder.errors import DimensionMismatchError
 from fieldorder.games import (from_bimatrix, from_symmetric_matrix, hawk_dove, is_nash,
-                              load_game, matching_pennies, prisoners_dilemma)
+                              load_game, matching_pennies)
 
 CFG = ToleranceConfig()
 
@@ -56,7 +56,8 @@ class TestBimatrix:
         assert not is_nash(g, [1.0, 0.0, 0.5, 0.5], ch, CFG).ok
 
     def test_prisoners_dilemma_defect_vertex(self):
-        g = prisoners_dilemma()
+        # costs from the standard payoffs (T=5, R=3, P=1, S=0): defect dominates
+        g = from_bimatrix([[-3.0, 0.0], [-5.0, -1.0]], [[-3.0, -5.0], [0.0, -1.0]])
         ch = default_challengers(g.domain, 6)
         assert is_nash(g, [0.0, 1.0, 0.0, 1.0], ch, CFG).ok
         assert not is_nash(g, [1.0, 0.0, 1.0, 0.0], ch, CFG).ok

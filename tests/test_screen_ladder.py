@@ -28,7 +28,8 @@ from fieldorder.dominance import (_LADDER_STRIDES, STRICTLY_DOMINATES, Tolerance
                                   _eps_levels, _relations, batch_scalar_steps,
                                   batch_vector_extremes, compare_vector)
 from fieldorder.errors import DomainViolationError
-from fieldorder.fields import Box, ScalarField, quadratic_form, scalar_field, vector_field
+from fieldorder.fields import (Box, ScalarField, affine_field, quadratic_form, scalar_field,
+                               vector_field)
 from fieldorder.games import from_symmetric_matrix, hawk_dove, matching_pennies
 
 CFG = ToleranceConfig()
@@ -127,7 +128,9 @@ def test_ladder_on_games(make, blocks):
 @pytest.mark.parametrize("name, dim", [("linear", 1), ("linear", 3), ("mexican_hat", 2)])
 def test_ladder_on_stock_fields(name, dim):
     rng = np.random.default_rng(7)
-    c = vector_field(name, Box((-1.0,) * dim, (1.0,) * dim))
+    # mexican_hat is its stock field on [-2, 2]^2, linear c(x) = x on [-1, 1]^dim
+    c = (vector_field(name) if name == "mexican_hat"
+         else affine_field(np.eye(dim), np.zeros(dim), Box((-1.0,) * dim, (1.0,) * dim), name))
     xs = rng.uniform(-1.0, 1.0, size=(500, dim))
     assert_ladder_matches(c, xs, rng.uniform(-1.0, 1.0, size=(1, dim)), CFG)
 
