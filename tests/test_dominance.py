@@ -7,13 +7,42 @@ import pytest
 from fieldorder.dominance import (EQUIVALENT, INCOMPARABLE, REVERSE_STRICT,
                                   STRICTLY_DOMINATES, ToleranceConfig,
                                   batch_scalar_steps, compare_scalar, compare_vector,
-                                  profile)
+                                  _segment_points, profile)
 from fieldorder.errors import DomainViolationError
 from fieldorder.fields import (_MAX_GRID_POINTS, quadratic_form, gradient_field,
                                scalar_field, vector_field)
 
 CFG = ToleranceConfig()
 FAST = ToleranceConfig(n_eps=129)
+
+
+class TestSegmentPoints:
+    EPS = np.linspace(0.0, 1.0, 9)
+
+    def test_eps_zero_returns_y(self):
+        x, y = np.array([[1.0, -2.0]]), np.array([[0.3, 0.7]])
+        assert np.array_equal(_segment_points(x, y, self.EPS)[0, 0], y[0])
+
+    def test_eps_one_returns_x_exactly(self):
+        x, y = np.array([[1.0, -2.0]]), np.array([[0.3, -0.7]])
+        assert np.array_equal(_segment_points(x, y, self.EPS)[0, -1], x[0])
+
+    def test_midpoint_by_symmetry(self):
+        x, y = np.array([[2.0, 0.0]]), np.array([[0.0, 2.0]])
+        mid = _segment_points(x, y, np.array([0.5]))[0, 0]
+        assert np.array_equal(mid, [1.0, 1.0])
+        assert np.array_equal(mid, _segment_points(y, x, np.array([0.5]))[0, 0])
+
+    @pytest.mark.parametrize("shared", ["x", "y"])
+    def test_a_shared_row_gives_the_points_of_full_rows(self, shared):
+        rng = np.random.default_rng(3)
+        one, rows = rng.uniform(-1, 1, (1, 3)), rng.uniform(-1, 1, (5, 3))
+        full = np.repeat(one, 5, axis=0)
+        if shared == "x":
+            got, want = _segment_points(one, rows, self.EPS), _segment_points(full, rows, self.EPS)
+        else:
+            got, want = _segment_points(rows, one, self.EPS), _segment_points(rows, full, self.EPS)
+        assert np.array_equal(got, want)
 
 
 class TestProfiles:

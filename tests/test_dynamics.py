@@ -89,13 +89,25 @@ class TestIntegrate:
 
 class TestSegmentIncrements:
     def test_linear_ramp(self):
-        # the potential of f(x) = x is x^2 / 2; the rule is exact on it, a
-        # backward step gives a negative increment and a null step none
-        x = np.array([-1.0, -0.3, 0.2, 0.9, 0.5, 0.5])
+        # the potential of f(x) = x is x^2 / 2, and the rule is exact on it
+        x = np.array([-1.0, -0.3, 0.2, 0.9, 0.5])
         got = _segment_increments(scalar_field("linear"), x[:, None])
         want = (x[1:] ** 2 - x[:-1] ** 2) / 2
         assert got == pytest.approx(want, rel=1e-14, abs=1e-16)
-        assert got[-1] == 0.0
+
+    def test_empty_interval(self):
+        x = np.full(4, 1 / PI)
+        got = _segment_increments(scalar_field("xsininv"), x[:, None])
+        assert np.array_equal(got, np.zeros(3))
+
+    def test_orientation(self):
+        # walking the samples backwards negates every increment
+        x = np.linspace(1 / PI, 0.5, 9)
+        f = scalar_field("xsininv")
+        forward = _segment_increments(f, x[:, None])
+        backward = _segment_increments(f, x[::-1, None])
+        assert np.all(forward > 0)
+        assert backward[::-1] == pytest.approx(-forward, rel=1e-12)
 
     def test_oscillator_against_midpoint_rule(self):
         xs = np.linspace(1 / PI, 0.5, 20_001)
