@@ -7,18 +7,19 @@ relative to the probe sets and the tolerance configuration, both of which
 are echoed in the report.
 
 There is one function per check; one that applies to both kinds of field
-takes either.  The order checks read the relations of one screen; every
-other check is one per-sample statistic, which one rule (_decide) turns
-into an outcome.  minimal_and_maximal decides both from the relations of
-one uniform-grid screen of the challengers against p
-(dominance.batch_relations, with any analytic witness eps folded in): p
+takes either.  The order checks read the relations of one screen and run
+no comparison; every other check is one per-sample statistic, which one
+rule (_decide) turns into an outcome.  minimal_and_maximal decides both
+from the relations of one uniform-grid screen of the challengers against
+p (dominance.batch_relations, with any analytic witness eps folded in): p
 is minimal when no row is StrictlyDominates and maximal when no row is
-ReverseStrict.  A full comparison runs only for the one reported row of
-each failed check, for its eps.  is_local_min_polyorder reads the same
-screen of its neighbors against p: p weakly dominates x exactly when the
-row (x, p) is ReverseStrict, ReverseWeak or Equivalent.  classify_point
-runs that screen once, over the challengers and the ball together, and
-reads all three checks off it.
+ReverseStrict.  is_local_min_polyorder reads the same screen of its
+neighbors against p: p weakly dominates x exactly when the row (x, p) is
+ReverseStrict, ReverseWeak or Equivalent.  classify_point runs that screen
+once, over the challengers and the ball together, and reads all three
+checks off it; the one full comparison it runs is of the dominator it
+reports, for the eps it prints.  Every check that takes a probe set
+refuses one that is empty, of the wrong width or outside the domain.
 
 The inclusion chains that must hold on shared probe sets (ess implies nss
 and minimal, minimal implies critical, local minimum implies critical,
@@ -36,7 +37,7 @@ import numpy as np
 
 from .dominance import (EQUIVALENT, REVERSE_STRICT, REVERSE_WEAK, STRICTLY_DOMINATES,
                         ToleranceConfig, batch_relations, compare_scalar, compare_vector)
-from .errors import InvariantBreachError
+from .errors import DimensionMismatchError, DomainViolationError, InvariantBreachError
 from .fields import (_MAX_GRID_POINTS, Box, Domain, Grid, Product, SampleSet, ScalarField,
                      SeededRandom, Simplex, VectorField, require_in_domain, sample_domain)
 
@@ -52,18 +53,11 @@ _MAX_SET_BYTES = 1 << 29
 
 @dataclass(frozen=True)
 class CheckOutcome:
-    """Boolean verdict plus the probe that decided it.
-
-    stat is the deciding per-sample statistic and witness the failing probe.
-    Only the minimal/maximal checks set eps: the strict-witness eps of the
-    full comparison of their reported row.  The checks read off a relation
-    screen (minimal, maximal and local-min) set no stat.
-    """
+    """Boolean verdict plus the probe that decided it: witness is the
+    failing sample, None when the check passed."""
 
     ok: bool
     witness: tuple[float, ...] | None = None
-    eps: float | None = None
-    stat: float | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -136,7 +130,7 @@ def sample_neighborhood(domain: Domain, center, radius: float, count: int = _BAL
     pts = pts[np.linalg.norm(pts - center, axis=1) > 0]
     if pts.shape[0] == 0:
         raise ValueError("no neighborhood samples inside the domain ball")
-    return SampleSet(pts, strategy=f"ball(radius={radius:g}, count={count})", seed=seed)
+    return SampleSet(pts, strategy=f"ball(radius={radius:g}, count={count})")
 
 
 def default_challengers(domain: Domain, seed: int = 42, grid_n: int = 2048,
@@ -162,14 +156,32 @@ def default_challengers(domain: Domain, seed: int = 42, grid_n: int = 2048,
 # Critical elements and dominance-order extremes
 # ---------------------------------------------------------------------------
 
+def _probe_points(field, samples: SampleSet,
+                 empty: str = "no samples in the neighborhood ball") -> np.ndarray:
+    """The points of a caller's probe set: ValueError(empty) when there are
+    none, DimensionMismatchError when they are not as wide as the field's
+    domain and DomainViolationError naming the first row outside it."""
+    X = samples.points
+    if len(X) == 0:
+        raise ValueError(empty)
+    domain = field.domain
+    if X.shape[1] != domain.dim:
+        raise DimensionMismatchError(f"probe points have {X.shape[1]} coordinates, but field "
+                                     f"{field.label} takes {domain.dim}")
+    outside = np.flatnonzero(~domain.contains_rows(X))
+    if outside.size:
+        raise DomainViolationError(f"probe point {X[outside[0]].tolist()} outside domain "
+                                   f"{domain} of field {field.label}")
+    return X
+
+
 def _decide(stats: np.ndarray, X: np.ndarray, passes, pick=np.argmax) -> CheckOutcome:
     """The outcome of a per-sample check: the sample pick(stats) selects
     decides, and it is the witness when passes(its stat) is false."""
     k = int(pick(stats))
-    stat = float(stats[k])
-    if passes(stat):
-        return CheckOutcome(True, stat=stat)
-    return CheckOutcome(False, witness=tuple(X[k]), stat=stat)
+    if passes(float(stats[k])):
+        return CheckOutcome(True)
+    return CheckOutcome(False, witness=tuple(X[k]))
 
 
 def is_critical_element(c: VectorField, p, challengers: SampleSet,
@@ -178,32 +190,24 @@ def is_critical_element(c: VectorField, p, challengers: SampleSet,
     (x - p) . c(p) >= -tau for every challenger x."""
     cfg = cfg or ToleranceConfig()
     p = require_in_domain(c.domain, p)
-    if len(challengers) == 0:
-        raise ValueError("challenger set is empty")
-    stats = (challengers.points - p) @ c.value(p)
-    return _decide(stats, challengers.points, lambda s: s >= -cfg.tau, np.argmin)
+    X = _probe_points(c, challengers, "challenger set is empty")
+    stats = (X - p) @ c.value(p)
+    return _decide(stats, X, lambda s: s >= -cfg.tau, np.argmin)
 
 
-def _lex_first(X: np.ndarray, rows: np.ndarray) -> int:
-    """The row of X[rows] that is smallest in lexicographic order."""
-    return int(rows[np.lexsort(X[rows].T[::-1])[0]])
+def _first_failure(X: np.ndarray, bad: np.ndarray) -> CheckOutcome:
+    """A failed outcome whose witness is the lexicographically smallest row
+    of X that bad flags, or a passed one when bad flags none."""
+    rows = np.flatnonzero(bad)
+    if rows.size == 0:
+        return CheckOutcome(True)
+    return CheckOutcome(False, witness=tuple(X[rows[np.lexsort(X[rows].T[::-1])[0]]]))
 
 
-def _extremes(field, p: np.ndarray, X: np.ndarray, relations: np.ndarray,
-              cfg: ToleranceConfig, segment_witnesses) -> tuple[CheckOutcome, CheckOutcome]:
-    """(minimal, maximal) outcomes of p from the relations of the rows (X[k], p)."""
-
-    def outcome(relation: str) -> CheckOutcome:
-        rows = np.flatnonzero(relations == relation)
-        if rows.size == 0:
-            return CheckOutcome(True)
-        k = _lex_first(X, rows)
-        extra = segment_witnesses(X[k], p) if segment_witnesses is not None else ()
-        compare = compare_scalar if isinstance(field, ScalarField) else compare_vector
-        verdict = compare(field, X[k], p, cfg, extra_eps=extra)
-        return CheckOutcome(False, witness=tuple(X[k]), eps=verdict.witness_eps_strict)
-
-    return outcome(STRICTLY_DOMINATES), outcome(REVERSE_STRICT)
+def _not_weakly_dominated(relations: np.ndarray) -> np.ndarray:
+    """The screen rows (x, p) whose x p does not weakly dominate: all but
+    ReverseStrict, ReverseWeak and Equivalent."""
+    return ~np.isin(relations, (REVERSE_STRICT, REVERSE_WEAK, EQUIVALENT))
 
 
 def minimal_and_maximal(field, p, challengers: SampleSet,
@@ -215,28 +219,20 @@ def minimal_and_maximal(field, p, challengers: SampleSet,
     when none is ReverseStrict (exactly minimality under -field).
     segment_witnesses(x, p), when given, supplies extra eps of specific
     pairs (analytic oscillation witnesses), which the screen folds in;
-    scalar fields take none.  The eps reported for the lex-smallest
-    dominator (resp. dominated challenger) comes from one full comparison
-    of its row, with the same witness eps.
+    scalar fields take none.  The witness of a failed check is its
+    lex-smallest dominator (resp. dominated challenger).
     """
     cfg = cfg or ToleranceConfig()
     p = require_in_domain(field.domain, p)
-    X = challengers.points
-    if X.shape[0] == 0:
-        raise ValueError("challenger set is empty")
+    X = _probe_points(field, challengers, "challenger set is empty")
     relations = batch_relations(field, X, p, cfg, segment_witnesses)
-    return _extremes(field, p, X, relations, cfg, segment_witnesses)
+    return (_first_failure(X, relations == STRICTLY_DOMINATES),
+            _first_failure(X, relations == REVERSE_STRICT))
 
 
 # ---------------------------------------------------------------------------
 # Neighborhood (local) concepts
 # ---------------------------------------------------------------------------
-
-def _require_samples(samples: SampleSet):
-    if len(samples) == 0:
-        raise ValueError("no samples in the neighborhood ball")
-    return samples.points
-
 
 def _off_point(X: np.ndarray, p: np.ndarray, tau: float) -> np.ndarray:
     """The samples farther than tau from p."""
@@ -251,7 +247,7 @@ def is_nss(c: VectorField, p, neighborhood_samples: SampleSet,
     """Neutral stability: p . c(x) <= x . c(x) + tau on the sampled ball."""
     cfg = cfg or ToleranceConfig()
     p = require_in_domain(c.domain, p)
-    X = _require_samples(neighborhood_samples)
+    X = _probe_points(c, neighborhood_samples)
     stats = np.einsum("kd,kd->k", p[None, :] - X, c.values(X))
     return _decide(stats, X, lambda s: s <= cfg.tau)
 
@@ -261,18 +257,9 @@ def is_ess(c: VectorField, p, neighborhood_samples: SampleSet,
     """Evolutionary stability: p . c(x) < x . c(x) - tau for sampled x != p."""
     cfg = cfg or ToleranceConfig()
     p = require_in_domain(c.domain, p)
-    X = _off_point(_require_samples(neighborhood_samples), p, cfg.tau)
+    X = _off_point(_probe_points(c, neighborhood_samples), p, cfg.tau)
     stats = np.einsum("kd,kd->k", p[None, :] - X, c.values(X))
     return _decide(stats, X, lambda s: s < -cfg.tau)
-
-
-def _local_min(X: np.ndarray, relations: np.ndarray) -> CheckOutcome:
-    """Local-min outcome from the relations of the rows (X[k], p); the
-    lex-smallest neighbor that p does not weakly dominate is the witness."""
-    rows = np.flatnonzero(~np.isin(relations, (REVERSE_STRICT, REVERSE_WEAK, EQUIVALENT)))
-    if rows.size == 0:
-        return CheckOutcome(True)
-    return CheckOutcome(False, witness=tuple(X[_lex_first(X, rows)]))
 
 
 def is_local_min_polyorder(field, p, neighborhood_samples: SampleSet,
@@ -283,12 +270,13 @@ def is_local_min_polyorder(field, p, neighborhood_samples: SampleSet,
     p weakly dominates x exactly when the screen row (x, p), with the
     segment_witnesses(x, p) eps folded in, is ReverseStrict, ReverseWeak
     or Equivalent (README "Notes on semantics" ties this to a sweep of the
-    rows (p, x)).
+    rows (p, x)); the lex-smallest neighbor it does not is the witness.
     """
     cfg = cfg or ToleranceConfig()
     p = require_in_domain(field.domain, p)
-    X = _require_samples(neighborhood_samples)
-    return _local_min(X, batch_relations(field, X, p, cfg, segment_witnesses))
+    X = _probe_points(field, neighborhood_samples)
+    return _first_failure(X, _not_weakly_dominated(
+        batch_relations(field, X, p, cfg, segment_witnesses)))
 
 
 def is_strict_local_min_scalar(f: ScalarField, p, neighborhood_samples: SampleSet,
@@ -296,7 +284,7 @@ def is_strict_local_min_scalar(f: ScalarField, p, neighborhood_samples: SampleSe
     """f(p) < f(x) - tau for every sampled x != p."""
     cfg = cfg or ToleranceConfig()
     p = require_in_domain(f.domain, p)
-    X = _off_point(_require_samples(neighborhood_samples), p, cfg.tau)
+    X = _off_point(_probe_points(f, neighborhood_samples), p, cfg.tau)
     stats = f.values(X) - f.value(p)
     return _decide(stats, X, lambda s: s > cfg.tau, np.argmin)
 
@@ -358,7 +346,7 @@ def _set_check(domain: Domain, candidate, radius: float, cfg: ToleranceConfig | 
         bad = ~np.where(off_set, stats < -cfg.tau, stats <= cfg.tau)
         if bad.any():
             k = int(np.argmax(np.where(bad, stats, -np.inf)))
-            return CheckOutcome(False, witness=tuple(X[k]), stat=float(stats[k]))
+            return CheckOutcome(False, witness=tuple(X[k]))
     return CheckOutcome(True)
 
 
@@ -438,14 +426,15 @@ def classify_point(field, p, challengers: SampleSet | None = None,
     theorem inclusion chains before returning.
 
     A ScalarField gives a "scalar" report, any other field a "vector" one.
-    The radius is checked, and an empty challenger set refused, before any
-    challenger is built.
+    The caller's challenger set, then the radius, is checked before any
+    probe is built.  A failed minimality check reports its dominator with
+    the strict-witness eps of one full comparison of that row.
     """
     kind = "scalar" if isinstance(field, ScalarField) else "vector"
     cfg = cfg or ToleranceConfig()
     p = require_in_domain(field.domain, p)
-    if challengers is not None and len(challengers) == 0:
-        raise ValueError("challenger set is empty")
+    if challengers is not None:
+        _probe_points(field, challengers, "challenger set is empty")
     radius = radius if radius is not None else 0.05 * field.domain.diameter()
     neighborhood = sample_neighborhood(field.domain, p, radius, seed=seed)
     if challengers is None:
@@ -458,10 +447,12 @@ def classify_point(field, p, challengers: SampleSet | None = None,
 
     # one screen decides minimal, maximal and local-min: union stacks the
     # ball's rows last
-    relations = batch_relations(field, full.points, p, cfg, witnesses)
-    minimal, maximal = _extremes(field, p, full.points, relations, cfg, witnesses)
+    X = full.points
+    relations = batch_relations(field, X, p, cfg, witnesses)
+    minimal = _first_failure(X, relations == STRICTLY_DOMINATES)
+    maximal = _first_failure(X, relations == REVERSE_STRICT)
     ball = len(neighborhood)
-    local_min = _local_min(full.points[-ball:], relations[-ball:])
+    local_min = _first_failure(X[-ball:], _not_weakly_dominated(relations[-ball:]))
     critical = nss = ess = strict_min = None
     if kind == "vector":
         critical = is_critical_element(field, p, full, cfg)
@@ -475,12 +466,19 @@ def classify_point(field, p, challengers: SampleSet | None = None,
         strict_min = is_strict_local_min_scalar(field, p, neighborhood, cfg)
         _chain(not strict_min.ok or minimal.ok,
                "strict local minimum was strictly dominated by a challenger")
+    dominating_witness = None
+    if not minimal.ok:
+        x = np.asarray(minimal.witness)
+        compare = compare_scalar if kind == "scalar" else compare_vector
+        verdict = compare(field, x, p, cfg,
+                          extra_eps=witnesses(x, p) if witnesses is not None else ())
+        dominating_witness = (minimal.witness, verdict.witness_eps_strict)
     ok = lambda outcome: None if outcome is None else outcome.ok
     return ClassificationReport(
         kind=kind, point=tuple(p),
         is_minimal=minimal.ok, is_maximal=maximal.ok, is_critical=ok(critical),
         is_nss=ok(nss), is_local_min_polyorder=local_min.ok, is_ess=ok(ess),
         is_strict_local_min=ok(strict_min),
-        dominating_witness=(minimal.witness, minimal.eps) if not minimal.ok else None,
+        dominating_witness=dominating_witness,
         challengers_used=full.strategy, neighborhood_radius=radius, seed=seed,
         config=cfg, analytic_witnesses=witnesses is not None)

@@ -222,7 +222,7 @@ def cmd_flow(args) -> int:
                    "terminated_reason": traj.terminated_reason,
                    "integrator": icfg.to_dict()}
     else:
-        ics = SampleSet(np.atleast_2d(args.x0), strategy="explicit", seed=args.seed)
+        ics = SampleSet(np.atleast_2d(args.x0))
         report = check_setwise_stability(field, candidate, ics, icfg, potential=potential)
         payload = report.to_dict()
         payload["integrator"] = icfg.to_dict()

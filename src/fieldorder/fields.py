@@ -192,7 +192,6 @@ class SampleSet:
 
     points: np.ndarray = field(repr=False)  # (n, dim), read-only
     strategy: str = "explicit"
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "points", _frozen(np.atleast_2d(self.points)))
@@ -206,7 +205,7 @@ class SampleSet:
     def union(self, extra: np.ndarray, note: str = "extra") -> "SampleSet":
         extra = np.atleast_2d(np.asarray(extra, float))
         pts = np.vstack([self.points, extra])
-        return SampleSet(pts, strategy=f"{self.strategy}+{note}({extra.shape[0]})", seed=self.seed)
+        return SampleSet(pts, strategy=f"{self.strategy}+{note}({extra.shape[0]})")
 
 
 def _simplex_grid_size(s: Simplex, n: int) -> int:
@@ -261,7 +260,7 @@ def sample_domain(domain: Domain, strategy: Strategy, seed: int = 0) -> SampleSe
             pts = np.stack([m.ravel() for m in mesh], axis=-1)
         else:
             pts = _cartesian([_simplex_grid(s, n) for s in domain.parts])
-        return SampleSet(pts, strategy=f"grid(n_per_axis={n})", seed=seed)
+        return SampleSet(pts, strategy=f"grid(n_per_axis={n})")
 
     if isinstance(strategy, SeededRandom):
         count = strategy.count
@@ -280,7 +279,7 @@ def sample_domain(domain: Domain, strategy: Strategy, seed: int = 0) -> SampleSe
                 blocks = [rng.dirichlet(np.ones(s.dim), size=count - fixed.shape[0]) * s.mass
                           for s in domain.parts]
                 pts = np.vstack([fixed, np.hstack(blocks)])
-        return SampleSet(pts, strategy=f"seeded(count={count})", seed=seed)
+        return SampleSet(pts, strategy=f"seeded(count={count})")
 
     raise TypeError(f"unknown sampling strategy: {strategy!r}")
 

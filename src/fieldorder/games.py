@@ -24,7 +24,6 @@ from .fields import Product, SampleSet, Simplex, VectorField, affine_field
 
 @dataclass(frozen=True)
 class PopulationGame:
-    populations: tuple[tuple[float, int], ...]  # (mass, n_strategies) per population
     cost: VectorField
     label: str
 
@@ -40,7 +39,7 @@ def from_symmetric_matrix(C, mass: float = 1.0, label: str = "symmetric") -> Pop
         raise DimensionMismatchError("cost matrix must be square")
     m = C.shape[0]
     cost = affine_field(C, np.zeros(m), Product((Simplex(mass, m),)), f"game:{label}")
-    return PopulationGame(populations=((mass, m),), cost=cost, label=label)
+    return PopulationGame(cost=cost, label=label)
 
 
 def from_bimatrix(A, B, label: str = "bimatrix") -> PopulationGame:
@@ -54,7 +53,7 @@ def from_bimatrix(A, B, label: str = "bimatrix") -> PopulationGame:
     # the cost is [[0, A], [B', 0]] applied to the stacked state (x, y)
     M = np.block([[np.zeros((m1, m1)), A], [B.T, np.zeros((m2, m2))]])
     cost = affine_field(M, np.zeros(m1 + m2), domain, f"game:{label}")
-    return PopulationGame(populations=((1.0, m1), (1.0, m2)), cost=cost, label=label)
+    return PopulationGame(cost=cost, label=label)
 
 
 def is_nash(game: PopulationGame, p, challengers: SampleSet,

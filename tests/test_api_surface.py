@@ -1,6 +1,6 @@
 """The package keeps no code and no setting that only tests or outside code use.
 
-Two checks read the source with ast.
+Three checks read the source with ast.
 
 No library keyword keeps a default that no caller in the package sets.  A
 parameter with a default that no call inside src/fieldorder ever passes
@@ -18,6 +18,9 @@ reaches a definition by naming it, as a bare name or as the attribute of a
 dotted name, so a use reaches every definition of that name.  A class
 reaches its bases, decorators, class body and dunder methods; a
 module-level assignment is code of each name it binds.
+
+Every field of a dataclass is read by the package.  A field no code reads
+is state that only tests or outside code look at.
 """
 
 import ast
@@ -194,3 +197,46 @@ def test_the_reach_check_follows_names_from_the_roots():
         "mod.K.gone", "mod.K.spare", "mod.UNUSED", "mod.orphan"]
     assert unreached({"mod": tree}, ["mod.main", "mod.orphan"]) == [
         "mod.K.gone", "mod.K.spare", "mod.UNUSED"]
+
+
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (getattr(target, "id", None) == "dataclass"
+            or getattr(target, "attr", None) == "dataclass")
+
+
+def unread_fields(trees):
+    """Every "module.Class.field" annotated in a @dataclass body that no code
+    in the package reads as an attribute (.field in a load context).
+
+    A field is matched by name alone, so a read of the same name on any
+    object counts: SampleSet.seed, say, would pass on the reads of the
+    parsed arguments' .seed.
+    """
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list)):
+                unread += [f"{module}.{cls.name}.{s.target.id}" for s in cls.body
+                           if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+                           and s.target.id not in read]
+    return sorted(unread)
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields(_parse_package()) == []
+
+
+def test_the_field_check_needs_a_read_in_load_context():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "import dataclasses\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n    used: int\n    written: int\n    unused: int = 0\n"
+        "@dataclasses.dataclass\n"
+        "class B:\n    other: int\n"
+        "class Plain:\n    ignored: int\n"
+        "def f(a, b):\n    b.written = a.used\n    return a.other\n")
+    assert unread_fields({"mod": tree}) == ["mod.A.unused", "mod.A.written"]

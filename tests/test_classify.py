@@ -7,9 +7,10 @@ from fieldorder.classify import (classify_point, default_challengers,
                                  is_ess, is_ess_set, is_local_min_polyorder, is_nss,
                                  is_strict_local_min_scalar, minimal_and_maximal,
                                  sample_neighborhood)
-from fieldorder.dominance import ToleranceConfig
-from fieldorder.fields import (Box, Product, SampleSet, Simplex, negate, scalar_field,
-                               vector_field)
+from fieldorder.dominance import ToleranceConfig, compare_scalar, compare_vector
+from fieldorder.errors import DimensionMismatchError, DomainViolationError
+from fieldorder.fields import (Box, Product, SampleSet, ScalarField, Simplex, negate,
+                               scalar_field, vector_field)
 from fieldorder.casestudy import case_challengers, build_catalog, origin_segment_witnesses
 
 CFG = ToleranceConfig()
@@ -42,7 +43,7 @@ class TestCriticalElement:
         assert out.witness == (-1.0,)
 
     def test_empty_challengers_rejected(self, square):
-        empty = SampleSet(np.empty((0, 1)), "explicit", 0)
+        empty = SampleSet(np.empty((0, 1)))
         with pytest.raises(ValueError):
             is_critical_element(square, [0.0], empty, CFG)
 
@@ -74,7 +75,7 @@ class TestMinimalMaximal:
             p = rng.uniform(-1, 1, 1)
             a = minimal_and_maximal(square, p, square_challengers, CFG)[0]
             b = minimal_and_maximal(negate(square), p, square_challengers, CFG)[1]
-            assert (a.ok, a.witness, a.eps) == (b.ok, b.witness, b.eps)
+            assert (a.ok, a.witness) == (b.ok, b.witness)
 
     def test_scalar_minimality(self, square_challengers):
         f = scalar_field("quadratic")
@@ -100,7 +101,7 @@ class TestLocalConcepts:
         assert not is_local_min_polyorder(square, [0.0], ball, CFG).ok
 
     def test_trivial_neighborhood_is_local_min(self, square):
-        ball = SampleSet(np.array([[0.0]]), "explicit", 0)
+        ball = SampleSet(np.array([[0.0]]))
         assert is_local_min_polyorder(square, [0.0], ball, CFG).ok
 
     def test_square_scalar_strict_local_min(self):
@@ -122,7 +123,7 @@ class TestLocalConcepts:
         assert not is_local_min_polyorder(f, p, ball, CFG).ok
 
     def test_no_samples_rejected(self, square):
-        empty = SampleSet(np.empty((0, 1)), "explicit", 0)
+        empty = SampleSet(np.empty((0, 1)))
         with pytest.raises(ValueError):
             is_nss(square, [0.0], empty, CFG)
 
@@ -148,7 +149,8 @@ class TestSetConcepts:
         circle = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         out = is_ess_set(c, circle, 0.28, CFG)
         assert not out.ok
-        assert out.stat > 10 * CFG.tau
+        x = np.array(out.witness)
+        assert ((circle - x) @ c.value(x)).max() > 10 * CFG.tau
 
     def test_circle_is_almost_strictly_minimal_for_values(self):
         f = scalar_field("mexican_hat")
@@ -301,7 +303,8 @@ def _one_screen_cases():
 def test_one_screen_is_the_one_check_path(label, field, p, witnesses):
     # classify_point reads minimal, maximal and local-min off one screen of
     # challengers and ball; each must equal its own entry point on the same
-    # probe sets
+    # probe sets, and the printed eps is that of the full comparison of the
+    # lex-first dominator, with the same witness eps
     seed = 7
     radius = 0.05 * field.domain.diameter()
     rep = classify_point(field, p, radius=radius, cfg=CFG, seed=seed,
@@ -313,7 +316,14 @@ def test_one_screen_is_the_one_check_path(label, field, p, witnesses):
     minimal, maximal = minimal_and_maximal(field, p, full, CFG, witnesses)
     assert rep.is_local_min_polyorder == local_min.ok
     assert (rep.is_minimal, rep.is_maximal) == (minimal.ok, maximal.ok)
-    assert rep.dominating_witness == (None if minimal.ok else (minimal.witness, minimal.eps))
+    if minimal.ok:
+        assert rep.dominating_witness is None
+    else:
+        x, p = np.array(minimal.witness), np.asarray(p, float)
+        compare = compare_scalar if isinstance(field, ScalarField) else compare_vector
+        extra = witnesses(x, p) if witnesses else ()
+        eps = compare(field, x, p, CFG, extra_eps=extra).witness_eps_strict
+        assert rep.dominating_witness == (minimal.witness, eps)
 
 
 def test_scalar_local_min_rejects_a_strict_dominator_inside_the_band():
@@ -326,3 +336,32 @@ def test_scalar_local_min_rejects_a_strict_dominator_inside_the_band():
     out = is_local_min_polyorder(f, p, ball, CFG)
     assert not out.ok and out.witness == (-1e-8,)
     assert not minimal_and_maximal(f, p, ball, CFG)[0].ok
+
+
+def _probe_checks():
+    """(name, call taking a caller's probe set) for each check that takes one."""
+    vec, sc = vector_field("quadratic"), scalar_field("quadratic")
+    return [
+        ("classify_point", lambda s: classify_point(sc, [0.0], challengers=s)),
+        ("minimal_and_maximal", lambda s: minimal_and_maximal(vec, [0.0], s, CFG)),
+        ("is_local_min_polyorder", lambda s: is_local_min_polyorder(sc, [0.0], s, CFG)),
+        ("is_critical_element", lambda s: is_critical_element(vec, [0.0], s, CFG)),
+        ("is_nss", lambda s: is_nss(vec, [0.0], s, CFG)),
+        ("is_ess", lambda s: is_ess(vec, [0.0], s, CFG)),
+        ("is_strict_local_min_scalar", lambda s: is_strict_local_min_scalar(sc, [0.0], s, CFG)),
+    ]
+
+
+@pytest.mark.parametrize("name, check", _probe_checks(), ids=[c[0] for c in _probe_checks()])
+def test_caller_probe_sets_are_checked(name, check, monkeypatch):
+    # a set of the wrong width or with a row outside [-1, 1] is refused
+    # before any probe is built or any field evaluated
+    def never(*args, **kwargs):
+        raise AssertionError("work started on a bad probe set")
+
+    monkeypatch.setattr(classify, "sample_neighborhood", never)
+    monkeypatch.setattr(classify, "batch_relations", never)
+    with pytest.raises(DimensionMismatchError, match="field quadratic takes 1"):
+        check(SampleSet(np.array([[0.1, 0.2]])))
+    with pytest.raises(DomainViolationError, match=r"probe point \[5\.0\] outside"):
+        check(SampleSet(np.array([[0.5], [5.0], [-7.0]])))

@@ -121,7 +121,7 @@ class TestSegmentIncrements:
 
 class TestSetwiseStability:
     def test_decay_to_origin(self, decay_flow):
-        ics = SampleSet(np.array([[1.0]]), "explicit", 0)
+        ics = SampleSet(np.array([[1.0]]))
         rep = check_setwise_stability(decay_flow, [[0.0]], ics, IntegratorConfig(t_max=20.0))
         assert all(t.converged for t in rep.trials)
         assert rep.trials[0].limit_point == (0.0,)
@@ -137,7 +137,7 @@ class TestSetwiseStability:
             starts.append([-0.5 * (zero_point(2 * k - 1) + zero_point(2 * k + 1))])
             expected.append(-zero_point(2 * k))
         cand = minimal_candidate_points()
-        ics = SampleSet(np.array(starts), "explicit", 0)
+        ics = SampleSet(np.array(starts))
         rep = check_setwise_stability(oscillator_flow, cand, ics, IntegratorConfig(),
                                       potential=scalar_field("xsininv"))
         assert all(t.converged for t in rep.trials)
@@ -146,14 +146,14 @@ class TestSetwiseStability:
             assert trial.limit_point[0] == pytest.approx(want, abs=1e-4)
 
     def test_first_basin_goes_to_first_zero_only(self, oscillator_flow):
-        ics = SampleSet(np.array([[0.5]]), "explicit", 0)
+        ics = SampleSet(np.array([[0.5]]))
         rep = check_setwise_stability(oscillator_flow, minimal_candidate_points(),
                                       ics, IntegratorConfig())
         assert rep.trials[0].limit_point[0] == pytest.approx(1 / PI, abs=1e-6)
 
     def test_report_carries_each_trajectory(self, oscillator_flow):
         cfg = IntegratorConfig(t_max=5.0)
-        ics = SampleSet(np.array([[0.5], [0.2]]), "explicit", 0)
+        ics = SampleSet(np.array([[0.5], [0.2]]))
         rep = check_setwise_stability(oscillator_flow, minimal_candidate_points(), ics, cfg)
         assert len(rep.trajectories) == len(rep.trials) == 2
         for x0, traj, trial in zip(ics, rep.trajectories, rep.trials):
@@ -164,7 +164,7 @@ class TestSetwiseStability:
         assert "trajectories" not in rep.to_dict()
 
     def test_empty_inputs_rejected(self, decay_flow):
-        ics = SampleSet(np.array([[1.0]]), "explicit", 0)
+        ics = SampleSet(np.array([[1.0]]))
         with pytest.raises(ValueError):
             check_setwise_stability(decay_flow, [], ics, IntegratorConfig())
 
@@ -181,7 +181,7 @@ class TestSetwiseStability:
 
         monkeypatch.setattr(dynamics, "integrate", no_flow)
         monkeypatch.setattr(dynamics, "_rk4", no_flow)
-        ics = SampleSet(np.array([[1.0]]), "explicit", 0)
+        ics = SampleSet(np.array([[1.0]]))
         with pytest.raises(error):
             check_setwise_stability(decay_flow, candidate, ics, IntegratorConfig())
 

@@ -3,8 +3,10 @@
 The reference screens the challengers on the uniform grid and then runs a
 full compare_* on every screen survivor, one pair at a time; maximality is
 minimality under the negated field.  The package decides both directions
-from one shared screen instead.  Every (ok, witness, eps) must agree,
-including the reported eps, which both sides take from a full comparison.
+from one shared screen instead, and every (ok, witness) must agree.  The
+one eps a report prints, classify_point's dominating_witness, must be the
+strict-witness eps of the full comparison of the lex-first dominator of
+its challengers and ball, with the same witness eps.
 """
 
 import numpy as np
@@ -12,12 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fieldorder.casestudy import build_catalog, case_challengers, origin_segment_witnesses
-from fieldorder.classify import (CheckOutcome, default_challengers, minimal_and_maximal,
+from fieldorder.classify import (classify_point, default_challengers, minimal_and_maximal,
                                  sample_neighborhood)
 from fieldorder.dominance import (STRICTLY_DOMINATES, ToleranceConfig, batch_scalar_steps,
                                   batch_vector_extremes, compare_scalar, compare_vector)
-from fieldorder.fields import (Box, SampleSet, SeededRandom, VectorField, negate,
-                               quadratic_form, registry_names, require_in_domain,
+from fieldorder.fields import (Box, SampleSet, ScalarField, SeededRandom, VectorField,
+                               negate, quadratic_form, registry_names, require_in_domain,
                                sample_domain, scalar_field, vector_field)
 from fieldorder.games import from_symmetric_matrix, hawk_dove, matching_pennies
 
@@ -26,10 +28,10 @@ COARSE = ToleranceConfig(n_eps=65)
 
 
 def _first_dominator(dominators):
+    """(ok, witness) of the lex-first dominator, if any."""
     if not dominators:
-        return CheckOutcome(True)
-    pt, eps = sorted(dominators)[0]
-    return CheckOutcome(False, witness=pt, eps=eps)
+        return True, None
+    return False, sorted(dominators)[0]
 
 
 def reference_minimal(c, p, challengers, cfg, segment_witnesses=None):
@@ -41,7 +43,7 @@ def reference_minimal(c, p, challengers, cfg, segment_witnesses=None):
         extra = tuple(segment_witnesses(X[k], p)) if segment_witnesses else ()
         verdict = compare_vector(c, X[k], p, cfg, extra_eps=extra)
         if verdict.relation == STRICTLY_DOMINATES:
-            dominators.append((tuple(X[k]), verdict.witness_eps_strict))
+            dominators.append(tuple(X[k]))
     return _first_dominator(dominators)
 
 
@@ -53,20 +55,20 @@ def reference_minimal_scalar(f, p, challengers, cfg):
     for k in np.flatnonzero((smax <= cfg.tau) & (total < -cfg.tau)):
         verdict = compare_scalar(f, X[k], p, cfg)
         if verdict.relation == STRICTLY_DOMINATES:
-            dominators.append((tuple(X[k]), verdict.witness_eps_strict))
+            dominators.append(tuple(X[k]))
     return _first_dominator(dominators)
 
 
-def _triple(out):
-    return out.ok, out.witness, out.eps
+def _pair(out):
+    return out.ok, out.witness
 
 
 def assert_vector_matches(c, p, challengers, cfg, segment_witnesses=None):
     want_min = reference_minimal(c, p, challengers, cfg, segment_witnesses)
     want_max = reference_minimal(negate(c), p, challengers, cfg, segment_witnesses)
     got_min, got_max = minimal_and_maximal(c, p, challengers, cfg, segment_witnesses)
-    assert _triple(got_min) == _triple(want_min)
-    assert _triple(got_max) == _triple(want_max)
+    assert _pair(got_min) == want_min
+    assert _pair(got_max) == want_max
     return got_min, got_max
 
 
@@ -74,16 +76,42 @@ def assert_scalar_matches(f, p, challengers, cfg):
     want_min = reference_minimal_scalar(f, p, challengers, cfg)
     want_max = reference_minimal_scalar(negate(f), p, challengers, cfg)
     got_min, got_max = minimal_and_maximal(f, p, challengers, cfg)
-    assert _triple(got_min) == _triple(want_min)
-    assert _triple(got_max) == _triple(want_max)
+    assert _pair(got_min) == want_min
+    assert _pair(got_max) == want_max
     return got_min, got_max
+
+
+def assert_report_matches(field, p, challengers, seed, cfg, segment_witnesses=None):
+    """classify_point prints the lex-first dominator of its challengers and
+    ball with the eps of one full comparison of that row."""
+    radius = 0.05 * field.domain.diameter()
+    rep = classify_point(field, p, challengers, radius, cfg, seed, segment_witnesses)
+    ball = sample_neighborhood(field.domain, p, radius, seed=seed)
+    full = challengers.union(ball.points, note="ball")
+    assert rep.challengers_used == full.strategy
+    minimal = minimal_and_maximal(field, p, full, cfg, segment_witnesses)[0]
+    want = None
+    if not minimal.ok:
+        x, p = np.array(minimal.witness), require_in_domain(field.domain, p)
+        if isinstance(field, ScalarField):
+            verdict = compare_scalar(field, x, p, cfg)
+        else:
+            extra = tuple(segment_witnesses(x, p)) if segment_witnesses else ()
+            verdict = compare_vector(field, x, p, cfg, extra_eps=extra)
+        want = (minimal.witness, verdict.witness_eps_strict)
+    assert rep.dominating_witness == want
+    return rep
+
+
+def _challengers(domain, seed):
+    """Small global challenger set."""
+    return default_challengers(domain, seed, grid_n=256, random_n=256)
 
 
 def _probes(domain, p, seed):
     """Small global challenger set plus a ball around p, as classify_point uses."""
-    base = default_challengers(domain, seed, grid_n=256, random_n=256)
     ball = sample_neighborhood(domain, p, 0.05 * domain.diameter(), 64, seed)
-    return base.union(ball.points, note="ball")
+    return _challengers(domain, seed).union(ball.points, note="ball")
 
 
 def _stock_points(domain):
@@ -96,6 +124,7 @@ def test_stock_vector_fields(name):
     c = vector_field(name)
     for i, p in enumerate(_stock_points(c.domain)):
         assert_vector_matches(c, p, _probes(c.domain, p, i), CFG)
+        assert_report_matches(c, p, _challengers(c.domain, i), i, CFG)
 
 
 @pytest.mark.parametrize("name", registry_names())
@@ -103,14 +132,16 @@ def test_stock_scalar_fields(name):
     f = scalar_field(name)
     for i, p in enumerate(_stock_points(f.domain)):
         assert_scalar_matches(f, p, _probes(f.domain, p, i), CFG)
+        assert_report_matches(f, p, _challengers(f.domain, i), i, CFG)
 
 
 def test_oscillator_with_origin_witnesses():
     c = vector_field("xsininv")
     catalog = build_catalog(5)
     challengers = case_challengers(catalog, grid_n=256)
-    for x in [*(e.x for e in catalog.entries), 0.5]:
+    for i, x in enumerate([*(e.x for e in catalog.entries), 0.5]):
         assert_vector_matches(c, [x], challengers, CFG, origin_segment_witnesses)
+        assert_report_matches(c, [x], challengers, i, CFG, origin_segment_witnesses)
     origin = assert_vector_matches(c, [0.0], challengers, CFG, origin_segment_witnesses)
     assert all(out.ok for out in origin)
 
@@ -135,10 +166,11 @@ def test_injected_witnesses_decide_pairs_the_grid_misses(base, height):
     c = _spike_field(base, height)
     challengers = SampleSet(np.array([[-0.5], [0.2], [0.5], [0.75], [1.0]]))
     changed = 0
-    for p in ([0.0], [0.1], [0.6]):
+    for i, p in enumerate(([0.0], [0.1], [0.6])):
         with_w = assert_vector_matches(c, p, challengers, CFG, _spike_witness)
         without = assert_vector_matches(c, p, challengers, CFG)
-        changed += [_triple(o) for o in with_w] != [_triple(o) for o in without]
+        changed += [_pair(o) for o in with_w] != [_pair(o) for o in without]
+        assert_report_matches(c, p, challengers, i, CFG, _spike_witness)
     assert changed
 
 
@@ -167,6 +199,7 @@ def test_games_on_and_off_equilibrium(make, equilibrium, blocks):
     points = [np.array(equilibrium)] + [_off_equilibrium(rng, blocks) for _ in range(3)]
     for i, p in enumerate(points):
         assert_vector_matches(game.cost, p, _probes(game.domain, p, i), CFG)
+        assert_report_matches(game.cost, p, _challengers(game.domain, i), i, CFG)
 
 
 def test_rock_paper_scissors_flat_profiles_tie_break_alike():
@@ -176,6 +209,8 @@ def test_rock_paper_scissors_flat_profiles_tie_break_alike():
     p = np.array([0.2, 0.5, 0.3])
     got_min, got_max = assert_vector_matches(game.cost, p, _probes(game.domain, p, 5), CFG)
     assert not got_min.ok and not got_max.ok
+    rep = assert_report_matches(game.cost, p, _challengers(game.domain, 5), 5, CFG)
+    assert not rep.is_minimal
 
 
 @settings(max_examples=40, deadline=None)
@@ -189,6 +224,8 @@ def test_random_quadratic_forms(dim, seed):
     challengers = default_challengers(f.domain, seed % 1000, grid_n=48, random_n=48)
     assert_vector_matches(c, p, challengers, COARSE)
     assert_scalar_matches(f, p, challengers, COARSE)
+    assert_report_matches(c, p, challengers, seed % 1000, COARSE)
+    assert_report_matches(f, p, challengers, seed % 1000, COARSE)
 
 
 def test_duplicate_dominators_report_one_witness():
@@ -198,3 +235,5 @@ def test_duplicate_dominators_report_one_witness():
     got_min, got_max = assert_vector_matches(c, [0.5], challengers, CFG)
     assert got_min.witness == (0.0,)
     assert got_max.ok
+    rep = assert_report_matches(c, [0.5], challengers, 0, CFG)
+    assert rep.dominating_witness[0] == (0.0,)

@@ -235,6 +235,16 @@ class TestFields:
         assert c.values(pts).tobytes() == cc.values(pts).tobytes()
         assert cc.label == "xsininv"
 
+    def test_negate_keeps_signed_zeros(self):
+        # the first component cancels to +0.0, so -f gives -0.0 there; an
+        # affine field rebuilt from (-A, -b) would give +0.0 instead
+        f = affine_field([[1.0, -1.0], [0.0, 1.0]], [0.0, 0.0], Box((-1.0, -1.0), (1.0, 1.0)),
+                         "skew")
+        P = np.array([[0.5, 0.5]])
+        got, want = negate(f).values(P), -f.values(P)
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(got).tolist() == [[True, True]]
+
     def test_vector_view_of_scalar_names(self):
         c = vector_field("quadratic")
         assert c.value([0.5]) == pytest.approx([0.25])

@@ -92,7 +92,7 @@ class TestJson:
         path = tmp_path / "g.json"
         path.write_text('{"mode": "symmetric", "C": [[1, -2], [0, -1]], "mass": 1.0}')
         g = load_game(str(path))
-        assert g.populations == ((1.0, 2),)
+        assert [(s.mass, s.dim) for s in g.domain.parts] == [(1.0, 2)]
         assert g.cost.value([0.5, 0.5]) == pytest.approx([-0.5, -0.5])
 
     def test_bimatrix_roundtrip(self):

@@ -171,7 +171,7 @@ class TestRowsAlone:
 
     def test_setwise_stability_runs_one_batch(self):
         F, rows = counted(negate(vector_field("xsininv")))
-        ics = SampleSet(np.array([[0.5], [0.2], [-0.3]]), "explicit", 0)
+        ics = SampleSet(np.array([[0.5], [0.2], [-0.3]]))
         rep = check_setwise_stability(F, [[1 / math.pi]], ics, IntegratorConfig(t_max=0.5))
         assert max(rows) == 3
         for x0, traj in zip(ics, rep.trajectories):
@@ -197,7 +197,7 @@ class TestGames:
         C -= C.mean(axis=0)  # c(x) = C x keeps x on the simplex plane
         F = games.from_symmetric_matrix(C, label="real").cost
         cfg = IntegratorConfig(dt=0.01, t_max=2.0)
-        ics = SampleSet(rng.dirichlet(np.ones(4), size=6), "explicit", 0)
+        ics = SampleSet(rng.dirichlet(np.ones(4), size=6))
         assert_rows_alone(F, ics.points, cfg)
         rep = check_setwise_stability(F, [[0.25] * 4], ics, cfg)
         for x0, traj in zip(ics, rep.trajectories):

@@ -277,7 +277,7 @@ def test_weak_not_strict_labels(cfg):
 @pytest.mark.parametrize("label, field", CASES, ids=[c[0] for c in CASES])
 def test_maximal_is_minimal_under_negation(label, field):
     # one screen's ReverseStrict rows decide maximality exactly as a second
-    # screen under negate(field) would, witness and eps included
+    # screen under negate(field) would, witness included
     X, _ = _pairs(field, seed=3)
     challengers = SampleSet(X[1:])
     p = X[0]
@@ -285,7 +285,7 @@ def test_maximal_is_minimal_under_negation(label, field):
     neg_minimal, neg_maximal = minimal_and_maximal(negate(field), p, challengers)
     assert maximal == neg_minimal and minimal == neg_maximal
     for outcome in (minimal, maximal):
-        assert outcome.ok or outcome.eps is not None
+        assert outcome.ok == (outcome.witness is None)
 
 
 def _dip(sign):
@@ -390,7 +390,6 @@ def test_local_min_folds_origin_witnesses(radius):
         delta = c.values(eps[:, None] * x + (1.0 - eps)[:, None] * origin) @ (x - origin)
         low = min(low, float(delta.min()))
     assert got.ok == (low >= -CFG.tau)
-    assert (got.eps, got.stat) == (None, None)
     assert got.ok == (got.witness is None)
 
 
