@@ -19,6 +19,9 @@ and the rotated-well counterexample where a circle of global scalar minima
 fails the local-minimum test of the dominance order.
 The study is fixed: the stock box [-1, 2], the 25-entry catalog, the
 radii ORIGIN_RADII and the window start -1/pi + 0.01.  The CLI sets the rest.
+A study builds its catalog and challengers once and screens the origin
+once: classify_catalog decides the origin's minimality and maximality with
+the catalog points, and origin_atypicality reads that outcome.
 """
 
 from __future__ import annotations
@@ -125,23 +128,27 @@ def origin_witness(x: float, want_sign: int) -> float:
     return w
 
 
-def origin_segment_witnesses(a, b):
-    """Extra eps values for a comparison whose segment ends at the origin.
+def origin_segment_witnesses(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Witness eps of the rows of a batch whose segment ends at the origin.
 
-    The segment is eps*a + (1-eps)*b.  When one endpoint is the origin
-    (within _ORIGIN_ATOL), returns the two eps locations where x f takes
-    each sign, with x the other endpoint; otherwise returns ().
+    Row k's segment is eps*xs[k] + (1-eps)*ys[k], for (k, 1) arrays xs and
+    ys.  A row with one endpoint at the origin (within _ORIGIN_ATOL) and
+    the other, x, off it gets the two eps where x f takes each sign.
+    Returns (rows, eps) with eps of shape (len(rows), 2), the dominance
+    witness provider form; at any dim but 1 no row has witnesses.
     """
-    a = np.atleast_1d(np.asarray(a, float))
-    b = np.atleast_1d(np.asarray(b, float))
-    if a.size != 1 or b.size != 1:
-        return ()
-    a0, b0 = float(a[0]), float(b[0])
-    if abs(a0) <= _ORIGIN_ATOL and abs(b0) > _ORIGIN_ATOL:
-        return tuple(1.0 - origin_witness(b0, s) / b0 for s in (1, -1))
-    if abs(b0) <= _ORIGIN_ATOL and abs(a0) > _ORIGIN_ATOL:
-        return tuple(origin_witness(a0, s) / a0 for s in (1, -1))
-    return ()
+    xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+    if xs.shape[1] != 1:
+        return np.empty(0, np.intp), np.empty((0, 2))
+    ax, ay = np.abs(xs[:, 0]), np.abs(ys[:, 0])
+    near_x, near_y = ax <= _ORIGIN_ATOL, ay <= _ORIGIN_ATOL
+    rows = np.flatnonzero((near_x & (ay > _ORIGIN_ATOL)) | (near_y & (ax > _ORIGIN_ATOL)))
+    eps = np.empty((rows.size, 2))
+    for i, k in enumerate(rows):
+        x = float(ys[k, 0] if near_x[k] else xs[k, 0])  # the endpoint off the origin
+        w = [origin_witness(x, s) / x for s in (1, -1)]
+        eps[i] = [1.0 - v for v in w] if near_x[k] else w  # eps runs from y to x
+    return rows, eps
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +159,11 @@ def case_fields() -> tuple[ScalarField, VectorField]:
     return scalar_field("xsininv"), vector_field("xsininv")
 
 
-def case_challengers(catalog: CriticalCatalog, grid_n: int = 4096,
-                     seed: int = 42) -> SampleSet:
+def case_challengers(catalog: CriticalCatalog, grid_n: int = 4096) -> SampleSet:
     """Stock-box grid challengers augmented with catalog points, the origin,
     and analytic origin-witness points."""
     domain = DEFAULT_CASESTUDY_BOX
-    base = sample_domain(domain, Grid(grid_n), seed)
+    base = sample_domain(domain, Grid(grid_n))
     extra = [[0.0]] + [[e.x] for e in catalog.entries]
     for bound in (domain.lower[0], domain.upper[0]):
         extra.extend([[origin_witness(bound, 1)], [origin_witness(bound, -1)]])
@@ -233,18 +239,17 @@ class CatalogAgreementReport:
                 "all_agree": self.all_agree, "challengers_used": self.challengers_used}
 
 
-def classify_catalog(n_max: int = 25, cfg: ToleranceConfig | None = None,
-                     grid_n: int = 4096, seed: int = 42) -> CatalogAgreementReport:
-    """Classify every catalog point numerically and compare with the oracle.
+def classify_catalog(catalog: CriticalCatalog, challengers: SampleSet,
+                     cfg: ToleranceConfig) -> CatalogAgreementReport:
+    """Classify every catalog point, and the origin, numerically against
+    the challengers and compare with the oracle.
 
     One uniform-grid screen per point serves both directions: each
     challenger's screen relation to the point says whether it dominates the
-    point, is dominated by it, or neither.
+    point, is dominated by it, or neither.  The origin's outcome is the one
+    origin_atypicality reports.
     """
-    cfg = cfg or ToleranceConfig()
     _, c = case_fields()
-    catalog = build_catalog(n_max)
-    challengers = case_challengers(catalog, grid_n, seed)
     verdicts = []
     for entry in catalog.entries:
         got_min, got_max = minimal_and_maximal(c, [entry.x], challengers, cfg,
@@ -286,22 +291,20 @@ def require_origin_radii(cfg: ToleranceConfig) -> None:
             raise ValueError(f"origin radius {radius} must exceed tau = {cfg.tau}")
 
 
-def origin_atypicality(cfg: ToleranceConfig | None = None, grid_n: int = 4096,
-                       seed: int = 42) -> OriginAtypicalityReport:
+def origin_atypicality(agreement: CatalogAgreementReport, cfg: ToleranceConfig,
+                       seed: int) -> OriginAtypicalityReport:
     """Certify that the origin is minimal and maximal yet locally nothing.
 
-    The 512 neighborhood samples at every radius of ORIGIN_RADII are
-    augmented with the exact witness points below that radius at which x f(x) takes each sign, so
-    the local refusals never depend on a lucky draw.
+    Minimality and maximality are the origin's outcome in the catalog
+    screen (agreement, from classify_catalog under the same cfg); the
+    origin is not screened again.  The 512 neighborhood samples at every
+    radius of ORIGIN_RADII are augmented with the exact witness points
+    below that radius at which x f(x) takes each sign, so the local
+    refusals never depend on a lucky draw.
     """
-    cfg = cfg or ToleranceConfig()
     require_origin_radii(cfg)
     _, c = case_fields()
-    catalog = build_catalog(25)
-    challengers = case_challengers(catalog, grid_n, seed)
     origin = np.array([0.0])
-    minimal, maximal = minimal_and_maximal(c, origin, challengers, cfg,
-                                           origin_segment_witnesses)
     rows = []
     for radius in ORIGIN_RADII:
         ball = sample_neighborhood(c.domain, origin, radius, seed=seed)
@@ -313,7 +316,8 @@ def origin_atypicality(cfg: ToleranceConfig | None = None, grid_n: int = 4096,
         local_min = is_local_min_polyorder(c, origin, ball, cfg, origin_segment_witnesses)
         rows.append({"radius": radius, "nss": nss.ok, "ess": ess.ok,
                      "local_min_polyorder": local_min.ok})
-    return OriginAtypicalityReport(minimal.ok, maximal.ok, tuple(rows))
+    return OriginAtypicalityReport(agreement.origin_minimal, agreement.origin_maximal,
+                                   tuple(rows))
 
 
 # ---------------------------------------------------------------------------

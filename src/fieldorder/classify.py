@@ -217,10 +217,10 @@ def minimal_and_maximal(field, p, challengers: SampleSet,
 
     p is minimal when no challenger row is StrictlyDominates and maximal
     when none is ReverseStrict (exactly minimality under -field).
-    segment_witnesses(x, p), when given, supplies extra eps of specific
-    pairs (analytic oscillation witnesses), which the screen folds in;
-    scalar fields take none.  The witness of a failed check is its
-    lex-smallest dominator (resp. dominated challenger).
+    segment_witnesses, when given, is the batch witness provider of the
+    rows (x, p) (analytic oscillation witnesses; see dominance), whose eps
+    the screen folds in; scalar fields take none.  The witness of a failed
+    check is its lex-smallest dominator (resp. dominated challenger).
     """
     cfg = cfg or ToleranceConfig()
     p = require_in_domain(field.domain, p)
@@ -267,8 +267,8 @@ def is_local_min_polyorder(field, p, neighborhood_samples: SampleSet,
                            segment_witnesses=None) -> CheckOutcome:
     """Whether p weakly dominates every sampled neighbor along its segment.
 
-    p weakly dominates x exactly when the screen row (x, p), with the
-    segment_witnesses(x, p) eps folded in, is ReverseStrict, ReverseWeak
+    p weakly dominates x exactly when the screen row (x, p), with the eps
+    segment_witnesses gives it folded in, is ReverseStrict, ReverseWeak
     or Equivalent (README "Notes on semantics" ties this to a sweep of the
     rows (p, x)); the lex-smallest neighbor it does not is the witness.
     """
@@ -470,8 +470,7 @@ def classify_point(field, p, challengers: SampleSet | None = None,
     if not minimal.ok:
         x = np.asarray(minimal.witness)
         compare = compare_scalar if kind == "scalar" else compare_vector
-        verdict = compare(field, x, p, cfg,
-                          extra_eps=witnesses(x, p) if witnesses is not None else ())
+        verdict = compare(field, x, p, cfg, witnesses)
         dominating_witness = (minimal.witness, verdict.witness_eps_strict)
     ok = lambda outcome: None if outcome is None else outcome.ok
     return ClassificationReport(

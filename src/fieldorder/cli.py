@@ -130,22 +130,16 @@ def cmd_compare(args) -> int:
     emitter = _Emitter(args)
     kind, field, stock = _picked(args)
     cfg = _tolerance(args)
-    extra = origin_segment_witnesses(args.x, args.y) if stock == "xsininv" else ()
+    witnesses = origin_segment_witnesses if stock == "xsininv" else None
     if kind == "scalar":
-        verdict = compare_scalar(field, args.x, args.y, cfg, extra_eps=extra)
+        verdict = compare_scalar(field, args.x, args.y, cfg, witnesses)
     else:
-        verdict = compare_vector(field, args.x, args.y, cfg, extra_eps=extra)
+        verdict = compare_vector(field, args.x, args.y, cfg, witnesses)
     emitter.write_text("verdict.json", _dumps(verdict.to_dict()))
     if not args.json:
         print(f"{field.label}: x={args.x.tolist()} vs y={args.y.tolist()} -> {verdict.relation}")
     emitter.finish(verdict.to_dict())
     return 0
-
-
-def _xsininv_extras(stock):
-    if stock == "xsininv":
-        return case_challengers(build_catalog(25)), origin_segment_witnesses
-    return None, None
 
 
 def cmd_classify(args) -> int:
@@ -156,8 +150,14 @@ def cmd_classify(args) -> int:
     cfg = _tolerance(args)
     if args.challengers is not None and args.challengers < 1:
         raise ValueError(f"--challengers must be at least 1, got {args.challengers}")
-    challengers, witnesses = (None, None) if kind == "scalar" else _xsininv_extras(stock)
-    if challengers is None and args.challengers is not None:
+    challengers = witnesses = None
+    if kind == "vector" and stock == "xsininv":
+        # --challengers sets the grid, as for every other 1-D box
+        catalog = build_catalog(25)
+        challengers = (case_challengers(catalog) if args.challengers is None
+                       else case_challengers(catalog, args.challengers))
+        witnesses = origin_segment_witnesses
+    elif args.challengers is not None:
         challengers = default_challengers(field.domain, args.seed, grid_n=args.challengers,
                                           random_n=args.challengers)
     report = classify_point(field, args.point, challengers=challengers,
@@ -251,8 +251,9 @@ def cmd_casestudy(args) -> int:
         require_origin_radii(cfg)  # the checks that need no sweep go first
         catalog = build_catalog(args.nmax)
         coverage = check_setwise_dominance(args.window_hi, args.dominance_grid, cfg)
-        agreement = classify_catalog(args.nmax, cfg, grid_n=args.grid_n, seed=args.seed)
-        origin = origin_atypicality(cfg=cfg, grid_n=args.grid_n, seed=args.seed)
+        challengers = case_challengers(catalog, args.grid_n)
+        agreement = classify_catalog(catalog, challengers, cfg)
+        origin = origin_atypicality(agreement, cfg, args.seed)
         emitter.write_text("catalog.json", _dumps(catalog.to_dict()))
         emitter.write_text("catalog_agreement.json", _dumps(agreement.to_dict()))
         emitter.write_text("origin.json", _dumps(origin.to_dict()))

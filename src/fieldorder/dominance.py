@@ -42,9 +42,14 @@ module (batch_relations) alike.  A row that is not Incomparable on the
 uniform grid has no adjacent band signs +1 and -1, so it is never refined:
 its screen relation is its verdict, and callers read it off the screen
 (classify reads minimality, maximality and the local minimum of the
-order from one screen of a point's challengers and ball).  Analytic
-witness eps of a pair (segment_witnesses) are folded into its
-vector screen row, so the screen decides those pairs too.
+order from one screen of a point's challengers and ball).
+
+Analytic sub-grid witnesses reach both through one batch provider,
+segment_witnesses(xs, ys) -> (rows, eps): rows indexes the (xs, ys) rows
+that have witnesses, and eps holds one row of extra eps in [0, 1] for
+each.  A single comparison (profile) asks it about its one row; the
+vector screen asks it once, about the rows its ladder leaves, and folds
+those eps into their extremes, so the screen decides those pairs too.
 
 The vector screen walks the uniform grid coarse to fine, in disjoint
 levels of grid indices: every 64th point, then the rest of every 16th
@@ -53,17 +58,15 @@ n_eps - 1).  The levels are index subsets of the one linspace array, so
 their union is the full grid bit for bit, and a row's extremes are the
 running max/min over the levels.  Extra points can only push a max up and
 a min down, so a row whose coarse levels already reach above +tau and
-below -tau is Incomparable in both directions on the full grid.  Callers
-that read only the relation (batch_relations) may ask the screen to stop
-evaluating such rows; every other row, and every row when they do not ask,
-gets its exact full-grid extremes.  Scalar step extremes do not nest (a
-coarse step is a sum of fine steps, not one of them), so the scalar screen
-has one coarse level, every 64th point, and reads it as a certificate: a
-coarse step above 64 tau, with a rounding margin, proves that one of the
-fine steps it sums is above tau (batch_scalar_steps).  A row with a coarse
-step above that threshold and one below its negative is Incomparable on
-the full grid and stops there; every other row evaluates only the points
-off the coarse level.
+below -tau is Incomparable in both directions on the full grid, and the
+screen stops evaluating it; every other row gets its exact full-grid
+extremes.  Scalar step extremes do not nest (a coarse step is a sum of
+fine steps, not one of them), so the scalar screen has one coarse level,
+every 64th point, and reads it as a certificate: a coarse step above
+64 tau, with a rounding margin, proves that one of the fine steps it sums
+is above tau (batch_scalar_steps).  A row with a coarse step above that
+threshold and one below its negative is Incomparable on the full grid and
+stops there; every other row takes one plain pass over the full grid.
 
 Every screen runs in blocks of rows holding at most _BLOCK_BYTES of
 segment points.  The field's temporaries are about as large again each, so
@@ -86,7 +89,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -152,11 +155,14 @@ class DominanceVerdict:
 def _scaled(w: np.ndarray, side: np.ndarray) -> np.ndarray:
     """(k, e, dim) products w[e] * side[k, d], one coordinate at a time.
 
-    Each multiply runs along eps, a loop as long as the grid; one broadcast
+    w is one (e,) eps set shared by every row, or a (k, e) set per row;
+    either way each element is the one product fl(w * side[k, d]).  Each
+    multiply runs along eps, a loop as long as the grid; one broadcast
     multiply would run its inner loop over the dim coordinates instead.
     """
-    k, dim = side.shape
-    out = np.empty((k, w.size, dim))
+    w = np.atleast_2d(w)
+    dim = side.shape[1]
+    out = np.empty((max(w.shape[0], side.shape[0]), w.shape[1], dim))
     for d in range(dim):
         np.multiply(w, side[:, d, None], out=out[:, :, d])
     return out
@@ -165,11 +171,12 @@ def _scaled(w: np.ndarray, side: np.ndarray) -> np.ndarray:
 def _segment_points(xs: np.ndarray, ys: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """(k, e, dim) points eps*x + (1-eps)*y of the rows (xs[i], ys[i]).
 
-    Either side may be one row that every row shares.  Its products with
-    eps are formed once, as an (e, dim) array, and added into the other
-    side's products in place, so a block holds one full-size array.  Each
-    point is fl(fl(eps x) + fl((1 - eps) y)) whichever side is the single
-    row, since floating-point addition is commutative.
+    eps is one (e,) set, or a (k, e) set per row.  Either side may be one
+    row that every row shares.  With one eps set, its products with eps are
+    formed once, as an (e, dim) array, and added into the other side's
+    products in place, so a block holds one full-size array.  Each point is
+    fl(fl(eps x) + fl((1 - eps) y)) whichever side is the single row, since
+    floating-point addition is commutative.
     """
     ex, ey = _scaled(eps, xs), _scaled(1.0 - eps, ys)
     if xs.shape[0] == 1:
@@ -188,14 +195,16 @@ def _deltas(vals: np.ndarray, direction: np.ndarray) -> np.ndarray:
 
 
 def _profiles(field, xs: np.ndarray, ys: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """(k, e) segment profiles of the rows (xs[i], ys[i]) at the e values eps.
+    """(k, e) segment profiles of the rows (xs[i], ys[i]) at the e values eps,
+    or at eps[i] for a (k, e) set per row.
 
     Scalar fields give g = f(eps x + (1-eps) y); vector fields give
     delta = (x - y) . c(eps x + (1-eps) y), bit-identical to a one-row
     ``values @ (x - y)`` over the same eps, and at dim <= 7 over any eps
     set holding the same points (see the module docstring).  Either side
     may be a single (1, dim) row shared by every row; the profile is
-    bitwise that of the side repeated k times (_segment_points).
+    bitwise that of the side repeated k times (_segment_points), and a row
+    with its own eps has the bits of a one-row call over them.
     """
     pts = _segment_points(xs, ys, eps)
     k, e, dim = pts.shape
@@ -209,17 +218,15 @@ def _band_sign(v: np.ndarray, tau: float) -> np.ndarray:
     return (v > tau).astype(np.int8) - (v < -tau).astype(np.int8)
 
 
-def _extra_eps(extra_eps: Iterable[float]) -> np.ndarray:
-    extra = np.asarray(list(extra_eps), float)
-    if np.any((extra < 0) | (extra > 1)):
-        raise ValueError("extra eps values must lie in [0, 1]")
-    return extra
-
-
-def _base_eps(cfg: ToleranceConfig, extra_eps: Iterable[float]) -> np.ndarray:
-    eps = np.linspace(0.0, 1.0, cfg.n_eps)
-    extra = _extra_eps(extra_eps)
-    return np.unique(np.concatenate([eps, extra])) if extra.size else eps
+def _witnesses(segment_witnesses, xs: np.ndarray,
+               ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, eps) of a witness provider on the rows (xs, ys), eps checked
+    to lie in [0, 1] (see the module docstring)."""
+    rows, eps = segment_witnesses(xs, ys)
+    eps = np.asarray(eps, float)
+    if np.any((eps < 0) | (eps > 1)):
+        raise ValueError("witness eps values must lie in [0, 1]")
+    return np.asarray(rows, np.intp), eps
 
 
 def _endpoints(field, x, y):
@@ -231,19 +238,23 @@ def _endpoints(field, x, y):
 
 
 def profile(field, x, y, cfg: ToleranceConfig | None = None,
-            extra_eps: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
+            segment_witnesses=None) -> tuple[np.ndarray, np.ndarray]:
     """(eps, profile) of the segment from y to x, sorted by eps.
 
     The profile is delta(eps) = (x - y) . c(eps*x + (1-eps)*y) for a vector
     field and g(eps) = f(eps*x + (1-eps)*y) for a scalar one, on the uniform
-    grid plus extra_eps, refined near band-sign flips (of delta, resp. of
-    the steps of g).
+    grid plus the eps segment_witnesses gives the row (x, y), refined near
+    band-sign flips (of delta, resp. of the steps of g).
     """
     cfg = cfg or ToleranceConfig()
     x, y = _endpoints(field, x, y)
     xs, ys = x[None, :], y[None, :]
     scalar = isinstance(field, ScalarField)
-    eps = _base_eps(cfg, extra_eps)
+    eps = np.linspace(0.0, 1.0, cfg.n_eps)
+    if segment_witnesses is not None:
+        _, extra = _witnesses(segment_witnesses, xs, ys)
+        if extra.size:
+            eps = np.unique(np.concatenate([eps, extra[0]]))
     vals = _profiles(field, xs, ys, eps)[0]
     for _ in range(MAX_REFINE_DEPTH):
         s = _band_sign(np.diff(vals) if scalar else vals, cfg.tau)
@@ -294,7 +305,7 @@ def _verdict(eps: np.ndarray, profile: np.ndarray, cfg: ToleranceConfig,
 
 
 def compare_vector(c: VectorField, x, y, cfg: ToleranceConfig | None = None,
-                   extra_eps: Sequence[float] = ()) -> DominanceVerdict:
+                   segment_witnesses=None) -> DominanceVerdict:
     """Decide the dominance relation between x and y under the vector field c.
 
     StrictlyDominates means x strictly dominates y (delta <= tau everywhere
@@ -304,12 +315,12 @@ def compare_vector(c: VectorField, x, y, cfg: ToleranceConfig | None = None,
     Equivalent.
     """
     cfg = cfg or ToleranceConfig()
-    eps, delta = profile(c, x, y, cfg, extra_eps)
+    eps, delta = profile(c, x, y, cfg, segment_witnesses)
     return _verdict(eps, delta, cfg, scalar=False)
 
 
 def compare_scalar(f: ScalarField, x, y, cfg: ToleranceConfig | None = None,
-                   extra_eps: Sequence[float] = ()) -> DominanceVerdict:
+                   segment_witnesses=None) -> DominanceVerdict:
     """Decide the dominance relation between x and y under the scalar field f.
 
     x weakly dominates y when every consecutive grid difference of g is at
@@ -319,7 +330,7 @@ def compare_scalar(f: ScalarField, x, y, cfg: ToleranceConfig | None = None,
     strictness.
     """
     cfg = cfg or ToleranceConfig()
-    eps, g = profile(f, x, y, cfg, extra_eps)
+    eps, g = profile(f, x, y, cfg, segment_witnesses)
     return _verdict(eps, g, cfg, scalar=True)
 
 
@@ -354,18 +365,18 @@ def _rows(side: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return side[:1] if side.strides[0] == 0 else side[rows]
 
 
-def _eps_levels(n_eps: int, strides: Sequence[int]) -> list[np.ndarray]:
+def _eps_levels(n_eps: int) -> list[np.ndarray]:
     """The uniform grid split into disjoint index levels, coarsest first.
 
-    Level i holds the points on every strides[i]-th index not in an earlier
-    level; a stride that does not divide n_eps - 1 is skipped, and the last
-    level holds everything left.
+    Level i holds the points on every _LADDER_STRIDES[i]-th index not in an
+    earlier level; a stride that does not divide n_eps - 1 is skipped, and
+    the last level holds everything left.
     """
     eps = np.linspace(0.0, 1.0, n_eps)
     idx = np.arange(n_eps)
     taken = np.zeros(n_eps, bool)
     levels = []
-    for stride in strides:
+    for stride in _LADDER_STRIDES:
         if (n_eps - 1) % stride == 0:
             level = (idx % stride == 0) & ~taken
             levels.append(eps[level])
@@ -386,7 +397,6 @@ def _blocks(rows: np.ndarray, n_points: int, dim: int) -> Iterator[np.ndarray]:
 
 
 def batch_vector_extremes(c: VectorField, xs, ys, cfg: ToleranceConfig, *,
-                          drop_incomparable: bool = False,
                           segment_witnesses=None) -> tuple[np.ndarray, np.ndarray]:
     """Rowwise (max, min) of delta(eps) = (x_k - y_k) . c(eps x_k + (1-eps) y_k).
 
@@ -394,40 +404,42 @@ def batch_vector_extremes(c: VectorField, xs, ys, cfg: ToleranceConfig, *,
     grow the max and shrink the min, so any row with max > tau is already
     certified as not weakly dominating.
 
-    By default the screen is one pass over the full grid and every row gets
-    its exact extremes.  With drop_incomparable, the grid is walked in
-    disjoint coarse-to-fine index levels (see the module docstring) and a
-    row stops being evaluated once it has max > tau and min < -tau.  Such a
-    row returns its partial extremes, which already satisfy both of those
-    predicates, so the four band predicates of every row are exactly those
-    of the full grid; rows that are never dropped get their exact full-grid
-    extremes.  Every (row, eps) point is evaluated at most once either way.
+    The grid is walked in disjoint coarse-to-fine index levels (see the
+    module docstring), and a row stops being evaluated once it has
+    max > tau and min < -tau.  Such a row returns its partial extremes,
+    which already satisfy both of those predicates, so the four band
+    predicates of every row are exactly those of the full grid; rows that
+    are never dropped get their exact full-grid extremes.  Every (row, eps)
+    point is evaluated at most once.
 
-    segment_witnesses(x_k, y_k), when given, names extra eps values of a
-    row (analytic sub-grid witnesses), one _profiles call per row; they are
-    folded into the extremes of every row that is not dropped.  Such a row
-    has the extremes of compare_vector(..., extra_eps=...) whenever that
-    comparison does not refine, and its relation always.
+    segment_witnesses, when given, is called once, on the rows that are
+    not dropped, and the eps it names are evaluated in blocks and folded
+    into those rows' extremes.  Such a row has the extremes of
+    compare_vector(..., segment_witnesses) whenever that comparison does
+    not refine, and its relation always.
     """
     xs, ys = _broadcast_rows(xs, ys)
     k, dim = xs.shape
     tau = cfg.tau
-    levels = _eps_levels(cfg.n_eps, _LADDER_STRIDES if drop_incomparable else ())
     out_max, out_min = np.full(k, -np.inf), np.full(k, np.inf)
+
+    def fold(rows, delta):
+        out_max[rows] = np.maximum(out_max[rows], delta.max(axis=1))
+        out_min[rows] = np.minimum(out_min[rows], delta.min(axis=1))
+
     live = np.arange(k)
-    for level, eps in enumerate(levels):
+    for level, eps in enumerate(_eps_levels(cfg.n_eps)):
         if level:
             live = live[~((out_max[live] > tau) & (out_min[live] < -tau))]
         for rows in _blocks(live, eps.size, dim):
-            delta = _profiles(c, _rows(xs, rows), _rows(ys, rows), eps)
-            out_max[rows] = np.maximum(out_max[rows], delta.max(axis=1))
-            out_min[rows] = np.minimum(out_min[rows], delta.min(axis=1))
-    for row in live if segment_witnesses is not None else ():
-        extra = _extra_eps(segment_witnesses(xs[row], ys[row]))
-        if extra.size:
-            delta = _profiles(c, xs[row:row + 1], ys[row:row + 1], extra)
-            out_max[row] = max(out_max[row], delta.max())
-            out_min[row] = min(out_min[row], delta.min())
+            fold(rows, _profiles(c, _rows(xs, rows), _rows(ys, rows), eps))
+    if segment_witnesses is not None and live.size:
+        found, eps = _witnesses(segment_witnesses, xs[live], ys[live])
+        if eps.size:
+            witnessed = live[found]
+            for block in _blocks(np.arange(witnessed.size), eps.shape[1], dim):
+                rows = witnessed[block]
+                fold(rows, _profiles(c, _rows(xs, rows), _rows(ys, rows), eps[block]))
     return out_max, out_min
 
 
@@ -437,27 +449,21 @@ def _step_stats(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return d.max(axis=1), d.min(axis=1), g[:, -1] - g[:, 0]
 
 
-def batch_scalar_steps(f: ScalarField, xs, ys, cfg: ToleranceConfig, *,
-                       drop_incomparable: bool = False
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def batch_scalar_steps(f: ScalarField, xs, ys,
+                       cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rowwise (max step, min step, total change) of g(eps) = f(eps x + (1-eps) y).
 
-    By default the screen is one pass over the full uniform grid and every
-    row gets its exact statistics.  With drop_incomparable, when s =
-    _LADDER_STRIDES[0] (a power of two) divides n_eps - 1 and the coarse
-    grid eps[::s] has at least two steps (one step cannot cross both band
-    edges), every row is first evaluated on that coarse grid, the same bits
-    as those points of the full grid.  A row with a coarse step above T and
-    one below -T is Incomparable on the full grid (see below).  It is not
-    evaluated further and returns its coarse step extremes, which satisfy
-    max step > tau and min step < -tau, and its exact total change (the
-    coarse grid holds both ends).  Every other row evaluates only the points
-    off the coarse grid, with the coarse values scattered into place, and
-    gets its exact full-grid statistics.  When no row is certified (every
-    segment of a monotone field, say), the screen skips that scatter and
-    takes the plain full pass, re-evaluating the coarse points; otherwise
-    every (row, eps) point is evaluated at most once.  Such a screen still
-    pays for the coarse pass, the one cost the pre-screen adds.
+    When s = _LADDER_STRIDES[0] (a power of two) divides n_eps - 1 and the
+    coarse grid eps[::s] has at least two steps (one step cannot cross both
+    band edges), every row is first evaluated on that coarse grid, the same
+    bits as those points of the full grid.  A row with a coarse step above
+    T and one below -T is Incomparable on the full grid (see below).  It is
+    not evaluated further and returns its coarse step extremes, which
+    satisfy max step > tau and min step < -tau, and its exact total change
+    (the coarse grid holds both ends).  Every other row, and every row when
+    there is no coarse grid, takes one plain pass over the full grid and
+    gets its exact full-grid statistics; a surviving row so evaluates its
+    coarse points twice, the one cost the pre-screen adds.
 
     The certificate.  Let E = g[i+s] - g[i] exactly, the sum of the s exact
     fine steps D_j = g[j+1] - g[j] it spans.  The computed coarse step is
@@ -477,27 +483,15 @@ def batch_scalar_steps(f: ScalarField, xs, ys, cfg: ToleranceConfig, *,
     n, s = cfg.n_eps, _LADDER_STRIDES[0]
     eps = np.linspace(0.0, 1.0, n)
     smax, smin, total = np.empty(k), np.empty(k), np.empty(k)
-    live, coarse = np.arange(k), None
-    if drop_incomparable and (n - 1) % s == 0 and n - 1 >= 2 * s:
-        coarse = np.empty((k, (n - 1) // s + 1))
-        for rows in _blocks(live, coarse.shape[1], dim):
-            coarse[rows] = g = _profiles(f, _rows(xs, rows), _rows(ys, rows), eps[::s])
+    live = np.arange(k)
+    if (n - 1) % s == 0 and n - 1 >= 2 * s:
+        for rows in _blocks(live, (n - 1) // s + 1, dim):
+            g = _profiles(f, _rows(xs, rows), _rows(ys, rows), eps[::s])
             smax[rows], smin[rows], total[rows] = _step_stats(g)
         bound = s * cfg.tau * (1.0 + 2.0 ** -50)
         live = np.flatnonzero((smax <= bound) | (smin >= -bound))
-        if live.size == k:  # nothing certified: a plain pass costs less than the scatter
-            coarse = None
-        off = eps[np.arange(n) % s != 0]  # the points off the coarse grid, in order
     for rows in _blocks(live, n, dim):
-        xb, yb = _rows(xs, rows), _rows(ys, rows)
-        if coarse is None:
-            g = _profiles(f, xb, yb, eps)
-        else:
-            g = np.empty((rows.size, n))
-            g[:, ::s] = coarse[rows]
-            # s - 1 off-grid points follow each coarse point but the last
-            g[:, :-1].reshape(rows.size, -1, s)[:, :, 1:] = _profiles(
-                f, xb, yb, off).reshape(rows.size, -1, s - 1)
+        g = _profiles(f, _rows(xs, rows), _rows(ys, rows), eps)
         smax[rows], smin[rows], total[rows] = _step_stats(g)
     return smax, smin, total
 
@@ -505,15 +499,15 @@ def batch_scalar_steps(f: ScalarField, xs, ys, cfg: ToleranceConfig, *,
 def batch_relations(field, xs, ys, cfg: ToleranceConfig, segment_witnesses=None) -> np.ndarray:
     """Rowwise relation of x_k to y_k, read off the uniform-grid screen.
 
-    Uses the rule of compare_vector/compare_scalar on the screen statistics:
-    vector rows come from batch_vector_extremes with drop_incomparable (the
-    rule reads only the band predicates) and segment_witnesses folded in,
-    scalar rows from batch_scalar_steps with drop_incomparable.  A row that
-    is not Incomparable is never refined, so its relation is that of
-    compare_* with the same extra eps; a vector row that is Incomparable
-    stays so under refinement, a scalar one may not.  The step screen cannot
-    fold witness eps (a witness splits a step), so scalar fields with
-    segment_witnesses raise ValueError.
+    Uses the rule of compare_vector/compare_scalar on the screen statistics
+    (it reads only their band predicates): vector rows come from
+    batch_vector_extremes with segment_witnesses folded in, scalar rows
+    from batch_scalar_steps.  A row that is not Incomparable is never
+    refined, so its relation is that of compare_* with the same witness
+    provider; a vector row that is Incomparable stays so under refinement,
+    a scalar one may not.  The step screen cannot fold witness eps (a
+    witness splits a step), so scalar fields with segment_witnesses raise
+    ValueError.
 
     A vector field with affine parts first has every row decided from its
     two endpoint values (see _affine_endpoints); only the rows that
@@ -523,18 +517,17 @@ def batch_relations(field, xs, ys, cfg: ToleranceConfig, segment_witnesses=None)
     if isinstance(field, ScalarField):
         if segment_witnesses is not None:
             raise ValueError("the scalar step screen cannot fold segment witnesses")
-        smax, smin, total = batch_scalar_steps(field, xs, ys, cfg, drop_incomparable=True)
+        smax, smin, total = batch_scalar_steps(field, xs, ys, cfg)
         return _relations(smax, smin, total, total, cfg.tau)
     if field.affine is None:
-        mx, mn = batch_vector_extremes(field, xs, ys, cfg, drop_incomparable=True,
-                                       segment_witnesses=segment_witnesses)
+        mx, mn = batch_vector_extremes(field, xs, ys, cfg, segment_witnesses=segment_witnesses)
     else:
         xs, ys = _broadcast_rows(xs, ys)
         mx, mn, settled = _affine_endpoints(field, xs, ys, cfg.tau)
         rest = np.flatnonzero(~settled)
         if rest.size:
             mx[rest], mn[rest] = batch_vector_extremes(
-                field, _rows(xs, rest), _rows(ys, rest), cfg, drop_incomparable=True,
+                field, _rows(xs, rest), _rows(ys, rest), cfg,
                 segment_witnesses=segment_witnesses)
     return _relations(mx, mn, mn, mx, cfg.tau)
 

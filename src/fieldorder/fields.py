@@ -528,8 +528,9 @@ def vector_field(name: str) -> VectorField:
     raise ValueError(f"unknown field {name!r}; known: {registry_names()}")
 
 
-def quadratic_form(Q, b, label: str = "quadratic_form") -> tuple[ScalarField, VectorField]:
-    """f(x) = x'Qx/2 + b'x on [-1, 1]^n and its exact gradient field (Q+Q')x/2 + b."""
+def quadratic_form(Q, b) -> tuple[ScalarField, VectorField]:
+    """f(x) = x'Qx/2 + b'x on [-1, 1]^n and its exact gradient field (Q+Q')x/2 + b,
+    labelled "custom_quadratic" and "grad:custom_quadratic"."""
     Q, b = np.array(Q, float), np.array(b, float)  # private copies for f's batch
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise DimensionMismatchError("Q must be square")
@@ -540,7 +541,7 @@ def quadratic_form(Q, b, label: str = "quadratic_form") -> tuple[ScalarField, Ve
     with np.errstate(over="ignore", invalid="ignore"):
         S = 0.5 * (Q + Q.T)
     dom = Box(tuple([-1.0] * len(b)), tuple([1.0] * len(b)))
-    grad = affine_field(S, b, dom, f"grad:{label}")
+    grad = affine_field(S, b, dom, "grad:custom_quadratic")
 
     # row-wise einsums, as in affine_field: value(p) is bitwise a row of values
     def fbatch(P: np.ndarray) -> np.ndarray:
@@ -548,7 +549,7 @@ def quadratic_form(Q, b, label: str = "quadratic_form") -> tuple[ScalarField, Ve
         return (0.5 * np.einsum("ni,ni->n", P, np.einsum("ij,nj->ni", Q, P))
                 + np.einsum("ni,i->n", P, b))
 
-    return ScalarField(batch=fbatch, domain=dom, label=label), grad
+    return ScalarField(batch=fbatch, domain=dom, label="custom_quadratic"), grad
 
 
 def field_from_json(source) -> tuple[ScalarField, VectorField]:
@@ -558,4 +559,4 @@ def field_from_json(source) -> tuple[ScalarField, VectorField]:
             source = json.load(fh)
     if not isinstance(source, dict) or "Q" not in source or "b" not in source:
         raise ValueError('custom field descriptor must be {"Q": [[...]], "b": [...]}')
-    return quadratic_form(source["Q"], source["b"], label="custom_quadratic")
+    return quadratic_form(source["Q"], source["b"])

@@ -8,16 +8,17 @@ import math
 import time
 
 import numpy as np
+import pytest
 
-from fieldorder.casestudy import (check_setwise_dominance, classify_catalog,
-                                  mexican_hat_counterexample, minimal_candidate_points,
-                                  origin_atypicality, zero_point)
+from fieldorder.casestudy import (build_catalog, case_challengers, check_setwise_dominance,
+                                  classify_catalog, mexican_hat_counterexample,
+                                  minimal_candidate_points, origin_atypicality, zero_point)
 from fieldorder.classify import (default_challengers, is_critical_element, is_ess,
                                  is_local_min_polyorder, is_nss, is_strict_local_min_scalar,
                                  minimal_and_maximal, sample_neighborhood)
 from fieldorder.dominance import (EQUIVALENT, STRICTLY_DOMINATES, ToleranceConfig,
-                                  batch_scalar_steps, batch_vector_extremes, compare_scalar,
-                                  compare_vector)
+                                  _profiles, batch_scalar_steps, batch_vector_extremes,
+                                  compare_scalar, compare_vector)
 from fieldorder.dynamics import IntegratorConfig, check_setwise_stability
 from fieldorder.fields import (Box, Grid, SampleSet, SeededRandom, gradient_field,
                                negate, quadratic_form, sample_domain, scalar_field,
@@ -38,10 +39,17 @@ def _criterion(num: int, name: str, ok: bool, detail: str = ""):
     assert ok, line
 
 
-def test_criterion_1_catalog_classification():
+@pytest.fixture(scope="module")
+def catalog_run():
+    """The 25-entry catalog sweep with its 4096-point grid, and its wall time."""
     t0 = time.perf_counter()
-    rep = classify_catalog(n_max=25, cfg=CFG, grid_n=4096, seed=42)
-    elapsed = time.perf_counter() - t0
+    catalog = build_catalog(25)
+    rep = classify_catalog(catalog, case_challengers(catalog, 4096), CFG)
+    return rep, time.perf_counter() - t0
+
+
+def test_criterion_1_catalog_classification(catalog_run):
+    rep, elapsed = catalog_run
     disagreements = [v.entry.n for v in rep.verdicts if not v.agrees]
     ok = (len(rep.verdicts) == 50 and not disagreements
           and rep.origin_minimal and rep.origin_maximal and elapsed < 30.0)
@@ -49,8 +57,8 @@ def test_criterion_1_catalog_classification():
                f"50 points, disagreements={disagreements}, {elapsed:.1f}s")
 
 
-def test_criterion_2_origin_atypicality():
-    rep = origin_atypicality(cfg=CFG, grid_n=4096, seed=42)
+def test_criterion_2_origin_atypicality(catalog_run):
+    rep = origin_atypicality(catalog_run[0], CFG, 42)
     radii = [r["radius"] for r in rep.per_radius]
     ok = radii == [0.1, 0.01, 0.001] and rep.minimal and rep.maximal and all(
         not row["nss"] and not row["ess"] and not row["local_min_polyorder"]
@@ -101,8 +109,7 @@ def _vector_pool(rng):
             hawk_dove().cost, matching_pennies().cost]
     for dim in (1, 2, 3):
         Q = rng.normal(size=(dim, dim))
-        pool.append(quadratic_form(Q + Q.T, rng.normal(size=dim),
-                                   label=f"rq{dim}")[1])
+        pool.append(quadratic_form(Q + Q.T, rng.normal(size=dim))[1])
     return pool
 
 
@@ -111,8 +118,7 @@ def _scalar_pool(rng):
             scalar_field("mexican_hat")]
     for dim in (1, 2):
         Q = rng.normal(size=(dim, dim))
-        pool.append(quadratic_form(Q + Q.T, rng.normal(size=dim),
-                                   label=f"rqs{dim}")[0])
+        pool.append(quadratic_form(Q + Q.T, rng.normal(size=dim))[0])
     return pool
 
 
@@ -294,11 +300,15 @@ def test_criterion_7_gradient_consistency():
     for i in range(200):
         dim = 1 + i % 3
         Q = rng.normal(size=(dim, dim))
-        f, _ = quadratic_form(Q + Q.T, rng.normal(size=dim), label=f"q{i}")
+        f, _ = quadratic_form(Q + Q.T, rng.normal(size=dim))
         c = gradient_field(f, h=1e-5)
         X = rng.uniform(-1, 1, size=(50, dim))
         Y = rng.uniform(-1, 1, size=(50, dim))
-        smax, _, _ = batch_scalar_steps(f, X, Y, FAST)
+        # the largest step of the full grid; the screen's band predicate is
+        # its own, though a row it drops keeps only its coarse steps
+        smax = np.diff(_profiles(f, X, Y, eps), axis=1).max(axis=1)
+        np.testing.assert_array_equal(batch_scalar_steps(f, X, Y, FAST)[0] <= FAST.tau,
+                                      smax <= FAST.tau)
         pts = eps[None, :, None] * X[:, None, :] + (1 - eps)[None, :, None] * Y[:, None, :]
         delta = np.einsum("kd,ked->ke", X - Y,
                           c.values(pts.reshape(-1, dim)).reshape(50, eps.size, dim))

@@ -84,9 +84,9 @@ def affine_case(kind, seed, negated, rows, one_y, flat=False):
 
 
 def screen_relations(c, xs, ys, cfg):
-    """Relations of the drop-mode screen of c with its affine parts removed."""
+    """Relations of the uniform-grid screen of c with its affine parts removed."""
     plain = dataclasses.replace(c, affine=None)
-    mx, mn = batch_vector_extremes(plain, xs, ys, cfg, drop_incomparable=True)
+    mx, mn = batch_vector_extremes(plain, xs, ys, cfg)
     return _relations(mx, mn, mn, mx, cfg.tau)
 
 

@@ -1,6 +1,6 @@
 """The package keeps no code and no setting that only tests or outside code use.
 
-Three checks read the source with ast.
+Four checks read the source with ast.
 
 No library keyword keeps a default that no caller in the package sets.  A
 parameter with a default that no call inside src/fieldorder ever passes
@@ -11,6 +11,11 @@ its __init__, and the first parameter of a method is its instance.  A call
 sets a parameter when it names it as a keyword or passes a positional
 argument in its place, and a call with *args or **kwargs sets all of them.
 Only functions the package calls are listed.
+
+Nor does one keep a default that every package call sets to the same
+literal: the package then always runs with that one value, and the
+parameter is a constant too.  A call with *args or **kwargs sets no
+literal.
 
 Every top-level def, class, method and module-level constant is reached
 from the CLI entry point or from one of a few named library roots.  Code
@@ -79,11 +84,11 @@ def _callee(call):
     return None
 
 
-def unset_defaults(trees):
-    """Every "module.function(param)" whose default no package call overrides,
-    over the functions the package calls."""
+def _package_calls(trees):
+    """(label, defaulted params, {param: argument node}) of every package
+    call of a package def; a call with *args or **kwargs sets every param,
+    to None."""
     defs = _definitions(trees)
-    called, set_by_calls = set(), set()
     for tree in trees.values():
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call) or _callee(call) not in defs:
@@ -91,11 +96,40 @@ def unset_defaults(trees):
             spread = (any(isinstance(a, ast.Starred) for a in call.args)
                       or any(k.arg is None for k in call.keywords))
             for label, positional, defaulted in defs[_callee(call)]:
-                called.add(label)
-                passed = set(positional[:len(call.args)]) | {k.arg for k in call.keywords}
-                set_by_calls.update((label, p) for p in defaulted if spread or p in passed)
-    return sorted({f"{label}({p})" for entries in defs.values() for label, _, defaulted in entries
-                   for p in defaulted if label in called and (label, p) not in set_by_calls})
+                passed = ({p: None for p in defaulted} if spread else
+                          {**dict(zip(positional, call.args)),
+                           **{k.arg: k.value for k in call.keywords}})
+                yield label, defaulted, passed
+
+
+def unset_defaults(trees):
+    """Every "module.function(param)" whose default no package call overrides,
+    over the functions the package calls."""
+    defaulted_of, set_by_calls = {}, set()
+    for label, defaulted, passed in _package_calls(trees):
+        defaulted_of[label] = defaulted
+        set_by_calls.update((label, p) for p in defaulted if p in passed)
+    return sorted(f"{label}({p})" for label, defaulted in defaulted_of.items()
+                  for p in defaulted if (label, p) not in set_by_calls)
+
+
+def _literal(node):
+    """repr of the literal an argument node spells, or None when it is not one."""
+    try:
+        return repr(ast.literal_eval(node)) if node is not None else None
+    except ValueError:
+        return None
+
+
+def same_literal_defaults(trees):
+    """Every "module.function(param)" with a default that every package call
+    sets, each to the same literal."""
+    values = {}
+    for label, defaulted, passed in _package_calls(trees):
+        for p in defaulted:
+            values.setdefault((label, p), set()).add(_literal(passed.get(p)))
+    return sorted(f"{label}({p})" for (label, p), seen in values.items()
+                  if len(seen) == 1 and None not in seen)
 
 
 def test_the_only_unset_default_is_the_entry_point():
@@ -112,6 +146,23 @@ def test_the_check_sees_positional_keyword_and_unset_defaults():
         "def g(u=0):\n    pass\n"
         "f(0, 1, c=2)\nK(5)\nK().m(1)\n")
     assert unset_defaults({"mod": tree}) == ["mod.K.__init__(y)", "mod.f(d)"]
+
+
+def test_no_default_is_one_literal_in_every_package_call():
+    assert same_literal_defaults(_parse_package()) == []
+
+
+def test_the_check_sees_defaults_every_call_sets_to_one_literal():
+    tree = ast.parse(
+        "def f(a, flag=False, *, label='x', n=1, m=0, k=0):\n    pass\n"
+        "def g(*args):\n    return f(*args)\n"
+        "f(0, True, label='y', n=-2, m=0, k=0)\nf(1, True, label='y', n=-2, m=1)\n"
+        "f(2, flag=True, label='y', n=-2, m=0, k=0)\ng(3)\n")
+    assert same_literal_defaults({"mod": tree}) == []
+    # without the spread call in g, f's flag, label and n are one literal
+    # in every call; m takes two, and one call leaves k unset
+    tree.body = tree.body[:1] + tree.body[2:-1]
+    assert same_literal_defaults({"mod": tree}) == ["mod.f(flag)", "mod.f(label)", "mod.f(n)"]
 
 
 # definitions no CLI path reaches that the package keeps, each for its reason

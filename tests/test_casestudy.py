@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fieldorder import casestudy
-from fieldorder.casestudy import (MAXIMAL, MINIMAL, build_catalog, case_fields,
+from fieldorder.casestudy import (_ORIGIN_ATOL, MAXIMAL, MINIMAL, CatalogAgreementReport,
+                                  build_catalog, case_challengers, case_fields,
                                   check_setwise_dominance, classify_catalog,
                                   dominating_minimal_element, mexican_hat_counterexample,
                                   minimal_candidate_points, nearest_critical_distance,
@@ -75,21 +76,78 @@ class TestOriginWitness:
             origin_witness(0.0, 1)
 
 
+def per_row_origin_witnesses(a, b):
+    """The witness eps of the one pair (a, b), as the per-row provider that
+    the batch provider replaced computed them."""
+    a = np.atleast_1d(np.asarray(a, float))
+    b = np.atleast_1d(np.asarray(b, float))
+    if a.size != 1 or b.size != 1:
+        return ()
+    a0, b0 = float(a[0]), float(b[0])
+    if abs(a0) <= _ORIGIN_ATOL and abs(b0) > _ORIGIN_ATOL:
+        return tuple(1.0 - origin_witness(b0, s) / b0 for s in (1, -1))
+    if abs(b0) <= _ORIGIN_ATOL and abs(a0) > _ORIGIN_ATOL:
+        return tuple(origin_witness(a0, s) / a0 for s in (1, -1))
+    return ()
+
+
+def bits(values):
+    return np.asarray(values, float).view(np.int64).tolist()
+
+
+def assert_batch_is_per_row(xs, ys):
+    """The batch provider names the rows, and the eps bit for bit, that the
+    per-row one gives each pair."""
+    rows, eps = origin_segment_witnesses(xs, ys)
+    want = {k: per_row_origin_witnesses(x, y) for k, (x, y) in enumerate(zip(xs, ys))}
+    want = {k: e for k, e in want.items() if e}
+    assert rows.tolist() == sorted(want)
+    assert eps.shape == (len(want), 2)
+    assert bits(eps) == bits([want[k] for k in sorted(want)])
+    return len(want)
+
+
 class TestSegmentWitnesses:
     def test_eps_in_unit_interval_and_signs_differ(self):
         f, c = case_fields()
         for other in (0.5, -0.8, 2.0):
-            eps = origin_segment_witnesses([0.0], [other])
-            assert len(eps) == 2
+            rows, eps = origin_segment_witnesses([[0.0]], [[other]])
+            assert rows.tolist() == [0] and eps.shape == (1, 2)
             deltas = []
-            for e in eps:
+            for e in eps[0]:
                 assert 0 < e < 1
                 point = (1 - e) * other
                 deltas.append((0.0 - other) * f.value(np.array([point])))
             assert max(deltas) > 0 > min(deltas)
 
     def test_non_origin_pairs_get_nothing(self):
-        assert origin_segment_witnesses([0.5], [1.0]) == ()
+        rows, eps = origin_segment_witnesses([[0.5]], [[1.0]])
+        assert rows.size == 0 and eps.shape == (0, 2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_is_the_per_row_provider_on_random_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        xs, ys = rng.uniform(-1.0, 2.0, (2, 400, 1))
+        # signed zeros at either end, and at both
+        for side in (xs, ys):
+            side[rng.random(400) < 0.2] = 0.0
+            side[rng.random(400) < 0.2] = -0.0
+        assert assert_batch_is_per_row(xs, ys) > 50
+        assert assert_batch_is_per_row(ys, xs) > 50
+
+    def test_batch_is_the_per_row_provider_at_the_tolerance(self):
+        # |x| = _ORIGIN_ATOL counts as the origin, the next float above does not
+        above = np.nextafter(_ORIGIN_ATOL, np.inf)
+        ends = [0.0, -0.0, _ORIGIN_ATOL, -_ORIGIN_ATOL, above, -above, 0.5, -0.8, 2.0]
+        pairs = np.array([(a, b) for a in ends for b in ends])
+        xs, ys = pairs[:, :1], pairs[:, 1:]
+        assert assert_batch_is_per_row(xs, ys) == assert_batch_is_per_row(ys, xs) == 40
+
+    def test_no_rows_off_dim_one(self):
+        zeros = np.zeros((5, 2))
+        rows, eps = origin_segment_witnesses(zeros, np.ones((5, 2)))
+        assert rows.size == 0 and eps.shape == (0, 2)
+        assert per_row_origin_witnesses(zeros[0], np.ones(2)) == ()
 
 
 class TestBracketSelector:
@@ -124,13 +182,15 @@ class TestBracketSelector:
 
 class TestAgreement:
     def test_small_catalog_agrees(self):
-        rep = classify_catalog(3, CFG, grid_n=1024, seed=1)
+        catalog = build_catalog(3)
+        rep = classify_catalog(catalog, case_challengers(catalog, 1024), CFG)
         assert rep.all_agree
         assert len(rep.verdicts) == 6
         assert rep.origin_minimal and rep.origin_maximal
 
     def test_report_serializes(self):
-        rep = classify_catalog(1, CFG, grid_n=512, seed=1)
+        catalog = build_catalog(1)
+        rep = classify_catalog(catalog, case_challengers(catalog, 512), CFG)
         d = rep.to_dict()
         assert d["all_agree"] is True
         assert len(d["verdicts"]) == 2
@@ -138,7 +198,9 @@ class TestAgreement:
 
 class TestOriginAtypicality:
     def test_origin_is_extreme_but_not_local(self):
-        rep = origin_atypicality(cfg=CFG, grid_n=1024, seed=2)
+        catalog = build_catalog(25)
+        agreement = classify_catalog(catalog, case_challengers(catalog, 1024), CFG)
+        rep = origin_atypicality(agreement, CFG, 2)
         assert rep.minimal and rep.maximal
         assert [row["radius"] for row in rep.per_radius] == [0.1, 0.01, 0.001]
         for row in rep.per_radius:
@@ -151,8 +213,17 @@ class TestOriginAtypicality:
             raise AssertionError("the radii are checked before any evaluation")
 
         monkeypatch.setattr(casestudy, "case_fields", sweep)
+        agreement = CatalogAgreementReport((), True, True, "given")
         with pytest.raises(ValueError, match=f"origin radius {radius} "):
-            origin_atypicality(cfg=ToleranceConfig(tau=tau))
+            origin_atypicality(agreement, ToleranceConfig(tau=tau), 2)
+
+    def test_the_origin_outcome_is_the_catalog_screens(self, monkeypatch):
+        def screen(*args, **kwargs):
+            raise AssertionError("the origin was screened again")
+
+        monkeypatch.setattr(casestudy, "minimal_and_maximal", screen)
+        rep = origin_atypicality(CatalogAgreementReport((), True, False, "given"), CFG, 2)
+        assert (rep.minimal, rep.maximal, rep.confirmed) == (True, False, False)
 
 
 class TestDominanceCoverage:

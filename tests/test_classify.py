@@ -272,7 +272,7 @@ class TestClassifyPoint:
 
     def test_scalar_field_takes_no_witnesses(self):
         rep = classify_point(scalar_field("quadratic"), [0.0], radius=0.1, seed=7,
-                             segment_witnesses=lambda x, y: (0.3,))
+                             segment_witnesses=lambda xs, ys: ([0], [[0.3]]))
         assert rep.kind == "scalar" and not rep.analytic_witnesses
 
 
@@ -321,8 +321,7 @@ def test_one_screen_is_the_one_check_path(label, field, p, witnesses):
     else:
         x, p = np.array(minimal.witness), np.asarray(p, float)
         compare = compare_scalar if isinstance(field, ScalarField) else compare_vector
-        extra = witnesses(x, p) if witnesses else ()
-        eps = compare(field, x, p, CFG, extra_eps=extra).witness_eps_strict
+        eps = compare(field, x, p, CFG, witnesses).witness_eps_strict
         assert rep.dominating_witness == (minimal.witness, eps)
 
 

@@ -153,6 +153,14 @@ class TestClassify:
         assert out == ""
         assert "--challengers must be at least 1" in err
 
+    def test_challenger_count_sets_the_oscillator_grid(self, capsys):
+        # as for every other 1-D box, --challengers sets the grid; the
+        # catalog points and origin witnesses join it
+        got = run_json(capsys, "--neps", "65", "classify", "--vector", "xsininv",
+                       "--point", "0.1", "--challengers", "10")
+        assert got["challengers_used"].startswith("grid(n_per_axis=10)+analytic(55)+ball(")
+        assert got["analytic_witnesses"] is True
+
     def test_scalar_square(self, capsys):
         got = run_json(capsys, "classify", "--scalar", "quadratic", "--point", "0")
         assert got["is_strict_local_min"] is True
@@ -336,6 +344,36 @@ class TestCasestudy:
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert set(manifest["outputs"]) >= {"catalog.json", "origin.json",
                                             "dominance.json", "field_curve.csv"}
+
+    def test_one_catalog_and_one_origin_screen(self, capsys, monkeypatch):
+        # the study builds its catalog and challengers once, screens the
+        # origin once (with the catalog), and asks the witness provider at
+        # most once per screen
+        calls = {}
+
+        def count(module, name):
+            real = getattr(module, name)
+            calls[name] = 0
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in [(cli, "build_catalog"), (casestudy, "build_catalog"),
+                             (cli, "case_challengers"), (casestudy, "case_challengers"),
+                             (casestudy, "origin_segment_witnesses"),
+                             (classify, "batch_relations"), (casestudy, "batch_relations")]:
+            count(module, name)
+        got = run_json(capsys, "--neps", "65", "casestudy", "--nmax", "2", "--grid-n", "256",
+                       "--dominance-grid", "100")
+        assert got["catalog_agreement"] is True and got["origin_confirmed"] is True
+        screens = calls.pop("batch_relations")
+        # 4 catalog points and the origin, 3 origin balls, 1 coverage sweep
+        assert screens == 9
+        assert calls.pop("origin_segment_witnesses") <= screens - 1
+        assert calls == {"build_catalog": 1, "case_challengers": 1}
 
     @pytest.mark.parametrize("grid", ["0", str(10**12)])
     def test_dominance_grid_out_of_range_exits_2(self, capsys, grid):

@@ -7,7 +7,7 @@ import pytest
 from fieldorder.dominance import (EQUIVALENT, INCOMPARABLE, REVERSE_STRICT,
                                   STRICTLY_DOMINATES, ToleranceConfig,
                                   batch_scalar_steps, compare_scalar, compare_vector,
-                                  _segment_points, profile)
+                                  _profiles, _segment_points, profile)
 from fieldorder.errors import DomainViolationError
 from fieldorder.fields import (_MAX_GRID_POINTS, quadratic_form, gradient_field,
                                scalar_field, vector_field)
@@ -223,7 +223,11 @@ class TestAlgebraicProperties:
             f, _ = _random_quadratic(rng, 2)
             c = gradient_field(f)
             X, Y = rng.uniform(-1, 1, (5, 2)), rng.uniform(-1, 1, (5, 2))
-            smax, _, _ = batch_scalar_steps(f, X, Y, FAST)
+            # the largest step of the full grid; the screen's band predicate
+            # is its own, though a row it drops keeps only its coarse steps
+            smax = np.diff(_profiles(f, X, Y, eps), axis=1).max(axis=1)
+            np.testing.assert_array_equal(batch_scalar_steps(f, X, Y, FAST)[0] <= FAST.tau,
+                                          smax <= FAST.tau)
             pts = eps[None, :, None] * X[:, None, :] + (1 - eps)[None, :, None] * Y[:, None, :]
             delta = np.einsum("kd,ked->ke", X - Y,
                               c.values(pts.reshape(-1, 2)).reshape(5, eps.size, 2))
@@ -266,6 +270,7 @@ class TestConfig:
         assert CFG.to_dict() == {"tau": 1e-9, "n_eps": 1025, "max_refine_depth": 20}
         assert [f.name for f in dataclasses.fields(ToleranceConfig)] == ["tau", "n_eps"]
 
-    def test_extra_eps_must_be_unit_interval(self):
-        with pytest.raises(ValueError):
-            compare_vector(vector_field("quadratic"), [0.1], [0.2], CFG, extra_eps=(1.5,))
+    def test_witness_eps_must_be_unit_interval(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            compare_vector(vector_field("quadratic"), [0.1], [0.2], CFG,
+                           lambda xs, ys: ([0], [[1.5]]))

@@ -40,8 +40,7 @@ def reference_minimal(c, p, challengers, cfg, segment_witnesses=None):
     mx, _ = batch_vector_extremes(c, X, p, cfg)
     dominators = []
     for k in np.flatnonzero(mx <= cfg.tau):
-        extra = tuple(segment_witnesses(X[k], p)) if segment_witnesses else ()
-        verdict = compare_vector(c, X[k], p, cfg, extra_eps=extra)
+        verdict = compare_vector(c, X[k], p, cfg, segment_witnesses)
         if verdict.relation == STRICTLY_DOMINATES:
             dominators.append(tuple(X[k]))
     return _first_dominator(dominators)
@@ -96,8 +95,7 @@ def assert_report_matches(field, p, challengers, seed, cfg, segment_witnesses=No
         if isinstance(field, ScalarField):
             verdict = compare_scalar(field, x, p, cfg)
         else:
-            extra = tuple(segment_witnesses(x, p)) if segment_witnesses else ()
-            verdict = compare_vector(field, x, p, cfg, extra_eps=extra)
+            verdict = compare_vector(field, x, p, cfg, segment_witnesses)
         want = (minimal.witness, verdict.witness_eps_strict)
     assert rep.dominating_witness == want
     return rep
@@ -153,9 +151,14 @@ def _spike_field(base, height, at=0.3):
     return VectorField(batch=batch, domain=Box((-1.0,), (1.0,)), label="spike")
 
 
-def _spike_witness(x, p, at=0.3):
-    eps = (at - p[0]) / (x[0] - p[0]) if x[0] != p[0] else -1.0
-    return (eps,) if 0.0 < eps < 1.0 else ()
+def _spike_witnesses(xs, ys, at=0.3):
+    """The rows whose segment from y to x crosses the spike, with the eps
+    at which it does."""
+    a, b = xs[:, 0], ys[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eps = np.where(a != b, (at - b) / (a - b), -1.0)
+    rows = np.flatnonzero((eps > 0.0) & (eps < 1.0))
+    return rows, eps[rows, None]
 
 
 @pytest.mark.parametrize("base, height", [(-1.0, 2.0), (0.0, -1.0), (1.0, -2.0)])
@@ -167,10 +170,10 @@ def test_injected_witnesses_decide_pairs_the_grid_misses(base, height):
     challengers = SampleSet(np.array([[-0.5], [0.2], [0.5], [0.75], [1.0]]))
     changed = 0
     for i, p in enumerate(([0.0], [0.1], [0.6])):
-        with_w = assert_vector_matches(c, p, challengers, CFG, _spike_witness)
+        with_w = assert_vector_matches(c, p, challengers, CFG, _spike_witnesses)
         without = assert_vector_matches(c, p, challengers, CFG)
         changed += [_pair(o) for o in with_w] != [_pair(o) for o in without]
-        assert_report_matches(c, p, challengers, i, CFG, _spike_witness)
+        assert_report_matches(c, p, challengers, i, CFG, _spike_witnesses)
     assert changed
 
 

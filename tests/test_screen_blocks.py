@@ -55,14 +55,11 @@ def _screens():
     """Every screen output under the current block size, by name."""
     out = {}
     for label, c, xs, ys, witnesses in _vector_cases():
-        out[label, "full"] = batch_vector_extremes(c, xs, ys, CFG)
-        out[label, "ladder"] = batch_vector_extremes(c, xs, ys, CFG, drop_incomparable=True,
-                                                     segment_witnesses=witnesses)
+        out[label, "extremes"] = batch_vector_extremes(c, xs, ys, CFG,
+                                                       segment_witnesses=witnesses)
         out[label, "relations"] = batch_relations(c, xs, ys, CFG, witnesses)
     for label, f, xs, ys in _scalar_cases():
-        for drop in (False, True):
-            out[label, f"scalar drop={drop}"] = batch_scalar_steps(f, xs, ys, CFG,
-                                                                   drop_incomparable=drop)
+        out[label, "scalar steps"] = batch_scalar_steps(f, xs, ys, CFG)
         out[label, "scalar relations"] = batch_relations(f, xs, ys, CFG)
     game = matching_pennies().cost
     rng = np.random.default_rng(8)
@@ -105,9 +102,8 @@ def test_screen_memory_is_blocks_plus_a_row_term(path, field):
     rows = 20_000
     xs = _uniform(10, rows, 2, -2, 2)
     peak = _peak_bytes(lambda: batch_relations(field, xs, [0.6, 0.8], CFG))
-    # a row keeps its statistics, its relation string (96 bytes) and, on the
-    # scalar path, its 17 coarse-grid values; every row's grid at once would
-    # be 20,000 x 1,025 x 2 x 8 bytes, 328 MB
+    # a row keeps its statistics and its relation string (96 bytes); every
+    # row's grid at once would be 20,000 x 1,025 x 2 x 8 bytes, 328 MB
     assert peak < 8 * dominance._BLOCK_BYTES + 200 * rows, peak
 
 

@@ -1,15 +1,15 @@
 """The coarse-to-fine screens against a plain single-pass screen.
 
 batch_vector_extremes walks the uniform eps grid in disjoint index levels
-and, when asked for band verdicts only, stops evaluating a row once it is
-Incomparable both ways.  The reference below is the single pass over the
-full grid that the ladder replaces.  Band predicates must agree on every
-row, rows that are not Incomparable must carry bit-identical extremes, and
-without band verdicts every row must.  batch_scalar_steps' coarse
-certificate is checked the same way against its own single pass.  The
-coverage sweep, which now confirms all window points through one screen,
-is checked against its old per-point loop, and the catalog sweep against a
-bound on its field work.
+and stops evaluating a row once it is Incomparable both ways.  The
+reference below is the single pass over the full grid that the ladder
+replaces.  Band predicates must agree on every row, and rows that are not
+Incomparable must carry bit-identical extremes.  batch_scalar_steps'
+coarse certificate is checked the same way against a single pass of the
+segment kernel over the full grid, with the exact count of the points it
+evaluates.  The coverage sweep, which now confirms all window points
+through one screen, is checked against its old per-point loop, and the
+catalog sweep against a bound on its field work.
 """
 
 import dataclasses
@@ -25,8 +25,9 @@ from fieldorder.casestudy import (build_catalog, case_challengers, case_fields,
                                   dominating_minimal_element, nearest_critical_distance,
                                   zero_point)
 from fieldorder.dominance import (_LADDER_STRIDES, STRICTLY_DOMINATES, ToleranceConfig,
-                                  _eps_levels, _relations, batch_scalar_steps,
-                                  batch_vector_extremes, compare_vector)
+                                  _broadcast_rows, _eps_levels, _profiles, _relations,
+                                  _step_stats, batch_scalar_steps, batch_vector_extremes,
+                                  compare_vector)
 from fieldorder.errors import DomainViolationError
 from fieldorder.fields import (Box, ScalarField, affine_field, quadratic_form, scalar_field,
                                vector_field)
@@ -61,10 +62,6 @@ def reference_vector_extremes(c, xs, ys, cfg):
 def assert_ladder_matches(c, xs, ys, cfg):
     want_max, want_min = reference_vector_extremes(c, xs, ys, cfg)
     got_max, got_min = batch_vector_extremes(c, xs, ys, cfg)
-    np.testing.assert_array_equal(got_max, want_max)
-    np.testing.assert_array_equal(got_min, want_min)
-
-    got_max, got_min = batch_vector_extremes(c, xs, ys, cfg, drop_incomparable=True)
     tau = cfg.tau
     for got, want in [(got_max > tau, want_max > tau), (got_max <= tau, want_max <= tau),
                       (got_min < -tau, want_min < -tau), (got_min >= -tau, want_min >= -tau)]:
@@ -83,7 +80,7 @@ def assert_ladder_matches(c, xs, ys, cfg):
     (129, [3, 6, 120]), (1000, [1000]), (5, [5]), (3, [3]),
 ])
 def test_levels_partition_the_grid(n_eps, sizes):
-    levels = _eps_levels(n_eps, _LADDER_STRIDES)
+    levels = _eps_levels(n_eps)
     assert [lv.size for lv in levels] == sizes
     merged = np.sort(np.concatenate(levels))
     np.testing.assert_array_equal(merged, np.linspace(0.0, 1.0, n_eps))
@@ -157,34 +154,45 @@ def _counted(f):
     return dataclasses.replace(f, batch=counting), evaluated
 
 
+def reference_scalar_steps(f, xs, ys, eps):
+    """Step statistics of one plain pass of the segment kernel over eps."""
+    xs, ys = _broadcast_rows(xs, ys)
+    return _step_stats(_profiles(f, np.ascontiguousarray(xs), np.ascontiguousarray(ys), eps))
+
+
 def assert_prescreen_matches(f, xs, ys, cfg):
     """Return how many rows the pre-screen certified without the full grid."""
-    full = batch_scalar_steps(f, xs, ys, cfg)
-    f, evaluated = _counted(f)
-    got = batch_scalar_steps(f, xs, ys, cfg, drop_incomparable=True)
-    tau = cfg.tau
+    n, s, tau = cfg.n_eps, _LADDER_STRIDES[0], cfg.tau
+    eps = np.linspace(0.0, 1.0, n)
+    full = reference_scalar_steps(f, xs, ys, eps)
+    counted, evaluated = _counted(f)
+    got = batch_scalar_steps(counted, xs, ys, cfg)
     assert (_relations(got[0], got[1], got[2], got[2], tau).tolist()
             == _relations(full[0], full[1], full[2], full[2], tau).tolist())
     np.testing.assert_array_equal(got[2], full[2])
-    # only a row that is Incomparable both ways may stop on the coarse grid;
-    # it still reads past both band edges
-    both = (full[0] > tau) & (full[1] < -tau)
-    np.testing.assert_array_equal(got[0][~both], full[0][~both])
-    np.testing.assert_array_equal(got[1][~both], full[1][~both])
-    assert np.all(got[0][both] > tau) and np.all(got[1][both] < -tau)
-    # a dropped row saw only the coarse grid, and when some row dropped every
-    # (row, eps) point was evaluated at most once; when none dropped, the
-    # coarse pass is followed by one plain full pass
-    rows, n, s = len(full[0]), cfg.n_eps, _LADDER_STRIDES[0]
+    rows = len(full[0])
     if (n - 1) % s or n - 1 < 2 * s:  # no pre-screen: one plain full pass
-        assert evaluated[0] == rows * n
-        return 0
-    coarse = (n - 1) // s + 1
-    if evaluated[0] == rows * coarse + rows * n:
-        return 0
-    dropped, rest = divmod(rows * n - evaluated[0], n - coarse)
-    assert rest == 0 and 0 < dropped <= rows
-    return dropped
+        dropped = np.zeros(rows, bool)
+        coarse_points = 0
+    else:
+        # a row drops when its coarse steps clear 64 tau, with the margin,
+        # on both sides; it keeps its coarse step extremes
+        coarse = reference_scalar_steps(f, xs, ys, eps[::s])
+        bound = s * tau * (1.0 + 2.0 ** -50)
+        dropped = (coarse[0] > bound) & (coarse[1] < -bound)
+        np.testing.assert_array_equal(got[0][dropped], coarse[0][dropped])
+        np.testing.assert_array_equal(got[1][dropped], coarse[1][dropped])
+        coarse_points = eps[::s].size
+    # only a row that is Incomparable both ways may drop, and it still reads
+    # past both band edges; every other row has its exact statistics
+    both = (full[0] > tau) & (full[1] < -tau)
+    assert np.all(both[dropped])
+    assert np.all(got[0][dropped] > tau) and np.all(got[1][dropped] < -tau)
+    np.testing.assert_array_equal(got[0][~dropped], full[0][~dropped])
+    np.testing.assert_array_equal(got[1][~dropped], full[1][~dropped])
+    # the coarse pass for every row, then one full pass for each survivor
+    assert evaluated[0] == rows * coarse_points + int((~dropped).sum()) * n
+    return int(dropped.sum())
 
 
 SCALAR_FIELDS = ["quadratic", "cubic", "xsininv", "mexican_hat", "linear"]
@@ -268,11 +276,8 @@ def test_prescreen_leaves_every_row_whole(n_eps):
     # band edges; 1000: 64 does not divide n_eps - 1, so there is no coarse grid
     rng = np.random.default_rng(n_eps)
     f, xs, ys = scalar_field("mexican_hat"), rng.uniform(-2.0, 2.0, size=(200, 2)), [[0.6, 0.8]]
-    cfg = ToleranceConfig(n_eps=n_eps)
-    assert assert_prescreen_matches(f, xs, ys, cfg) == 0
-    for want, got in zip(batch_scalar_steps(f, xs, ys, cfg),
-                         batch_scalar_steps(f, xs, ys, cfg, drop_incomparable=True)):
-        np.testing.assert_array_equal(got, want)
+    # no row drops, so every row has exactly the full-grid statistics
+    assert assert_prescreen_matches(f, xs, ys, ToleranceConfig(n_eps=n_eps)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +350,8 @@ def test_catalog_evaluates_a_small_share_of_the_grid(monkeypatch):
 
     counted = dataclasses.replace(c, batch=counting)
     monkeypatch.setattr(casestudy, "case_fields", lambda: (f, counted))
-    report = classify_catalog(25)
-    assert report.all_agree
     catalog = build_catalog(25)
-    rows = len(case_challengers(catalog)) * (len(catalog.entries) + 1)
+    challengers = case_challengers(catalog)
+    assert classify_catalog(catalog, challengers, CFG).all_agree
+    rows = len(challengers) * (len(catalog.entries) + 1)
     assert evaluated[0] <= 0.10 * rows * CFG.n_eps

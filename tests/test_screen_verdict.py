@@ -192,10 +192,10 @@ def signless_bits(values):
     return bits(np.asarray(values, float) + 0.0)
 
 
-def _screen(field, X, Y, cfg, **kw):
+def _screen(field, X, Y, cfg):
     if isinstance(field, ScalarField):
         return batch_scalar_steps(field, X, Y, cfg)
-    return batch_vector_extremes(field, X, Y, cfg, **kw)
+    return batch_vector_extremes(field, X, Y, cfg)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
@@ -205,7 +205,7 @@ def test_batch_relations_is_the_compare_relation(label, field, cfg):
     scalar = isinstance(field, ScalarField)
     compare = compare_scalar if scalar else compare_vector
     relations = batch_relations(field, X, Y, cfg)
-    screen = _screen(field, X, Y, cfg, drop_incomparable=True)
+    screen = _screen(field, X, Y, cfg)
     for k, (x, y) in enumerate(zip(X, Y)):
         stats = [float(s[k]) for s in screen]
         hi, lo, drop, rise = ((stats[0], stats[1], stats[2], stats[2]) if scalar
@@ -226,15 +226,13 @@ def test_negated_screen_is_the_mirror(label, field, cfg):
     X, Y = _pairs(field, seed=len(label) + 1)
     neg = negate(field)
     if isinstance(field, ScalarField):
-        for drop in (False, True):
-            smax, smin, total = batch_scalar_steps(field, X, Y, cfg, drop_incomparable=drop)
-            got = batch_scalar_steps(neg, X, Y, cfg, drop_incomparable=drop)
-            assert signless_bits(got) == signless_bits([-smin, -smax, -total])
+        smax, smin, total = batch_scalar_steps(field, X, Y, cfg)
+        got = batch_scalar_steps(neg, X, Y, cfg)
+        assert signless_bits(got) == signless_bits([-smin, -smax, -total])
     else:
-        for drop in (False, True):
-            mx, mn = batch_vector_extremes(field, X, Y, cfg, drop_incomparable=drop)
-            got = batch_vector_extremes(neg, X, Y, cfg, drop_incomparable=drop)
-            assert signless_bits(got) == signless_bits([-mn, -mx])
+        mx, mn = batch_vector_extremes(field, X, Y, cfg)
+        got = batch_vector_extremes(neg, X, Y, cfg)
+        assert signless_bits(got) == signless_bits([-mn, -mx])
     want = [MIRROR[r] for r in batch_relations(field, X, Y, cfg)]
     assert batch_relations(neg, X, Y, cfg).tolist() == want
 
@@ -308,8 +306,8 @@ def test_segment_witnesses_redecide_both_directions(sign, screen_relation):
     failed = [not o.ok for o in minimal_and_maximal(c, p, challengers)]
     assert failed == [screen_relation == STRICTLY_DOMINATES,
                       screen_relation == REVERSE_STRICT]
-    cleared = minimal_and_maximal(c, p, challengers,
-                                  segment_witnesses=lambda a, b: (0.30015,))
+    cleared = minimal_and_maximal(c, p, challengers, segment_witnesses=lambda xs, ys: (
+        np.arange(len(xs)), np.full((len(xs), 1), 0.30015)))
     assert [o.ok for o in cleared] == [True, True]
 
 
@@ -317,13 +315,14 @@ def test_segment_witnesses_redecide_both_directions(sign, screen_relation):
 # Witness eps folded into the screen
 # ---------------------------------------------------------------------------
 
-def _dip_witness(a, b):
-    """The eps at which the segment from b to a crosses the _dip sliver."""
-    a, b = float(a[0]), float(b[0])
-    if a == b:
-        return ()
-    eps = (0.30015 - b) / (a - b)
-    return (eps,) if 0.0 <= eps <= 1.0 else ()
+def _dip_witnesses(xs, ys):
+    """The rows whose segment from y to x crosses the _dip sliver, with the
+    eps at which it does."""
+    a, b = xs[:, 0], ys[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eps = (0.30015 - b) / (a - b)
+    rows = np.flatnonzero((a != b) & (eps >= 0.0) & (eps <= 1.0))
+    return rows, eps[rows, None]
 
 
 def _origin_pairs():
@@ -349,8 +348,8 @@ def _fold_cases():
     dip_x, dip_y = _uniform_pairs(rng, [0.0], [1.0], 120)
     dip_x[:4], dip_y[:4] = [[1.0], [0.0], [0.9], [0.1]], [[0.0], [1.0], [0.1], [0.9]]
     return [("xsininv", vector_field("xsininv"), X, Y, origin_segment_witnesses),
-            ("dip+", _dip(1.0), dip_x, dip_y, _dip_witness),
-            ("dip-", _dip(-1.0), dip_x, dip_y, _dip_witness)]
+            ("dip+", _dip(1.0), dip_x, dip_y, _dip_witnesses),
+            ("dip-", _dip(-1.0), dip_x, dip_y, _dip_witnesses)]
 
 
 @pytest.mark.parametrize("cfg", FOLD_CONFIGS, ids=FOLD_IDS)
@@ -360,7 +359,7 @@ def test_folded_relations_equal_compare_with_witness_eps(label, c, X, Y, witness
     folded = batch_relations(c, X, Y, cfg, witnesses)
     plain = batch_relations(c, X, Y, cfg)
     for k, (x, y) in enumerate(zip(X, Y)):
-        want = compare_vector(c, x, y, cfg, extra_eps=witnesses(x, y)).relation
+        want = compare_vector(c, x, y, cfg, witnesses).relation
         assert folded[k] == want, (k, x, y)
     # the witness eps decide rows the uniform grid alone gets wrong
     assert (folded != plain).any()
@@ -371,7 +370,7 @@ def test_folded_relations_equal_compare_with_witness_eps(label, c, X, Y, witness
 def test_folded_extremes_are_the_compare_extremes(label, c, X, Y, witnesses):
     mx, mn = batch_vector_extremes(c, X, Y, CFG, segment_witnesses=witnesses)
     for k, (x, y) in enumerate(zip(X, Y)):
-        v = compare_vector(c, x, y, CFG, extra_eps=witnesses(x, y))
+        v = compare_vector(c, x, y, CFG, witnesses)
         if v.relation != INCOMPARABLE:
             assert bits([mx[k], mn[k]]) == bits([v.max_delta, v.min_delta]), k
 
@@ -386,7 +385,8 @@ def test_local_min_folds_origin_witnesses(radius):
     grid = np.linspace(0.0, 1.0, CFG.n_eps)
     low = np.inf
     for x in ball.points:
-        eps = np.concatenate([grid, np.asarray(origin_segment_witnesses(x, origin), float)])
+        _, extra = origin_segment_witnesses(x[None], origin[None])
+        eps = np.concatenate([grid, extra.ravel()])
         delta = c.values(eps[:, None] * x + (1.0 - eps)[:, None] * origin) @ (x - origin)
         low = min(low, float(delta.min()))
     assert got.ok == (low >= -CFG.tau)

@@ -6,13 +6,15 @@ place, and the batch screens pass the shared side as one row instead of
 copying it per row.  The points are the same elementwise roundings, added
 in the other order, so every profile must equal, bit for bit, the one of
 the side repeated k times, as the kernel built it before: three full-size
-temporaries, eps*x + (1-eps)*y, at dims 1 to 8.
+temporaries, eps*x + (1-eps)*y, at dims 1 to 8.  A set of eps per row
+(the witness eps a screen evaluates for several rows at once) must give
+each row the profile of a one-row call over its own eps.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from fieldorder.dominance import (ToleranceConfig, _base_eps, _profiles, batch_scalar_steps,
+from fieldorder.dominance import (ToleranceConfig, _profiles, batch_scalar_steps,
                                   batch_vector_extremes)
 from fieldorder.fields import (Box, ScalarField, VectorField, quadratic_form, registry_names,
                                scalar_field, vector_field)
@@ -81,12 +83,32 @@ def test_shared_sides_equal_materialized_sides(seed, dim, kind, vector, k, n_eps
     dim = field.domain.dim
     X, Y = _points(rng, field, k, neg_zero), _points(rng, field, k, neg_zero)
     x, y = X[:1], Y[:1]
-    eps = _base_eps(ToleranceConfig(n_eps=n_eps), extra)
+    eps = np.unique(np.concatenate([np.linspace(0.0, 1.0, n_eps), extra]))
     rep = lambda row: np.repeat(row, k, axis=0)
     assert bits(_profiles(field, X, Y, eps)) == bits(materialized_profiles(field, X, Y, eps))
     assert bits(_profiles(field, x, Y, eps)) == bits(materialized_profiles(field, rep(x), Y, eps))
     assert bits(_profiles(field, X, y, eps)) == bits(materialized_profiles(field, X, rep(y), eps))
     assert bits(_profiles(field, x, y, eps)) == bits(materialized_profiles(field, x, y, eps))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), dim=st.integers(1, 7),
+       kind=st.sampled_from(["quadratic_form", "registry", "wavy"]), vector=st.booleans(),
+       k=st.integers(1, 12), m=st.integers(1, 4), neg_zero=st.booleans())
+def test_eps_per_row_equal_one_row_calls(seed, dim, kind, vector, k, m, neg_zero):
+    rng = np.random.default_rng(seed)
+    field = _field(rng, dim, kind, vector)
+    X = _points(rng, field, k, neg_zero)
+    Y = _points(rng, field, k, neg_zero)
+    eps = rng.random((k, m))
+    eps[rng.random((k, m)) < 0.2] = 0.0
+    eps[rng.random((k, m)) < 0.2] = 1.0
+    # dims 1 to 7, where a row's matmul does not depend on its batch
+    for xs, ys in ((X, Y), (X[:1], Y), (X, Y[:1])):
+        got = _profiles(field, xs, ys, eps)
+        want = [_profiles(field, xs[min(i, len(xs) - 1)][None], ys[min(i, len(ys) - 1)][None],
+                          eps[i])[0] for i in range(k)]
+        assert bits(got) == bits(want)
 
 
 @settings(max_examples=40, deadline=None)
