@@ -21,7 +21,7 @@ The study is fixed: the stock box [-1, 2], the 25-entry catalog, the
 radii ORIGIN_RADII and the window start -1/pi + 0.01.  The CLI sets the rest.
 A study builds its catalog and challengers once and screens the origin
 once: classify_catalog decides the origin's minimality and maximality with
-the catalog points, and origin_atypicality reads that outcome.
+the catalog points, and origin_atypicality takes that outcome.
 """
 
 from __future__ import annotations
@@ -247,7 +247,7 @@ def classify_catalog(catalog: CriticalCatalog, challengers: SampleSet,
     One uniform-grid screen per point serves both directions: each
     challenger's screen relation to the point says whether it dominates the
     point, is dominated by it, or neither.  The origin's outcome is the one
-    origin_atypicality reports.
+    casestudy passes to origin_atypicality.
     """
     _, c = case_fields()
     verdicts = []
@@ -291,13 +291,13 @@ def require_origin_radii(cfg: ToleranceConfig) -> None:
             raise ValueError(f"origin radius {radius} must exceed tau = {cfg.tau}")
 
 
-def origin_atypicality(agreement: CatalogAgreementReport, cfg: ToleranceConfig,
+def origin_atypicality(minimal: bool, maximal: bool, cfg: ToleranceConfig,
                        seed: int) -> OriginAtypicalityReport:
     """Certify that the origin is minimal and maximal yet locally nothing.
 
-    Minimality and maximality are the origin's outcome in the catalog
-    screen (agreement, from classify_catalog under the same cfg); the
-    origin is not screened again.  The 512 neighborhood samples at every
+    minimal and maximal are the origin's outcome in a screen against its
+    challengers (casestudy passes classify_catalog's); the origin is not
+    screened here.  The 512 neighborhood samples at every
     radius of ORIGIN_RADII are augmented with the exact witness points
     below that radius at which x f(x) takes each sign, so the local
     refusals never depend on a lucky draw.
@@ -316,8 +316,7 @@ def origin_atypicality(agreement: CatalogAgreementReport, cfg: ToleranceConfig,
         local_min = is_local_min_polyorder(c, origin, ball, cfg, origin_segment_witnesses)
         rows.append({"radius": radius, "nss": nss.ok, "ess": ess.ok,
                      "local_min_polyorder": local_min.ok})
-    return OriginAtypicalityReport(agreement.origin_minimal, agreement.origin_maximal,
-                                   tuple(rows))
+    return OriginAtypicalityReport(minimal, maximal, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,8 @@ def cmd_casestudy(args) -> int:
         coverage = check_setwise_dominance(args.window_hi, args.dominance_grid, cfg)
         challengers = case_challengers(catalog, args.grid_n)
         agreement = classify_catalog(catalog, challengers, cfg)
-        origin = origin_atypicality(agreement, cfg, args.seed)
+        origin = origin_atypicality(agreement.origin_minimal, agreement.origin_maximal,
+                                    cfg, args.seed)
         emitter.write_text("catalog.json", _dumps(catalog.to_dict()))
         emitter.write_text("catalog_agreement.json", _dumps(agreement.to_dict()))
         emitter.write_text("origin.json", _dumps(origin.to_dict()))

@@ -17,8 +17,8 @@ from fieldorder.classify import (default_challengers, is_critical_element, is_es
                                  is_local_min_polyorder, is_nss, is_strict_local_min_scalar,
                                  minimal_and_maximal, sample_neighborhood)
 from fieldorder.dominance import (EQUIVALENT, STRICTLY_DOMINATES, ToleranceConfig,
-                                  _profiles, batch_scalar_steps, batch_vector_extremes,
-                                  compare_scalar, compare_vector)
+                                  _profiles, batch_scalar_steps, compare_scalar,
+                                  compare_vector)
 from fieldorder.dynamics import IntegratorConfig, check_setwise_stability
 from fieldorder.fields import (Box, Grid, SampleSet, SeededRandom, gradient_field,
                                negate, quadratic_form, sample_domain, scalar_field,
@@ -58,7 +58,8 @@ def test_criterion_1_catalog_classification(catalog_run):
 
 
 def test_criterion_2_origin_atypicality(catalog_run):
-    rep = origin_atypicality(catalog_run[0], CFG, 42)
+    agreement = catalog_run[0]
+    rep = origin_atypicality(agreement.origin_minimal, agreement.origin_maximal, CFG, 42)
     radii = [r["radius"] for r in rep.per_radius]
     ok = radii == [0.1, 0.01, 0.001] and rep.minimal and rep.maximal and all(
         not row["nss"] and not row["ess"] and not row["local_min_polyorder"]
@@ -172,6 +173,7 @@ def test_criterion_5_theorem_property_suite():
                 challenger_cache[key] = sample_domain(field.domain, SeededRandom(256), 42)
         return challenger_cache[key]
 
+    eps = np.linspace(0.0, 1.0, FAST.n_eps)
     trials = 0
     filtered_equiv = filtered_chain = 0
     for trial in range(1050):
@@ -199,9 +201,10 @@ def test_criterion_5_theorem_property_suite():
             # is_nss's own statistic: it passes when this is <= tau
             nss_stat = float(np.einsum("kd,kd->k", p - ball.points, c.values(ball.points)).max())
             loc = is_local_min_polyorder(c, p, ball, FAST)
-            # the largest delta of the rows (p, x) over the uniform grid: p
+            # the largest delta of the rows (p, x) over the full uniform grid
+            # (a screen row that drops keeps only its coarse maximum): p
             # weakly dominates every x exactly when it is <= tau
-            loc_stat = float(batch_vector_extremes(c, p, ball.points, FAST)[0].max())
+            loc_stat = float(_profiles(c, p[None], ball.points, eps).max())
             ess = is_ess(c, p, ball, FAST)
             if (mini.ok, mini.witness) != (dual.ok, dual.witness):
                 violations.append(f"duality mismatch: {c.label} @ {p}")

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fieldorder import casestudy
-from fieldorder.casestudy import (_ORIGIN_ATOL, MAXIMAL, MINIMAL, CatalogAgreementReport,
-                                  build_catalog, case_challengers, case_fields,
-                                  check_setwise_dominance, classify_catalog,
+from fieldorder.casestudy import (_ORIGIN_ATOL, MAXIMAL, MINIMAL, build_catalog,
+                                  case_challengers, case_fields, check_setwise_dominance,
+                                  classify_catalog,
                                   dominating_minimal_element, mexican_hat_counterexample,
                                   minimal_candidate_points, nearest_critical_distance,
                                   origin_atypicality, origin_segment_witnesses,
@@ -200,7 +200,7 @@ class TestOriginAtypicality:
     def test_origin_is_extreme_but_not_local(self):
         catalog = build_catalog(25)
         agreement = classify_catalog(catalog, case_challengers(catalog, 1024), CFG)
-        rep = origin_atypicality(agreement, CFG, 2)
+        rep = origin_atypicality(agreement.origin_minimal, agreement.origin_maximal, CFG, 2)
         assert rep.minimal and rep.maximal
         assert [row["radius"] for row in rep.per_radius] == [0.1, 0.01, 0.001]
         for row in rep.per_radius:
@@ -213,16 +213,15 @@ class TestOriginAtypicality:
             raise AssertionError("the radii are checked before any evaluation")
 
         monkeypatch.setattr(casestudy, "case_fields", sweep)
-        agreement = CatalogAgreementReport((), True, True, "given")
         with pytest.raises(ValueError, match=f"origin radius {radius} "):
-            origin_atypicality(agreement, ToleranceConfig(tau=tau), 2)
+            origin_atypicality(True, True, ToleranceConfig(tau=tau), 2)
 
-    def test_the_origin_outcome_is_the_catalog_screens(self, monkeypatch):
+    def test_the_origin_is_not_screened_again(self, monkeypatch):
         def screen(*args, **kwargs):
             raise AssertionError("the origin was screened again")
 
         monkeypatch.setattr(casestudy, "minimal_and_maximal", screen)
-        rep = origin_atypicality(CatalogAgreementReport((), True, False, "given"), CFG, 2)
+        rep = origin_atypicality(True, False, CFG, 2)
         assert (rep.minimal, rep.maximal, rep.confirmed) == (True, False, False)
 
 

@@ -341,6 +341,12 @@ class TestCasestudy:
         assert got["dominance_coverage"] >= 0.995
         catalog = json.loads((tmp_path / "run" / "catalog.json").read_text())
         assert len(catalog["entries"]) == 2
+        # the origin meets only the --nmax catalog's analytic points, so the
+        # smallest catalog gives it the fewest challengers
+        origin = json.loads((tmp_path / "run" / "origin.json").read_text())
+        assert (origin["minimal"], origin["maximal"]) == (True, True)
+        agreement = json.loads((tmp_path / "run" / "catalog_agreement.json").read_text())
+        assert (agreement["origin_minimal"], agreement["origin_maximal"]) == (True, True)
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert set(manifest["outputs"]) >= {"catalog.json", "origin.json",
                                             "dominance.json", "field_curve.csv"}

@@ -192,10 +192,31 @@ def signless_bits(values):
     return bits(np.asarray(values, float) + 0.0)
 
 
-def _screen(field, X, Y, cfg):
+def _full_grid(field, X, Y, cfg):
+    """The screen's statistics from one pass over the full uniform grid,
+    independent of the screens' coarse levels."""
+    g = _profiles(field, X, Y, np.linspace(0.0, 1.0, cfg.n_eps))
     if isinstance(field, ScalarField):
-        return batch_scalar_steps(field, X, Y, cfg)
-    return batch_vector_extremes(field, X, Y, cfg)
+        d = np.diff(g, axis=1)
+        return d.max(axis=1), d.min(axis=1), g[:, -1] - g[:, 0]
+    return g.max(axis=1), g.min(axis=1)
+
+
+def check_screen_against_full_grid(field, X, Y, cfg):
+    """Assert the screen's band predicates are the full grid's on every row,
+    and its statistics are exact on every row it cannot have dropped (a
+    dropped row has a step or delta beyond each band edge)."""
+    ref = _full_grid(field, X, Y, cfg)
+    if isinstance(field, ScalarField):
+        got = batch_scalar_steps(field, X, Y, cfg)
+        assert bits(got[2]) == bits(ref[2])
+    else:
+        got = batch_vector_extremes(field, X, Y, cfg)
+    np.testing.assert_array_equal(got[0] > cfg.tau, ref[0] > cfg.tau)
+    np.testing.assert_array_equal(got[1] < -cfg.tau, ref[1] < -cfg.tau)
+    whole = ~((ref[0] > cfg.tau) & (ref[1] < -cfg.tau))
+    assert bits(got[0][whole]) == bits(ref[0][whole])
+    assert bits(got[1][whole]) == bits(ref[1][whole])
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
@@ -205,9 +226,10 @@ def test_batch_relations_is_the_compare_relation(label, field, cfg):
     scalar = isinstance(field, ScalarField)
     compare = compare_scalar if scalar else compare_vector
     relations = batch_relations(field, X, Y, cfg)
-    screen = _screen(field, X, Y, cfg)
+    check_screen_against_full_grid(field, X, Y, cfg)
+    reference = _full_grid(field, X, Y, cfg)
     for k, (x, y) in enumerate(zip(X, Y)):
-        stats = [float(s[k]) for s in screen]
+        stats = [float(s[k]) for s in reference]
         hi, lo, drop, rise = ((stats[0], stats[1], stats[2], stats[2]) if scalar
                               else (stats[0], stats[1], stats[1], stats[0]))
         assert relations[k] == reference_relation(hi, lo, drop, rise, cfg.tau), (label, k)
