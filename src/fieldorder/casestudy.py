@@ -359,9 +359,8 @@ def check_setwise_dominance(window_hi: float = 2.0, grid_n: int = 2000,
     the box before anything is screened; its dominator lies in [-1/pi,
     1/pi].  One uniform-grid screen decides all pairs at once.  A point
     fails with "margin under tau", or with "confirmation failed" and the
-    screen relation of its pair (refinement never changes a vector
-    relation, so that is the pair's verdict).  grid_n must lie in
-    [1, _MAX_GRID_POINTS].
+    screen relation of its pair, which is the pair's verdict.  grid_n must
+    lie in [1, _MAX_GRID_POINTS].
     """
     cfg = cfg or ToleranceConfig()
     if not 1 <= grid_n <= _MAX_GRID_POINTS:

@@ -11,10 +11,10 @@ in eps; strict dominance additionally needs a net drop f(y) - f(x) > 0.
 
 The "for all eps" quantifier is undecidable for black-box evaluators, so a
 verdict is a certificate relative to a tolerance configuration: a uniform
-eps grid, bisection refinement around sign changes, and a slack band tau
-inside which values count as ties.  Both directions of a comparison are
-decided from one sweep of the shared segment (the reverse relation sees
--delta, resp. the reversed profile), which makes antisymmetry structural.
+eps grid, plus any analytic witness eps, and a slack band tau inside which
+values count as ties.  Both directions of a comparison are decided from
+one sweep of the shared segment (the reverse relation sees -delta, resp.
+the reversed profile), which makes antisymmetry structural.
 
 Every segment evaluation goes through one primitive, _profiles, which
 builds the segment points of many (x, y) rows and evaluates the field once.
@@ -29,20 +29,15 @@ comparison of the same pair see the same bits at dim <= 7, and at any dim
 when both use the same eps set: from dim 8 the BLAS product can round a
 row differently by its position in the grid and by the grid's length.
 
-A single comparison reads one refined profile (profile, for either kind
-of field).  Refinement bisects between adjacent samples (scalar: adjacent
-steps) whose band signs are +1 and -1, at most MAX_REFINE_DEPTH times;
-only a single comparison refines.  Added points only widen vector
-extremes, so it never changes a vector relation (a split scalar step can
-shrink, so a scalar relation can change).
-
-One rule, _relations, turns a profile's band statistics into a relation,
-for a single comparison and for the batch screens at the bottom of this
-module (batch_relations) alike.  A row that is not Incomparable on the
-uniform grid has no adjacent band signs +1 and -1, so it is never refined:
-its screen relation is its verdict, and callers read it off the screen
-(classify reads minimality, maximality and the local minimum of the
-order from one screen of a point's challengers and ball).
+A single comparison reads one profile (profile, for either kind of
+field): the uniform grid plus the witness eps of its pair, the points a
+screen decides that pair on.  One rule, _relations, turns a profile's band
+statistics into a relation, for a single comparison and for the batch
+screens at the bottom of this module (batch_relations) alike.  So a screen
+row's relation is the verdict of its pair on every row, decided from the
+same bits at dim <= 7, and callers read it off the screen (classify reads
+minimality, maximality and the local minimum of the order from one
+screen of a point's challengers and ball).
 
 Analytic sub-grid witnesses reach both through one batch provider,
 segment_witnesses(xs, ys) -> (rows, eps): rows indexes the (xs, ys) rows
@@ -103,9 +98,6 @@ REVERSE_STRICT = "ReverseStrict"
 REVERSE_WEAK = "ReverseWeak"
 EQUIVALENT = "Equivalent"
 
-# bisection rounds of a single comparison; one value everywhere, so not a setting
-MAX_REFINE_DEPTH = 20
-
 
 @dataclass(frozen=True)
 class ToleranceConfig:
@@ -121,16 +113,19 @@ class ToleranceConfig:
             raise ValueError(f"n_eps must lie in [3, {_MAX_GRID_POINTS}]")
 
     def to_dict(self) -> dict:
-        return {"tau": self.tau, "n_eps": self.n_eps, "max_refine_depth": MAX_REFINE_DEPTH}
+        # max_refine_depth echoes a bisection refinement that no longer runs;
+        # still written because the verdict and manifest bytes are pinned
+        return {"tau": self.tau, "n_eps": self.n_eps, "max_refine_depth": 20}
 
 
 @dataclass(frozen=True)
 class DominanceVerdict:
     """Outcome of one pairwise comparison, with witnesses and the config used.
 
-    max_delta/min_delta are the extreme decision statistics over the refined
-    grid (vector: extremes of delta; scalar: largest consecutive rise and the
-    more negative of largest consecutive drop and total change).
+    max_delta/min_delta are the extreme decision statistics over the uniform
+    grid plus any witness eps (vector: extremes of delta; scalar: largest
+    consecutive rise and the more negative of largest consecutive drop and
+    total change).
     """
 
     relation: str
@@ -214,17 +209,13 @@ def _profiles(field, xs: np.ndarray, ys: np.ndarray, eps: np.ndarray) -> np.ndar
     return _deltas(vals.reshape(k, e, dim), xs - ys)
 
 
-def _band_sign(v: np.ndarray, tau: float) -> np.ndarray:
-    return (v > tau).astype(np.int8) - (v < -tau).astype(np.int8)
-
-
 def _witnesses(segment_witnesses, xs: np.ndarray,
                ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows, eps) of a witness provider on the rows (xs, ys), eps checked
     to lie in [0, 1] (see the module docstring)."""
     rows, eps = segment_witnesses(xs, ys)
     eps = np.asarray(eps, float)
-    if np.any((eps < 0) | (eps > 1)):
+    if not np.all((eps >= 0) & (eps <= 1)):  # NaN fails both
         raise ValueError("witness eps values must lie in [0, 1]")
     return np.asarray(rows, np.intp), eps
 
@@ -243,32 +234,17 @@ def profile(field, x, y, cfg: ToleranceConfig | None = None,
 
     The profile is delta(eps) = (x - y) . c(eps*x + (1-eps)*y) for a vector
     field and g(eps) = f(eps*x + (1-eps)*y) for a scalar one, on the uniform
-    grid plus the eps segment_witnesses gives the row (x, y), refined near
-    band-sign flips (of delta, resp. of the steps of g).
+    grid plus the eps segment_witnesses gives the row (x, y).
     """
     cfg = cfg or ToleranceConfig()
     x, y = _endpoints(field, x, y)
     xs, ys = x[None, :], y[None, :]
-    scalar = isinstance(field, ScalarField)
     eps = np.linspace(0.0, 1.0, cfg.n_eps)
     if segment_witnesses is not None:
         _, extra = _witnesses(segment_witnesses, xs, ys)
         if extra.size:
             eps = np.unique(np.concatenate([eps, extra[0]]))
-    vals = _profiles(field, xs, ys, eps)[0]
-    for _ in range(MAX_REFINE_DEPTH):
-        s = _band_sign(np.diff(vals) if scalar else vals, cfg.tau)
-        flip = np.flatnonzero(s[:-1] * s[1:] == -1)
-        if not flip.size:
-            break
-        if scalar:
-            # an extremum hides near every flip: split both adjacent steps
-            flip = np.union1d(flip, flip + 1)
-        mids = 0.5 * (eps[flip] + eps[flip + 1])
-        idx = np.searchsorted(eps, mids)
-        eps = np.insert(eps, idx, mids)
-        vals = np.insert(vals, idx, _profiles(field, xs, ys, mids)[0])
-    return eps, vals
+    return eps, _profiles(field, xs, ys, eps)[0]
 
 
 def _relations(hi, lo, drop, rise, tau: float) -> np.ndarray:
@@ -335,7 +311,7 @@ def compare_scalar(f: ScalarField, x, y, cfg: ToleranceConfig | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Vectorized screens over many pairs (uniform grid, no refinement)
+# Vectorized screens over many pairs
 # ---------------------------------------------------------------------------
 
 # float64 bytes of segment points per screen block (32,768 points at dim 1),
@@ -400,9 +376,9 @@ def batch_vector_extremes(c: VectorField, xs, ys, cfg: ToleranceConfig, *,
                           segment_witnesses=None) -> tuple[np.ndarray, np.ndarray]:
     """Rowwise (max, min) of delta(eps) = (x_k - y_k) . c(eps x_k + (1-eps) y_k).
 
-    Uniform-grid screen without refinement.  Adding grid points can only
-    grow the max and shrink the min, so any row with max > tau is already
-    certified as not weakly dominating.
+    Uniform-grid screen.  Adding grid points can only grow the max and
+    shrink the min, so any row with max > tau is already certified as not
+    weakly dominating.
 
     The grid is walked in disjoint coarse-to-fine index levels (see the
     module docstring), and a row stops being evaluated once it has
@@ -414,9 +390,9 @@ def batch_vector_extremes(c: VectorField, xs, ys, cfg: ToleranceConfig, *,
 
     segment_witnesses, when given, is called once, on the rows that are
     not dropped, and the eps it names are evaluated in blocks and folded
-    into those rows' extremes.  Such a row has the extremes of
-    compare_vector(..., segment_witnesses) whenever that comparison does
-    not refine, and its relation always.
+    into those rows' extremes.  Such a row has the extremes and the
+    relation of compare_vector(..., segment_witnesses), bit for bit at
+    dim <= 7 (see the module docstring).
     """
     xs, ys = _broadcast_rows(xs, ys)
     k, dim = xs.shape
@@ -502,12 +478,10 @@ def batch_relations(field, xs, ys, cfg: ToleranceConfig, segment_witnesses=None)
     Uses the rule of compare_vector/compare_scalar on the screen statistics
     (it reads only their band predicates): vector rows come from
     batch_vector_extremes with segment_witnesses folded in, scalar rows
-    from batch_scalar_steps.  A row that is not Incomparable is never
-    refined, so its relation is that of compare_* with the same witness
-    provider; a vector row that is Incomparable stays so under refinement,
-    a scalar one may not.  The step screen cannot fold witness eps (a
-    witness splits a step), so scalar fields with segment_witnesses raise
-    ValueError.
+    from batch_scalar_steps.  Every row's relation is that of compare_*
+    with the same witness provider (see the module docstring for dim >= 8).
+    The step screen cannot fold witness eps (a witness splits a step), so
+    scalar fields with segment_witnesses raise ValueError.
 
     A vector field with affine parts first has every row decided from its
     two endpoint values (see _affine_endpoints); only the rows that

@@ -86,12 +86,21 @@ class TestProfiles:
         with pytest.raises(DomainViolationError):
             profile(vector_field("quadratic"), [3.0], [0.0], CFG)
 
-    def test_refinement_adds_points_near_sign_change(self):
-        # f flips sign inside [0.1, 1.0], so delta must get bisection points
+    def test_profile_is_the_uniform_grid_across_a_sign_change(self):
+        # f flips sign inside [0.1, 1.0]; the profile still holds the grid alone
         c = vector_field("xsininv")
         coarse = ToleranceConfig(n_eps=17)
-        eps, _ = profile(c, np.array([1.0]), np.array([0.1]), coarse)
-        assert eps.size > 17
+        eps, delta = profile(c, np.array([1.0]), np.array([0.1]), coarse)
+        assert np.array_equal(eps, np.linspace(0.0, 1.0, 17))
+        assert delta.max() > coarse.tau and delta.min() < -coarse.tau
+
+    def test_profile_adds_the_witness_eps_to_the_grid(self):
+        c = vector_field("xsininv")
+        coarse = ToleranceConfig(n_eps=17)
+        extra = [0.01, 0.3, 0.5]  # 0.5 is already a grid point
+        eps, _ = profile(c, [1.0], [0.1], coarse, lambda xs, ys: ([0], [extra]))
+        want = np.union1d(np.linspace(0.0, 1.0, 17), extra)
+        assert np.array_equal(eps, want)
 
 
 class TestVectorVerdicts:
@@ -166,6 +175,19 @@ class TestScalarVerdicts:
         v = compare_scalar(f, [1.0], [0.0], ToleranceConfig(n_eps=9))
         assert v.relation == WEAKLY_DOMINATES_NOT_STRICT
         assert v.witness_eps_violation is not None
+
+    def test_tent_pair_is_decided_on_the_screen_grid(self):
+        # g = 0, 1.5, 0 on three grid points: a rise and a drop beyond tau.
+        # Splitting both steps would shrink them into the band (Equivalent);
+        # the comparison reads the screen's grid and its relation
+        from fieldorder.dominance import batch_relations
+        from fieldorder.fields import Box, ScalarField
+        f = ScalarField(batch=lambda P: 1.5 - 3.0 * np.abs(P[:, 0] - 0.5),
+                        domain=Box((0.0,), (1.0,)), label="tent")
+        cfg = ToleranceConfig(tau=1.0, n_eps=3)
+        v = compare_scalar(f, [1.0], [0.0], cfg)
+        assert (v.relation, v.max_delta, v.min_delta) == (INCOMPARABLE, 1.5, -1.5)
+        assert batch_relations(f, [[1.0]], [[0.0]], cfg).tolist() == [INCOMPARABLE]
 
 
 def _random_quadratic(rng, dim):
@@ -271,6 +293,7 @@ class TestConfig:
         assert [f.name for f in dataclasses.fields(ToleranceConfig)] == ["tau", "n_eps"]
 
     def test_witness_eps_must_be_unit_interval(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            compare_vector(vector_field("quadratic"), [0.1], [0.2], CFG,
-                           lambda xs, ys: ([0], [[1.5]]))
+        for bad in (1.5, -0.5, math.nan):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                compare_vector(vector_field("quadratic"), [0.1], [0.2], CFG,
+                               lambda xs, ys: ([0], [[bad]]))

@@ -1,8 +1,8 @@
 """A screen row is the verdict of its pair, bit for bit.
 
-A pair that is not Incomparable has no adjacent samples with band signs +1
-and -1, so compare_* never refines it and its extremes are the uniform-grid
-extremes that the batch screens compute.  The classifier relies on this:
+compare_* evaluates exactly the uniform grid (plus any witness eps), the
+points the batch screens decide on, so its extremes are the uniform-grid
+extremes of the pair.  The classifier relies on this:
 it reads the relations of batch_relations straight off the screen.  Both
 paths go through the one segment kernel, so the extremes must be equal in
 every bit, not just within an ulp, and both apply the one relation rule.
@@ -233,12 +233,8 @@ def test_batch_relations_is_the_compare_relation(label, field, cfg):
         hi, lo, drop, rise = ((stats[0], stats[1], stats[2], stats[2]) if scalar
                               else (stats[0], stats[1], stats[1], stats[0]))
         assert relations[k] == reference_relation(hi, lo, drop, rise, cfg.tau), (label, k)
-        if scalar and relations[k] == INCOMPARABLE:
-            continue  # a scalar Incomparable row may be refined into another relation
         v = compare(field, x, y, cfg)
-        if not scalar:  # a vector verdict's extremes are its (hi, lo)
-            assert v.relation == reference_relation(v.max_delta, v.min_delta, v.min_delta,
-                                                    v.max_delta, cfg.tau)
+        assert bits([v.max_delta, v.min_delta]) == bits([hi, min(lo, drop)]), (label, k)
         assert relations[k] == v.relation, (label, k)
 
 
@@ -290,8 +286,7 @@ def test_weak_not_strict_labels(cfg):
     for k, (x, y) in enumerate(zip(X, Y)):
         v, w = compare_scalar(f, x, y, cfg), compare_scalar(negate(f), x, y, cfg)
         assert w.relation == MIRROR[v.relation]
-        if relations[k] != INCOMPARABLE:
-            assert relations[k] == v.relation, k
+        assert relations[k] == v.relation, k
 
 
 @pytest.mark.parametrize("label, field", CASES, ids=[c[0] for c in CASES])
