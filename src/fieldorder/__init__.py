@@ -6,7 +6,8 @@ from .dominance import (DominanceVerdict, ToleranceConfig, compare_scalar,  # no
                         compare_vector, profile)
 from .fields import (Box, Grid, Product, SampleSet, ScalarField, SeededRandom,  # noqa: F401
                      Simplex, VectorField, as_point, field_from_json, gradient_field,
-                     negate, quadratic_form, sample_domain, scalar_field, vector_field)
+                     negate, origin_witness, quadratic_form, sample_domain, scalar_field,
+                     vector_field)
 from .classify import (ClassificationReport, classify_point,  # noqa: F401
                        default_challengers, is_almost_strictly_minimal_set,
                        is_critical_element, is_ess, is_ess_set, is_local_min_polyorder,
@@ -19,4 +20,4 @@ from .games import (PopulationGame, from_bimatrix, from_symmetric_matrix,  # noq
 from .casestudy import (CriticalCatalog, build_catalog,  # noqa: F401
                         check_setwise_dominance, classify_catalog,
                         dominating_minimal_element, mexican_hat_counterexample,
-                        origin_atypicality, origin_witness)
+                        origin_atypicality)

@@ -8,9 +8,9 @@ an accumulation point of both families; along any segment ending at 0 the
 sign of x f(y) keeps flipping, so 0 is incomparable with every other point
 (hence both minimal and maximal) without being a local extremum of the
 order.  Generic grid sweeps cannot see those flips once they drop below
-grid resolution, so this module supplies exact sub-grid witnesses
-w = 1/(k pi + pi/2), where sin(1/w) = +-1, which the screens fold into
-every segment that ends at the origin.
+grid resolution, so the stock fields carry exact sub-grid witnesses
+w = 1/(k pi + pi/2), where sin(1/w) = +-1 (fields.origin_witness), which
+every screen and comparison folds into a segment that ends at the origin.
 
 Also here: the coverage sweep showing every non-minimal point of a window
 is strictly dominated by the bracketing minimal critical point (the
@@ -19,32 +19,27 @@ and the rotated-well counterexample where a circle of global scalar minima
 fails the local-minimum test of the dominance order.
 The study is fixed: the stock box [-1, 2], the 25-entry catalog, the
 radii ORIGIN_RADII and the window start -1/pi + 0.01.  The CLI sets the rest.
-A study builds its catalog and challengers once and screens the origin
-once: classify_catalog decides the origin's minimality and maximality with
-the catalog points, and origin_atypicality takes that outcome.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classify import (_require_set_size, is_almost_strictly_minimal_set, is_ess,
-                       is_local_min_polyorder, is_nss, is_strict_local_min_scalar,
+from .classify import (_BALL_COUNT, _require_set_size, is_almost_strictly_minimal_set,
+                       is_ess, is_local_min_polyorder, is_nss, is_strict_local_min_scalar,
                        minimal_and_maximal, sample_neighborhood)
 from .dominance import STRICTLY_DOMINATES, ToleranceConfig, batch_relations, compare_scalar
 from .fields import (_MAX_GRID_POINTS, DEFAULT_CASESTUDY_BOX, Grid, SampleSet, ScalarField,
-                     VectorField, require_in_domain, sample_domain, scalar_field, vector_field)
+                     VectorField, origin_witness, require_in_domain, sample_domain,
+                     scalar_field, vector_field)
 
 PI = math.pi
 
 MINIMAL = "Minimal"
 MAXIMAL = "Maximal"
-
-# a segment endpoint within this of 0 is the origin, for its witnesses
-_ORIGIN_ATOL = 1e-12
 
 
 def zero_point(n: int) -> float:
@@ -97,58 +92,6 @@ def build_catalog(n_max: int) -> CriticalCatalog:
     ns = [n for n in range(-n_max, n_max + 1) if n != 0]
     entries = tuple(CatalogEntry(n, zero_point(n), slope_at_zero(n), kind_of(n)) for n in ns)
     return CriticalCatalog(n_max=n_max, entries=entries)
-
-
-# ---------------------------------------------------------------------------
-# Origin witnesses
-# ---------------------------------------------------------------------------
-
-def origin_witness(x: float, want_sign: int) -> float:
-    """A point w strictly between 0 and x with sign(x * f(w)) = want_sign.
-
-    Choosing w = sign(x)/(k pi + pi/2) gives sin(1/w) = (+-1)^... exactly
-    +-1; since x and w share a sign, sign(x f(w)) = sign(sin(1/w)), which
-    the parity of k controls.  The smallest admissible k of the right
-    parity is used.
-    """
-    if x == 0:
-        raise ValueError("x must be nonzero")
-    if want_sign not in (1, -1):
-        raise ValueError("want_sign must be +1 or -1")
-    ax = abs(x)
-    k = max(0, math.floor((1.0 / ax - PI / 2.0) / PI) + 1)
-    # sin(1/w) = (-1)^k for w > 0 and (-1)^(k+1) for w < 0
-    want_even = (want_sign == 1) if x > 0 else (want_sign == -1)
-    if (k % 2 == 0) != want_even:
-        k += 1
-    w = math.copysign(1.0 / (k * PI + PI / 2.0), x)
-    while abs(w) >= ax:
-        k += 2
-        w = math.copysign(1.0 / (k * PI + PI / 2.0), x)
-    return w
-
-
-def origin_segment_witnesses(xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """Witness eps of the rows of a batch whose segment ends at the origin.
-
-    Row k's segment is eps*xs[k] + (1-eps)*ys[k], for (k, 1) arrays xs and
-    ys.  A row with one endpoint at the origin (within _ORIGIN_ATOL) and
-    the other, x, off it gets the two eps where x f takes each sign.
-    Returns (rows, eps) with eps of shape (len(rows), 2), the dominance
-    witness provider form; at any dim but 1 no row has witnesses.
-    """
-    xs, ys = np.asarray(xs, float), np.asarray(ys, float)
-    if xs.shape[1] != 1:
-        return np.empty(0, np.intp), np.empty((0, 2))
-    ax, ay = np.abs(xs[:, 0]), np.abs(ys[:, 0])
-    near_x, near_y = ax <= _ORIGIN_ATOL, ay <= _ORIGIN_ATOL
-    rows = np.flatnonzero((near_x & (ay > _ORIGIN_ATOL)) | (near_y & (ax > _ORIGIN_ATOL)))
-    eps = np.empty((rows.size, 2))
-    for i, k in enumerate(rows):
-        x = float(ys[k, 0] if near_x[k] else xs[k, 0])  # the endpoint off the origin
-        w = [origin_witness(x, s) / x for s in (1, -1)]
-        eps[i] = [1.0 - v for v in w] if near_x[k] else w  # eps runs from y to x
-    return rows, eps
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +195,9 @@ def classify_catalog(catalog: CriticalCatalog, challengers: SampleSet,
     _, c = case_fields()
     verdicts = []
     for entry in catalog.entries:
-        got_min, got_max = minimal_and_maximal(c, [entry.x], challengers, cfg,
-                                               origin_segment_witnesses)
+        got_min, got_max = minimal_and_maximal(c, [entry.x], challengers, cfg)
         verdicts.append(EntryVerdict(entry, got_min.ok, got_max.ok))
-    o_min, o_max = minimal_and_maximal(c, [0.0], challengers, cfg, origin_segment_witnesses)
+    o_min, o_max = minimal_and_maximal(c, [0.0], challengers, cfg)
     return CatalogAgreementReport(tuple(verdicts), o_min.ok, o_max.ok, challengers.strategy)
 
 
@@ -313,7 +255,7 @@ def origin_atypicality(minimal: bool, maximal: bool, cfg: ToleranceConfig,
         ball = ball.union(exact, note="witness")
         nss = is_nss(c, origin, ball, cfg)
         ess = is_ess(c, origin, ball, cfg)
-        local_min = is_local_min_polyorder(c, origin, ball, cfg, origin_segment_witnesses)
+        local_min = is_local_min_polyorder(c, origin, ball, cfg)
         rows.append({"radius": radius, "nss": nss.ok, "ess": ess.ok,
                      "local_min_polyorder": local_min.ok})
     return OriginAtypicalityReport(minimal, maximal, tuple(rows))
@@ -360,7 +302,9 @@ def check_setwise_dominance(window_hi: float = 2.0, grid_n: int = 2000,
     1/pi].  One uniform-grid screen decides all pairs at once.  A point
     fails with "margin under tau", or with "confirmation failed" and the
     screen relation of its pair, which is the pair's verdict.  grid_n must
-    lie in [1, _MAX_GRID_POINTS].
+    lie in [1, _MAX_GRID_POINTS].  No pair ends at the origin (it is a
+    critical point, and every dominator is nonzero), so the screen drops
+    the field's origin witnesses and never asks for them.
     """
     cfg = cfg or ToleranceConfig()
     if not 1 <= grid_n <= _MAX_GRID_POINTS:
@@ -394,7 +338,7 @@ def check_setwise_dominance(window_hi: float = 2.0, grid_n: int = 2000,
         pairs.append((xstar, x))
     if pairs:
         P = np.asarray(pairs)
-        relations = batch_relations(c, P[:, :1], P[:, 1:], cfg)
+        relations = batch_relations(replace(c, witnesses=None), P[:, :1], P[:, 1:], cfg)
     failures = []
     for slot in slots:
         if isinstance(slot, dict):
@@ -476,7 +420,7 @@ def mexican_hat_counterexample(n_circle: int = 16, cfg: ToleranceConfig | None =
     for i, theta in enumerate(angles):
         p = circle[i]
         q = np.array([math.cos(theta + phi), math.sin(theta + phi)])
-        ball = sample_neighborhood(f.domain, p, radius, 512, seed + i).union(
+        ball = sample_neighborhood(f.domain, p, radius, _BALL_COUNT, seed + i).union(
             q[None, :], note="circle_witness")
         strict = is_strict_local_min_scalar(f, p, ball, cfg)
         local_min = is_local_min_polyorder(f, p, ball, cfg)

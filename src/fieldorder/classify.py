@@ -7,19 +7,15 @@ relative to the probe sets and the tolerance configuration, both of which
 are echoed in the report.
 
 There is one function per check; one that applies to both kinds of field
-takes either.  The order checks read the relations of one screen and run
-no comparison; every other check is one per-sample statistic, which one
-rule (_decide) turns into an outcome.  minimal_and_maximal decides both
-from the relations of one uniform-grid screen of the challengers against
-p (dominance.batch_relations, with any analytic witness eps folded in): p
-is minimal when no row is StrictlyDominates and maximal when no row is
-ReverseStrict.  is_local_min_polyorder reads the same screen of its
-neighbors against p: p weakly dominates x exactly when the row (x, p) is
-ReverseStrict, ReverseWeak or Equivalent.  classify_point runs that screen
-once, over the challengers and the ball together, and reads all three
-checks off it; the one full comparison it runs is of the dominator it
-reports, for the eps it prints.  Every check that takes a probe set
-refuses one that is empty, of the wrong width or outside the domain.
+takes either.  The order checks (minimal_and_maximal,
+is_local_min_polyorder) read the relations of one uniform-grid screen of
+their probes against p (dominance.batch_relations, with the field's
+witness eps folded in) and run no comparison; every other check is one
+per-sample statistic, which one rule (_decide) turns into an outcome.
+classify_point runs that screen once, over the challengers and the ball
+together, and reads all three order checks off it.  Every check that
+takes a probe set refuses one that is empty, of the wrong width or
+outside the domain.
 
 The inclusion chains that must hold on shared probe sets (ess implies nss
 and minimal, minimal implies critical, local minimum implies critical,
@@ -211,21 +207,18 @@ def _not_weakly_dominated(relations: np.ndarray) -> np.ndarray:
 
 
 def minimal_and_maximal(field, p, challengers: SampleSet,
-                        cfg: ToleranceConfig | None = None,
-                        segment_witnesses=None) -> tuple[CheckOutcome, CheckOutcome]:
+                        cfg: ToleranceConfig | None = None) -> tuple[CheckOutcome, CheckOutcome]:
     """(minimal, maximal) outcomes of p against the challengers, from one screen.
 
-    p is minimal when no challenger row is StrictlyDominates and maximal
-    when none is ReverseStrict (exactly minimality under -field).
-    segment_witnesses, when given, is the batch witness provider of the
-    rows (x, p) (analytic oscillation witnesses; see dominance), whose eps
-    the screen folds in; scalar fields take none.  The witness of a failed
-    check is its lex-smallest dominator (resp. dominated challenger).
+    p is minimal when no challenger row (x, p) is StrictlyDominates and
+    maximal when none is ReverseStrict (exactly minimality under -field).
+    The witness of a failed check is its lex-smallest dominator (resp.
+    dominated challenger).
     """
     cfg = cfg or ToleranceConfig()
     p = require_in_domain(field.domain, p)
     X = _probe_points(field, challengers, "challenger set is empty")
-    relations = batch_relations(field, X, p, cfg, segment_witnesses)
+    relations = batch_relations(field, X, p, cfg)
     return (_first_failure(X, relations == STRICTLY_DOMINATES),
             _first_failure(X, relations == REVERSE_STRICT))
 
@@ -263,20 +256,18 @@ def is_ess(c: VectorField, p, neighborhood_samples: SampleSet,
 
 
 def is_local_min_polyorder(field, p, neighborhood_samples: SampleSet,
-                           cfg: ToleranceConfig | None = None,
-                           segment_witnesses=None) -> CheckOutcome:
+                           cfg: ToleranceConfig | None = None) -> CheckOutcome:
     """Whether p weakly dominates every sampled neighbor along its segment.
 
-    p weakly dominates x exactly when the screen row (x, p), with the eps
-    segment_witnesses gives it folded in, is ReverseStrict, ReverseWeak
-    or Equivalent (README "Notes on semantics" ties this to a sweep of the
-    rows (p, x)); the lex-smallest neighbor it does not is the witness.
+    p weakly dominates x exactly when the screen row (x, p) is
+    ReverseStrict, ReverseWeak or Equivalent (README "Notes on semantics"
+    ties this to a sweep of the rows (p, x)); the lex-smallest neighbor it
+    does not is the witness.
     """
     cfg = cfg or ToleranceConfig()
     p = require_in_domain(field.domain, p)
     X = _probe_points(field, neighborhood_samples)
-    return _first_failure(X, _not_weakly_dominated(
-        batch_relations(field, X, p, cfg, segment_witnesses)))
+    return _first_failure(X, _not_weakly_dominated(batch_relations(field, X, p, cfg)))
 
 
 def is_strict_local_min_scalar(f: ScalarField, p, neighborhood_samples: SampleSet,
@@ -421,7 +412,7 @@ def _chain(condition: bool, message: str):
 
 def classify_point(field, p, challengers: SampleSet | None = None,
                    radius: float | None = None, cfg: ToleranceConfig | None = None,
-                   seed: int = 42, segment_witnesses=None) -> ClassificationReport:
+                   seed: int = 42) -> ClassificationReport:
     """Run every applicable check with shared probe sets and assert the
     theorem inclusion chains before returning.
 
@@ -442,13 +433,11 @@ def classify_point(field, p, challengers: SampleSet | None = None,
     # global sweeps see the local probes too, so the chains are checked on
     # comparable evidence
     full = challengers.union(neighborhood.points, note="ball")
-    # the scalar step screen takes no witness eps
-    witnesses = segment_witnesses if kind == "vector" else None
 
     # one screen decides minimal, maximal and local-min: union stacks the
     # ball's rows last
     X = full.points
-    relations = batch_relations(field, X, p, cfg, witnesses)
+    relations = batch_relations(field, X, p, cfg)
     minimal = _first_failure(X, relations == STRICTLY_DOMINATES)
     maximal = _first_failure(X, relations == REVERSE_STRICT)
     ball = len(neighborhood)
@@ -470,7 +459,7 @@ def classify_point(field, p, challengers: SampleSet | None = None,
     if not minimal.ok:
         x = np.asarray(minimal.witness)
         compare = compare_scalar if kind == "scalar" else compare_vector
-        verdict = compare(field, x, p, cfg, witnesses)
+        verdict = compare(field, x, p, cfg)
         dominating_witness = (minimal.witness, verdict.witness_eps_strict)
     ok = lambda outcome: None if outcome is None else outcome.ok
     return ClassificationReport(
@@ -480,4 +469,4 @@ def classify_point(field, p, challengers: SampleSet | None = None,
         is_strict_local_min=ok(strict_min),
         dominating_witness=dominating_witness,
         challengers_used=full.strategy, neighborhood_radius=radius, seed=seed,
-        config=cfg, analytic_witnesses=witnesses is not None)
+        config=cfg, analytic_witnesses=field.witnesses is not None)

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .casestudy import (check_setwise_dominance, classify_catalog, case_challengers,
                         build_catalog, mexican_hat_counterexample, minimal_candidate_points,
-                        origin_atypicality, origin_segment_witnesses, require_origin_radii)
+                        origin_atypicality, require_origin_radii)
 from .classify import classify_point, default_challengers, require_radius
 from .dominance import ToleranceConfig, compare_scalar, compare_vector
 from .dynamics import IntegratorConfig, check_setwise_stability, integrate
@@ -54,8 +54,8 @@ def _resolve(ref: str, kind: str):
 
     Returns (field, stock, negated): stock is the registry name the field
     was built from, None for a JSON descriptor.  Every stock-specific choice
-    (analytic witnesses, catalog challengers, --candidate auto, the flow
-    potential) keys on stock, never on the field label.
+    of the CLI (catalog challengers, --candidate auto, the flow potential)
+    keys on stock, never on the field label.
     """
     negated = ref.startswith("neg:")
     name = ref[4:] if negated else ref
@@ -128,13 +128,10 @@ def _picked(args):
 
 def cmd_compare(args) -> int:
     emitter = _Emitter(args)
-    kind, field, stock = _picked(args)
+    kind, field, _ = _picked(args)
     cfg = _tolerance(args)
-    witnesses = origin_segment_witnesses if stock == "xsininv" else None
-    if kind == "scalar":
-        verdict = compare_scalar(field, args.x, args.y, cfg, witnesses)
-    else:
-        verdict = compare_vector(field, args.x, args.y, cfg, witnesses)
+    compare = compare_scalar if kind == "scalar" else compare_vector
+    verdict = compare(field, args.x, args.y, cfg)
     emitter.write_text("verdict.json", _dumps(verdict.to_dict()))
     if not args.json:
         print(f"{field.label}: x={args.x.tolist()} vs y={args.y.tolist()} -> {verdict.relation}")
@@ -150,19 +147,17 @@ def cmd_classify(args) -> int:
     cfg = _tolerance(args)
     if args.challengers is not None and args.challengers < 1:
         raise ValueError(f"--challengers must be at least 1, got {args.challengers}")
-    challengers = witnesses = None
+    challengers = None
     if kind == "vector" and stock == "xsininv":
         # --challengers sets the grid, as for every other 1-D box
         catalog = build_catalog(25)
         challengers = (case_challengers(catalog) if args.challengers is None
                        else case_challengers(catalog, args.challengers))
-        witnesses = origin_segment_witnesses
     elif args.challengers is not None:
         challengers = default_challengers(field.domain, args.seed, grid_n=args.challengers,
                                           random_n=args.challengers)
     report = classify_point(field, args.point, challengers=challengers,
-                            radius=args.radius, cfg=cfg, seed=args.seed,
-                            segment_witnesses=witnesses)
+                            radius=args.radius, cfg=cfg, seed=args.seed)
     emitter.write_text("classification.json", _dumps(report.to_dict()))
     if not args.json:
         flags = {k: v for k, v in report.to_dict().items() if isinstance(v, bool)}

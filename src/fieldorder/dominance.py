@@ -29,22 +29,16 @@ comparison of the same pair see the same bits at dim <= 7, and at any dim
 when both use the same eps set: from dim 8 the BLAS product can round a
 row differently by its position in the grid and by the grid's length.
 
-A single comparison reads one profile (profile, for either kind of
-field): the uniform grid plus the witness eps of its pair, the points a
-screen decides that pair on.  One rule, _relations, turns a profile's band
-statistics into a relation, for a single comparison and for the batch
-screens at the bottom of this module (batch_relations) alike.  So a screen
-row's relation is the verdict of its pair on every row, decided from the
-same bits at dim <= 7, and callers read it off the screen (classify reads
-minimality, maximality and the local minimum of the order from one
-screen of a point's challengers and ball).
-
-Analytic sub-grid witnesses reach both through one batch provider,
-segment_witnesses(xs, ys) -> (rows, eps): rows indexes the (xs, ys) rows
-that have witnesses, and eps holds one row of extra eps in [0, 1] for
-each.  A single comparison (profile) asks it about its one row; the
-vector screen asks it once, about the rows its ladder leaves, and folds
-those eps into their extremes, so the screen decides those pairs too.
+A single comparison reads one profile: the uniform grid plus the witness
+eps of its pair.  A field's analytic sub-grid witnesses come from its
+batch provider, field.witnesses(xs, ys) -> (rows, eps): rows are the
+strictly increasing indices of the (xs, ys) rows that have witnesses, and
+eps holds one row of extra eps in [0, 1] for each.  Every screen asks it
+once and folds those eps in, so it decides a pair on the points the pair's
+comparison evaluates.  One rule, _relations, turns band statistics into a
+relation for a comparison and a screen (batch_relations) alike, so a
+screen row's relation is the verdict of its pair, from the same bits at
+dim <= 7, and callers read it off the screen.
 
 The vector screen walks the uniform grid coarse to fine, in disjoint
 levels of grid indices: every 64th point, then the rest of every 16th
@@ -56,12 +50,8 @@ a min down, so a row whose coarse levels already reach above +tau and
 below -tau is Incomparable in both directions on the full grid, and the
 screen stops evaluating it; every other row gets its exact full-grid
 extremes.  Scalar step extremes do not nest (a coarse step is a sum of
-fine steps, not one of them), so the scalar screen has one coarse level,
-every 64th point, and reads it as a certificate: a coarse step above
-64 tau, with a rounding margin, proves that one of the fine steps it sums
-is above tau (batch_scalar_steps).  A row with a coarse step above that
-threshold and one below its negative is Incomparable on the full grid and
-stops there; every other row takes one plain pass over the full grid.
+fine steps, not one of them), so the scalar screen reads its one coarse
+level, every 64th point, as a certificate instead (batch_scalar_steps).
 
 Every screen runs in blocks of rows holding at most _BLOCK_BYTES of
 segment points.  The field's temporaries are about as large again each, so
@@ -70,14 +60,9 @@ core's cache instead of streaming through memory and touching freshly
 mapped pages; a measured sweep set it.
 
 A vector field with affine parts c(p) = A p + b (matrix games, gradients
-of quadratic forms, "linear", and their negations) has an exact profile
-that is affine in eps, so its extremes over the segment are its endpoint
-values.  batch_relations evaluates such rows at eps 0 and 1 only and
-settles every row whose endpoint extremes clear the band edges +-tau by
-more than twice a rigorous rounding bound (_affine_rounding_bound); there
-the uniform-grid screen is certain to reach the same band predicates.
-The few rows left open go through the screen as before, so every relation
-is exactly the screen's.
+of quadratic forms, "linear", and their negations) has a profile affine in
+eps, so batch_relations first settles its rows from the two endpoint
+values wherever that provably gives the screen's relation (_affine_endpoints).
 """
 
 from __future__ import annotations
@@ -209,15 +194,34 @@ def _profiles(field, xs: np.ndarray, ys: np.ndarray, eps: np.ndarray) -> np.ndar
     return _deltas(vals.reshape(k, e, dim), xs - ys)
 
 
-def _witnesses(segment_witnesses, xs: np.ndarray,
-               ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, eps) of a witness provider on the rows (xs, ys), eps checked
-    to lie in [0, 1] (see the module docstring)."""
-    rows, eps = segment_witnesses(xs, ys)
-    eps = np.asarray(eps, float)
+def _witnesses(field, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, eps) of field.witnesses on the rows (xs, ys), none without a
+    provider.  ValueError unless rows are strictly increasing rows of the
+    batch, eps is (len(rows), m) and every eps lies in [0, 1]."""
+    if field.witnesses is None:
+        return np.empty(0, np.intp), np.empty((0, 0))
+    rows, eps = field.witnesses(xs, ys)
+    rows, eps = np.asarray(rows, np.intp), np.asarray(eps, float)
+    if not (rows.ndim == 1 and eps.ndim == 2 and len(eps) == rows.size
+            and np.all(np.diff(rows) > 0) and np.all((rows >= 0) & (rows < len(xs)))):
+        raise ValueError(f"witness rows {rows.tolist()} must be strictly increasing rows of a "
+                         f"{len(xs)}-row batch, each with one row of eps (got {eps.shape})")
     if not np.all((eps >= 0) & (eps <= 1)):  # NaN fails both
         raise ValueError("witness eps values must lie in [0, 1]")
-    return np.asarray(rows, np.intp), eps
+    return rows, eps
+
+
+def _joined(eps: np.ndarray, extra: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The grid eps joined with each row of witness eps extra, sorted with
+    repeats dropped (np.unique's construction, row by row), grouped by
+    length: (indices into extra, (g, e) eps sets)."""
+    both = np.sort(np.hstack([np.broadcast_to(eps, (len(extra), eps.size)), extra]), axis=1)
+    keep = np.ones(both.shape, bool)
+    keep[:, 1:] = both[:, 1:] != both[:, :-1]
+    lengths = keep.sum(axis=1)
+    for e in np.unique(lengths):
+        group = np.flatnonzero(lengths == e)
+        yield group, both[group][keep[group]].reshape(group.size, e)
 
 
 def _endpoints(field, x, y):
@@ -228,22 +232,20 @@ def _endpoints(field, x, y):
     return x, y
 
 
-def profile(field, x, y, cfg: ToleranceConfig | None = None,
-            segment_witnesses=None) -> tuple[np.ndarray, np.ndarray]:
+def profile(field, x, y, cfg: ToleranceConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(eps, profile) of the segment from y to x, sorted by eps.
 
     The profile is delta(eps) = (x - y) . c(eps*x + (1-eps)*y) for a vector
     field and g(eps) = f(eps*x + (1-eps)*y) for a scalar one, on the uniform
-    grid plus the eps segment_witnesses gives the row (x, y).
+    grid plus the eps field.witnesses gives the row (x, y).
     """
     cfg = cfg or ToleranceConfig()
     x, y = _endpoints(field, x, y)
     xs, ys = x[None, :], y[None, :]
     eps = np.linspace(0.0, 1.0, cfg.n_eps)
-    if segment_witnesses is not None:
-        _, extra = _witnesses(segment_witnesses, xs, ys)
-        if extra.size:
-            eps = np.unique(np.concatenate([eps, extra[0]]))
+    _, extra = _witnesses(field, xs, ys)
+    if extra.size:
+        eps = next(_joined(eps, extra))[1][0]
     return eps, _profiles(field, xs, ys, eps)[0]
 
 
@@ -280,8 +282,7 @@ def _verdict(eps: np.ndarray, profile: np.ndarray, cfg: ToleranceConfig,
     return DominanceVerdict(relation, strict, violation, hi, min(lo, drop), cfg)
 
 
-def compare_vector(c: VectorField, x, y, cfg: ToleranceConfig | None = None,
-                   segment_witnesses=None) -> DominanceVerdict:
+def compare_vector(c: VectorField, x, y, cfg: ToleranceConfig | None = None) -> DominanceVerdict:
     """Decide the dominance relation between x and y under the vector field c.
 
     StrictlyDominates means x strictly dominates y (delta <= tau everywhere
@@ -291,12 +292,11 @@ def compare_vector(c: VectorField, x, y, cfg: ToleranceConfig | None = None,
     Equivalent.
     """
     cfg = cfg or ToleranceConfig()
-    eps, delta = profile(c, x, y, cfg, segment_witnesses)
+    eps, delta = profile(c, x, y, cfg)
     return _verdict(eps, delta, cfg, scalar=False)
 
 
-def compare_scalar(f: ScalarField, x, y, cfg: ToleranceConfig | None = None,
-                   segment_witnesses=None) -> DominanceVerdict:
+def compare_scalar(f: ScalarField, x, y, cfg: ToleranceConfig | None = None) -> DominanceVerdict:
     """Decide the dominance relation between x and y under the scalar field f.
 
     x weakly dominates y when every consecutive grid difference of g is at
@@ -306,7 +306,7 @@ def compare_scalar(f: ScalarField, x, y, cfg: ToleranceConfig | None = None,
     strictness.
     """
     cfg = cfg or ToleranceConfig()
-    eps, g = profile(f, x, y, cfg, segment_witnesses)
+    eps, g = profile(f, x, y, cfg)
     return _verdict(eps, g, cfg, scalar=True)
 
 
@@ -372,8 +372,8 @@ def _blocks(rows: np.ndarray, n_points: int, dim: int) -> Iterator[np.ndarray]:
         yield rows[s:s + step]
 
 
-def batch_vector_extremes(c: VectorField, xs, ys, cfg: ToleranceConfig, *,
-                          segment_witnesses=None) -> tuple[np.ndarray, np.ndarray]:
+def batch_vector_extremes(c: VectorField, xs, ys,
+                          cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
     """Rowwise (max, min) of delta(eps) = (x_k - y_k) . c(eps x_k + (1-eps) y_k).
 
     Uniform-grid screen.  Adding grid points can only grow the max and
@@ -388,11 +388,10 @@ def batch_vector_extremes(c: VectorField, xs, ys, cfg: ToleranceConfig, *,
     are never dropped get their exact full-grid extremes.  Every (row, eps)
     point is evaluated at most once.
 
-    segment_witnesses, when given, is called once, on the rows that are
-    not dropped, and the eps it names are evaluated in blocks and folded
-    into those rows' extremes.  Such a row has the extremes and the
-    relation of compare_vector(..., segment_witnesses), bit for bit at
-    dim <= 7 (see the module docstring).
+    c.witnesses, when set, is called once, on the rows that are not
+    dropped, and the eps it names are evaluated in blocks and folded into
+    those rows' extremes.  Such a row has the extremes and the relation of
+    compare_vector, bit for bit at dim <= 7 (see the module docstring).
     """
     xs, ys = _broadcast_rows(xs, ys)
     k, dim = xs.shape
@@ -409,8 +408,8 @@ def batch_vector_extremes(c: VectorField, xs, ys, cfg: ToleranceConfig, *,
             live = live[~((out_max[live] > tau) & (out_min[live] < -tau))]
         for rows in _blocks(live, eps.size, dim):
             fold(rows, _profiles(c, _rows(xs, rows), _rows(ys, rows), eps))
-    if segment_witnesses is not None and live.size:
-        found, eps = _witnesses(segment_witnesses, xs[live], ys[live])
+    if c.witnesses is not None and live.size:
+        found, eps = _witnesses(c, xs[live], ys[live])
         if eps.size:
             witnessed = live[found]
             for block in _blocks(np.arange(witnessed.size), eps.shape[1], dim):
@@ -429,80 +428,82 @@ def batch_scalar_steps(f: ScalarField, xs, ys,
                        cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rowwise (max step, min step, total change) of g(eps) = f(eps x + (1-eps) y).
 
-    When s = _LADDER_STRIDES[0] (a power of two) divides n_eps - 1 and the
-    coarse grid eps[::s] has at least two steps (one step cannot cross both
-    band edges), every row is first evaluated on that coarse grid, the same
-    bits as those points of the full grid.  A row with a coarse step above
-    T and one below -T is Incomparable on the full grid (see below).  It is
-    not evaluated further and returns its coarse step extremes, which
-    satisfy max step > tau and min step < -tau, and its exact total change
-    (the coarse grid holds both ends).  Every other row, and every row when
-    there is no coarse grid, takes one plain pass over the full grid and
-    gets its exact full-grid statistics; a surviving row so evaluates its
-    coarse points twice, the one cost the pre-screen adds.
+    f.witnesses is asked once, about every row; a row's eps set is the
+    uniform grid plus its witness eps, as in its comparison.  When
+    s = _LADDER_STRIDES[0] (a power of two) divides n_eps - 1 and the coarse
+    grid eps[::s] has at least two steps (one step cannot cross both band
+    edges), every row is first evaluated on that coarse grid, the same bits
+    as those points of its eps set.  A row with a coarse step above T and
+    one below -T is Incomparable on its eps set (see below).  It stops
+    there and returns its coarse step extremes, which satisfy max step >
+    tau and min step < -tau, and its exact total change (the coarse grid
+    holds both ends).  Every other row takes one pass over its eps set
+    (_joined for a witnessed row) and gets its comparison's statistics; it
+    so evaluates its coarse points twice, the one cost the pre-screen adds.
 
-    The certificate.  Let E = g[i+s] - g[i] exactly, the sum of the s exact
-    fine steps D_j = g[j+1] - g[j] it spans.  The computed coarse step is
-    C = fl(E) = E(1 + d) with |d| <= u = 2**-53 (a difference of two floats
-    that lands in the subnormal range is exact), and a computed fine step is
-    fl(D_j) >= D_j(1 - u) for D_j > 0.  The threshold is T = fl(x), x =
-    s tau (1 + 2**-50): s tau is exact for a power of two s, subnormal tau
-    included, so T rounds once, and a float C > fl(x) has C > x under round
-    to nearest (no float lies in (fl(x), x]).  Then E >= C / (1 + u) >
-    s tau (1 + 2**-50) / (1 + u), some D_j >= E / s, and fl(D_j) >
-    tau (1 + 8u)(1 - u) / (1 + u) > tau.  So the full grid has a step above
-    tau; the mirror argument gives one below -tau when C < -T.  An overflow
-    makes T infinite, which certifies no row.
+    The certificate.  A coarse step spans s grid steps, which m witness eps
+    split into at most s + m steps of the eps set; let P be s for a row
+    without witnesses and the least power of two >= s + m for a row with m.
+    Let E = g[i+s] - g[i] exactly, the sum of those exact steps D_j.  The
+    computed coarse step is C = fl(E) = E(1 + d) with |d| <= u = 2**-53 (a
+    difference of two floats that lands in the subnormal range is exact),
+    and a computed step is fl(D_j) >= D_j(1 - u) for D_j > 0.  The threshold
+    is T = fl(x), x = P tau (1 + 2**-50): P tau is exact for a power of two
+    P, subnormal tau included, so T rounds once, and a float C > fl(x) has
+    C > x under round to nearest (no float lies in (fl(x), x]).  Then E >=
+    C / (1 + u) > P tau (1 + 2**-50) / (1 + u), some D_j >= E / P, and
+    fl(D_j) > tau (1 + 8u)(1 - u) / (1 + u) > tau.  So the eps set has a
+    step above tau; the mirror argument gives one below -tau when C < -T.
+    An overflow makes T infinite, which certifies no row.
     """
     xs, ys = _broadcast_rows(xs, ys)
     k, dim = xs.shape
     n, s = cfg.n_eps, _LADDER_STRIDES[0]
     eps = np.linspace(0.0, 1.0, n)
     smax, smin, total = np.empty(k), np.empty(k), np.empty(k)
-    live = np.arange(k)
+    found, extra = _witnesses(f, xs, ys)
+    live, plain = np.ones(k, bool), np.ones(k, bool)
+    plain[found] = False
     if (n - 1) % s == 0 and n - 1 >= 2 * s:
-        for rows in _blocks(live, (n - 1) // s + 1, dim):
+        for rows in _blocks(np.arange(k), (n - 1) // s + 1, dim):
             g = _profiles(f, _rows(xs, rows), _rows(ys, rows), eps[::s])
             smax[rows], smin[rows], total[rows] = _step_stats(g)
-        bound = s * cfg.tau * (1.0 + 2.0 ** -50)
-        live = np.flatnonzero((smax <= bound) | (smin >= -bound))
-    for rows in _blocks(live, n, dim):
+        steps = np.where(plain, s, 1 << (s + extra.shape[1] - 1).bit_length())
+        bound = steps * cfg.tau * (1.0 + 2.0 ** -50)
+        live = (smax <= bound) | (smin >= -bound)
+    for rows in _blocks(np.flatnonzero(live & plain), n, dim):
         g = _profiles(f, _rows(xs, rows), _rows(ys, rows), eps)
         smax[rows], smin[rows], total[rows] = _step_stats(g)
+    for block in _blocks(np.flatnonzero(live[found]), n + extra.shape[1], dim):
+        for group, grids in _joined(eps, extra[block]):
+            rows = found[block[group]]
+            g = _profiles(f, _rows(xs, rows), _rows(ys, rows), grids)
+            smax[rows], smin[rows], total[rows] = _step_stats(g)
     return smax, smin, total
 
 
-def batch_relations(field, xs, ys, cfg: ToleranceConfig, segment_witnesses=None) -> np.ndarray:
+def batch_relations(field, xs, ys, cfg: ToleranceConfig) -> np.ndarray:
     """Rowwise relation of x_k to y_k, read off the uniform-grid screen.
 
-    Uses the rule of compare_vector/compare_scalar on the screen statistics
-    (it reads only their band predicates): vector rows come from
-    batch_vector_extremes with segment_witnesses folded in, scalar rows
-    from batch_scalar_steps.  Every row's relation is that of compare_*
-    with the same witness provider (see the module docstring for dim >= 8).
-    The step screen cannot fold witness eps (a witness splits a step), so
-    scalar fields with segment_witnesses raise ValueError.
-
-    A vector field with affine parts first has every row decided from its
-    two endpoint values (see _affine_endpoints); only the rows that
-    certificate leaves open go through the screen.  The relation of every
-    row equals the screen's either way.
+    Uses the rule of compare_vector/compare_scalar on the band predicates
+    of batch_vector_extremes or batch_scalar_steps, with the field's
+    witness eps folded in, so every row's relation is that of compare_*
+    (see the module docstring for dim >= 8).  A vector field with affine
+    parts first settles what rows it can from their two endpoint values
+    (_affine_endpoints), and screens the rest.
     """
     if isinstance(field, ScalarField):
-        if segment_witnesses is not None:
-            raise ValueError("the scalar step screen cannot fold segment witnesses")
         smax, smin, total = batch_scalar_steps(field, xs, ys, cfg)
         return _relations(smax, smin, total, total, cfg.tau)
     if field.affine is None:
-        mx, mn = batch_vector_extremes(field, xs, ys, cfg, segment_witnesses=segment_witnesses)
+        mx, mn = batch_vector_extremes(field, xs, ys, cfg)
     else:
         xs, ys = _broadcast_rows(xs, ys)
         mx, mn, settled = _affine_endpoints(field, xs, ys, cfg.tau)
         rest = np.flatnonzero(~settled)
         if rest.size:
-            mx[rest], mn[rest] = batch_vector_extremes(
-                field, _rows(xs, rest), _rows(ys, rest), cfg,
-                segment_witnesses=segment_witnesses)
+            mx[rest], mn[rest] = batch_vector_extremes(field, _rows(xs, rest),
+                                                       _rows(ys, rest), cfg)
     return _relations(mx, mn, mn, mx, cfg.tau)
 
 

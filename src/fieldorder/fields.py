@@ -290,11 +290,18 @@ def sample_domain(domain: Domain, strategy: Strategy, seed: int = 0) -> SampleSe
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Deterministic f: X -> R given by one batch map (n, dim) -> (n,)."""
+    """Deterministic f: X -> R given by one batch map (n, dim) -> (n,).
+
+    witnesses, when set, is the batch provider of exact sub-grid eps on
+    the field's segments, which every comparison and screen of the field
+    folds in (see dominance); only scalar_field, vector_field and negate
+    set it.
+    """
 
     batch: Callable[[np.ndarray], np.ndarray]
     domain: Domain
     label: str
+    witnesses: Callable | None = field(default=None, compare=False, repr=False)
 
     def value(self, p) -> float:
         return float(self.values(np.asarray(p, float).reshape(1, -1))[0])
@@ -311,6 +318,7 @@ class VectorField:
     affine, when set, is the exact (A, b) with c(x) = A x + b that batch
     evaluates in floating point; the dominance screens use it to certify
     rows from two segment points.  Only affine_field and negate set it.
+    witnesses is the witness provider, as for ScalarField.
     """
 
     batch: Callable[[np.ndarray], np.ndarray]
@@ -318,6 +326,7 @@ class VectorField:
     label: str
     affine: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False,
                                                          repr=False)
+    witnesses: Callable | None = field(default=None, compare=False, repr=False)
 
     def value(self, p) -> np.ndarray:
         return self.values(np.asarray(p, float).reshape(1, -1))[0]
@@ -378,11 +387,13 @@ def affine_field(A, b, domain: Domain, label: str) -> VectorField:
 def negate(f: AnyField) -> AnyField:
     """Field with all values negated; negate(negate(f)) evaluates bit-identically to f.
 
-    Negation is exact, so the affine parts of a vector field negate with it.
+    Negation is exact, so the affine parts of a vector field negate with
+    it.  Witness eps depend only on a segment's geometry, so it keeps them.
     """
     batch = f.batch
     label = f.label[4:] if f.label.startswith("neg:") else f"neg:{f.label}"
-    neg = type(f)(batch=lambda P: -batch(P), domain=f.domain, label=label)
+    neg = type(f)(batch=lambda P: -batch(P), domain=f.domain, label=label,
+                  witnesses=f.witnesses)
     if isinstance(f, VectorField) and f.affine is not None:
         A, b = f.affine
         neg = replace(neg, affine=(_frozen(-A), _frozen(-b)))
@@ -450,6 +461,61 @@ def _xsininv_1d(t: np.ndarray) -> np.ndarray:
     return out
 
 
+# a segment endpoint within this of 0 is the origin, for its witnesses
+_ORIGIN_ATOL = 1e-12
+
+
+def origin_witness(x: float, want_sign: int) -> float:
+    """A point w strictly between 0 and x with sign(x * f(w)) = want_sign.
+
+    For f(t) = t sin(1/t), choosing w = sign(x)/(k pi + pi/2) gives
+    sin(1/w) = +-1 exactly; since x and w share a sign, sign(x f(w)) =
+    sign(sin(1/w)), which the parity of k controls.  The smallest
+    admissible k of the right parity is used.
+    """
+    if x == 0 or math.isnan(x):
+        raise ValueError(f"x must be a nonzero number, got {x}")
+    if want_sign not in (1, -1):
+        raise ValueError("want_sign must be +1 or -1")
+    return float(_origin_witnesses(np.array([x], float), want_sign)[0])
+
+
+def _origin_witnesses(x: np.ndarray, want_sign: int) -> np.ndarray:
+    """origin_witness of each nonzero entry of x, elementwise."""
+    ax, pi = np.abs(x), math.pi
+    k = np.maximum(0.0, np.floor((1.0 / ax - pi / 2.0) / pi) + 1.0)
+    # sin(1/w) = (-1)^k for w > 0 and (-1)^(k+1) for w < 0
+    want_even = (x > 0) == (want_sign == 1)
+    k += (k % 2 == 0) != want_even
+    w = np.copysign(1.0 / (k * pi + pi / 2.0), x)
+    while (far := np.abs(w) >= ax).any():
+        k[far] += 2
+        w[far] = np.copysign(1.0 / (k[far] * pi + pi / 2.0), x[far])
+    return w
+
+
+def origin_segment_witnesses(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Witness eps of the rows of a batch whose segment ends at the origin:
+    the witness provider of the stock x sin(1/x) fields.
+
+    Row k's segment is eps*xs[k] + (1-eps)*ys[k], for (k, 1) arrays xs and
+    ys.  A row with one endpoint at the origin (within _ORIGIN_ATOL) and
+    the other, x, off it gets the two eps where x f takes each sign.
+    Returns (rows, eps) with eps of shape (len(rows), 2); at any dim but 1
+    no row has witnesses.
+    """
+    xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+    if xs.shape[1] != 1:
+        return np.empty(0, np.intp), np.empty((0, 2))
+    ax, ay = np.abs(xs[:, 0]), np.abs(ys[:, 0])
+    near_x, near_y = ax <= _ORIGIN_ATOL, ay <= _ORIGIN_ATOL
+    rows = np.flatnonzero((near_x & (ay > _ORIGIN_ATOL)) | (near_y & (ax > _ORIGIN_ATOL)))
+    at_x = near_x[rows]
+    x = np.where(at_x, ys[rows, 0], xs[rows, 0])  # the endpoint off the origin
+    w = np.stack([_origin_witnesses(x, s) / x for s in (1, -1)], axis=1)
+    return rows, np.where(at_x[:, None], 1.0 - w, w)  # eps runs from y to x
+
+
 def _box1(lo: float, hi: float) -> Box:
     return Box((lo,), (hi,))
 
@@ -507,7 +573,8 @@ def scalar_field(name: str) -> ScalarField:
     if name not in _SCALAR_REGISTRY:
         raise ValueError(f"unknown field {name!r}; known: {registry_names()}")
     default_domain, batch = _SCALAR_REGISTRY[name]
-    return ScalarField(batch=batch, domain=default_domain(), label=name)
+    witnesses = origin_segment_witnesses if name == "xsininv" else None
+    return ScalarField(batch=batch, domain=default_domain(), label=name, witnesses=witnesses)
 
 
 def vector_field(name: str) -> VectorField:
@@ -515,7 +582,8 @@ def vector_field(name: str) -> VectorField:
 
     One-dimensional scalar names double as 1-D vector fields (the same map
     read as c: R -> R).  "linear" is c(x) = x and "mexican_hat" is the
-    closed-form radial gradient of its scalar form.
+    closed-form radial gradient of its scalar form.  A scalar name's
+    vector field keeps its witnesses.
     """
     if name == "linear":
         return affine_field(np.eye(1), np.zeros(1), _box1(-1.0, 1.0), "linear")
@@ -524,7 +592,8 @@ def vector_field(name: str) -> VectorField:
     if name in ("quadratic", "cubic", "xsininv"):
         sf = scalar_field(name)
         sbatch = sf.batch
-        return VectorField(batch=lambda P: sbatch(P)[:, None], domain=sf.domain, label=name)
+        return VectorField(batch=lambda P: sbatch(P)[:, None], domain=sf.domain, label=name,
+                           witnesses=sf.witnesses)
     raise ValueError(f"unknown field {name!r}; known: {registry_names()}")
 
 

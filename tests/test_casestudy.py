@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from fieldorder import casestudy
-from fieldorder.casestudy import (_ORIGIN_ATOL, MAXIMAL, MINIMAL, build_catalog,
-                                  case_challengers, case_fields, check_setwise_dominance,
-                                  classify_catalog,
+from fieldorder.casestudy import (MAXIMAL, MINIMAL, build_catalog, case_challengers,
+                                  case_fields, check_setwise_dominance, classify_catalog,
                                   dominating_minimal_element, mexican_hat_counterexample,
                                   minimal_candidate_points, nearest_critical_distance,
-                                  origin_atypicality, origin_segment_witnesses,
-                                  origin_witness, slope_at_zero, zero_point)
+                                  origin_atypicality, slope_at_zero, zero_point)
 from fieldorder.dominance import STRICTLY_DOMINATES, ToleranceConfig, compare_vector
-from fieldorder.fields import gradient_field, scalar_field
+from fieldorder.fields import (_ORIGIN_ATOL, gradient_field, origin_segment_witnesses,
+                               origin_witness, scalar_field)
 
 PI = math.pi
 CFG = ToleranceConfig()
@@ -71,9 +70,10 @@ class TestOriginWitness:
         f, _ = case_fields()
         assert 0.5 * f.value(np.array([w])) < 0
 
-    def test_zero_rejected(self):
+    @pytest.mark.parametrize("x", [0.0, math.nan])
+    def test_zero_rejected(self, x):
         with pytest.raises(ValueError):
-            origin_witness(0.0, 1)
+            origin_witness(x, 1)
 
 
 def per_row_origin_witnesses(a, b):

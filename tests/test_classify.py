@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from fieldorder.dominance import ToleranceConfig, compare_scalar, compare_vector
 from fieldorder.errors import DimensionMismatchError, DomainViolationError
 from fieldorder.fields import (Box, Product, SampleSet, ScalarField, Simplex, negate,
                                scalar_field, vector_field)
-from fieldorder.casestudy import case_challengers, build_catalog, origin_segment_witnesses
+from fieldorder.casestudy import case_challengers, build_catalog
 
 CFG = ToleranceConfig()
 
@@ -59,15 +61,15 @@ class TestMinimalMaximal:
         c = vector_field("xsininv")
         ch = case_challengers(build_catalog(5))
         p = np.array([1 / np.pi])
-        assert minimal_and_maximal(c, p, ch, CFG, origin_segment_witnesses)[0].ok
-        assert not minimal_and_maximal(c, p, ch, CFG, origin_segment_witnesses)[1].ok
+        assert minimal_and_maximal(c, p, ch, CFG)[0].ok
+        assert not minimal_and_maximal(c, p, ch, CFG)[1].ok
 
     def test_oscillator_second_zero_maximal(self):
         c = vector_field("xsininv")
         ch = case_challengers(build_catalog(5))
         p = np.array([1 / (2 * np.pi)])
-        assert not minimal_and_maximal(c, p, ch, CFG, origin_segment_witnesses)[0].ok
-        assert minimal_and_maximal(c, p, ch, CFG, origin_segment_witnesses)[1].ok
+        assert not minimal_and_maximal(c, p, ch, CFG)[0].ok
+        assert minimal_and_maximal(c, p, ch, CFG)[1].ok
 
     def test_duality_is_bit_exact(self, square, square_challengers):
         rng = np.random.default_rng(3)
@@ -228,8 +230,7 @@ class TestClassifyPoint:
     def test_oscillator_first_zero_report(self):
         c = vector_field("xsininv")
         ch = case_challengers(build_catalog(5), grid_n=2048)
-        rep = classify_point(c, [1 / np.pi], challengers=ch, radius=0.1,
-                             seed=7, segment_witnesses=origin_segment_witnesses)
+        rep = classify_point(c, [1 / np.pi], challengers=ch, radius=0.1, seed=7)
         assert rep.is_critical and rep.is_minimal and not rep.is_maximal
         assert rep.is_nss and rep.is_ess
         assert rep.analytic_witnesses
@@ -270,10 +271,36 @@ class TestClassifyPoint:
         with pytest.raises(ValueError, match="challenger set is empty"):
             classify_point(make("quadratic"), [0.0], challengers=empty)
 
-    def test_scalar_field_takes_no_witnesses(self):
-        rep = classify_point(scalar_field("quadratic"), [0.0], radius=0.1, seed=7,
-                             segment_witnesses=lambda xs, ys: ([0], [[0.3]]))
-        assert rep.kind == "scalar" and not rep.analytic_witnesses
+    @pytest.mark.parametrize("make", [scalar_field, vector_field], ids=["scalar", "vector"])
+    @pytest.mark.parametrize("n_eps", [5, 9])
+    def test_origin_is_minimal_and_maximal_without_passing_witnesses(self, make, n_eps):
+        # the stock field brings its witness eps, so a caller that passes
+        # nothing still gets the headline verdict; the grid alone misses it
+        c = make("xsininv")
+        ch = case_challengers(build_catalog(25), 256)
+        cfg = ToleranceConfig(n_eps=n_eps)
+        rep = classify_point(c, [0.0], ch, cfg=cfg)
+        assert rep.is_minimal and rep.is_maximal and rep.analytic_witnesses
+        bare = classify_point(replace(c, witnesses=None), [0.0], ch, cfg=cfg)
+        assert not bare.is_minimal
+        # the scalar grid of 9 points happens to see the origin maximal
+        assert bare.is_maximal == (make is scalar_field and n_eps == 9)
+
+    @pytest.mark.parametrize("make", [scalar_field, vector_field], ids=["scalar", "vector"])
+    def test_analytic_witnesses_are_the_fields(self, make):
+        # the report echoes whether the field carries a provider, and a
+        # scalar field's provider is asked by its screen
+        asked = []
+
+        def provider(xs, ys):
+            asked.append(len(xs))
+            return np.empty(0, np.intp), np.empty((0, 1))
+
+        plain = make("quadratic")
+        assert not classify_point(plain, [0.0], radius=0.1, seed=7).analytic_witnesses
+        assert classify_point(make("xsininv"), [0.0], radius=0.1, seed=7).analytic_witnesses
+        rep = classify_point(replace(plain, witnesses=provider), [0.0], radius=0.1, seed=7)
+        assert rep.analytic_witnesses and asked
 
 
 RPS = [[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]]
@@ -282,38 +309,35 @@ RPS = [[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]]
 def _one_screen_cases():
     from fieldorder.games import from_symmetric_matrix, hawk_dove, matching_pennies
     stock = {"quadratic": ([0.0], [0.3]), "cubic": ([0.0], [-0.5]),
-             "xsininv": ([0.0], [1 / np.pi]), "linear": ([-1.0], [0.2]),
+             "xsininv": ([0.0], [1 / np.pi], [0.5]), "linear": ([-1.0], [0.2]),
              "mexican_hat": ([1.0, 0.0], [0.3, -0.4])}
     cases = []
     for name, points in stock.items():
         for make, kind in ((scalar_field, "scalar"), (vector_field, "vector")):
-            cases += [(f"{kind}:{name}@{p}", make(name), p, None) for p in points]
+            cases += [(f"{kind}:{name}@{p}", make(name), p) for p in points]
     games = [("hawk_dove", hawk_dove, [0.5, 0.5], [0.2, 0.8]),
              ("matching_pennies", matching_pennies, [0.5] * 4, [0.3, 0.7, 0.6, 0.4]),
              ("rps", lambda: from_symmetric_matrix(RPS), [1 / 3] * 3, [0.2, 0.3, 0.5])]
     for name, make, *points in games:
-        cases += [(f"game:{name}@{p}", make().cost, p, None) for p in points]
-    cases += [(f"xsininv+witnesses@{p}", vector_field("xsininv"), p, origin_segment_witnesses)
-              for p in ([0.0], [1 / np.pi], [0.5])]
+        cases += [(f"game:{name}@{p}", make().cost, p) for p in points]
     return cases
 
 
-@pytest.mark.parametrize("label, field, p, witnesses", _one_screen_cases(),
+@pytest.mark.parametrize("label, field, p", _one_screen_cases(),
                          ids=[case[0] for case in _one_screen_cases()])
-def test_one_screen_is_the_one_check_path(label, field, p, witnesses):
+def test_one_screen_is_the_one_check_path(label, field, p):
     # classify_point reads minimal, maximal and local-min off one screen of
     # challengers and ball; each must equal its own entry point on the same
     # probe sets, and the printed eps is that of the full comparison of the
-    # lex-first dominator, with the same witness eps
+    # lex-first dominator (xsininv's witness eps included)
     seed = 7
     radius = 0.05 * field.domain.diameter()
-    rep = classify_point(field, p, radius=radius, cfg=CFG, seed=seed,
-                         segment_witnesses=witnesses)
+    rep = classify_point(field, p, radius=radius, cfg=CFG, seed=seed)
     ball = sample_neighborhood(field.domain, p, radius, seed=seed)
     full = default_challengers(field.domain, seed).union(ball.points, note="ball")
     assert rep.challengers_used == full.strategy
-    local_min = is_local_min_polyorder(field, p, ball, CFG, witnesses)
-    minimal, maximal = minimal_and_maximal(field, p, full, CFG, witnesses)
+    local_min = is_local_min_polyorder(field, p, ball, CFG)
+    minimal, maximal = minimal_and_maximal(field, p, full, CFG)
     assert rep.is_local_min_polyorder == local_min.ok
     assert (rep.is_minimal, rep.is_maximal) == (minimal.ok, maximal.ok)
     if minimal.ok:
@@ -321,7 +345,7 @@ def test_one_screen_is_the_one_check_path(label, field, p, witnesses):
     else:
         x, p = np.array(minimal.witness), np.asarray(p, float)
         compare = compare_scalar if isinstance(field, ScalarField) else compare_vector
-        eps = compare(field, x, p, CFG, witnesses).witness_eps_strict
+        eps = compare(field, x, p, CFG).witness_eps_strict
         assert rep.dominating_witness == (minimal.witness, eps)
 
 

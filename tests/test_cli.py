@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fieldorder import casestudy, classify, cli
+from fieldorder import casestudy, classify, cli, fields
 from fieldorder.casestudy import zero_point
 from fieldorder.cli import _dumps, main
 from fieldorder.fields import _MAX_GRID_POINTS, registry_names, scalar_field
@@ -111,6 +111,12 @@ class TestClassify:
     def test_negated_oscillator_keeps_analytic_witnesses(self, capsys):
         got = run_json(capsys, "classify", "--vector", "neg:xsininv",
                        "--point", "0.31830988618")
+        assert got["analytic_witnesses"] is True
+
+    @pytest.mark.parametrize("ref", ["xsininv", "neg:xsininv"])
+    def test_scalar_oscillator_carries_analytic_witnesses(self, capsys, ref):
+        # the field carries its witnesses, whichever kind it is read as
+        got = run_json(capsys, "--neps", "65", "classify", "--scalar", ref, "--point", "0.0")
         assert got["analytic_witnesses"] is True
 
     def test_json_field_has_no_analytic_witnesses(self, capsys, tmp_path):
@@ -353,8 +359,8 @@ class TestCasestudy:
 
     def test_one_catalog_and_one_origin_screen(self, capsys, monkeypatch):
         # the study builds its catalog and challengers once, screens the
-        # origin once (with the catalog), and asks the witness provider at
-        # most once per screen
+        # origin once (with the catalog), and asks the stock field's witness
+        # provider at most once per screen
         calls = {}
 
         def count(module, name):
@@ -369,7 +375,7 @@ class TestCasestudy:
 
         for module, name in [(cli, "build_catalog"), (casestudy, "build_catalog"),
                              (cli, "case_challengers"), (casestudy, "case_challengers"),
-                             (casestudy, "origin_segment_witnesses"),
+                             (fields, "origin_segment_witnesses"),
                              (classify, "batch_relations"), (casestudy, "batch_relations")]:
             count(module, name)
         got = run_json(capsys, "--neps", "65", "casestudy", "--nmax", "2", "--grid-n", "256",
@@ -378,6 +384,7 @@ class TestCasestudy:
         screens = calls.pop("batch_relations")
         # 4 catalog points and the origin, 3 origin balls, 1 coverage sweep
         assert screens == 9
+        # the coverage sweep has no pair at the origin and asks nothing
         assert calls.pop("origin_segment_witnesses") <= screens - 1
         assert calls == {"build_catalog": 1, "case_challengers": 1}
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from fieldorder.dominance import (EQUIVALENT, INCOMPARABLE, REVERSE_STRICT,
-                                  STRICTLY_DOMINATES, ToleranceConfig,
-                                  batch_scalar_steps, compare_scalar, compare_vector,
-                                  _profiles, _segment_points, profile)
+                                  STRICTLY_DOMINATES, ToleranceConfig, batch_relations,
+                                  batch_scalar_steps, batch_vector_extremes, compare_scalar,
+                                  compare_vector, _profiles, _segment_points, profile)
 from fieldorder.errors import DomainViolationError
 from fieldorder.fields import (_MAX_GRID_POINTS, quadratic_form, gradient_field,
                                scalar_field, vector_field)
@@ -98,7 +98,8 @@ class TestProfiles:
         c = vector_field("xsininv")
         coarse = ToleranceConfig(n_eps=17)
         extra = [0.01, 0.3, 0.5]  # 0.5 is already a grid point
-        eps, _ = profile(c, [1.0], [0.1], coarse, lambda xs, ys: ([0], [extra]))
+        c = dataclasses.replace(c, witnesses=lambda xs, ys: ([0], [extra]))
+        eps, _ = profile(c, [1.0], [0.1], coarse)
         want = np.union1d(np.linspace(0.0, 1.0, 17), extra)
         assert np.array_equal(eps, want)
 
@@ -294,6 +295,32 @@ class TestConfig:
 
     def test_witness_eps_must_be_unit_interval(self):
         for bad in (1.5, -0.5, math.nan):
+            c = dataclasses.replace(vector_field("quadratic"),
+                                    witnesses=lambda xs, ys: ([0], [[bad]]))
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
-                compare_vector(vector_field("quadratic"), [0.1], [0.2], CFG,
-                               lambda xs, ys: ([0], [[bad]]))
+                compare_vector(c, [0.1], [0.2], CFG)
+
+
+# (rows, eps) a provider may not return for a two-row batch, or for one row
+BAD_WITNESSES = {"missing row": ([3], [[0.37]]), "no rows": ([], [[0.37]]),
+                 "short eps": ([0, 1], [[0.37]]), "row past the batch": ([7], [[0.37]]),
+                 "negative row": ([-1], [[0.37]]), "repeated row": ([0, 0], [[0.3], [0.4]]),
+                 "decreasing rows": ([1, 0], [[0.3], [0.4]]), "flat eps": ([0], [0.37])}
+
+
+@pytest.mark.parametrize("rows, eps", BAD_WITNESSES.values(), ids=BAD_WITNESSES)
+@pytest.mark.parametrize("make", [scalar_field, vector_field], ids=["scalar", "vector"])
+def test_witness_rows_must_index_the_batch(make, rows, eps):
+    # a provider's rows are strictly increasing rows of the batch, with one
+    # eps row each; anything else is refused, never folded into another row
+    # or left to fail with an IndexError
+    f = dataclasses.replace(make("quadratic"), witnesses=lambda xs, ys: (rows, eps))
+    calls = [lambda: profile(f, [0.5], [0.0], CFG),
+             lambda: batch_relations(f, [[0.1], [0.2]], [[0.5]], CFG)]
+    if make is vector_field:
+        calls.append(lambda: batch_vector_extremes(f, [[0.1], [0.2]], [[0.5]], CFG))
+    else:
+        calls.append(lambda: batch_scalar_steps(f, [[0.1], [0.2]], [[0.5]], CFG))
+    for call in calls:
+        with pytest.raises(ValueError, match="witness"):
+            call()

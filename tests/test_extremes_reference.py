@@ -6,14 +6,16 @@ minimality under the negated field.  The package decides both directions
 from one shared screen instead, and every (ok, witness) must agree.  The
 one eps a report prints, classify_point's dominating_witness, must be the
 strict-witness eps of the full comparison of the lex-first dominator of
-its challengers and ball, with the same witness eps.
+its challengers and ball, with the field's witness eps.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fieldorder.casestudy import build_catalog, case_challengers, origin_segment_witnesses
+from fieldorder.casestudy import build_catalog, case_challengers
 from fieldorder.classify import (classify_point, default_challengers, minimal_and_maximal,
                                  sample_neighborhood)
 from fieldorder.dominance import (STRICTLY_DOMINATES, ToleranceConfig, batch_scalar_steps,
@@ -34,24 +36,31 @@ def _first_dominator(dominators):
     return False, sorted(dominators)[0]
 
 
-def reference_minimal(c, p, challengers, cfg, segment_witnesses=None):
+def reference_minimal(c, p, challengers, cfg):
+    # witness eps can only raise a row's max, so the plain grid keeps every
+    # row that may strictly dominate
     p = require_in_domain(c.domain, p)
     X = challengers.points
-    mx, _ = batch_vector_extremes(c, X, p, cfg)
+    mx, _ = batch_vector_extremes(replace(c, witnesses=None), X, p, cfg)
     dominators = []
     for k in np.flatnonzero(mx <= cfg.tau):
-        verdict = compare_vector(c, X[k], p, cfg, segment_witnesses)
+        verdict = compare_vector(c, X[k], p, cfg)
         if verdict.relation == STRICTLY_DOMINATES:
             dominators.append(tuple(X[k]))
     return _first_dominator(dominators)
 
 
 def reference_minimal_scalar(f, p, challengers, cfg):
+    # a witness eps splits a step, which can lower the largest one, so every
+    # witnessed row is compared as well as the plain grid's candidates
     p = require_in_domain(f.domain, p)
     X = challengers.points
-    smax, _, total = batch_scalar_steps(f, X, p, cfg)
+    smax, _, total = batch_scalar_steps(replace(f, witnesses=None), X, p, cfg)
+    candidate = (smax <= cfg.tau) & (total < -cfg.tau)
+    if f.witnesses is not None:
+        candidate[f.witnesses(X, np.broadcast_to(p, X.shape))[0]] = True
     dominators = []
-    for k in np.flatnonzero((smax <= cfg.tau) & (total < -cfg.tau)):
+    for k in np.flatnonzero(candidate):
         verdict = compare_scalar(f, X[k], p, cfg)
         if verdict.relation == STRICTLY_DOMINATES:
             dominators.append(tuple(X[k]))
@@ -62,10 +71,10 @@ def _pair(out):
     return out.ok, out.witness
 
 
-def assert_vector_matches(c, p, challengers, cfg, segment_witnesses=None):
-    want_min = reference_minimal(c, p, challengers, cfg, segment_witnesses)
-    want_max = reference_minimal(negate(c), p, challengers, cfg, segment_witnesses)
-    got_min, got_max = minimal_and_maximal(c, p, challengers, cfg, segment_witnesses)
+def assert_vector_matches(c, p, challengers, cfg):
+    want_min = reference_minimal(c, p, challengers, cfg)
+    want_max = reference_minimal(negate(c), p, challengers, cfg)
+    got_min, got_max = minimal_and_maximal(c, p, challengers, cfg)
     assert _pair(got_min) == want_min
     assert _pair(got_max) == want_max
     return got_min, got_max
@@ -80,22 +89,22 @@ def assert_scalar_matches(f, p, challengers, cfg):
     return got_min, got_max
 
 
-def assert_report_matches(field, p, challengers, seed, cfg, segment_witnesses=None):
+def assert_report_matches(field, p, challengers, seed, cfg):
     """classify_point prints the lex-first dominator of its challengers and
     ball with the eps of one full comparison of that row."""
     radius = 0.05 * field.domain.diameter()
-    rep = classify_point(field, p, challengers, radius, cfg, seed, segment_witnesses)
+    rep = classify_point(field, p, challengers, radius, cfg, seed)
     ball = sample_neighborhood(field.domain, p, radius, seed=seed)
     full = challengers.union(ball.points, note="ball")
     assert rep.challengers_used == full.strategy
-    minimal = minimal_and_maximal(field, p, full, cfg, segment_witnesses)[0]
+    minimal = minimal_and_maximal(field, p, full, cfg)[0]
     want = None
     if not minimal.ok:
         x, p = np.array(minimal.witness), require_in_domain(field.domain, p)
         if isinstance(field, ScalarField):
             verdict = compare_scalar(field, x, p, cfg)
         else:
-            verdict = compare_vector(field, x, p, cfg, segment_witnesses)
+            verdict = compare_vector(field, x, p, cfg)
         want = (minimal.witness, verdict.witness_eps_strict)
     assert rep.dominating_witness == want
     return rep
@@ -138,9 +147,9 @@ def test_oscillator_with_origin_witnesses():
     catalog = build_catalog(5)
     challengers = case_challengers(catalog, grid_n=256)
     for i, x in enumerate([*(e.x for e in catalog.entries), 0.5]):
-        assert_vector_matches(c, [x], challengers, CFG, origin_segment_witnesses)
-        assert_report_matches(c, [x], challengers, i, CFG, origin_segment_witnesses)
-    origin = assert_vector_matches(c, [0.0], challengers, CFG, origin_segment_witnesses)
+        assert_vector_matches(c, [x], challengers, CFG)
+        assert_report_matches(c, [x], challengers, i, CFG)
+    origin = assert_vector_matches(c, [0.0], challengers, CFG)
     assert all(out.ok for out in origin)
 
 
@@ -167,13 +176,14 @@ def test_injected_witnesses_decide_pairs_the_grid_misses(base, height):
     # verdicts: on base -1 and +1 the spike is a violation that the screen
     # misses, on base 0 it is the only strict drop
     c = _spike_field(base, height)
+    spiked = replace(c, witnesses=_spike_witnesses)
     challengers = SampleSet(np.array([[-0.5], [0.2], [0.5], [0.75], [1.0]]))
     changed = 0
     for i, p in enumerate(([0.0], [0.1], [0.6])):
-        with_w = assert_vector_matches(c, p, challengers, CFG, _spike_witnesses)
+        with_w = assert_vector_matches(spiked, p, challengers, CFG)
         without = assert_vector_matches(c, p, challengers, CFG)
         changed += [_pair(o) for o in with_w] != [_pair(o) for o in without]
-        assert_report_matches(c, p, challengers, i, CFG, _spike_witnesses)
+        assert_report_matches(spiked, p, challengers, i, CFG)
     assert changed
 
 

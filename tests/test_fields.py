@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from fieldorder.errors import DimensionMismatchError, DomainViolationError
 from fieldorder.fields import (Box, Grid, Product, SeededRandom, Simplex, affine_field,
-                               field_from_json, gradient_field, negate, quadratic_form,
-                               registry_names, sample_domain, scalar_field, vector_field)
+                               field_from_json, gradient_field, negate,
+                               origin_segment_witnesses, quadratic_form, registry_names,
+                               sample_domain, scalar_field, vector_field)
 from fieldorder.fields import _radius, _simplex_grid, _simplex_grid_size
 
 
@@ -234,6 +235,18 @@ class TestFields:
         pts = np.linspace(-1, 2, 57)[:, None]
         assert c.values(pts).tobytes() == cc.values(pts).tobytes()
         assert cc.label == "xsininv"
+
+    @pytest.mark.parametrize("make", [scalar_field, vector_field], ids=["scalar", "vector"])
+    def test_witnesses_belong_to_the_stock_field(self, make):
+        # only the oscillator has witness eps; negation keeps them, since
+        # they depend only on a segment's geometry
+        f = make("xsininv")
+        assert f.witnesses is origin_segment_witnesses
+        assert negate(f).witnesses is negate(negate(f)).witnesses is origin_segment_witnesses
+        assert f == replace(f, witnesses=None)  # not part of equality, like affine
+        for name in set(registry_names()) - {"xsininv"}:
+            assert make(name).witnesses is None
+        assert gradient_field(scalar_field("xsininv")).witnesses is None
 
     def test_negate_keeps_signed_zeros(self):
         # the first component cancels to +0.0, so -f gives -0.0 there; an

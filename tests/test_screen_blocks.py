@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from fieldorder import dominance
-from fieldorder.casestudy import build_catalog, case_challengers, origin_segment_witnesses
+from fieldorder.casestudy import build_catalog, case_challengers
 from fieldorder.dominance import (ToleranceConfig, _affine_endpoints, _broadcast_rows,
                                   batch_relations, batch_scalar_steps, batch_vector_extremes)
 from fieldorder.fields import Box, affine_field, quadratic_form, scalar_field, vector_field
@@ -38,26 +38,26 @@ def _quadratic_9d():
 
 def _vector_cases():
     # a 9-D form: from dim 8 a stacked matmul can round a row by its grid position
-    yield ("mexican_hat", vector_field("mexican_hat"), _uniform(1, 300, 2, -2, 2), [[0.6, 0.8]],
-           None)
-    yield "quadratic_9d", _quadratic_9d()[1], _uniform(2, 120, 9), _uniform(3, 120, 9), None
+    yield "mexican_hat", vector_field("mexican_hat"), _uniform(1, 300, 2, -2, 2), [[0.6, 0.8]]
+    yield "quadratic_9d", _quadratic_9d()[1], _uniform(2, 120, 9), _uniform(3, 120, 9)
     yield ("xsininv_origin", vector_field("xsininv"),
-           case_challengers(build_catalog(25)).points[:300], [[0.0]], origin_segment_witnesses)
+           case_challengers(build_catalog(25)).points[:300], [[0.0]])
 
 
 def _scalar_cases():
     yield "mexican_hat", scalar_field("mexican_hat"), _uniform(4, 300, 2, -2, 2), [[0.6, 0.8]]
     yield "quadratic_9d", _quadratic_9d()[0], _uniform(5, 120, 9), _uniform(6, 120, 9)
     yield "xsininv", scalar_field("xsininv"), _uniform(7, 300, 1, -1, 2), [[0.3]]
+    yield ("xsininv_origin", scalar_field("xsininv"),
+           case_challengers(build_catalog(25)).points[:300], [[0.0]])
 
 
 def _screens():
     """Every screen output under the current block size, by name."""
     out = {}
-    for label, c, xs, ys, witnesses in _vector_cases():
-        out[label, "extremes"] = batch_vector_extremes(c, xs, ys, CFG,
-                                                       segment_witnesses=witnesses)
-        out[label, "relations"] = batch_relations(c, xs, ys, CFG, witnesses)
+    for label, c, xs, ys in _vector_cases():
+        out[label, "extremes"] = batch_vector_extremes(c, xs, ys, CFG)
+        out[label, "relations"] = batch_relations(c, xs, ys, CFG)
     for label, f, xs, ys in _scalar_cases():
         out[label, "scalar steps"] = batch_scalar_steps(f, xs, ys, CFG)
         out[label, "scalar relations"] = batch_relations(f, xs, ys, CFG)
@@ -97,11 +97,15 @@ def _peak_bytes(fn):
     ("scalar", scalar_field("mexican_hat")),
     ("vector", vector_field("mexican_hat")),
     ("affine", AFFINE),
+    ("witnessed scalar", scalar_field("xsininv")),
+    ("witnessed vector", vector_field("xsininv")),
 ])
 def test_screen_memory_is_blocks_plus_a_row_term(path, field):
     rows = 20_000
-    xs = _uniform(10, rows, 2, -2, 2)
-    peak = _peak_bytes(lambda: batch_relations(field, xs, [0.6, 0.8], CFG))
+    xs = _uniform(10, rows, field.domain.dim, field.domain.lower[0], field.domain.upper[0])
+    # a witnessed row ends at the origin and has an eps set of its own
+    p = [0.0] if path.startswith("witnessed") else [0.6, 0.8]
+    peak = _peak_bytes(lambda: batch_relations(field, xs, p, CFG))
     # a row keeps its statistics and its relation string (96 bytes); every
     # row's grid at once would be 20,000 x 1,025 x 2 x 8 bytes, 328 MB
     assert peak < 8 * dominance._BLOCK_BYTES + 200 * rows, peak

@@ -13,11 +13,11 @@ exact.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fieldorder.casestudy import origin_segment_witnesses
 from fieldorder.classify import (is_local_min_polyorder, minimal_and_maximal,
                                  sample_neighborhood)
 from fieldorder.dominance import (EQUIVALENT, INCOMPARABLE, REVERSE_STRICT, REVERSE_WEAK,
@@ -25,8 +25,9 @@ from fieldorder.dominance import (EQUIVALENT, INCOMPARABLE, REVERSE_STRICT, REVE
                                   ToleranceConfig, _profiles, batch_relations,
                                   batch_scalar_steps, batch_vector_extremes, compare_scalar,
                                   compare_vector)
-from fieldorder.fields import (Box, SampleSet, ScalarField, VectorField, negate, quadratic_form,
-                               registry_names, scalar_field, vector_field)
+from fieldorder.fields import (Box, SampleSet, ScalarField, VectorField, negate,
+                               origin_segment_witnesses, quadratic_form, registry_names,
+                               scalar_field, vector_field)
 from fieldorder.games import from_symmetric_matrix, hawk_dove, matching_pennies
 
 CFG = ToleranceConfig()
@@ -323,8 +324,8 @@ def test_segment_witnesses_redecide_both_directions(sign, screen_relation):
     failed = [not o.ok for o in minimal_and_maximal(c, p, challengers)]
     assert failed == [screen_relation == STRICTLY_DOMINATES,
                       screen_relation == REVERSE_STRICT]
-    cleared = minimal_and_maximal(c, p, challengers, segment_witnesses=lambda xs, ys: (
-        np.arange(len(xs)), np.full((len(xs), 1), 0.30015)))
+    c = replace(c, witnesses=lambda xs, ys: (np.arange(len(xs)), np.full((len(xs), 1), 0.30015)))
+    cleared = minimal_and_maximal(c, p, challengers)
     assert [o.ok for o in cleared] == [True, True]
 
 
@@ -364,30 +365,48 @@ def _fold_cases():
     X, Y = _origin_pairs()
     dip_x, dip_y = _uniform_pairs(rng, [0.0], [1.0], 120)
     dip_x[:4], dip_y[:4] = [[1.0], [0.0], [0.9], [0.1]], [[0.0], [1.0], [0.1], [0.9]]
-    return [("xsininv", vector_field("xsininv"), X, Y, origin_segment_witnesses),
-            ("dip+", _dip(1.0), dip_x, dip_y, _dip_witnesses),
-            ("dip-", _dip(-1.0), dip_x, dip_y, _dip_witnesses)]
+    return [("xsininv", vector_field("xsininv"), X, Y),
+            ("scalar xsininv", scalar_field("xsininv"), X, Y),
+            ("dip+", replace(_dip(1.0), witnesses=_dip_witnesses), dip_x, dip_y),
+            ("dip-", replace(_dip(-1.0), witnesses=_dip_witnesses), dip_x, dip_y)]
 
 
 @pytest.mark.parametrize("cfg", FOLD_CONFIGS, ids=FOLD_IDS)
-@pytest.mark.parametrize("label, c, X, Y, witnesses", _fold_cases(),
+@pytest.mark.parametrize("label, c, X, Y", _fold_cases(),
                          ids=[case[0] for case in _fold_cases()])
-def test_folded_relations_equal_compare_with_witness_eps(label, c, X, Y, witnesses, cfg):
-    folded = batch_relations(c, X, Y, cfg, witnesses)
-    plain = batch_relations(c, X, Y, cfg)
+def test_folded_relations_equal_compare_with_witness_eps(label, c, X, Y, cfg):
+    folded = batch_relations(c, X, Y, cfg)
+    plain = batch_relations(replace(c, witnesses=None), X, Y, cfg)
+    scalar = isinstance(c, ScalarField)
+    compare = compare_scalar if scalar else compare_vector
+    if scalar:
+        smax, smin, total = stats = batch_scalar_steps(c, X, Y, cfg)
     for k, (x, y) in enumerate(zip(X, Y)):
-        want = compare_vector(c, x, y, cfg, witnesses).relation
-        assert folded[k] == want, (k, x, y)
-    # the witness eps decide rows the uniform grid alone gets wrong
-    assert (folded != plain).any()
+        v = compare(c, x, y, cfg)
+        assert folded[k] == v.relation, (k, x, y)
+        # no grid here has a coarse certificate, so every scalar row takes
+        # its full eps set and gets its comparison's statistics
+        if scalar:
+            want = [smax[k], min(smin[k], total[k])]
+            assert bits(want) == bits([v.max_delta, v.min_delta]), (k, x, y)
+    # the witness eps decide rows the uniform grid alone gets wrong, or (a
+    # scalar row can stay Incomparable either way) at least move statistics
+    moved = (folded != plain).any()
+    if scalar:
+        moved |= bits(stats) != bits(batch_scalar_steps(replace(c, witnesses=None), X, Y, cfg))
+    assert moved
 
 
-@pytest.mark.parametrize("label, c, X, Y, witnesses", _fold_cases(),
-                         ids=[case[0] for case in _fold_cases()])
-def test_folded_extremes_are_the_compare_extremes(label, c, X, Y, witnesses):
-    mx, mn = batch_vector_extremes(c, X, Y, CFG, segment_witnesses=witnesses)
+def _vector_fold_cases():
+    return [case for case in _fold_cases() if isinstance(case[1], VectorField)]
+
+
+@pytest.mark.parametrize("label, c, X, Y", _vector_fold_cases(),
+                         ids=[case[0] for case in _vector_fold_cases()])
+def test_folded_extremes_are_the_compare_extremes(label, c, X, Y):
+    mx, mn = batch_vector_extremes(c, X, Y, CFG)
     for k, (x, y) in enumerate(zip(X, Y)):
-        v = compare_vector(c, x, y, CFG, witnesses)
+        v = compare_vector(c, x, y, CFG)
         if v.relation != INCOMPARABLE:
             assert bits([mx[k], mn[k]]) == bits([v.max_delta, v.min_delta]), k
 
@@ -398,7 +417,7 @@ def test_local_min_folds_origin_witnesses(radius):
     # grid plus its witness eps, stays at or above -tau
     c, origin = vector_field("xsininv"), np.array([0.0])
     ball = sample_neighborhood(c.domain, origin, radius, 64, seed=5)
-    got = is_local_min_polyorder(c, origin, ball, CFG, origin_segment_witnesses)
+    got = is_local_min_polyorder(c, origin, ball, CFG)
     grid = np.linspace(0.0, 1.0, CFG.n_eps)
     low = np.inf
     for x in ball.points:
@@ -410,9 +429,53 @@ def test_local_min_folds_origin_witnesses(radius):
     assert got.ok == (got.witness is None)
 
 
-@pytest.mark.parametrize("screen", [batch_relations])
-def test_scalar_screen_rejects_witnesses(screen):
-    f = scalar_field("xsininv")
+def test_scalar_screen_asks_the_provider_once_about_every_row():
+    # before its coarse certificate, which runs at the default n_eps, the
+    # step screen asks once about the whole batch; a witnessed row the
+    # certificate cannot stop takes its comparison's eps set
+    asked = []
+
+    def provider(xs, ys):
+        asked.append(len(xs))
+        return origin_segment_witnesses(xs, ys)
+
+    f = replace(scalar_field("xsininv"), witnesses=provider)
     X, Y = _origin_pairs()
-    with pytest.raises(ValueError, match="scalar"):
-        screen(f, X, Y, CFG, origin_segment_witnesses)
+    smax, smin, total = batch_scalar_steps(f, X, Y, CFG)
+    assert asked == [len(X)]
+    rows, _ = origin_segment_witnesses(X, Y)
+    assert rows.size == len(X) - 40  # every row but the last 40 ends at 0
+    stopped = 0
+    for k in rows:
+        v = compare_scalar(f, X[k], Y[k], CFG)
+        if bits([smax[k], min(smin[k], total[k])]) != bits([v.max_delta, v.min_delta]):
+            # a stopped row's coarse steps clear its threshold, 128 tau for
+            # 64 grid steps and 2 witness eps
+            assert v.relation == INCOMPARABLE, k
+            assert smax[k] > 128 * CFG.tau and smin[k] < -128 * CFG.tau, k
+            stopped += 1
+    assert stopped  # the certificate reads witnessed rows too
+
+
+def test_certificate_threshold_counts_witness_steps():
+    # g rises 65.27 tau over the first coarse step, so it clears 64 tau; but
+    # two witness eps split its one steep grid step into thirds, and every
+    # step of the row's eps set is then at most tau on the way up.  Only a
+    # threshold that counts the witness steps (128 tau) lets the row through
+    # to its eps set; it is not Incomparable there
+    cfg, h = ToleranceConfig(tau=1e-3), 1.0 / 1024
+    b, r, drop = 0.99e-3, 2.9e-3, 0.2
+    knots = [0.0, 10 * h, 11 * h, 64 * h, 128 * h, 1.0]
+    top = 63 * b + r
+    values = [0.0, 10 * b, 10 * b + r, top, top - drop, top - drop]
+    f = ScalarField(batch=lambda P: np.interp(P[:, 0], knots, values),
+                    domain=Box((0.0,), (1.0,)), label="ramp")
+    third = [(10 + 1 / 3) * h, (10 + 2 / 3) * h]
+    f = replace(f, witnesses=lambda xs, ys: (np.arange(len(xs)), np.tile(third, (len(xs), 1))))
+    x, y = np.array([1.0]), np.array([0.0])
+    v = compare_scalar(f, x, y, cfg)
+    assert v.relation != INCOMPARABLE
+    assert compare_scalar(replace(f, witnesses=None), x, y, cfg).relation == INCOMPARABLE
+    assert batch_relations(f, x[None], y[None], cfg).tolist() == [v.relation]
+    smax, smin, total = batch_scalar_steps(f, x[None], y[None], cfg)
+    assert bits([smax[0], min(smin[0], total[0])]) == bits([v.max_delta, v.min_delta])
