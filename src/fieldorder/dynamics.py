@@ -1,19 +1,15 @@
 """Flows x' = F(x), Lyapunov integrals, and setwise stability certificates.
 
 Integration is classical fixed-step RK4: the fields are cheap and exact
-reproducibility matters more than adaptivity here.  One kernel steps an
-(n, dim) array of states, one validated F.values call per stage on the rows
-still live; integrate is its one-row case and check_setwise_stability runs
-all its starts in one call.  A row stops when the field norm drops below
-the convergence threshold, else when the state norm falls under the floor
-(the non-Lipschitz pocket around an oscillatory origin, surfaced rather
-than hidden), else when the next state would leave the domain; rows left
-when time runs out stop with MaxTime.  Each norm is sqrt(row.dot(row)) of
-its own row, never a batched reduction.  Every field in the package
-evaluates a row independently of its batch, so a row flows bit for bit the
-same in a batch as alone.  Starts whose states and times could exceed a
-fixed byte cap run in groups under it; a single start over the cap is
-refused before it starts.
+reproducibility matters more than adaptivity here.  integrate is the one
+step loop: it steps one (1, dim) state, one validated F.values call per
+stage, and check_setwise_stability calls it once per start.  A flow stops
+when the field norm drops below CONVERGENCE_EPS, else when the state norm
+falls under FLOOR_EPS (the non-Lipschitz pocket around an oscillatory
+origin, surfaced rather than hidden), else when the next state would leave
+the domain; a flow still running when time runs out stops with MaxTime.
+Each norm is sqrt(v.dot(v)) of the one row.  A flow whose states and times
+could exceed a fixed byte cap is refused before it starts.
 
 For a one-dimensional field f, the potential L(x) is the integral of f
 from a reference point; along trajectories of x' = -f(x), dL/dt = -f(x)^2
@@ -30,15 +26,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .fields import SampleSet, ScalarField, VectorField, as_point, require_in_domain
+from .fields import SampleSet, ScalarField, VectorField, require_in_domain
 
 MAX_TIME = "MaxTime"
 CONVERGED = "Converged"
 LEFT_DOMAIN = "LeftDomain"
 STEP_UNDERFLOW = "StepUnderflow"
 
-# cap on the bytes of states and times one kernel call may hold, counted
-# before it starts: a default flow of one start holds a few megabytes
+# a flow converges once |F(x)| falls below this, and a trial converges when
+# it also ends this close to a candidate point
+CONVERGENCE_EPS = 1e-6
+# a flow whose state norm falls below this stops with StepUnderflow
+FLOOR_EPS = 1e-12
+# cap on the bytes of states and times one flow may hold, counted before it
+# starts: a default flow holds a few megabytes
 _MAX_TRAJECTORY_BYTES = 1 << 29
 # largest rise of the potential between trajectory samples that still
 # counts as nonincreasing
@@ -49,19 +50,16 @@ LYAPUNOV_SLACK = 1e-8
 class IntegratorConfig:
     dt: float = 1e-3
     t_max: float = 200.0
-    convergence_eps: float = 1e-6
-    floor_eps: float = 1e-12
 
     def __post_init__(self):
-        params = (self.dt, self.t_max, self.convergence_eps, self.floor_eps)
-        if not all(math.isfinite(v) and v > 0 for v in params):
+        if not all(math.isfinite(v) and v > 0 for v in (self.dt, self.t_max)):
             raise ValueError("all integrator parameters must be finite and positive")
         if self.dt >= self.t_max:
             raise ValueError("dt must be smaller than t_max")
 
     def to_dict(self) -> dict:
         return {"method": "rk4", "dt": self.dt, "t_max": self.t_max,
-                "convergence_eps": self.convergence_eps, "floor_eps": self.floor_eps}
+                "convergence_eps": CONVERGENCE_EPS, "floor_eps": FLOOR_EPS}
 
 
 @dataclass(frozen=True)
@@ -87,88 +85,50 @@ class Trajectory:
                           for r in np.column_stack([self.times, self.states]).tolist()]))
 
 
-def _rk4(F: VectorField, starts: np.ndarray, cfg: IntegratorConfig) -> tuple[Trajectory, ...]:
-    """Fixed-step RK4 flows of x' = F(x) from every row of starts, run side by side.
-
-    Each stage evaluates all live rows in one F.values call.  A row stops at
-    the first of Converged, StepUnderflow and LeftDomain that holds, tested
-    in that order; a row still live after t_max stops with MaxTime.  Each
-    norm is sqrt(row.dot(row)), what np.linalg.norm computes on one row: a
-    batched reduction can differ in the last bit and move a stop by a step.
-    Where F evaluates each row independently of the others in its batch,
-    as every field in the package does, each row's trajectory is bit for
-    bit the one it has when integrated alone.
-
-    Starts whose states and times would together exceed the byte cap run
-    in groups that fit it; a single start over the cap is refused.
-    """
-    n, dim = starts.shape
-    dt = cfg.dt
-    span = cfg.t_max / dt + 1e-9
-    n_steps = int(math.floor(min(span, _MAX_TRAJECTORY_BYTES)))
-    row_bytes = (n_steps + 1) * (dim + 1) * 8
-    if row_bytes > _MAX_TRAJECTORY_BYTES:
-        raise ValueError(f"a flow of {span:.6g} steps would hold more than the cap of "
-                         f"{_MAX_TRAJECTORY_BYTES} bytes of states and times; "
-                         "use a larger dt or a smaller t_max")
-    group = _MAX_TRAJECTORY_BYTES // row_bytes
-    if n > group:
-        return sum((_rk4(F, starts[i:i + group], cfg) for i in range(0, n, group)), ())
-    buf = np.empty((n_steps + 1, n, dim))
-    buf[0] = starts
-    ends = [n_steps + 1] * n
-    reasons = [MAX_TIME] * n
-    rows = np.arange(n)
-    x = buf[0]
-    values, inside = F.values, F.domain.contains_rows
-    eps, floor = cfg.convergence_eps, cfg.floor_eps
-    half, sixth = 0.5 * dt, dt / 6.0
-    for k in range(n_steps):
-        k1 = values(x)
-        keep = None
-        for i, (v, p) in enumerate(zip(k1, x)):
-            if math.sqrt(v.dot(v)) < eps:
-                reasons[rows[i]] = CONVERGED
-            elif math.sqrt(p.dot(p)) < floor:
-                reasons[rows[i]] = STEP_UNDERFLOW
-            else:
-                continue
-            ends[rows[i]] = k + 1
-            if keep is None:
-                keep = np.ones(len(rows), bool)
-            keep[i] = False
-        if keep is not None:
-            rows, x, k1 = rows[keep], x[keep], k1[keep]
-            if not len(rows):
-                break
-        k2 = values(x + half * k1)
-        k3 = values(x + half * k2)
-        k4 = values(x + dt * k3)
-        nxt = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        ok = inside(nxt)
-        if not ok.all():
-            for r in rows[~ok]:
-                reasons[r] = LEFT_DOMAIN
-                ends[r] = k + 1
-            rows, nxt = rows[ok], nxt[ok]
-            if not len(rows):
-                break
-        if len(rows) == n:
-            buf[k + 1] = nxt
-        else:
-            buf[k + 1, rows] = nxt
-        x = nxt
-    return tuple(Trajectory(np.arange(m) * dt, buf[:m, i].copy(), reasons[i], cfg)
-                 for i, m in enumerate(ends))
-
-
 def integrate(F: VectorField, x0, cfg: IntegratorConfig | None = None) -> Trajectory:
     """Fixed-step RK4 flow of x' = F(x) starting at x0, fully deterministic.
 
-    The one-row case of the kernel that check_setwise_stability runs on all
-    its starts at once.
+    Each stage is one F.values call on the (1, dim) state.  The flow stops
+    at the first of Converged, StepUnderflow and LeftDomain that holds,
+    tested in that order; a flow still running after t_max stops with
+    MaxTime.  Each norm is sqrt(v.dot(v)), what np.linalg.norm computes on
+    one row.  A flow whose states and times would exceed the byte cap is
+    refused before F is evaluated.
     """
-    return _rk4(F, require_in_domain(F.domain, x0)[None, :], cfg or IntegratorConfig())[0]
+    cfg = cfg or IntegratorConfig()
+    x = require_in_domain(F.domain, x0)[None, :]
+    dt = cfg.dt
+    span = cfg.t_max / dt + 1e-9
+    n_steps = int(math.floor(min(span, _MAX_TRAJECTORY_BYTES)))
+    if (n_steps + 1) * (x.shape[1] + 1) * 8 > _MAX_TRAJECTORY_BYTES:
+        raise ValueError(f"a flow of {span:.6g} steps would hold more than the cap of "
+                         f"{_MAX_TRAJECTORY_BYTES} bytes of states and times; "
+                         "use a larger dt or a smaller t_max")
+    buf = np.empty((n_steps + 1, x.shape[1]))
+    buf[0] = x
+    values, inside = F.values, F.domain.contains_rows
+    eps, floor = CONVERGENCE_EPS, FLOOR_EPS
+    half, sixth = 0.5 * dt, dt / 6.0
+    reason, end = MAX_TIME, 1  # end counts the states held
+    for _ in range(n_steps):
+        k1 = values(x)
+        v, p = k1[0], x[0]
+        if math.sqrt(v.dot(v)) < eps:
+            reason = CONVERGED
+            break
+        if math.sqrt(p.dot(p)) < floor:
+            reason = STEP_UNDERFLOW
+            break
+        k2 = values(x + half * k1)
+        k3 = values(x + half * k2)
+        k4 = values(x + dt * k3)
+        x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not inside(x)[0]:
+            reason = LEFT_DOMAIN
+            break
+        buf[end] = x
+        end += 1
+    return Trajectory(np.arange(end) * dt, buf[:end].copy(), reason, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +191,11 @@ def check_setwise_stability(F: VectorField, candidate, initial_conditions: Sampl
                             potential: ScalarField | None = None) -> SetStabilityReport:
     """Integrate from each start and certify convergence into the candidate set.
 
-    When a 1-D potential is supplied, the report also states whether its
-    value never increased by more than LYAPUNOV_SLACK between consecutive
-    trajectory samples.
+    The candidate set, the potential's dimension (F's) and every start are
+    checked before integrate runs once per start.  When F and its
+    potential are 1-D, the report also states whether the potential never
+    increased by more than LYAPUNOV_SLACK between consecutive trajectory
+    samples.
     """
     cfg = cfg or IntegratorConfig()
     C = np.atleast_2d(np.asarray(candidate, float))
@@ -243,27 +205,31 @@ def check_setwise_stability(F: VectorField, candidate, initial_conditions: Sampl
         raise DimensionMismatchError(f"candidate points must be rows of dimension {F.domain.dim}")
     if not np.all(np.isfinite(C)):
         raise ValueError("candidate points must be finite")
+    if potential is not None and potential.domain.dim != F.domain.dim:
+        raise DimensionMismatchError(f"potential {potential.label} is on dimension "
+                                     f"{potential.domain.dim}, not {F.domain.dim}")
     if len(initial_conditions) == 0:
         raise ValueError("no initial conditions given")
+    starts = [require_in_domain(F.domain, x0) for x0 in initial_conditions]
     trials = []
     trajectories = []
     monotone: bool | None = None
     max_increase = 0.0
     if potential is not None and potential.domain.dim == 1:
         monotone = True
-    starts = np.array([require_in_domain(F.domain, x0) for x0 in initial_conditions])
-    for x0, traj in zip(initial_conditions, _rk4(F, starts, cfg)):
+    for x0 in starts:
+        traj = integrate(F, x0, cfg)
         trajectories.append(traj)
         dists = np.linalg.norm(traj.final_state[None, :] - C, axis=1)
         j = int(np.argmin(dists))
         final_distance = float(dists[j])
-        converged = traj.terminated_reason == CONVERGED and final_distance <= cfg.convergence_eps
+        converged = traj.terminated_reason == CONVERGED and final_distance <= CONVERGENCE_EPS
         if monotone is not None and traj.states.shape[0] > 1:
             inc = float(_segment_increments(potential, traj.states).max())
             max_increase = max(max_increase, inc)
             monotone = monotone and inc <= LYAPUNOV_SLACK
         trials.append(TrialRecord(
-            x0=tuple(as_point(x0)), final_distance=final_distance,
+            x0=tuple(x0), final_distance=final_distance,
             limit_point=tuple(C[j]) if converged else None, converged=converged,
             terminated_reason=traj.terminated_reason, final_time=traj.final_time))
     return SetStabilityReport(tuple(tuple(r) for r in C), tuple(trials),

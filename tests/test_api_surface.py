@@ -7,8 +7,10 @@ parameter with a default that no call inside src/fieldorder ever passes
 can only be changed by tests or outside code, and the design keeps no such
 setting: it becomes a constant instead.  A callee is matched by name (a
 bare name, or the attribute of a dotted call), a class call is a call of
-its __init__, and the first parameter of a method is its instance.  A call
-sets a parameter when it names it as a keyword or passes a positional
+its __init__, and the first parameter of a method is its instance.  A
+@dataclass without its own __init__ has the generated one: each field is a
+parameter in declaration order, with a default when the field has one.  A
+call sets a parameter when it names it as a keyword or passes a positional
 argument in its place, and a call with *args or **kwargs sets all of them.
 Only functions the package calls are listed.
 
@@ -44,15 +46,51 @@ def _parse_package():
     return trees
 
 
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (getattr(target, "id", None) == "dataclass"
+            or getattr(target, "attr", None) == "dataclass")
+
+
+def _dataclass_init(cls):
+    """(positional params, defaulted params) of the __init__ that @dataclass
+    generates: every annotated field in order, less those declared
+    field(init=False); a field has a default when it is assigned one, or a
+    field(...) call given default or default_factory."""
+    positional, defaulted = [], []
+    for s in cls.body:
+        if not (isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)):
+            continue
+        value = s.value
+        if isinstance(value, ast.Call) and _callee(value) == "field":
+            kwargs = {k.arg: k.value for k in value.keywords}
+            if _literal(kwargs.get("init")) == "False":
+                continue
+            has_default = "default" in kwargs or "default_factory" in kwargs
+        else:
+            has_default = value is not None
+        positional.append(s.target.id)
+        if has_default:
+            defaulted.append(s.target.id)
+    return positional, defaulted
+
+
 def _definitions(trees):
     """{callee name: [(label, positional params, defaulted params)]} of every def.
 
-    A class's __init__ is listed under the class name as well."""
+    A class's __init__ is listed under the class name as well, and so is
+    the __init__ a @dataclass without its own __init__ generates, each
+    field a parameter."""
     defs = {}
 
     def visit(module, node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
+                own_init = any(isinstance(m, ast.FunctionDef) and m.name == "__init__"
+                               for m in child.body)
+                if any(map(_is_dataclass, child.decorator_list)) and not own_init:
+                    defs.setdefault(child.name, []).append(
+                        (f"{module}.{child.name}.__init__", *_dataclass_init(child)))
                 visit(module, child, child.name)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 a = child.args
@@ -146,6 +184,23 @@ def test_the_check_sees_positional_keyword_and_unset_defaults():
         "def g(u=0):\n    pass\n"
         "f(0, 1, c=2)\nK(5)\nK().m(1)\n")
     assert unset_defaults({"mod": tree}) == ["mod.K.__init__(y)", "mod.f(d)"]
+
+
+def test_the_check_sees_dataclass_fields():
+    tree = ast.parse(
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\n"
+        "class D:\n    a: int\n    b: int = field(repr=False)\n"
+        "    c: float = 1.0\n    d: tuple = field(default=(), repr=False)\n"
+        "    e: list = field(default_factory=list)\n"
+        "    f: int = field(default=0, init=False)\n"
+        "    g: int = 2\n"
+        "@dataclass\n"
+        "class Own:\n    x: int = 0\n    def __init__(self, y=0):\n        pass\n"
+        "D(1, 2, 3.0)\nD(1, 2, e=[])\nOwn()\n")
+    # c, e set; d, g unset; f is not a parameter; Own's __init__ is its own
+    assert unset_defaults({"mod": tree}) == [
+        "mod.D.__init__(d)", "mod.D.__init__(g)", "mod.Own.__init__(y)"]
 
 
 def test_no_default_is_one_literal_in_every_package_call():
@@ -248,12 +303,6 @@ def test_the_reach_check_follows_names_from_the_roots():
         "mod.K.gone", "mod.K.spare", "mod.UNUSED", "mod.orphan"]
     assert unreached({"mod": tree}, ["mod.main", "mod.orphan"]) == [
         "mod.K.gone", "mod.K.spare", "mod.UNUSED"]
-
-
-def _is_dataclass(decorator):
-    target = decorator.func if isinstance(decorator, ast.Call) else decorator
-    return (getattr(target, "id", None) == "dataclass"
-            or getattr(target, "attr", None) == "dataclass")
 
 
 def unread_fields(trees):

@@ -58,9 +58,10 @@ class TestIntegrate:
         assert traj.terminated_reason == LEFT_DOMAIN
         assert traj.final_state[0] <= 1.0
 
-    def test_step_underflow_near_zero(self, decay_flow):
-        cfg = IntegratorConfig(t_max=50.0, convergence_eps=1e-15, floor_eps=1e-9)
-        traj = integrate(decay_flow, [1.0], cfg)
+    def test_step_underflow_near_zero(self, decay_flow, monkeypatch):
+        monkeypatch.setattr(dynamics, "CONVERGENCE_EPS", 1e-15)
+        monkeypatch.setattr(dynamics, "FLOOR_EPS", 1e-9)
+        traj = integrate(decay_flow, [1.0], IntegratorConfig(t_max=50.0))
         assert traj.terminated_reason == STEP_UNDERFLOW
 
     def test_max_time(self, oscillator_flow):
@@ -180,16 +181,29 @@ class TestSetwiseStability:
             raise AssertionError("integrated before the candidate was checked")
 
         monkeypatch.setattr(dynamics, "integrate", no_flow)
-        monkeypatch.setattr(dynamics, "_rk4", no_flow)
         ics = SampleSet(np.array([[1.0]]))
         with pytest.raises(error):
             check_setwise_stability(decay_flow, candidate, ics, IntegratorConfig())
+
+    def test_potential_of_another_dimension_rejected_before_integrating(self, monkeypatch):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("integrated before the potential was checked")
+
+        monkeypatch.setattr(dynamics, "integrate", no_flow)
+        with pytest.raises(DimensionMismatchError, match="potential"):
+            check_setwise_stability(negate(vector_field("mexican_hat")), [[0.6, 0.8]],
+                                    SampleSet([[0.3, 0.2]]), IntegratorConfig(t_max=5.0),
+                                    potential=scalar_field("xsininv"))
+        with pytest.raises(DimensionMismatchError, match="potential"):
+            check_setwise_stability(negate(vector_field("xsininv")), [[1 / PI]],
+                                    SampleSet([[0.5]]), IntegratorConfig(t_max=5.0),
+                                    potential=scalar_field("mexican_hat"))
 
 
 class TestIntegratorConfig:
     @pytest.mark.parametrize("kwargs", [
         {"dt": math.nan}, {"dt": 0.0}, {"t_max": math.inf}, {"t_max": math.nan},
-        {"convergence_eps": math.inf}, {"convergence_eps": -1e-6}, {"floor_eps": math.nan},
+        {"dt": math.inf}, {"dt": -1e-6}, {"t_max": -1.0},
         {"dt": 1.0, "t_max": 1.0},
     ])
     def test_rejects_non_finite_or_non_positive(self, kwargs):
@@ -199,5 +213,10 @@ class TestIntegratorConfig:
     def test_fixed_method_is_echoed(self):
         cfg = IntegratorConfig()
         assert cfg.to_dict()["method"] == "rk4"
-        assert [f.name for f in dataclasses.fields(IntegratorConfig)] == [
-            "dt", "t_max", "convergence_eps", "floor_eps"]
+        assert [f.name for f in dataclasses.fields(IntegratorConfig)] == ["dt", "t_max"]
+
+    def test_thresholds_are_echoed_as_before(self):
+        # the "integrator" block of every flow report keeps its keys and values
+        assert IntegratorConfig(dt=0.01, t_max=2.0).to_dict() == {
+            "method": "rk4", "dt": 0.01, "t_max": 2.0,
+            "convergence_eps": 1e-6, "floor_eps": 1e-12}

@@ -1,14 +1,12 @@
-"""The RK4 kernel: many starts at once, each row bit for bit its own flow.
+"""The RK4 loop: integrate steps one start, and check_setwise_stability
+runs it once per start.
 
-``dynamics._rk4`` integrates every row of an (n, dim) start array side by
-side, and ``integrate`` is its one-row case.  A row of a batch must get the
-bit-identical times, states and terminated_reason that it gets alone, and
-alone it must match the one-start loop the kernel replaced (``reference``
-below: F.value per stage, np.linalg.norm, the per-point containment
-rules of ``contains_reference``).
-
-Every field here evaluates a row independently of its batch; TestGames
-holds the games, stock and real-cost, to the same bit-equality.
+integrate must give the bit-identical times, states and terminated_reason
+of the one-start loop it was written from (``reference`` below: F.value
+per stage, np.linalg.norm, the per-point containment rules of
+``contains_reference``), with every F.values call on one row.  The
+thresholds are the module constants dynamics.CONVERGENCE_EPS and
+FLOOR_EPS, which these tests patch.
 """
 
 import math
@@ -20,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from fieldorder import cli, dynamics, games
 from fieldorder.dynamics import (CONVERGED, LEFT_DOMAIN, MAX_TIME, STEP_UNDERFLOW,
                                  IntegratorConfig, check_setwise_stability, integrate)
+from fieldorder.errors import DomainViolationError
 from fieldorder.fields import (CONTAINMENT_TOL, Box, Product, SampleSet, Simplex,
                                VectorField, affine_field, negate, quadratic_form,
                                registry_names, vector_field)
@@ -53,10 +52,10 @@ def reference(F, x0, cfg):
     times, states, reason = [0.0], [x.copy()], MAX_TIME
     for k in range(int(math.floor(cfg.t_max / dt + 1e-9))):
         k1 = F.value(x)
-        if float(np.linalg.norm(k1)) < cfg.convergence_eps:
+        if float(np.linalg.norm(k1)) < dynamics.CONVERGENCE_EPS:
             reason = CONVERGED
             break
-        if float(np.linalg.norm(x)) < cfg.floor_eps:
+        if float(np.linalg.norm(x)) < dynamics.FLOOR_EPS:
             reason = STEP_UNDERFLOW
             break
         k2 = F.value(x + 0.5 * dt * k1)
@@ -81,28 +80,23 @@ def _regimes(P):
 
 
 REGIMES = VectorField(batch=_regimes, domain=BOX2, label="regimes")
-# under this config a REGIMES row ends Converged, StepUnderflow, MaxTime or
-# LeftDomain by the band its x2 starts in
-REGIME_CFG = IntegratorConfig(dt=0.01, t_max=1.0, convergence_eps=1e-12, floor_eps=1e-6)
+# under this config and these thresholds a REGIMES flow ends Converged,
+# StepUnderflow, MaxTime or LeftDomain by the band its x2 starts in
+REGIME_CFG = IntegratorConfig(dt=0.01, t_max=1.0)
+REGIME_EPS = {"CONVERGENCE_EPS": 1e-12, "FLOOR_EPS": 1e-6}
 REGIME_STARTS = np.array([[0.1, -0.8], [0.3, -0.2], [0.2, 0.25], [-0.3, 0.6],
                           [-0.4, -0.6], [0.2, 0.7]])
+
+
+def patch_thresholds(monkeypatch, thresholds):
+    for name, value in thresholds.items():
+        monkeypatch.setattr(dynamics, name, value)
 
 
 def assert_same(traj, times, states, reason):
     assert traj.terminated_reason == reason
     assert traj.times.shape == times.shape and traj.times.tobytes() == times.tobytes()
     assert traj.states.shape == states.shape and traj.states.tobytes() == states.tobytes()
-
-
-def assert_rows_alone(F, starts, cfg):
-    """Each row of the batch flows as it does alone, and alone as reference."""
-    batch = dynamics._rk4(F, np.asarray(starts, float), cfg)
-    assert len(batch) == len(starts)
-    for row, traj in zip(starts, batch):
-        alone = integrate(F, row, cfg)
-        assert_same(traj, alone.times, alone.states, alone.terminated_reason)
-        assert_same(alone, *reference(F, row, cfg))
-    return batch
 
 
 def counted(F):
@@ -139,81 +133,93 @@ def flow_cases(draw):
     if draw(st.booleans()):
         F = negate(F)
     lo, up = np.asarray(F.domain.lower), np.asarray(F.domain.upper)
-    n = draw(st.integers(1, 5))
-    u = np.array(draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=lo.size,
-                                        max_size=lo.size), min_size=n, max_size=n)))
+    u = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=lo.size, max_size=lo.size)))
     cfg = IntegratorConfig(dt=draw(st.sampled_from([0.005, 0.01, 0.02])),
-                           t_max=draw(st.floats(0.05, 1.0)),
-                           convergence_eps=draw(st.sampled_from([1e-9, 1e-3, 0.05, 0.5])),
-                           floor_eps=draw(st.sampled_from([1e-12, 1e-3, 0.2, 0.5])))
-    return F, lo + u * (up - lo), cfg
+                           t_max=draw(st.floats(0.05, 1.0)))
+    thresholds = {"CONVERGENCE_EPS": draw(st.sampled_from([1e-9, 1e-3, 0.05, 0.5])),
+                  "FLOOR_EPS": draw(st.sampled_from([1e-12, 1e-3, 0.2, 0.5]))}
+    return F, lo + u * (up - lo), cfg, thresholds
 
 
-class TestRowsAlone:
+def stock_game_starts(F, n, seed):
+    """n seeded points of a game's product of simplexes."""
+    u = np.random.default_rng(seed).dirichlet(np.ones(F.domain.dim), size=n)
+    return np.array([np.hstack([s.mass * r[:s.dim] / r[:s.dim].sum()
+                                for s in F.domain.parts]) for r in u])
+
+
+def real_cost_game():
+    rng = np.random.default_rng(3)
+    C = rng.standard_normal((4, 4))
+    C -= C.mean(axis=0)  # c(x) = C x keeps x on the simplex plane
+    return games.from_symmetric_matrix(C, label="real").cost, rng.dirichlet(np.ones(4), size=6)
+
+
+class TestAgainstReference:
     @settings(max_examples=60, deadline=None)
     @given(case=flow_cases())
-    def test_each_row_flows_as_alone(self, case):
-        assert_rows_alone(*case)
+    def test_integrate_is_the_reference_loop(self, case):
+        F, x0, cfg, thresholds = case
+        with pytest.MonkeyPatch.context() as mp:
+            patch_thresholds(mp, thresholds)
+            assert_same(integrate(F, x0, cfg), *reference(F, x0, cfg))
 
-    def test_rows_ending_for_every_reason(self):
-        batch = assert_rows_alone(REGIMES, REGIME_STARTS, REGIME_CFG)
-        assert [t.terminated_reason for t in batch] == [
-            CONVERGED, STEP_UNDERFLOW, MAX_TIME, LEFT_DOMAIN, CONVERGED, LEFT_DOMAIN]
+    def test_flows_ending_for_every_reason(self, monkeypatch):
+        patch_thresholds(monkeypatch, REGIME_EPS)
+        reasons = []
+        for x0 in REGIME_STARTS:
+            traj = integrate(REGIMES, x0, REGIME_CFG)
+            assert_same(traj, *reference(REGIMES, x0, REGIME_CFG))
+            reasons.append(traj.terminated_reason)
+        assert reasons == [CONVERGED, STEP_UNDERFLOW, MAX_TIME, LEFT_DOMAIN,
+                           CONVERGED, LEFT_DOMAIN]
 
-    def test_batch_evaluates_only_live_rows(self):
+
+class TestOneStartAtATime:
+    def test_every_evaluation_holds_one_row(self, monkeypatch):
+        patch_thresholds(monkeypatch, REGIME_EPS)
         F, rows = counted(REGIMES)
-        dynamics._rk4(F, REGIME_STARTS, REGIME_CFG)
-        batched = sum(rows)
-        rows.clear()
         for x0 in REGIME_STARTS:
             integrate(F, x0, REGIME_CFG)
-        assert batched == sum(rows)
+        check_setwise_stability(F, [[0.0, 0.0]], SampleSet(REGIME_STARTS), REGIME_CFG)
+        assert rows and set(rows) == {1}
 
-    def test_setwise_stability_runs_one_batch(self):
-        F, rows = counted(negate(vector_field("xsininv")))
-        ics = SampleSet(np.array([[0.5], [0.2], [-0.3]]))
-        rep = check_setwise_stability(F, [[1 / math.pi]], ics, IntegratorConfig(t_max=0.5))
-        assert max(rows) == 3
-        for x0, traj in zip(ics, rep.trajectories):
-            assert_same(traj, *reference(negate(vector_field("xsininv")), x0,
-                                         IntegratorConfig(t_max=0.5)))
-
-
-class TestGames:
-    """Batched game flows are bit-equal to their flows alone, whether small
-    integer costs make every product exact or real costs round."""
-
-    @pytest.mark.parametrize("game", [games.hawk_dove, games.matching_pennies])
-    def test_stock_game_rows_flow_as_alone(self, game):
-        F = game().cost
-        u = np.random.default_rng(5).dirichlet(np.ones(F.domain.dim), size=4)
-        starts = np.array([np.hstack([s.mass * r[:s.dim] / r[:s.dim].sum()
-                                      for s in F.domain.parts]) for r in u])
-        assert_rows_alone(F, starts, IntegratorConfig(dt=0.01, t_max=1.0))
-
-    def test_real_costs_flow_as_alone(self):
-        rng = np.random.default_rng(3)
-        C = rng.standard_normal((4, 4))
-        C -= C.mean(axis=0)  # c(x) = C x keeps x on the simplex plane
-        F = games.from_symmetric_matrix(C, label="real").cost
-        cfg = IntegratorConfig(dt=0.01, t_max=2.0)
-        ics = SampleSet(rng.dirichlet(np.ones(4), size=6))
-        assert_rows_alone(F, ics.points, cfg)
-        rep = check_setwise_stability(F, [[0.25] * 4], ics, cfg)
-        for x0, traj in zip(ics, rep.trajectories):
+    @pytest.mark.parametrize("case", ["xsininv", "hawk_dove", "real_costs"])
+    def test_setwise_trajectories_are_integrate_per_start(self, case):
+        if case == "xsininv":
+            F, starts = negate(vector_field("xsininv")), np.array([[0.5], [0.2], [-0.3]])
+            candidate, cfg = [[1 / math.pi]], IntegratorConfig(t_max=0.5)
+        elif case == "hawk_dove":
+            F = games.hawk_dove().cost
+            starts, candidate = stock_game_starts(F, 4, 5), [[0.5] * F.domain.dim]
+            cfg = IntegratorConfig(dt=0.01, t_max=1.0)
+        else:
+            F, starts = real_cost_game()
+            candidate, cfg = [[0.25] * 4], IntegratorConfig(dt=0.01, t_max=2.0)
+        rep = check_setwise_stability(F, candidate, SampleSet(starts), cfg)
+        assert len(rep.trajectories) == len(starts)
+        for x0, traj, trial in zip(starts, rep.trajectories, rep.trials):
             alone = integrate(F, x0, cfg)
             assert_same(traj, alone.times, alone.states, alone.terminated_reason)
+            assert_same(alone, *reference(F, x0, cfg))
+            assert trial.terminated_reason == traj.terminated_reason
+
+    @pytest.mark.parametrize("bad, error", [([5.0], DomainViolationError),
+                                            ([math.nan], ValueError)],
+                             ids=["outside", "nan"])
+    def test_bad_second_start_refused_before_any_evaluation(self, bad, error):
+        ics = SampleSet(np.array([[0.5], bad]))
+        with pytest.raises(error):
+            check_setwise_stability(NEVER, [[0.0]], ics, IntegratorConfig(t_max=1.0))
 
 
 class TestTermination:
-    def test_converged_is_tested_before_step_underflow(self):
+    def test_converged_is_tested_before_step_underflow(self, monkeypatch):
         # |F(x)| = |x| = 1e-10 lies under both thresholds at the start
-        cfg = IntegratorConfig(convergence_eps=1e-6, floor_eps=1e-9)
-        F = negate(vector_field("linear"))
-        assert integrate(F, [1e-10], cfg).terminated_reason == CONVERGED
-        batch = dynamics._rk4(F, np.array([[0.5], [1e-10]]), cfg)
-        assert [t.terminated_reason for t in batch] == [CONVERGED, CONVERGED]
-        assert len(batch[1].times) == 1
+        patch_thresholds(monkeypatch, {"CONVERGENCE_EPS": 1e-6, "FLOOR_EPS": 1e-9})
+        traj = integrate(negate(vector_field("linear")), [1e-10], IntegratorConfig())
+        assert traj.terminated_reason == CONVERGED
+        assert len(traj.times) == 1
 
     @staticmethod
     def _straddling(dim, below):
@@ -229,32 +235,30 @@ class TestTermination:
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("below", [True, False])
-    def test_field_norm_is_the_row_dot(self, dim, below):
+    def test_field_norm_is_the_row_dot(self, dim, below, monkeypatch):
         v, eps = self._straddling(dim, below)
+        monkeypatch.setattr(dynamics, "CONVERGENCE_EPS", eps)
         F = VectorField(batch=lambda P: np.tile(v, (len(P), 1)),
                         domain=Box((-1.0,) * dim, (1.0,) * dim), label="constant")
-        cfg = IntegratorConfig(dt=1e-3, t_max=1.5e-3, convergence_eps=eps)
+        cfg = IntegratorConfig(dt=1e-3, t_max=1.5e-3)
         want = CONVERGED if below else MAX_TIME
         assert integrate(F, np.full(dim, 0.5), cfg).terminated_reason == want
-        batch = dynamics._rk4(F, np.full((3, dim), 0.5), cfg)
-        assert [t.terminated_reason for t in batch] == [want] * 3
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("below", [True, False])
-    def test_state_norm_is_the_row_dot(self, dim, below):
+    def test_state_norm_is_the_row_dot(self, dim, below, monkeypatch):
         x0, floor = self._straddling(dim, below)
+        monkeypatch.setattr(dynamics, "FLOOR_EPS", floor)
         F = VectorField(batch=lambda P: np.ones_like(P), label="constant",
                         domain=Box((-1.0,) * dim, (1.0,) * dim))
         # one step: a second would test the moved state
-        cfg = IntegratorConfig(dt=1e-3, t_max=1.5e-3, floor_eps=floor)
+        cfg = IntegratorConfig(dt=1e-3, t_max=1.5e-3)
         want = STEP_UNDERFLOW if below else MAX_TIME
         assert integrate(F, x0, cfg).terminated_reason == want
-        batch = dynamics._rk4(F, np.array([x0, 0.5 * np.ones(dim), x0]), cfg)
-        assert [t.terminated_reason for t in batch] == [want, MAX_TIME, want]
 
 
 def _never(P):
-    raise AssertionError("evaluated a flow that is over the size cap")
+    raise AssertionError("evaluated a flow that should have been refused")
 
 
 NEVER = VectorField(batch=_never, domain=Box((-1.0,), (1.0,)), label="never")
@@ -262,7 +266,7 @@ NEVER = VectorField(batch=_never, domain=Box((-1.0,), (1.0,)), label="never")
 
 class TestSizeCap:
     def test_one_step_over_the_cap(self):
-        # one row of dim 1 holds (n_steps + 1) * 2 * 8 bytes
+        # a flow of dim 1 holds (n_steps + 1) * 2 * 8 bytes
         n_steps = dynamics._MAX_TRAJECTORY_BYTES // 16
         with pytest.raises(ValueError, match="cap"):
             integrate(NEVER, [0.5], IntegratorConfig(dt=1.0, t_max=float(n_steps)))
@@ -274,19 +278,17 @@ class TestSizeCap:
         with pytest.raises(ValueError, match="cap"):
             integrate(NEVER, [0.5], cfg)
 
-    def test_starts_over_the_cap_run_in_groups(self, monkeypatch):
-        # one row of dim 1 and 100 steps holds 101 * 2 * 8 = 1616 bytes
+    def test_the_cap_holds_per_start(self, monkeypatch):
+        # a flow of dim 1 and 100 steps holds 101 * 2 * 8 = 1616 bytes: the
+        # cap fits three such flows, and seven starts run one at a time
         cfg = IntegratorConfig(dt=0.01, t_max=1.0)
-        starts = np.linspace(-0.9, 0.9, 7)[:, None]
-        F, rows = counted(negate(vector_field("xsininv")))
-        whole = dynamics._rk4(F, starts, cfg)
-        assert max(rows) == 7
-        rows.clear()
+        F = negate(vector_field("xsininv"))
+        ics = SampleSet(np.linspace(-0.9, 0.9, 7)[:, None])
+        whole = check_setwise_stability(F, [[1 / math.pi]], ics, cfg)
         monkeypatch.setattr(dynamics, "_MAX_TRAJECTORY_BYTES", 3 * 1616 + 5)
-        grouped = dynamics._rk4(F, starts, cfg)
-        assert max(rows) == 3
-        assert len(grouped) == len(starts)
-        for a, b in zip(grouped, whole):
+        capped = check_setwise_stability(F, [[1 / math.pi]], ics, cfg)
+        assert len(capped.trajectories) == 7
+        for a, b in zip(capped.trajectories, whole.trajectories):
             assert_same(a, b.times, b.states, b.terminated_reason)
 
     def test_cli_exits_2(self, capsys):
