@@ -2,12 +2,13 @@
 
 Integration is classical fixed-step RK4: the fields are cheap and exact
 reproducibility matters more than adaptivity here.  integrate is the one
-step loop: it steps one (1, dim) state, one validated F.values call per
-stage, and check_setwise_stability calls it once per start.  A flow stops
-when the field norm drops below CONVERGENCE_EPS, else when the state norm
-falls under FLOOR_EPS (the non-Lipschitz pocket around an oscillatory
-origin, surfaced rather than hidden), else when the next state would leave
-the domain; a flow still running when time runs out stops with MaxTime.
+step loop: it steps one (1, dim) state, evaluates F's batch once per stage
+through fields.row_values (which raises what F.values raises), and
+check_setwise_stability calls it once per start.  A flow stops when the
+field norm drops below CONVERGENCE_EPS, else when the state norm falls
+under FLOOR_EPS (the non-Lipschitz pocket around an oscillatory origin,
+surfaced rather than hidden), else when the next state would leave the
+domain; a flow still running when time runs out stops with MaxTime.
 Each norm is sqrt(v.dot(v)) of the one row.  A flow whose states and times
 could exceed a fixed byte cap is refused before it starts.
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .fields import SampleSet, ScalarField, VectorField, require_in_domain
+from .fields import SampleSet, ScalarField, VectorField, require_in_domain, row_values
 
 MAX_TIME = "MaxTime"
 CONVERGED = "Converged"
@@ -88,7 +89,8 @@ class Trajectory:
 def integrate(F: VectorField, x0, cfg: IntegratorConfig | None = None) -> Trajectory:
     """Fixed-step RK4 flow of x' = F(x) starting at x0, fully deterministic.
 
-    Each stage is one F.values call on the (1, dim) state.  The flow stops
+    Each stage evaluates F's batch once on the (1, dim) state, through
+    row_values, and raises what F.values would raise.  The flow stops
     at the first of Converged, StepUnderflow and LeftDomain that holds,
     tested in that order; a flow still running after t_max stops with
     MaxTime.  Each norm is sqrt(v.dot(v)), what np.linalg.norm computes on
@@ -106,12 +108,12 @@ def integrate(F: VectorField, x0, cfg: IntegratorConfig | None = None) -> Trajec
                          "use a larger dt or a smaller t_max")
     buf = np.empty((n_steps + 1, x.shape[1]))
     buf[0] = x
-    values, inside = F.values, F.domain.contains_rows
+    stage, inside = row_values(F), F.domain.contains_rows
     eps, floor = CONVERGENCE_EPS, FLOOR_EPS
     half, sixth = 0.5 * dt, dt / 6.0
     reason, end = MAX_TIME, 1  # end counts the states held
     for _ in range(n_steps):
-        k1 = values(x)
+        k1 = stage(x)
         v, p = k1[0], x[0]
         if math.sqrt(v.dot(v)) < eps:
             reason = CONVERGED
@@ -119,9 +121,9 @@ def integrate(F: VectorField, x0, cfg: IntegratorConfig | None = None) -> Trajec
         if math.sqrt(p.dot(p)) < floor:
             reason = STEP_UNDERFLOW
             break
-        k2 = values(x + half * k1)
-        k3 = values(x + half * k2)
-        k4 = values(x + dt * k3)
+        k2 = stage(x + half * k1)
+        k3 = stage(x + half * k2)
+        k4 = stage(x + dt * k3)
         x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not inside(x)[0]:
             reason = LEFT_DOMAIN

@@ -5,11 +5,14 @@ freezes them).  Domains are closed convex sets of three kinds: axis-aligned
 boxes, mass simplexes ``{x >= 0, sum(x) = mass}``, and products of
 simplexes.  A scalar or vector field is one deterministic batch map over a
 domain, so that sweep code evaluates thousands of segment points in one
-numpy call.  ``values`` is the only place that calls it: it checks that
-the points are as wide as the domain, the shape of every batch and that
-every value is finite, raising ``DimensionMismatchError`` or
-``ValueError``.  ``value`` is its one-row case.  Every affine map is built
-by ``affine_field``, whose rows do not depend on their batch.
+numpy call.  Two places call it, and both check each answer through
+``_checked``.  ``values`` checks that the points are as wide as the
+domain, the shape of every batch and that every value is finite, raising
+``DimensionMismatchError`` or ``ValueError``; ``value`` is its one-row
+case.  ``row_values``, the integrator's stage evaluator, checks its one
+row in place and passes any answer it rejects to ``_checked``, so it
+raises what ``values`` raises.  Every affine map is built by
+``affine_field``, whose rows do not depend on their batch.
 
 All objects are immutable after construction and all operations are pure,
 so everything here is safe to call concurrently.
@@ -358,6 +361,27 @@ def _checked(f: AnyField, pts: np.ndarray, vals: np.ndarray, shape: tuple) -> np
         raise ValueError(f"field {f.label!r} returned non-finite value at "
                          f"{pts[np.argmax(bad)].tolist()}")
     return vals
+
+
+def row_values(f: VectorField) -> Callable[[np.ndarray], np.ndarray]:
+    """f.values for one flow's (1, dim) states, checked on the one row.
+
+    The returned evaluator runs f's batch once per call and accepts its
+    answer when it has the state's shape and every entry is finite.  Any
+    other answer goes to _checked, which raises the error that values
+    raises, with the same message, without running the batch again.  The
+    state must already be a (1, dim) float array of f's domain width, as
+    _points would make it.
+    """
+    batch, isfinite = f.batch, math.isfinite
+
+    def stage(p: np.ndarray) -> np.ndarray:
+        k = np.asarray(batch(p), float)
+        if k.shape == p.shape and all(map(isfinite, k[0].tolist())):
+            return k
+        return _checked(f, p, k, p.shape)
+
+    return stage
 
 
 def affine_field(A, b, domain: Domain, label: str) -> VectorField:

@@ -3,10 +3,11 @@
 ``values`` rejects points whose width is not the domain's dim, before the
 batch runs, and a batch of the wrong shape (both DimensionMismatchError) or
 with any non-finite entry (ValueError); ``value`` is its one-row case.
-Because the integrator steps through ``value`` and the screens sweep through
-``values``, ``value(p)`` must equal the matching row of a multi-row
-``values`` call bit for bit, whatever the batch's memory layout, so both
-evaluate the same field.
+Because the integrator evaluates one row per stage (``row_values``, which
+raises what ``values`` raises) and the screens sweep through ``values``, a
+one-row evaluation such as ``value(p)`` must equal the matching row of a
+multi-row ``values`` call bit for bit, whatever the batch's memory layout,
+so both evaluate the same field.
 
 A vector field's affine parts (A, b), which the dominance screens trust
 to certify rows, must be the map its batch evaluates: every value within

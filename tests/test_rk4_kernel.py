@@ -4,9 +4,12 @@ runs it once per start.
 integrate must give the bit-identical times, states and terminated_reason
 of the one-start loop it was written from (``reference`` below: F.value
 per stage, np.linalg.norm, the per-point containment rules of
-``contains_reference``), with every F.values call on one row.  The
-thresholds are the module constants dynamics.CONVERGENCE_EPS and
-FLOOR_EPS, which these tests patch.
+``contains_reference``), with every batch evaluation on one row and one
+per stage.  A batch that answers a stage with a non-finite entry, the
+wrong shape or another dtype makes integrate raise the error and message
+that F.values raises in ``reference``, or step as ``reference`` steps on
+the converted answer.  The thresholds are the module constants
+dynamics.CONVERGENCE_EPS and FLOOR_EPS, which these tests patch.
 """
 
 import math
@@ -211,6 +214,107 @@ class TestOneStartAtATime:
         ics = SampleSet(np.array([[0.5], bad]))
         with pytest.raises(error):
             check_setwise_stability(NEVER, [[0.0]], ics, IntegratorConfig(t_max=1.0))
+
+
+# what a faulty batch answers in place of its (1, dim) values v, with j
+# the entry a non-finite fault replaces
+def _replaced(v, j, x):
+    w = np.array(v, float)
+    w[0, j] = x
+    return w
+
+
+FAULTS = {
+    "nan": lambda v, j: _replaced(v, j, math.nan),
+    "+inf": lambda v, j: _replaced(v, j, math.inf),
+    "-inf": lambda v, j: _replaced(v, j, -math.inf),
+    "1-d": lambda v, j: v[0],
+    "wide": lambda v, j: np.hstack([v, v[:, :1]]),
+    "0-d": lambda v, j: np.asarray(v[0, j]),
+    "int": lambda v, j: v.astype(int),
+    "float32": lambda v, j: v.astype(np.float32),
+    "list": lambda v, j: v.tolist(),
+}
+# the faults that F.values converts to float64 rather than refuses
+CONVERTED = {"int", "float32", "list"}
+
+
+def faulty(F, at, fault, j=0):
+    """counted(F) whose batch answers its evaluation number at (from 0)
+    with FAULTS[fault] of its values."""
+    G, rows = counted(F)
+
+    def batch(P):
+        v = G.batch(P)
+        return FAULTS[fault](np.asarray(v), j) if len(rows) == at + 1 else v
+
+    return VectorField(batch=batch, domain=F.domain, label=F.label), rows
+
+
+def outcome(run):
+    """(result, None) of run(), or (None, the ValueError it raised)."""
+    try:
+        return run(), None
+    except ValueError as err:
+        return None, err
+
+
+FAULT_CFG = IntegratorConfig(dt=0.01, t_max=0.1)
+FAULT_FLOWS = [(negate(vector_field("xsininv")), [0.5]),
+               (negate(vector_field("mexican_hat")), [0.3, 0.2]),
+               (affine_field(-np.eye(3), np.full(3, 0.1), Box((-1.0,) * 3, (1.0,) * 3),
+                             "affine3"), [0.5, -0.2, 0.9]),
+               (REGIMES, [0.1, -0.8]),  # at rest: Converged on its first evaluation
+               (REGIMES, [-0.3, 0.6]),
+               (games.hawk_dove().cost, [0.3, 0.7])]
+
+
+class TestFaultyBatches:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), flow=st.sampled_from(range(len(FAULT_FLOWS))),
+           fault=st.sampled_from(sorted(FAULTS)), step=st.integers(0, 10),
+           stage=st.integers(0, 3))
+    def test_a_faulty_stage_ends_as_values_ends_it(self, data, flow, fault, step, stage):
+        F, x0 = FAULT_FLOWS[flow]
+        at, j = 4 * step + stage, data.draw(st.integers(0, F.domain.dim - 1))
+        R, ref_rows = faulty(F, at, fault, j)
+        want, want_err = outcome(lambda: reference(R, x0, FAULT_CFG))
+        G, rows = faulty(F, at, fault, j)
+        got, err = outcome(lambda: integrate(G, x0, FAULT_CFG))
+        reached = len(ref_rows) > at
+        if fault in CONVERTED or not reached:
+            assert want_err is None
+            assert err is None, err
+            assert_same(got, *want)
+        else:
+            assert want_err is not None
+            assert type(err) is type(want_err) and str(err) == str(want_err)
+            # the failing evaluation is the last: nothing re-ran the batch
+            assert len(rows) == at + 1
+
+
+class TestOneBatchPerStage:
+    def test_calls_by_terminated_reason(self, monkeypatch):
+        # n kept steps make 4n calls, plus the first stage of the step that
+        # stopped on a norm, or all four stages of the step that left
+        patch_thresholds(monkeypatch, REGIME_EPS)
+        extra = {CONVERGED: 1, STEP_UNDERFLOW: 1, MAX_TIME: 0, LEFT_DOMAIN: 4}
+        reasons = set()
+        for x0 in REGIME_STARTS:
+            F, rows = counted(REGIMES)
+            traj = integrate(F, x0, REGIME_CFG)
+            n = len(traj.times) - 1
+            assert len(rows) == 4 * n + extra[traj.terminated_reason]
+            reasons.add(traj.terminated_reason)
+        assert reasons == set(extra)
+
+    @pytest.mark.parametrize("fault", sorted(set(FAULTS) - CONVERTED))
+    @pytest.mark.parametrize("at", [0, 6])
+    def test_a_failing_batch_runs_once(self, fault, at):
+        F, rows = faulty(negate(vector_field("mexican_hat")), at, fault)
+        with pytest.raises(ValueError):
+            integrate(F, [0.3, 0.2], FAULT_CFG)
+        assert rows == [1] * (at + 1)
 
 
 class TestTermination:
