@@ -20,7 +20,11 @@ outside the domain.
 The inclusion chains that must hold on shared probe sets (ess implies nss
 and minimal, minimal implies critical, local minimum implies critical,
 strict local minimum implies scalar minimality) are asserted by
-classify_point; a breach raises InvariantBreachError.
+classify_point; a breach raises InvariantBreachError.  Where the critical
+check fails but the minimal or the local-minimum check passed, the points
+that improve on p may lie closer to p than any sample; classify_point
+then adds the halving ladder from p toward the critical witness to its
+probes and decides again before it asserts the chains.
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ _BALL_COUNT = 512
 # cap on the bytes of the pairwise difference arrays of a set check,
 # counted before the check starts
 _MAX_SET_BYTES = 1 << 29
+# rungs of the halving ladder toward a critical witness: one per bit of a
+# double's fraction
+_LADDER_RUNGS = 52
 
 
 @dataclass(frozen=True)
@@ -405,6 +412,23 @@ class ClassificationReport:
         return d
 
 
+def _order_outcomes(X: np.ndarray, relations: np.ndarray,
+                    in_ball: np.ndarray) -> tuple[CheckOutcome, CheckOutcome, CheckOutcome]:
+    """(minimal, maximal, local minimum) of p from the screen relations of
+    the probe rows X against p; the local minimum reads the rows in_ball."""
+    return (_first_failure(X, relations == STRICTLY_DOMINATES),
+            _first_failure(X, relations == REVERSE_STRICT),
+            _first_failure(X[in_ball], _not_weakly_dominated(relations[in_ball])))
+
+
+def _halving_ladder(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The rows p + 2^-j (x - p), j = 1.._LADDER_RUNGS: points of the
+    segment from p to x, so inside every (convex) domain, halving their
+    distance to p at each rung."""
+    steps = 0.5 ** np.arange(1, _LADDER_RUNGS + 1)
+    return p + steps[:, None] * (x - p)
+
+
 def _chain(condition: bool, message: str):
     if not condition:
         raise InvariantBreachError(message)
@@ -420,6 +444,13 @@ def classify_point(field, p, challengers: SampleSet | None = None,
     The caller's challenger set, then the radius, is checked before any
     probe is built.  A failed minimality check reports its dominator with
     the strict-witness eps of one full comparison of that row.
+
+    When the critical check fails but the minimal or the local-minimum
+    check passed, the halving ladder from p toward the critical witness
+    joins the challengers (challengers_used names it), and its rows within
+    the radius of p join the ball; every check but the critical one is
+    decided again on the enlarged probes.  A chain that still breaks
+    raises.
     """
     kind = "scalar" if isinstance(field, ScalarField) else "vector"
     cfg = cfg or ToleranceConfig()
@@ -438,13 +469,23 @@ def classify_point(field, p, challengers: SampleSet | None = None,
     # ball's rows last
     X = full.points
     relations = batch_relations(field, X, p, cfg)
-    minimal = _first_failure(X, relations == STRICTLY_DOMINATES)
-    maximal = _first_failure(X, relations == REVERSE_STRICT)
-    ball = len(neighborhood)
-    local_min = _first_failure(X[-ball:], _not_weakly_dominated(relations[-ball:]))
+    in_ball = np.arange(len(X)) >= len(challengers)
+    minimal, maximal, local_min = _order_outcomes(X, relations, in_ball)
     critical = nss = ess = strict_min = None
     if kind == "vector":
         critical = is_critical_element(field, p, full, cfg)
+        if not critical.ok and (minimal.ok or local_min.ok):
+            # the points that improve on p toward the critical witness may
+            # all lie closer to p than the samples: screen the ladder too
+            ladder = _halving_ladder(p, np.asarray(critical.witness))
+            dist = np.linalg.norm(ladder - p, axis=1)
+            near = (dist > 0) & (dist <= radius)
+            full = full.union(ladder, note="ladder")
+            neighborhood = neighborhood.union(ladder[near], note="ladder")
+            X = full.points
+            relations = np.concatenate([relations, batch_relations(field, ladder, p, cfg)])
+            in_ball = np.concatenate([in_ball, near])
+            minimal, maximal, local_min = _order_outcomes(X, relations, in_ball)
         nss = is_nss(field, p, neighborhood, cfg)
         ess = is_ess(field, p, neighborhood, cfg)
         _chain(not ess.ok or nss.ok, "ess held but nss failed on the same samples")

@@ -4,13 +4,19 @@ Integration is classical fixed-step RK4: the fields are cheap and exact
 reproducibility matters more than adaptivity here.  integrate is the one
 step loop: it steps one (1, dim) state, evaluates F's batch once per stage
 through fields.row_values (which raises what F.values raises), and
-check_setwise_stability calls it once per start.  A flow stops when the
-field norm drops below CONVERGENCE_EPS, else when the state norm falls
-under FLOOR_EPS (the non-Lipschitz pocket around an oscillatory origin,
-surfaced rather than hidden), else when the next state would leave the
-domain; a flow still running when time runs out stops with MaxTime.
-Each norm is sqrt(v.dot(v)) of the one row.  A flow whose states and times
-could exceed a fixed byte cap is refused before it starts.
+check_setwise_stability calls it once per start.  A one-row step is mostly
+interpreter overhead, so between stages the state steps on Python floats,
+coordinate by coordinate in numpy's left-to-right order: IEEE + and *
+round the same in CPython as in numpy, so the bytes are those of the
+array arithmetic.  The two norms stay sqrt(v.dot(v)) on ndarray rows:
+from dim 2 numpy's dot may fuse multiply and add, which a Python sum of
+squares would not.  A flow stops when the field norm drops below
+CONVERGENCE_EPS, else when the state norm falls under FLOOR_EPS (the
+non-Lipschitz pocket around an oscillatory origin, surfaced rather than
+hidden), else when the next state would leave the domain (its
+contains_row); a flow still running when time runs out stops with
+MaxTime.  A flow whose states and times could exceed a fixed byte cap is
+refused before it starts.
 
 For a one-dimensional field f, the potential L(x) is the integral of f
 from a reference point; along trajectories of x' = -f(x), dL/dt = -f(x)^2
@@ -89,13 +95,17 @@ class Trajectory:
 def integrate(F: VectorField, x0, cfg: IntegratorConfig | None = None) -> Trajectory:
     """Fixed-step RK4 flow of x' = F(x) starting at x0, fully deterministic.
 
-    Each stage evaluates F's batch once on the (1, dim) state, through
-    row_values, and raises what F.values would raise.  The flow stops
-    at the first of Converged, StepUnderflow and LeftDomain that holds,
-    tested in that order; a flow still running after t_max stops with
-    MaxTime.  Each norm is sqrt(v.dot(v)), what np.linalg.norm computes on
-    one row.  A flow whose states and times would exceed the byte cap is
-    refused before F is evaluated.
+    Each stage evaluates F's batch once on a (1, dim) array, through
+    row_values, and raises what F.values would raise.  The stage inputs
+    x + dt/2 k1, x + dt/2 k2, x + dt k3 and the next state x + dt/6 (k1 +
+    2 k2 + 2 k3 + k4) are formed on the floats of the rows row_values
+    returns, each as numpy would round it; a state that overflows is inf
+    or NaN, with no warning, and leaves the domain.  The flow stops at the
+    first of Converged, StepUnderflow and LeftDomain that holds, tested in
+    that order; a flow still running after t_max stops with MaxTime.  Each
+    norm is sqrt(v.dot(v)) of an ndarray row, what np.linalg.norm computes
+    on one row.  A flow whose states and times would exceed the byte cap
+    is refused before F is evaluated.
     """
     cfg = cfg or IntegratorConfig()
     x = require_in_domain(F.domain, x0)[None, :]
@@ -108,12 +118,13 @@ def integrate(F: VectorField, x0, cfg: IntegratorConfig | None = None) -> Trajec
                          "use a larger dt or a smaller t_max")
     buf = np.empty((n_steps + 1, x.shape[1]))
     buf[0] = x
-    stage, inside = row_values(F), F.domain.contains_rows
+    stage, inside, array = row_values(F), F.domain.contains_row, np.array
     eps, floor = CONVERGENCE_EPS, FLOOR_EPS
     half, sixth = 0.5 * dt, dt / 6.0
     reason, end = MAX_TIME, 1  # end counts the states held
+    xs = x[0].tolist()  # the state's coordinates; x is the same row as an array
     for _ in range(n_steps):
-        k1 = stage(x)
+        k1, a = stage(x)
         v, p = k1[0], x[0]
         if math.sqrt(v.dot(v)) < eps:
             reason = CONVERGED
@@ -121,13 +132,15 @@ def integrate(F: VectorField, x0, cfg: IntegratorConfig | None = None) -> Trajec
         if math.sqrt(p.dot(p)) < floor:
             reason = STEP_UNDERFLOW
             break
-        k2 = stage(x + half * k1)
-        k3 = stage(x + half * k2)
-        k4 = stage(x + dt * k3)
-        x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not inside(x)[0]:
+        b = stage(array([[xi + half * ai for xi, ai in zip(xs, a)]]))[1]
+        c = stage(array([[xi + half * bi for xi, bi in zip(xs, b)]]))[1]
+        d = stage(array([[xi + dt * ci for xi, ci in zip(xs, c)]]))[1]
+        xs = [xi + sixth * (ai + 2.0 * bi + 2.0 * ci + di)
+              for xi, ai, bi, ci, di in zip(xs, a, b, c, d)]
+        if not inside(xs):
             reason = LEFT_DOMAIN
             break
+        x = array([xs])
         buf[end] = x
         end += 1
     return Trajectory(np.arange(end) * dt, buf[:end].copy(), reason, cfg)

@@ -10,9 +10,11 @@ numpy call.  Two places call it, and both check each answer through
 domain, the shape of every batch and that every value is finite, raising
 ``DimensionMismatchError`` or ``ValueError``; ``value`` is its one-row
 case.  ``row_values``, the integrator's stage evaluator, checks its one
-row in place and passes any answer it rejects to ``_checked``, so it
-raises what ``values`` raises.  Every affine map is built by
-``affine_field``, whose rows do not depend on their batch.
+row in place, returns it as Python floats too, and passes any answer it
+rejects to ``_checked``, so it raises what ``values`` raises.  A domain's
+``contains_row`` tests one such row as ``contains_rows`` would.  Every
+affine map is built by ``affine_field``, whose rows do not depend on
+their batch.
 
 All objects are immutable after construction and all operations are pure,
 so everything here is safe to call concurrently.
@@ -62,6 +64,11 @@ class _RowContainment:
     def contains(self, p) -> bool:
         return bool(self.contains_rows(np.asarray(p, float)[None])[0])
 
+    def contains_row(self, r: Sequence[float]) -> bool:
+        """Whether the one row r (a sequence of floats) lies in the domain,
+        as contains_rows decides it: the integrator's per-step test."""
+        return bool(self.contains_rows(np.array([r], float))[0])
+
 
 @dataclass(frozen=True)
 class Box(_RowContainment):
@@ -76,10 +83,12 @@ class Box(_RowContainment):
             raise DimensionMismatchError("box bounds must be 1-D and of equal length")
         if not np.all(lo <= up):
             raise ValueError("box requires lower <= upper componentwise")
-        # the bounds contains_rows compares against, computed once: the
-        # integrator calls it every step
-        object.__setattr__(self, "_bounds", (_frozen(lo - CONTAINMENT_TOL),
-                                             _frozen(up + CONTAINMENT_TOL)))
+        # the bounds contains_rows compares against, computed once, and the
+        # same floats per coordinate for contains_row, which the integrator
+        # calls every step
+        lo, up = _frozen(lo - CONTAINMENT_TOL), _frozen(up + CONTAINMENT_TOL)
+        object.__setattr__(self, "_bounds", (lo, up))
+        object.__setattr__(self, "_row_bounds", tuple(zip(lo.tolist(), up.tolist())))
 
     @property
     def dim(self) -> int:
@@ -92,6 +101,12 @@ class Box(_RowContainment):
         if P.shape[1:] != lo.shape:
             return np.zeros(len(P), bool)
         return ((P >= lo) & (P <= up)).all(axis=1)
+
+    def contains_row(self, r: Sequence[float]) -> bool:
+        """contains_rows of the one row r, on Python floats: the same two
+        comparisons per coordinate, so NaN is outside."""
+        bounds = self._row_bounds
+        return len(r) == len(bounds) and all(lo <= c <= up for c, (lo, up) in zip(r, bounds))
 
     def clip(self, p: np.ndarray) -> np.ndarray:
         return np.clip(p, np.asarray(self.lower), np.asarray(self.upper))
@@ -363,23 +378,25 @@ def _checked(f: AnyField, pts: np.ndarray, vals: np.ndarray, shape: tuple) -> np
     return vals
 
 
-def row_values(f: VectorField) -> Callable[[np.ndarray], np.ndarray]:
+def row_values(f: VectorField) -> Callable[[np.ndarray], tuple[np.ndarray, list]]:
     """f.values for one flow's (1, dim) states, checked on the one row.
 
     The returned evaluator runs f's batch once per call and accepts its
-    answer when it has the state's shape and every entry is finite.  Any
-    other answer goes to _checked, which raises the error that values
-    raises, with the same message, without running the batch again.  The
-    state must already be a (1, dim) float array of f's domain width, as
-    _points would make it.
+    answer k when it has the state's shape and every entry is finite; it
+    returns (k, the entries of k's row as Python floats), the list its
+    finiteness check read.  Any other answer goes to _checked, which
+    raises the error that values raises, with the same message, without
+    running the batch again.  The state must already be a (1, dim) float
+    array of f's domain width, as _points would make it.
     """
     batch, isfinite = f.batch, math.isfinite
 
-    def stage(p: np.ndarray) -> np.ndarray:
+    def stage(p: np.ndarray) -> tuple[np.ndarray, list]:
         k = np.asarray(batch(p), float)
-        if k.shape == p.shape and all(map(isfinite, k[0].tolist())):
-            return k
-        return _checked(f, p, k, p.shape)
+        row = k[0].tolist() if k.shape == p.shape else None
+        if row is None or not all(map(isfinite, row)):
+            _checked(f, p, k, p.shape)  # raises: the wrong shape or a non-finite entry
+        return k, row
 
     return stage
 
@@ -477,7 +494,7 @@ def _xsininv_1d(t: np.ndarray) -> np.ndarray:
     live = np.abs(t) >= _RECIPROCAL_FLOOR
     # the usual case needs no masked copy and scatter, which on the
     # screens' large batches set the peak memory of a run
-    if live.all():
+    if np.count_nonzero(live) == live.size:
         return t * np.sin(1.0 / t)
     out = np.zeros_like(t)
     tl = t[live]
@@ -583,8 +600,14 @@ _SCALAR_REGISTRY: dict[str, tuple[Callable[[], Domain], Callable[[np.ndarray], n
 
 
 def _mexican_hat_grad(P: np.ndarray) -> np.ndarray:
+    """2 (r - 1) x / r, and 0 at the origin (r = 0)."""
     r = _radius(P)
-    scale = np.divide(2.0 * (r - 1.0), r, out=np.zeros_like(r), where=r > 0)
+    # with no origin row the divide needs no mask (a row holding a NaN
+    # keeps one either way)
+    if np.count_nonzero(r) == r.size:
+        scale = 2.0 * (r - 1.0) / r
+    else:
+        scale = np.divide(2.0 * (r - 1.0), r, out=np.zeros_like(r), where=r > 0)
     return P * scale[:, None]
 
 
@@ -615,9 +638,10 @@ def vector_field(name: str) -> VectorField:
         return VectorField(batch=_mexican_hat_grad, domain=MEXICAN_HAT_BOX, label="mexican_hat")
     if name in ("quadratic", "cubic", "xsininv"):
         sf = scalar_field(name)
+        # x sin(1/x) is elementwise, so its (n, 1) batch is itself
         sbatch = sf.batch
-        return VectorField(batch=lambda P: sbatch(P)[:, None], domain=sf.domain, label=name,
-                           witnesses=sf.witnesses)
+        batch = _xsininv_1d if name == "xsininv" else lambda P: sbatch(P)[:, None]
+        return VectorField(batch=batch, domain=sf.domain, label=name, witnesses=sf.witnesses)
     raise ValueError(f"unknown field {name!r}; known: {registry_names()}")
 
 

@@ -167,6 +167,21 @@ class TestClassify:
         assert got["challengers_used"].startswith("grid(n_per_axis=10)+analytic(55)+ball(")
         assert got["analytic_witnesses"] is True
 
+    def test_dominators_closer_than_every_sample_are_found(self, capsys, tmp_path):
+        # p sits 1.9e-4 right of the critical point 0.30772 of this form, and
+        # only points in that gap dominate it: no grid or ball sample lands
+        # there, so the critical check's witness sets the ladder that does
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"Q": [[1.4422613422163737]], "b": [-0.4438041521479197]}))
+        got = run_json(capsys, "--seed", "158", "--neps", "65", "classify", "--vector",
+                       str(path), "--point", "0.3075211338199899", "--challengers", "48")
+        assert got["is_minimal"] is False and got["is_critical"] is False
+        assert got["challengers_used"].endswith("+ladder(52)")
+        # the ladder's rows within the radius join the ball
+        assert got["is_local_min_polyorder"] is False
+        x = got["dominating_witness"][0][0]
+        assert 0.3075211338199899 < x <= 0.30772
+
     def test_scalar_square(self, capsys):
         got = run_json(capsys, "classify", "--scalar", "quadratic", "--point", "0")
         assert got["is_strict_local_min"] is True

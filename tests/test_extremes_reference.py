@@ -6,17 +6,20 @@ minimality under the negated field.  The package decides both directions
 from one shared screen instead, and every (ok, witness) must agree.  The
 one eps a report prints, classify_point's dominating_witness, must be the
 strict-witness eps of the full comparison of the lex-first dominator of
-its challengers and ball, with the field's witness eps.
+its challengers and ball, with the field's witness eps.  Where the
+critical check fails but the minimal or local-minimum check passed, the
+halving ladder toward the critical witness joins those challengers.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fieldorder.casestudy import build_catalog, case_challengers
-from fieldorder.classify import (classify_point, default_challengers, minimal_and_maximal,
+from fieldorder.classify import (classify_point, default_challengers, is_critical_element,
+                                 is_local_min_polyorder, minimal_and_maximal,
                                  sample_neighborhood)
 from fieldorder.dominance import (STRICTLY_DOMINATES, ToleranceConfig, batch_scalar_steps,
                                   batch_vector_extremes, compare_scalar, compare_vector)
@@ -96,11 +99,20 @@ def assert_report_matches(field, p, challengers, seed, cfg):
     rep = classify_point(field, p, challengers, radius, cfg, seed)
     ball = sample_neighborhood(field.domain, p, radius, seed=seed)
     full = challengers.union(ball.points, note="ball")
-    assert rep.challengers_used == full.strategy
     minimal = minimal_and_maximal(field, p, full, cfg)[0]
+    p = require_in_domain(field.domain, p)
+    if not isinstance(field, ScalarField):
+        critical = is_critical_element(field, p, full, cfg)
+        local_min = is_local_min_polyorder(field, p, ball, cfg)
+        if not critical.ok and (minimal.ok or local_min.ok):
+            x = np.array(critical.witness)
+            ladder = np.array([p + 2.0 ** -j * (x - p) for j in range(1, 53)])
+            full = full.union(ladder, note="ladder")
+            minimal = minimal_and_maximal(field, p, full, cfg)[0]
+    assert rep.challengers_used == full.strategy
     want = None
     if not minimal.ok:
-        x, p = np.array(minimal.witness), require_in_domain(field.domain, p)
+        x = np.array(minimal.witness)
         if isinstance(field, ScalarField):
             verdict = compare_scalar(field, x, p, cfg)
         else:
@@ -228,6 +240,7 @@ def test_rock_paper_scissors_flat_profiles_tie_break_alike():
 
 @settings(max_examples=40, deadline=None)
 @given(dim=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
+@example(dim=1, seed=2158)  # p beside a critical point: only the ladder finds its dominators
 def test_random_quadratic_forms(dim, seed):
     rng = np.random.default_rng(seed)
     Q = rng.uniform(-2.0, 2.0, size=(dim, dim))

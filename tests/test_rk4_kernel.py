@@ -10,9 +10,14 @@ wrong shape or another dtype makes integrate raise the error and message
 that F.values raises in ``reference``, or step as ``reference`` steps on
 the converted answer.  The thresholds are the module constants
 dynamics.CONVERGENCE_EPS and FLOOR_EPS, which these tests patch.
+
+integrate steps its state on Python floats and tests it with the domain's
+contains_row, so the row test must agree with contains_rows on every row,
+and a state that overflows must end the flow as ``reference`` ends it.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,9 +27,9 @@ from fieldorder import cli, dynamics, games
 from fieldorder.dynamics import (CONVERGED, LEFT_DOMAIN, MAX_TIME, STEP_UNDERFLOW,
                                  IntegratorConfig, check_setwise_stability, integrate)
 from fieldorder.errors import DomainViolationError
-from fieldorder.fields import (CONTAINMENT_TOL, Box, Product, SampleSet, Simplex,
-                               VectorField, affine_field, negate, quadratic_form,
-                               registry_names, vector_field)
+from fieldorder.fields import (_RECIPROCAL_FLOOR, CONTAINMENT_TOL, Box, Product, SampleSet,
+                               Simplex, VectorField, affine_field, negate, quadratic_form,
+                               registry_names, scalar_field, vector_field)
 
 BOX2 = Box((-1.0, -1.0), (1.0, 1.0))
 TOL = CONTAINMENT_TOL
@@ -317,6 +322,40 @@ class TestOneBatchPerStage:
         assert rows == [1] * (at + 1)
 
 
+# a stage value this large overflows 2 k2 and 2 k3 in the final combination
+BIG = 0.6 * np.finfo(float).max
+
+
+class TestOverflowingState:
+    """A state whose final combination overflows ends the flow LeftDomain.
+
+    Python floats overflow to inf without a warning, where numpy's array
+    arithmetic in ``reference`` warns (and the suite turns warnings into
+    errors), so the reference runs with overflow warnings ignored.
+    """
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("flip", [False, True], ids=["inf", "nan"])
+    def test_overflow_leaves_the_domain(self, dim, flip):
+        # k1 = 1 at the start 0.5, whose norms stay finite; right of it the
+        # field answers BIG, so the combination is +inf, or with flip -BIG,
+        # and BIG left of -1, so k2 = k4 = -BIG, k3 = +BIG and it is NaN
+        def batch(P):
+            far = np.where(P < -1.0, BIG, -BIG) if flip else BIG
+            return np.where((P >= -1.0) & (P <= 0.5), 1.0, far)
+
+        F = VectorField(batch=batch, domain=Box((-1.0,) * dim, (1.0,) * dim), label="big")
+        cfg = IntegratorConfig(dt=0.01, t_max=0.1)
+        x0 = np.full(dim, 0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference(F, x0, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate(F, x0, cfg)
+        assert_same(traj, *want)
+        assert traj.terminated_reason == LEFT_DOMAIN and len(traj.times) == 1
+
+
 class TestTermination:
     def test_converged_is_tested_before_step_underflow(self, monkeypatch):
         # |F(x)| = |x| = 1e-10 lies under both thresholds at the start
@@ -458,15 +497,32 @@ def products(draw):
     return Product(parts), np.hstack([_simplex_rows(draw, s, n) for s in parts])
 
 
+def _with_nonfinite(data, P):
+    """P with a drawn set of entries replaced by +inf, -inf or NaN."""
+    P = P.copy()
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j = data.draw(st.integers(0, P.shape[0] - 1)), data.draw(st.integers(0, P.shape[1] - 1))
+        P[i, j] = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    return P
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), kind=st.sampled_from([boxes, simplexes, products]))
 def test_contains_rows_is_contains_per_row(data, kind):
     domain, P = data.draw(kind())
-    got = domain.contains_rows(P)
+    P = _with_nonfinite(data, P)
+    with np.errstate(invalid="ignore"):  # a simplex sums inf and -inf
+        got = domain.contains_rows(P)
+        want = [contains_reference(domain, p) for p in P]
+        assert [domain.contains(p) for p in P] == want
+        assert [domain.contains_row(p.tolist()) for p in P] == want
     assert got.dtype == bool and got.shape == (len(P),)
-    want = [contains_reference(domain, p) for p in P]
     assert got.tolist() == want
-    assert [domain.contains(p) for p in P] == want
+    # a row narrower or wider than the domain is outside
+    width = data.draw(st.integers(1, domain.dim + 2).filter(lambda w: w != domain.dim))
+    W = np.hstack([P, P])[:, :width]
+    assert domain.contains_rows(W).tolist() == [False] * len(W)
+    assert [domain.contains_row(w.tolist()) for w in W] == [False] * len(W)
 
 
 @pytest.mark.parametrize("domain", [BOX2, Simplex(1.0, 2), Product((Simplex(1.0, 2),))],
@@ -475,3 +531,39 @@ def test_contains_rows_of_the_wrong_width(domain):
     P = np.full((3, 3), 0.25)
     assert (domain.contains_rows(P).tolist() == [domain.contains(p) for p in P]
             == [contains_reference(domain, p) for p in P] == [False] * 3)
+
+
+# ---------------------------------------------------------------------------
+# stock batches
+# ---------------------------------------------------------------------------
+
+_TINY = np.finfo(float).smallest_subnormal
+XSININV_SPECIALS = [0.0, -0.0, _RECIPROCAL_FLOOR, -_RECIPROCAL_FLOOR,
+                    float(np.nextafter(_RECIPROCAL_FLOOR, 0.0)), _TINY, -_TINY,
+                    1e-310, -1e-310, 1 / math.pi, -1.0, 2.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.one_of(st.floats(-1.0, 2.0), st.sampled_from(XSININV_SPECIALS)),
+                     min_size=1, max_size=12))
+def test_xsininv_vector_batch_is_the_scalar_column(rows):
+    P = np.array(rows)[:, None]
+    got = vector_field("xsininv").batch(P)
+    want = scalar_field("xsininv").batch(P)[:, None]
+    assert got.shape == want.shape == P.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _masked_mexican_hat_grad(P):
+    """2 (r - 1) x / r with the divide masked to r > 0 on every batch."""
+    r = np.sqrt(P[:, 0] * P[:, 0] + P[:, 1] * P[:, 1])
+    return P * np.divide(2.0 * (r - 1.0), r, out=np.zeros_like(r), where=r > 0)[:, None]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.lists(st.one_of(st.floats(-2.0, 2.0), st.just(0.0), st.just(-0.0)),
+                              min_size=2, max_size=2), min_size=1, max_size=12))
+def test_mexican_hat_grad_is_the_masked_divide(rows):
+    P = np.array(rows)
+    got = vector_field("mexican_hat").batch(P)
+    assert got.tobytes() == _masked_mexican_hat_grad(P).tobytes()
