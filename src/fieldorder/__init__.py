@@ -15,8 +15,8 @@ from .classify import (ClassificationReport, classify_point,  # noqa: F401
                        sample_neighborhood)
 from .dynamics import (IntegratorConfig, SetStabilityReport, Trajectory,  # noqa: F401
                        check_setwise_stability, integrate)
-from .games import (PopulationGame, from_bimatrix, from_symmetric_matrix,  # noqa: F401
-                    hawk_dove, is_nash, load_game, matching_pennies)
+from .games import (from_bimatrix, from_symmetric_matrix, hawk_dove,  # noqa: F401
+                    is_nash, load_game, matching_pennies)
 from .casestudy import (CriticalCatalog, build_catalog,  # noqa: F401
                         check_setwise_dominance, classify_catalog,
                         dominating_minimal_element, mexican_hat_counterexample,

@@ -315,43 +315,35 @@ def check_setwise_dominance(window_hi: float = 2.0, grid_n: int = 2000,
     window_lo = -zero_point(1) + 0.01  # just right of the outermost maximal point
     f, c = case_fields()
     xs = np.linspace(window_lo, window_hi, grid_n)
-    excluded = covered = 0
+    outside = ~c.domain.contains_rows(xs[:, None])
+    if outside.any():
+        require_in_domain(c.domain, xs[outside][:1])  # raises, naming the first
+    # (x, xstar, margin) of each window point not within tau of a critical point
+    rows: list[tuple[float, float, float]] = []
     max_index = 0
-    # per window point, in window order: its failure record, or its screen row
-    slots: list[dict | int] = []
-    pairs: list[tuple[float, float]] = []
-    for x in xs:
-        x = float(x)
-        require_in_domain(c.domain, [x])
+    for x, fx in zip(xs.tolist(), f.values(xs[:, None]).tolist()):
         if nearest_critical_distance(x) <= cfg.tau:
-            excluded += 1
             continue
         xstar = dominating_minimal_element(x)
         if abs(x) < zero_point(1):
             max_index = max(max_index, math.floor(1.0 / (PI * abs(x))) + 1)
-        margin = (xstar - x) * f.value(np.array([x]))
+        rows.append((x, xstar, (xstar - x) * fx))
+    pairs = np.array([(xstar, x) for x, xstar, margin in rows if margin < -cfg.tau])
+    relations = iter(batch_relations(replace(c, witnesses=None), pairs[:, :1], pairs[:, 1:], cfg)
+                     if len(pairs) else ())
+    covered, failures = 0, []
+    for x, xstar, margin in rows:
         if margin >= -cfg.tau:
-            slots.append({"x": x, "xstar": xstar, "reason": "margin under tau",
-                          "margin": margin})
-            continue
-        slots.append(len(pairs))
-        pairs.append((xstar, x))
-    if pairs:
-        P = np.asarray(pairs)
-        relations = batch_relations(replace(c, witnesses=None), P[:, :1], P[:, 1:], cfg)
-    failures = []
-    for slot in slots:
-        if isinstance(slot, dict):
-            failures.append(slot)
-        elif relations[slot] == STRICTLY_DOMINATES:
+            failures.append({"x": x, "xstar": xstar, "reason": "margin under tau",
+                             "margin": margin})
+        elif (relation := next(relations)) == STRICTLY_DOMINATES:
             covered += 1
         else:
-            xstar, x = pairs[slot]
             failures.append({"x": x, "xstar": xstar, "reason": "confirmation failed",
-                             "relation": str(relations[slot])})
+                             "relation": str(relation)})
     return DominanceCoverageReport(
         window=(window_lo, window_hi), grid_n=grid_n, total=len(xs),
-        excluded_near_critical=excluded, covered=covered,
+        excluded_near_critical=len(xs) - len(rows), covered=covered,
         failures=tuple(failures), max_bracket_index=max_index)
 
 

@@ -441,8 +441,8 @@ def classify_point(field, p, challengers: SampleSet | None = None,
     theorem inclusion chains before returning.
 
     A ScalarField gives a "scalar" report, any other field a "vector" one.
-    The caller's challenger set, then the radius, is checked before any
-    probe is built.  A failed minimality check reports its dominator with
+    A one-point domain is refused, then the caller's challenger set and
+    the radius are checked, before any probe is built.  A failed minimality check reports its dominator with
     the strict-witness eps of one full comparison of that row.
 
     When the critical check fails but the minimal or the local-minimum
@@ -455,6 +455,9 @@ def classify_point(field, p, challengers: SampleSet | None = None,
     kind = "scalar" if isinstance(field, ScalarField) else "vector"
     cfg = cfg or ToleranceConfig()
     p = require_in_domain(field.domain, p)
+    if field.domain.diameter() == 0:  # no ball and no challenger can differ from p
+        raise ValueError(f"field {field.label!r}: its domain {field.domain} is one point, "
+                         "so there is nothing to classify it against")
     if challengers is not None:
         _probe_points(field, challengers, "challenger set is empty")
     radius = radius if radius is not None else 0.05 * field.domain.diameter()

@@ -4,6 +4,11 @@ Exit codes: 0 success, 2 usage or parse error, 3 domain violation,
 4 invariant breach (an inclusion-chain assertion failed, which must abort
 loudly).  All randomness flows from --seed; reruns with identical arguments
 produce byte-identical JSON, and CSV floats carry 17 significant digits.
+
+Each cmd_* computes and returns (artifacts, payload, summary): the files
+for --out-dir in write order, each a JSON payload or CSV text; the --json
+stdout; and the one plain stdout line.  main alone writes them, with the
+manifest.
 """
 
 from __future__ import annotations
@@ -75,44 +80,6 @@ def _tolerance(args) -> ToleranceConfig:
     return ToleranceConfig(tau=args.tau, n_eps=args.neps)
 
 
-class _Emitter:
-    """Collects output files under --out-dir and writes the run manifest."""
-
-    def __init__(self, args):
-        self.args = args
-        self.outputs: list[str] = []
-
-    def write_text(self, name: str, text: str) -> None:
-        if not self.args.out_dir:
-            return
-        os.makedirs(self.args.out_dir, exist_ok=True)
-        path = os.path.join(self.args.out_dir, name)
-        with open(path, "w") as fh:
-            fh.write(text)
-        self.outputs.append(name)
-
-    def finish(self, payload) -> None:
-        if self.args.json:
-            sys.stdout.write(_dumps(payload))
-        if self.args.out_dir:
-            # out_dir names where the record lives, not what was computed, so
-            # it stays out of the manifest and reruns into fresh dirs match
-            args = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                    for k, v in sorted(vars(self.args).items())
-                    if k not in ("func", "out_dir")}
-            manifest = {
-                "command": self.args.command,
-                "args": args,
-                "seed": self.args.seed,
-                "config": {"tolerance": _tolerance(self.args).to_dict()},
-                "tool_version": __version__,
-                "outputs": self.outputs,
-            }
-            os.makedirs(self.args.out_dir, exist_ok=True)
-            with open(os.path.join(self.args.out_dir, "manifest.json"), "w") as fh:
-                fh.write(_dumps(manifest))
-
-
 def _field_kind_args(sub):
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--scalar", metavar="FIELD", help="scalar field reference")
@@ -126,25 +93,18 @@ def _picked(args):
     return kind, field, stock
 
 
-def cmd_compare(args) -> int:
-    emitter = _Emitter(args)
+def cmd_compare(args):
     kind, field, _ = _picked(args)
-    cfg = _tolerance(args)
     compare = compare_scalar if kind == "scalar" else compare_vector
-    verdict = compare(field, args.x, args.y, cfg)
-    emitter.write_text("verdict.json", _dumps(verdict.to_dict()))
-    if not args.json:
-        print(f"{field.label}: x={args.x.tolist()} vs y={args.y.tolist()} -> {verdict.relation}")
-    emitter.finish(verdict.to_dict())
-    return 0
+    verdict = compare(field, args.x, args.y, _tolerance(args)).to_dict()
+    return ({"verdict.json": verdict}, verdict,
+            f"{field.label}: x={args.x.tolist()} vs y={args.y.tolist()} -> {verdict['relation']}")
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args):
     if args.radius is not None:  # before any work; the default always passes
         require_radius(args.radius)
-    emitter = _Emitter(args)
     kind, field, stock = _picked(args)
-    cfg = _tolerance(args)
     if args.challengers is not None and args.challengers < 1:
         raise ValueError(f"--challengers must be at least 1, got {args.challengers}")
     challengers = None
@@ -156,35 +116,28 @@ def cmd_classify(args) -> int:
     elif args.challengers is not None:
         challengers = default_challengers(field.domain, args.seed, grid_n=args.challengers,
                                           random_n=args.challengers)
-    report = classify_point(field, args.point, challengers=challengers,
-                            radius=args.radius, cfg=cfg, seed=args.seed)
-    emitter.write_text("classification.json", _dumps(report.to_dict()))
-    if not args.json:
-        flags = {k: v for k, v in report.to_dict().items() if isinstance(v, bool)}
-        print(f"{field.label} at {args.point.tolist()}: {flags}")
-    emitter.finish(report.to_dict())
-    return 0
+    report = classify_point(field, args.point, challengers=challengers, radius=args.radius,
+                            cfg=_tolerance(args), seed=args.seed).to_dict()
+    flags = {k: v for k, v in report.items() if isinstance(v, bool)}
+    return ({"classification.json": report}, report,
+            f"{field.label} at {args.point.tolist()}: {flags}")
 
 
-def cmd_game(args) -> int:
+def cmd_game(args):
     if args.radius is not None:  # before any work; the default always passes
         require_radius(args.radius)
-    emitter = _Emitter(args)
-    game = load_game(args.file)
+    cost = load_game(args.file)
     cfg = _tolerance(args)
-    challengers = default_challengers(game.domain, args.seed)
-    nash = is_nash(game, args.point, challengers, cfg)
-    report = classify_point(game.cost, args.point, challengers=challengers,
+    challengers = default_challengers(cost.domain, args.seed)
+    nash = is_nash(cost, args.point, challengers, cfg)
+    report = classify_point(cost, args.point, challengers=challengers,
                             radius=args.radius, cfg=cfg, seed=args.seed)
     payload = {"is_nash": nash.ok,
                "nash_witness": list(nash.witness) if nash.witness else None,
                **report.to_dict()}
-    emitter.write_text("game_report.json", _dumps(payload))
-    if not args.json:
-        print(f"{game.label} at {args.point.tolist()}: nash={nash.ok} ess={report.is_ess} "
-              f"nss={report.is_nss} minimal={report.is_minimal}")
-    emitter.finish(payload)
-    return 0
+    return ({"game_report.json": payload}, payload,
+            f"{cost.label} at {args.point.tolist()}: nash={nash.ok} ess={report.is_ess} "
+            f"nss={report.is_nss} minimal={report.is_minimal}")
 
 
 def _candidate_points(args, stock):
@@ -204,8 +157,7 @@ def _candidate_points(args, stock):
         raise ValueError(f"candidate points are not numbers: {exc}") from None
 
 
-def cmd_flow(args) -> int:
-    emitter = _Emitter(args)
+def cmd_flow(args):
     field, stock, negated = _resolve(args.field, "vector")
     icfg = IntegratorConfig(dt=args.dt, t_max=args.tmax)
     candidate = _candidate_points(args, stock)
@@ -214,34 +166,26 @@ def cmd_flow(args) -> int:
     if candidate is None:
         traj = integrate(field, args.x0, icfg)
         payload = {"final_state": traj.final_state.tolist(), "final_time": traj.final_time,
-                   "terminated_reason": traj.terminated_reason,
-                   "integrator": icfg.to_dict()}
+                   "terminated_reason": traj.terminated_reason}
     else:
         ics = SampleSet(np.atleast_2d(args.x0))
         report = check_setwise_stability(field, candidate, ics, icfg, potential=potential)
         payload = report.to_dict()
-        payload["integrator"] = icfg.to_dict()
         traj = report.trajectories[0]
+    payload["integrator"] = icfg.to_dict()
     buf = io.StringIO()
     traj.write_csv(buf)
-    emitter.write_text("trajectory.csv", buf.getvalue())
-    emitter.write_text("flow_report.json", _dumps(payload))
-    if not args.json:
-        print(f"{field.label} from {args.x0.tolist()}: "
-              f"{payload.get('final_state', payload.get('trials'))}")
-    emitter.finish(payload)
-    return 0
+    return ({"trajectory.csv": buf.getvalue(), "flow_report.json": payload}, payload,
+            f"{field.label} from {args.x0.tolist()}: "
+            f"{payload.get('final_state', payload.get('trials'))}")
 
 
-def cmd_casestudy(args) -> int:
-    emitter = _Emitter(args)
+def cmd_casestudy(args):
     cfg = _tolerance(args)
-    payload: dict = {}
     if args.mexican_hat:
         hat = mexican_hat_counterexample(args.circle_points, cfg, seed=args.seed)
-        emitter.write_text("mexican_hat.json", _dumps(hat.to_dict()))
-        payload["mexican_hat"] = {"confirmed": hat.confirmed,
-                                  "points": len(hat.records)}
+        artifacts = {"mexican_hat.json": hat.to_dict()}
+        payload = {"mexican_hat": {"confirmed": hat.confirmed, "points": len(hat.records)}}
     else:
         require_origin_radii(cfg)  # the checks that need no sweep go first
         catalog = build_catalog(args.nmax)
@@ -250,22 +194,41 @@ def cmd_casestudy(args) -> int:
         agreement = classify_catalog(catalog, challengers, cfg)
         origin = origin_atypicality(agreement.origin_minimal, agreement.origin_maximal,
                                     cfg, args.seed)
-        emitter.write_text("catalog.json", _dumps(catalog.to_dict()))
-        emitter.write_text("catalog_agreement.json", _dumps(agreement.to_dict()))
-        emitter.write_text("origin.json", _dumps(origin.to_dict()))
-        emitter.write_text("dominance.json", _dumps(coverage.to_dict()))
         xs = np.linspace(coverage.window[0], coverage.window[1], 2001)
         fs = scalar_field("xsininv").values(xs[:, None])
         lines = ["x,f"] + ["%.17g,%.17g" % xf for xf in zip(xs, fs)]
-        emitter.write_text("field_curve.csv", "\n".join(lines) + "\n")
+        artifacts = {"catalog.json": catalog.to_dict(),
+                     "catalog_agreement.json": agreement.to_dict(),
+                     "origin.json": origin.to_dict(),
+                     "dominance.json": coverage.to_dict(),
+                     "field_curve.csv": "\n".join(lines) + "\n"}
         payload = {"catalog_entries": 2 * args.nmax,
                    "catalog_agreement": agreement.all_agree,
                    "origin_confirmed": origin.confirmed,
                    "dominance_coverage": coverage.coverage_fraction}
-    emitter.finish(payload)
-    if not args.json:
-        print(payload)
-    return 0
+    return artifacts, payload, str(payload)
+
+
+def _write_outputs(args, artifacts: dict) -> None:
+    """Each artifact (JSON payload or CSV text) under --out-dir, then the run
+    manifest listing them in write order."""
+    os.makedirs(args.out_dir, exist_ok=True)
+    for name, content in artifacts.items():
+        with open(os.path.join(args.out_dir, name), "w") as fh:
+            fh.write(content if isinstance(content, str) else _dumps(content))
+    # out_dir names where the record lives, not what was computed, so it
+    # stays out of the manifest and reruns into fresh dirs match
+    manifest = {
+        "command": args.command,
+        "args": {k: (v.tolist() if isinstance(v, np.ndarray) else v)
+                 for k, v in sorted(vars(args).items()) if k not in ("func", "out_dir")},
+        "seed": args.seed,
+        "config": {"tolerance": _tolerance(args).to_dict()},
+        "tool_version": __version__,
+        "outputs": list(artifacts),
+    }
+    with open(os.path.join(args.out_dir, "manifest.json"), "w") as fh:
+        fh.write(_dumps(manifest))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,7 +284,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        artifacts, payload, summary = args.func(args)
+        if args.out_dir:
+            _write_outputs(args, artifacts)
+        sys.stdout.write(_dumps(payload) if args.json else summary + "\n")
+        return 0
     except DomainViolationError as exc:
         print(f"domain violation: {exc}", file=sys.stderr)
         return 3

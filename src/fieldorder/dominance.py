@@ -557,19 +557,6 @@ def _affine_rounding_bound(c: VectorField, xs: np.ndarray, ys: np.ndarray) -> np
         return 4.0 * (2 * n + 8) * (_UNIT_ROUNDOFF * w + _UNDERFLOW * z)
 
 
-def _end_values(c: VectorField, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """(k, 2, dim) values of c at each row's segment points for eps 0 and eps 1.
-
-    The points are built as every grid builds them (_segment_points), and
-    an affine field's batch gives a row the same bits in any batch
-    (affine_field), so these are the values a grid sweep evaluates at its
-    two ends.
-    """
-    k, dim = xs.shape
-    pts = _segment_points(xs, ys, np.array([0.0, 1.0]))
-    return c.values(pts.reshape(-1, dim)).reshape(k, 2, dim)
-
-
 def _affine_endpoints(c: VectorField, xs: np.ndarray,
                       ys: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(max, min, settled) of each row's delta at eps 0 and 1, for an affine c.
@@ -578,7 +565,9 @@ def _affine_endpoints(c: VectorField, xs: np.ndarray,
     is affine in eps, so its extremes over [0, 1] are its endpoint values.
     Every value the uniform-grid screen computes for the row (grid points,
     which include eps 0 and 1, and witness eps in [0, 1]) and both values
-    computed here lie within E of that exact profile
+    computed here (the segment kernel at eps 0 and 1, whose points are
+    built as every grid builds them, and an affine batch gives a row the
+    same bits in any batch) lie within E of that exact profile
     (_affine_rounding_bound).  So the screen's max and this max differ by
     at most 2E, and likewise the mins.  A row is settled when
     |max - tau| > 2E and |min + tau| > 2E: its band predicates, and so its
@@ -590,7 +579,7 @@ def _affine_endpoints(c: VectorField, xs: np.ndarray,
     out_max, out_min, settled = np.empty(k), np.empty(k), np.empty(k, bool)
     for rows in _blocks(np.arange(k), 2, xs.shape[1]):
         bx, by = xs[rows], ys[rows]
-        ends = _deltas(_end_values(c, bx, by), bx - by)
+        ends = _profiles(c, bx, by, np.array([0.0, 1.0]))
         mx, mn = ends.max(axis=1), ends.min(axis=1)
         slack = 2.0 * _affine_rounding_bound(c, bx, by)
         out_max[rows], out_min[rows] = mx, mn

@@ -74,7 +74,6 @@ class Trajectory:
     times: np.ndarray = field(repr=False)
     states: np.ndarray = field(repr=False)
     terminated_reason: str
-    config: IntegratorConfig
 
     @property
     def final_state(self) -> np.ndarray:
@@ -143,7 +142,7 @@ def integrate(F: VectorField, x0, cfg: IntegratorConfig | None = None) -> Trajec
         x = array([xs])
         buf[end] = x
         end += 1
-    return Trajectory(np.arange(end) * dt, buf[:end].copy(), reason, cfg)
+    return Trajectory(np.arange(end) * dt, buf[:end].copy(), reason)
 
 
 # ---------------------------------------------------------------------------

@@ -61,12 +61,9 @@ class _RowContainment:
     """A domain's point test is the one-row case of its contains_rows: a
     point is in the domain when its only row is."""
 
-    def contains(self, p) -> bool:
-        return bool(self.contains_rows(np.asarray(p, float)[None])[0])
-
     def contains_row(self, r: Sequence[float]) -> bool:
         """Whether the one row r (a sequence of floats) lies in the domain,
-        as contains_rows decides it: the integrator's per-step test."""
+        as contains_rows decides it."""
         return bool(self.contains_rows(np.array([r], float))[0])
 
 
@@ -182,7 +179,7 @@ Domain = Union[Box, Simplex, Product]
 
 def require_in_domain(domain: Domain, p) -> np.ndarray:
     p = as_point(p)
-    if not domain.contains(p):
+    if not domain.contains_row(p.tolist()):
         raise DomainViolationError(f"point {p.tolist()} outside domain {domain}")
     return p
 

@@ -2,8 +2,10 @@
 
 A game state assigns a mass distribution over pure strategies per
 population; the cost function maps a state to one cost per pure strategy.
-Nash equilibria of the game are exactly the critical elements of the cost
-field, so every classifier in this package applies unchanged.
+A game is its cost field: every constructor here returns that VectorField,
+on the product of simplexes and labelled "game:<label>".  Nash equilibria
+of the game are exactly the critical elements of the cost field, so every
+classifier in this package applies unchanged.
 
 Costs, not utilities, throughout: lower is better, and matrix rows index
 the owner's pure strategies.
@@ -12,7 +14,6 @@ the owner's pure strategies.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,27 +23,16 @@ from .errors import DimensionMismatchError
 from .fields import Product, SampleSet, Simplex, VectorField, affine_field
 
 
-@dataclass(frozen=True)
-class PopulationGame:
-    cost: VectorField
-    label: str
-
-    @property
-    def domain(self) -> Product:
-        return self.cost.domain
-
-
-def from_symmetric_matrix(C, mass: float = 1.0, label: str = "symmetric") -> PopulationGame:
+def from_symmetric_matrix(C, mass: float = 1.0, label: str = "symmetric") -> VectorField:
     """Single-population game with linear costs c(x) = C x."""
     C = np.asarray(C, float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise DimensionMismatchError("cost matrix must be square")
     m = C.shape[0]
-    cost = affine_field(C, np.zeros(m), Product((Simplex(mass, m),)), f"game:{label}")
-    return PopulationGame(cost=cost, label=label)
+    return affine_field(C, np.zeros(m), Product((Simplex(mass, m),)), f"game:{label}")
 
 
-def from_bimatrix(A, B, label: str = "bimatrix") -> PopulationGame:
+def from_bimatrix(A, B, label: str = "bimatrix") -> VectorField:
     """Two-population game: player-1 costs A y, player-2 costs B' x, concatenated."""
     A = np.asarray(A, float)
     B = np.asarray(B, float)
@@ -52,21 +42,20 @@ def from_bimatrix(A, B, label: str = "bimatrix") -> PopulationGame:
     domain = Product((Simplex(1.0, m1), Simplex(1.0, m2)))
     # the cost is [[0, A], [B', 0]] applied to the stacked state (x, y)
     M = np.block([[np.zeros((m1, m1)), A], [B.T, np.zeros((m2, m2))]])
-    cost = affine_field(M, np.zeros(m1 + m2), domain, f"game:{label}")
-    return PopulationGame(cost=cost, label=label)
+    return affine_field(M, np.zeros(m1 + m2), domain, f"game:{label}")
 
 
-def is_nash(game: PopulationGame, p, challengers: SampleSet,
+def is_nash(cost: VectorField, p, challengers: SampleSet,
             cfg: ToleranceConfig | None = None) -> CheckOutcome:
     """Nash check: no challenger state has lower cost against p's costs."""
-    return is_critical_element(game.cost, p, challengers, cfg)
+    return is_critical_element(cost, p, challengers, cfg)
 
 
 # ---------------------------------------------------------------------------
 # JSON game files and stock examples
 # ---------------------------------------------------------------------------
 
-def load_game(source) -> PopulationGame:
+def load_game(source) -> VectorField:
     """Load {"mode":"symmetric","C":...,"mass":...} or {"mode":"bimatrix","A":...,"B":...}."""
     if isinstance(source, (str, bytes)):
         with open(source) as fh:
@@ -84,12 +73,12 @@ def load_game(source) -> PopulationGame:
     raise ValueError(f"unknown game mode {mode!r}")
 
 
-def hawk_dove() -> PopulationGame:
+def hawk_dove() -> VectorField:
     """Hawk-Dove costs for V=2, fight cost 4; interior equilibrium (1/2, 1/2)."""
     return from_symmetric_matrix([[1.0, -2.0], [0.0, -1.0]], mass=1.0, label="hawk_dove")
 
 
-def matching_pennies() -> PopulationGame:
+def matching_pennies() -> VectorField:
     """Zero-sum costs; unique equilibrium at both players mixing half-half."""
     A = [[-1.0, 1.0], [1.0, -1.0]]
     B = [[1.0, -1.0], [-1.0, 1.0]]

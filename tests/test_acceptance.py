@@ -107,7 +107,7 @@ def _simplex_point(domain, rng):
 
 def _vector_pool(rng):
     pool = [vector_field("quadratic"), vector_field("cubic"), vector_field("linear"),
-            hawk_dove().cost, matching_pennies().cost]
+            hawk_dove(), matching_pennies()]
     for dim in (1, 2, 3):
         Q = rng.normal(size=(dim, dim))
         pool.append(quadratic_form(Q + Q.T, rng.normal(size=dim))[1])
@@ -348,14 +348,14 @@ def test_criterion_9_hawk_dove_end_to_end():
     challengers = default_challengers(game.domain, 42)
     ball = sample_neighborhood(game.domain, p, 0.1, 512, 42)
     full = challengers.union(ball.points)
-    nash = is_critical_element(game.cost, p, full, cfg)
-    nss = is_nss(game.cost, p, ball, cfg)
-    ess = is_ess(game.cost, p, ball, cfg)
-    mini = minimal_and_maximal(game.cost, p, full, cfg)[0]
+    nash = is_critical_element(game, p, full, cfg)
+    nss = is_nss(game, p, ball, cfg)
+    ess = is_ess(game, p, ball, cfg)
+    mini = minimal_and_maximal(game, p, full, cfg)[0]
 
     # independent oracle: dense simplex sweep of p.c(x) vs x.c(x)
     sweep = sample_domain(game.domain, Grid(10_000), 42).points
-    stats = np.einsum("kd,kd->k", p[None, :] - sweep, game.cost.values(sweep))
+    stats = np.einsum("kd,kd->k", p[None, :] - sweep, game.values(sweep))
     oracle_nss = bool(stats.max() <= cfg.tau)
     off = np.linalg.norm(sweep - p, axis=1) > cfg.tau
     oracle_ess = bool(stats[off].max() < -cfg.tau)

@@ -64,14 +64,14 @@ def affine_case(kind, seed, negated, rows, one_y, flat=False):
         C = rng.normal(size=(m, m)) * 10.0 ** rng.uniform(-2, 2)
         if flat or rng.random() < 0.5:  # near zero-sum: antisymmetric plus a hair
             C = C - C.T + hair * rng.normal(size=(m, m))
-        c = from_symmetric_matrix(C).cost
+        c = from_symmetric_matrix(C)
         draw = lambda n: _simplex_rows(rng, [m], n)
     elif kind == "bimatrix":
         m1, m2 = (int(v) for v in rng.integers(2, 4, size=2))
         A = rng.normal(size=(m1, m2)) * 10.0 ** rng.uniform(-2, 2)
         B = (-A + hair * rng.normal(size=A.shape) if flat or rng.random() < 0.5
              else rng.normal(size=(m1, m2)))
-        c = from_bimatrix(A, B).cost
+        c = from_bimatrix(A, B)
         draw = lambda n: _simplex_rows(rng, [m1, m2], n)
     else:
         dim = int(rng.integers(1, 5))
@@ -154,7 +154,7 @@ def test_hawk_dove_classification_stays_off_the_grid():
     x n_eps: its one screen settles nearly every row, the ball's included,
     from its two ends (about 11-12k points in all, where the full grids
     hold 4.7 M)."""
-    c = hawk_dove().cost
+    c = hawk_dove()
     evaluated = [0]
 
     def counting(P, batch=c.batch):
@@ -181,7 +181,7 @@ def test_hawk_dove_classification_stays_off_the_grid():
 def test_certificate_settles_the_stock_game_rows(make, blocks):
     # the flat profiles of the zero-sum games clear the band as far as hawk-dove's
     rng = np.random.default_rng(3)
-    c = make().cost
+    c = make()
     y = np.hstack([np.full(m, 1.0 / m) for m in blocks])
     xs, ys = _broadcast_rows(_simplex_rows(rng, blocks, 500), y)
     assert _affine_endpoints(c, xs, ys, ToleranceConfig().tau)[2].all()
@@ -201,7 +201,7 @@ RPS = [[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]]
         "rps_off"])
 def test_stock_game_local_min_is_the_sweep(make, p, negated, n_eps):
     # at the equilibria of the zero-sum games every row is rounding noise
-    c = make().cost
+    c = make()
     c = negate(c) if negated else c
     p = np.asarray(p)
     samples = sample_neighborhood(c.domain, p, 0.05 * c.domain.diameter(), 512, 42)

@@ -292,5 +292,5 @@ def test_minimal_candidates_inside_domain():
     f, _ = case_fields()
     assert np.any(pts == 0.0)
     for row in pts:
-        assert f.domain.contains(row)
+        assert f.domain.contains_row(row)
     assert pts.max() == pytest.approx(1 / PI)

@@ -134,10 +134,10 @@ class TestSetConcepts:
     def test_singleton_reduces_to_ess(self):
         from fieldorder.games import hawk_dove
         g = hawk_dove()
-        assert is_ess_set(g.cost, [[0.5, 0.5]], 0.1, CFG).ok
+        assert is_ess_set(g, [[0.5, 0.5]], 0.1, CFG).ok
         # members of a passing candidate set must themselves be minimal
         ch = default_challengers(g.domain, 13)
-        assert minimal_and_maximal(g.cost, [0.5, 0.5], ch, CFG)[0].ok
+        assert minimal_and_maximal(g, [0.5, 0.5], ch, CFG)[0].ok
 
     def test_square_origin_fails_set_check(self, square):
         out = is_ess_set(square, [[0.0]], 0.1, CFG)
@@ -188,7 +188,7 @@ class TestNeighborhoodSampler:
         center = np.array([0.9, 0.0])
         assert np.all(np.linalg.norm(got.points - center, axis=1) <= 0.3 + 1e-12)
         for row in got.points:
-            assert dom.contains(row)
+            assert dom.contains_row(row)
 
     def test_simplex_samples_keep_mass(self):
         dom = Product((Simplex(1.0, 2), Simplex(1.0, 2)))
@@ -319,7 +319,7 @@ def _one_screen_cases():
              ("matching_pennies", matching_pennies, [0.5] * 4, [0.3, 0.7, 0.6, 0.4]),
              ("rps", lambda: from_symmetric_matrix(RPS), [1 / 3] * 3, [0.2, 0.3, 0.5])]
     for name, make, *points in games:
-        cases += [(f"game:{name}@{p}", make().cost, p) for p in points]
+        cases += [(f"game:{name}@{p}", make(), p) for p in points]
     return cases
 
 

@@ -265,6 +265,24 @@ class TestGame:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("game, point, radius", [
+        ({"mode": "symmetric", "C": [[1]]}, "1", ()),
+        ({"mode": "bimatrix", "A": [[1]], "B": [[1]]}, "1,1", ()),
+        ({"mode": "bimatrix", "A": [[1]], "B": [[1]]}, "1,1", ("--radius", "0.1")),
+    ], ids=["symmetric", "bimatrix", "bimatrix_radius"])
+    def test_one_point_domain_exits_2(self, capsys, tmp_path, game, point, radius):
+        # the default radius is a share of the domain's diameter, 0 here; the
+        # refusal names the one-point domain, not a radius nobody gave
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(game))
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "--json", "--out-dir", str(out_dir), "game", str(path),
+                             "--point", point, *radius)
+        assert (code, out) == (2, "")
+        assert "game:" in err and "is one point" in err
+        assert "radius" not in err and "neighborhood" not in err
+        assert not out_dir.exists()
+
 
 @pytest.mark.parametrize("command", [
     ["game", "{game}", "--point", "0.5,0.5", "--radius", "inf"],
@@ -496,6 +514,47 @@ class TestDeterminism:
         assert lines[2].startswith("0.001,")
         x = float(lines[2].split(",")[1])
         assert x == pytest.approx(math.exp(-0.001), abs=1e-12)
+
+
+# every command form with the files it writes under --out-dir, in write order
+_EMITTED = {
+    "compare": (["compare", "--vector", "xsininv", "--x", "0.0", "--y", "0.3"],
+                ["verdict.json"]),
+    "classify": (["classify", "--scalar", "cubic", "--point", "0.0"],
+                 ["classification.json"]),
+    "game": (["game", "{rps}", "--point", "0.2,0.3,0.5"], ["game_report.json"]),
+    "flow": (["flow", "--field", "neg:linear", "--x0", "0.5", "--tmax", "0.05"],
+             ["trajectory.csv", "flow_report.json"]),
+    "casestudy": (["casestudy", "--nmax", "2", "--grid-n", "256", "--dominance-grid", "100"],
+                  ["catalog.json", "catalog_agreement.json", "origin.json", "dominance.json",
+                   "field_curve.csv"]),
+    "mexican_hat": (["casestudy", "--mexican-hat", "--circle-points", "4"],
+                    ["mexican_hat.json"]),
+}
+
+
+@pytest.mark.parametrize("form", list(_EMITTED))
+def test_each_command_writes_its_outputs_and_manifest(capsys, tmp_path, form):
+    rps = tmp_path / "rps.json"
+    rps.write_text(json.dumps({"mode": "symmetric", "C": [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]}))
+    command, outputs = _EMITTED[form]
+    argv = ["--neps", "65", *[arg.format(rps=rps) for arg in command]]
+    runs = {}
+    for mode in ("json", "plain"):
+        out_dir = tmp_path / mode
+        code, out, err = run(capsys, *(["--json"] if mode == "json" else []),
+                             "--out-dir", str(out_dir), *argv)
+        assert (code, err) == (0, "")
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["outputs"] == outputs
+        assert sorted(os.listdir(out_dir)) == sorted(outputs + ["manifest.json"])
+        runs[mode] = out, {name: (out_dir / name).read_bytes() for name in outputs}
+    (json_out, json_files), (plain_out, plain_files) = runs["json"], runs["plain"]
+    # --json changes stdout alone: the payload, or the one summary line
+    assert json_files == plain_files
+    assert json.loads(json_out) is not None and json_out.endswith("}\n")
+    assert plain_out.count("\n") == 1 and plain_out.endswith("\n")
+    assert plain_out != json_out
 
 
 def _runs_twice(argv):

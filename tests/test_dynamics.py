@@ -50,7 +50,7 @@ class TestIntegrate:
         traj = integrate(oscillator_flow, [2.0], IntegratorConfig(t_max=10.0))
         assert np.all(np.diff(traj.times) > 0)
         for row in traj.states[:: max(1, len(traj.states) // 50)]:
-            assert oscillator_flow.domain.contains(row)
+            assert oscillator_flow.domain.contains_row(row)
 
     def test_left_domain(self):
         growth = vector_field("linear")  # x' = x blows outward

@@ -223,8 +223,8 @@ def test_games_on_and_off_equilibrium(make, equilibrium, blocks):
     rng = np.random.default_rng(11)
     points = [np.array(equilibrium)] + [_off_equilibrium(rng, blocks) for _ in range(3)]
     for i, p in enumerate(points):
-        assert_vector_matches(game.cost, p, _probes(game.domain, p, i), CFG)
-        assert_report_matches(game.cost, p, _challengers(game.domain, i), i, CFG)
+        assert_vector_matches(game, p, _probes(game.domain, p, i), CFG)
+        assert_report_matches(game, p, _challengers(game.domain, i), i, CFG)
 
 
 def test_rock_paper_scissors_flat_profiles_tie_break_alike():
@@ -232,9 +232,9 @@ def test_rock_paper_scissors_flat_profiles_tie_break_alike():
     # reported eps is a tie-break; it must still come out the same
     game = _rock_paper_scissors()
     p = np.array([0.2, 0.5, 0.3])
-    got_min, got_max = assert_vector_matches(game.cost, p, _probes(game.domain, p, 5), CFG)
+    got_min, got_max = assert_vector_matches(game, p, _probes(game.domain, p, 5), CFG)
     assert not got_min.ok and not got_max.ok
-    rep = assert_report_matches(game.cost, p, _challengers(game.domain, 5), 5, CFG)
+    rep = assert_report_matches(game, p, _challengers(game.domain, 5), 5, CFG)
     assert not rep.is_minimal
 
 

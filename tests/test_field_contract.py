@@ -118,7 +118,7 @@ def _fields():
     out["gradient_field:mexican_hat"] = gradient_field(scalar_field("mexican_hat"))
     out["gradient_field:xsininv"] = gradient_field(scalar_field("xsininv"))
     for game in (hawk_dove(), matching_pennies(), _rock_paper_scissors()):
-        out[f"game:{game.label}"] = game.cost
+        out[game.label] = game
     return out
 
 
@@ -148,10 +148,10 @@ def _random_affine_fields():
     out = {}
     for m in range(2, 7):
         C = rng.normal(size=(m, m)) * 10.0 ** (m - 4)
-        out[f"symmetric:{m}"] = from_symmetric_matrix(C).cost
+        out[f"symmetric:{m}"] = from_symmetric_matrix(C)
         m2 = 7 - m
         out[f"bimatrix:{m}x{m2}"] = from_bimatrix(rng.normal(size=(m, m2)),
-                                                  rng.normal(size=(m, m2)) * 1e3).cost
+                                                  rng.normal(size=(m, m2)) * 1e3)
         spread = 10.0 ** rng.uniform(-3, 3, size=(m, m))
         out[f"grad:quadratic_form:spread:{m}"] = quadratic_form(
             rng.normal(size=(m, m)) * spread, rng.normal(size=m) * 1e2)[1]

@@ -20,13 +20,13 @@ class TestConvexity:
         box = Box((-1.0, -1.0), (1.0, 2.0))
         x, y = np.array([x0, x1]), np.array([y0, y1])
         for eps in np.linspace(0, 1, 101):
-            assert box.contains(eps * x + (1 - eps) * y)
+            assert box.contains_row(eps * x + (1 - eps) * y)
 
     def test_simplex_segment_stays_on_mass_plane(self):
         s = Simplex(2.0, 3)
         x, y = np.array([2.0, 0.0, 0.0]), np.array([0.5, 0.5, 1.0])
         for eps in np.linspace(0, 1, 101):
-            assert s.contains(eps * x + (1 - eps) * y)
+            assert s.contains_row(eps * x + (1 - eps) * y)
 
 
 class TestGradientField:
@@ -163,7 +163,7 @@ class TestSampling:
         assert np.allclose(got[:, :2].sum(axis=1), 1.0, atol=1e-12)
         assert np.allclose(got[:, 2:].sum(axis=1), 2.0, atol=1e-12)
         for row in got:
-            assert dom.contains(row)
+            assert dom.contains_row(row)
 
     @pytest.mark.parametrize("dom", [
         Box((0.0,) * 3, (1.0,) * 3),
@@ -193,7 +193,7 @@ class TestSampling:
         want = sample_domain(Product((s,)), strategy, 11)
         assert got.points.tobytes() == want.points.tobytes()
         assert got.strategy == want.strategy
-        assert all(s.contains(row) for row in got.points)
+        assert all(s.contains_row(row) for row in got.points)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
     @pytest.mark.parametrize("n", [1, 2, 3, 6])

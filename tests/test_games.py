@@ -14,7 +14,7 @@ class TestSymmetric:
     def test_hawk_dove_interior_equilibrium(self):
         # equal costs across rows at x1 = x2: x1 - 2 x2 = -x2
         g = hawk_dove()
-        costs = g.cost.value([0.5, 0.5])
+        costs = g.value([0.5, 0.5])
         assert costs[0] == pytest.approx(costs[1])
         ch = default_challengers(g.domain, 42)
         assert is_nash(g, [0.5, 0.5], ch, CFG).ok
@@ -39,7 +39,7 @@ class TestSymmetric:
         g = hawk_dove()
         ch = default_challengers(g.domain, 3)
         for row in ch.points:
-            assert g.domain.contains(row)
+            assert g.domain.contains_row(row)
 
 
 class TestBimatrix:
@@ -70,7 +70,7 @@ class TestBimatrix:
 class TestEndToEnd:
     def test_hawk_dove_full_chain(self):
         g = hawk_dove()
-        rep = classify_point(g.cost, [0.5, 0.5], radius=0.1, seed=11)
+        rep = classify_point(g, [0.5, 0.5], radius=0.1, seed=11)
         assert rep.is_critical and rep.is_nss and rep.is_ess and rep.is_minimal
 
     def test_scaling_invariance_of_verdicts(self):
@@ -93,7 +93,7 @@ class TestJson:
         path.write_text('{"mode": "symmetric", "C": [[1, -2], [0, -1]], "mass": 1.0}')
         g = load_game(str(path))
         assert [(s.mass, s.dim) for s in g.domain.parts] == [(1.0, 2)]
-        assert g.cost.value([0.5, 0.5]) == pytest.approx([-0.5, -0.5])
+        assert g.value([0.5, 0.5]) == pytest.approx([-0.5, -0.5])
 
     def test_bimatrix_roundtrip(self):
         g = load_game({"mode": "bimatrix", "A": [[-1, 1], [1, -1]], "B": [[1, -1], [-1, 1]]})

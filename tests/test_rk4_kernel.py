@@ -160,7 +160,7 @@ def real_cost_game():
     rng = np.random.default_rng(3)
     C = rng.standard_normal((4, 4))
     C -= C.mean(axis=0)  # c(x) = C x keeps x on the simplex plane
-    return games.from_symmetric_matrix(C, label="real").cost, rng.dirichlet(np.ones(4), size=6)
+    return games.from_symmetric_matrix(C, label="real"), rng.dirichlet(np.ones(4), size=6)
 
 
 class TestAgainstReference:
@@ -198,7 +198,7 @@ class TestOneStartAtATime:
             F, starts = negate(vector_field("xsininv")), np.array([[0.5], [0.2], [-0.3]])
             candidate, cfg = [[1 / math.pi]], IntegratorConfig(t_max=0.5)
         elif case == "hawk_dove":
-            F = games.hawk_dove().cost
+            F = games.hawk_dove()
             starts, candidate = stock_game_starts(F, 4, 5), [[0.5] * F.domain.dim]
             cfg = IntegratorConfig(dt=0.01, t_max=1.0)
         else:
@@ -271,7 +271,7 @@ FAULT_FLOWS = [(negate(vector_field("xsininv")), [0.5]),
                              "affine3"), [0.5, -0.2, 0.9]),
                (REGIMES, [0.1, -0.8]),  # at rest: Converged on its first evaluation
                (REGIMES, [-0.3, 0.6]),
-               (games.hawk_dove().cost, [0.3, 0.7])]
+               (games.hawk_dove(), [0.3, 0.7])]
 
 
 class TestFaultyBatches:
@@ -514,7 +514,7 @@ def test_contains_rows_is_contains_per_row(data, kind):
     with np.errstate(invalid="ignore"):  # a simplex sums inf and -inf
         got = domain.contains_rows(P)
         want = [contains_reference(domain, p) for p in P]
-        assert [domain.contains(p) for p in P] == want
+        assert [domain.contains_row(p) for p in P] == want
         assert [domain.contains_row(p.tolist()) for p in P] == want
     assert got.dtype == bool and got.shape == (len(P),)
     assert got.tolist() == want
@@ -529,7 +529,7 @@ def test_contains_rows_is_contains_per_row(data, kind):
                          ids=["box", "simplex", "product"])
 def test_contains_rows_of_the_wrong_width(domain):
     P = np.full((3, 3), 0.25)
-    assert (domain.contains_rows(P).tolist() == [domain.contains(p) for p in P]
+    assert (domain.contains_rows(P).tolist() == [domain.contains_row(p) for p in P]
             == [contains_reference(domain, p) for p in P] == [False] * 3)
 
 

@@ -61,7 +61,7 @@ def _screens():
     for label, f, xs, ys in _scalar_cases():
         out[label, "scalar steps"] = batch_scalar_steps(f, xs, ys, CFG)
         out[label, "scalar relations"] = batch_relations(f, xs, ys, CFG)
-    game = matching_pennies().cost
+    game = matching_pennies()
     rng = np.random.default_rng(8)
     xs = np.hstack([rng.dirichlet(np.ones(2), size=400) for _ in range(2)])
     out["matching_pennies", "relations"] = batch_relations(game, xs, [0.5, 0.5, 0.5, 0.5], CFG)

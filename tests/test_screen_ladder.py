@@ -118,7 +118,7 @@ def _simplex_rows(rng, blocks, count):
 ])
 def test_ladder_on_games(make, blocks):
     rng = np.random.default_rng(5)
-    c = make().cost
+    c = make()
     assert_ladder_matches(c, _simplex_rows(rng, blocks, 400), _simplex_rows(rng, blocks, 1), CFG)
 
 

@@ -104,7 +104,7 @@ def test_games(game):
     parts = getattr(game.domain, "parts", (game.domain,))
     blocks = [rng.dirichlet(np.ones(s.dim), size=(2, 80)) * s.mass for s in parts]
     X, Y = (np.concatenate([b[i] for b in blocks], axis=1) for i in (0, 1))
-    assert check_vector(game.cost, X, Y) > 40
+    assert check_vector(game, X, Y) > 40
 
 
 def test_xsininv():
@@ -175,7 +175,7 @@ def _cases():
         cases += [(f"{name}:scalar", scalar_field(name)), (f"{name}:vector", vector_field(name))]
     rps = from_symmetric_matrix([[0, 1, -1], [-1, 0, 1], [1, -1, 0]], label="rps")
     for game in (hawk_dove(), matching_pennies(), rps):
-        cases.append((f"game:{game.label}", game.cost))
+        cases.append((game.label, game))
     return cases
 
 
