@@ -2,21 +2,24 @@
 
 Integration is classical fixed-step RK4: the fields are cheap and exact
 reproducibility matters more than adaptivity here.  integrate is the one
-step loop: it steps one (1, dim) state, evaluates F's batch once per stage
-through fields.row_values (which raises what F.values raises), and
+step loop: it steps one state, evaluates each stage through
+fields.row_values (which raises what F.values raises), and
 check_setwise_stability calls it once per start.  A one-row step is mostly
-interpreter overhead, so between stages the state steps on Python floats,
-coordinate by coordinate in numpy's left-to-right order: IEEE + and *
-round the same in CPython as in numpy, so the bytes are those of the
-array arithmetic.  The two norms stay sqrt(v.dot(v)) on ndarray rows:
-from dim 2 numpy's dot may fuse multiply and add, which a Python sum of
-squares would not.  A flow stops when the field norm drops below
-CONVERGENCE_EPS, else when the state norm falls under FLOOR_EPS (the
-non-Lipschitz pocket around an oscillatory origin, surfaced rather than
-hidden), else when the next state would leave the domain (its
-contains_row); a flow still running when time runs out stops with
-MaxTime.  A flow whose states and times could exceed a fixed byte cap is
-refused before it starts.
+interpreter overhead, so the state is a list of Python floats, and the
+stages step it coordinate by coordinate in numpy's left-to-right order:
+IEEE + and * round the same in CPython as in numpy, so the bytes are
+those of the array arithmetic.  A field with a row map (the stock
+x sin(1/x) and mexican-hat fields, every 1-D affine map, and their
+negations) steps on that map; any other field runs its batch on the one
+row.  At dim 1 a norm is sqrt(a*a), numpy's dot of one term; from dim 2
+the norms stay sqrt(v.dot(v)) on ndarray rows, because numpy's dot may
+fuse multiply and add, which a Python sum of squares would not.  A flow
+stops when the field norm drops below CONVERGENCE_EPS, else when the
+state norm falls under FLOOR_EPS (the non-Lipschitz pocket around an
+oscillatory origin, surfaced rather than hidden), else when the next
+state would leave the domain (its contains_row); a flow still running
+when time runs out stops with MaxTime.  A flow whose states and times
+could exceed a fixed byte cap is refused before it starts.
 
 For a one-dimensional field f, the potential L(x) is the integral of f
 from a reference point; along trajectories of x' = -f(x), dL/dt = -f(x)^2
@@ -91,56 +94,69 @@ class Trajectory:
                           for r in np.column_stack([self.times, self.states]).tolist()]))
 
 
+def _norm_1d(v: list) -> float:
+    """|v| of a one-entry row: sqrt(a*a), which is numpy's one-term dot."""
+    a = v[0]
+    return math.sqrt(a * a)
+
+
+def _norm(v: list) -> float:
+    """|v| as sqrt(v.dot(v)) of the ndarray row: from dim 2 numpy's dot may
+    fuse multiply and add, which a Python sum of squares would not."""
+    u = np.array(v)
+    return math.sqrt(u.dot(u))
+
+
 def integrate(F: VectorField, x0, cfg: IntegratorConfig | None = None) -> Trajectory:
     """Fixed-step RK4 flow of x' = F(x) starting at x0, fully deterministic.
 
-    Each stage evaluates F's batch once on a (1, dim) array, through
-    row_values, and raises what F.values would raise.  The stage inputs
-    x + dt/2 k1, x + dt/2 k2, x + dt k3 and the next state x + dt/6 (k1 +
-    2 k2 + 2 k3 + k4) are formed on the floats of the rows row_values
-    returns, each as numpy would round it; a state that overflows is inf
-    or NaN, with no warning, and leaves the domain.  The flow stops at the
-    first of Converged, StepUnderflow and LeftDomain that holds, tested in
-    that order; a flow still running after t_max stops with MaxTime.  Each
-    norm is sqrt(v.dot(v)) of an ndarray row, what np.linalg.norm computes
-    on one row.  A flow whose states and times would exceed the byte cap
-    is refused before F is evaluated.
+    The state is a list of Python floats.  Each stage maps it through
+    row_values, F's row map or else its batch once on the one row, and
+    raises what F.values would raise.  The stage inputs x + dt/2 k1,
+    x + dt/2 k2, x + dt k3 and the next state x + dt/6 (k1 + 2 k2 + 2 k3
+    + k4) are formed coordinate by coordinate, each as numpy would round
+    it; a state that overflows is inf or NaN, with no warning, and leaves
+    the domain.  The flow stops at the first of Converged, StepUnderflow
+    and LeftDomain that holds, tested in that order; a flow still running
+    after t_max stops with MaxTime.  Each norm is what np.linalg.norm
+    computes on the one row: sqrt(a*a) at dim 1, else sqrt(v.dot(v)) of
+    an ndarray row.  A flow whose states and times would exceed the byte
+    cap is refused before F is evaluated.
     """
     cfg = cfg or IntegratorConfig()
-    x = require_in_domain(F.domain, x0)[None, :]
-    dt = cfg.dt
+    p = require_in_domain(F.domain, x0)
+    dt, dim = cfg.dt, p.size
     span = cfg.t_max / dt + 1e-9
     n_steps = int(math.floor(min(span, _MAX_TRAJECTORY_BYTES)))
-    if (n_steps + 1) * (x.shape[1] + 1) * 8 > _MAX_TRAJECTORY_BYTES:
+    if (n_steps + 1) * (dim + 1) * 8 > _MAX_TRAJECTORY_BYTES:
         raise ValueError(f"a flow of {span:.6g} steps would hold more than the cap of "
                          f"{_MAX_TRAJECTORY_BYTES} bytes of states and times; "
                          "use a larger dt or a smaller t_max")
-    buf = np.empty((n_steps + 1, x.shape[1]))
-    buf[0] = x
-    stage, inside, array = row_values(F), F.domain.contains_row, np.array
+    buf = np.empty((n_steps + 1, dim))
+    buf[0] = p
+    stage, inside = row_values(F), F.domain.contains_row
+    norm = _norm_1d if dim == 1 else _norm
     eps, floor = CONVERGENCE_EPS, FLOOR_EPS
     half, sixth = 0.5 * dt, dt / 6.0
     reason, end = MAX_TIME, 1  # end counts the states held
-    xs = x[0].tolist()  # the state's coordinates; x is the same row as an array
+    xs = p.tolist()
     for _ in range(n_steps):
-        k1, a = stage(x)
-        v, p = k1[0], x[0]
-        if math.sqrt(v.dot(v)) < eps:
+        a = stage(xs)
+        if norm(a) < eps:
             reason = CONVERGED
             break
-        if math.sqrt(p.dot(p)) < floor:
+        if norm(xs) < floor:
             reason = STEP_UNDERFLOW
             break
-        b = stage(array([[xi + half * ai for xi, ai in zip(xs, a)]]))[1]
-        c = stage(array([[xi + half * bi for xi, bi in zip(xs, b)]]))[1]
-        d = stage(array([[xi + dt * ci for xi, ci in zip(xs, c)]]))[1]
+        b = stage([xi + half * ai for xi, ai in zip(xs, a)])
+        c = stage([xi + half * bi for xi, bi in zip(xs, b)])
+        d = stage([xi + dt * ci for xi, ci in zip(xs, c)])
         xs = [xi + sixth * (ai + 2.0 * bi + 2.0 * ci + di)
               for xi, ai, bi, ci, di in zip(xs, a, b, c, d)]
         if not inside(xs):
             reason = LEFT_DOMAIN
             break
-        x = array([xs])
-        buf[end] = x
+        buf[end] = xs
         end += 1
     return Trajectory(np.arange(end) * dt, buf[:end].copy(), reason)
 
@@ -243,8 +259,8 @@ def check_setwise_stability(F: VectorField, candidate, initial_conditions: Sampl
             max_increase = max(max_increase, inc)
             monotone = monotone and inc <= LYAPUNOV_SLACK
         trials.append(TrialRecord(
-            x0=tuple(x0), final_distance=final_distance,
-            limit_point=tuple(C[j]) if converged else None, converged=converged,
+            x0=tuple(x0.tolist()), final_distance=final_distance,
+            limit_point=tuple(C[j].tolist()) if converged else None, converged=converged,
             terminated_reason=traj.terminated_reason, final_time=traj.final_time))
-    return SetStabilityReport(tuple(tuple(r) for r in C), tuple(trials),
+    return SetStabilityReport(tuple(map(tuple, C.tolist())), tuple(trials),
                               monotone, max_increase, tuple(trajectories))

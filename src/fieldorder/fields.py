@@ -9,9 +9,14 @@ numpy call.  Two places call it, and both check each answer through
 ``_checked``.  ``values`` checks that the points are as wide as the
 domain, the shape of every batch and that every value is finite, raising
 ``DimensionMismatchError`` or ``ValueError``; ``value`` is its one-row
-case.  ``row_values``, the integrator's stage evaluator, checks its one
-row in place, returns it as Python floats too, and passes any answer it
-rejects to ``_checked``, so it raises what ``values`` raises.  A domain's
+case.  ``row_values``, the integrator's stage evaluator, maps one state
+row of Python floats to the field's row of Python floats.  The closed-form
+stock vector fields and every 1-D affine map carry ``row``, an exact
+one-row map on floats that gives bit for bit the row their batch gives.
+``row_values`` takes that answer when it is as wide as the domain and
+finite; otherwise it runs the batch on the one row, checks it in place,
+and passes any answer it rejects to ``_checked``, so it raises what
+``values`` raises.  A domain's
 ``contains_row`` tests one such row as ``contains_rows`` would.  Every
 affine map is built by ``affine_field``, whose rows do not depend on
 their batch.
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -333,7 +338,12 @@ class VectorField:
     affine, when set, is the exact (A, b) with c(x) = A x + b that batch
     evaluates in floating point; the dominance screens use it to certify
     rows from two segment points.  Only affine_field and negate set it.
-    witnesses is the witness provider, as for ScalarField.
+    witnesses is the witness provider, as for ScalarField.  row, when set,
+    maps one point r, a list of Python floats, to the list that
+    batch(np.array([r]))[0].tolist() is, bit for bit signed zeros
+    included, on every row; the integrator's stages read it through
+    row_values.  Only vector_field, affine_field (at dim 1) and negate set
+    it.
     """
 
     batch: Callable[[np.ndarray], np.ndarray]
@@ -342,6 +352,7 @@ class VectorField:
     affine: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False,
                                                          repr=False)
     witnesses: Callable | None = field(default=None, compare=False, repr=False)
+    row: Callable[[list], list] | None = field(default=None, compare=False, repr=False)
 
     def value(self, p) -> np.ndarray:
         return self.values(np.asarray(p, float).reshape(1, -1))[0]
@@ -375,25 +386,36 @@ def _checked(f: AnyField, pts: np.ndarray, vals: np.ndarray, shape: tuple) -> np
     return vals
 
 
-def row_values(f: VectorField) -> Callable[[np.ndarray], tuple[np.ndarray, list]]:
-    """f.values for one flow's (1, dim) states, checked on the one row.
+def row_values(f: VectorField) -> Callable[[list], list]:
+    """f.values for one flow's states, from a row of floats to a row of floats.
 
-    The returned evaluator runs f's batch once per call and accepts its
-    answer k when it has the state's shape and every entry is finite; it
-    returns (k, the entries of k's row as Python floats), the list its
-    finiteness check read.  Any other answer goes to _checked, which
-    raises the error that values raises, with the same message, without
-    running the batch again.  The state must already be a (1, dim) float
-    array of f's domain width, as _points would make it.
+    The returned stage takes a state r, a list of Python floats as wide as
+    f's domain.  When f has a row map, the stage returns its answer if it
+    is as wide as the domain and every entry is finite.  Otherwise, and
+    whenever that check fails, it runs f's batch once on np.array([r]) and
+    accepts an answer k of that shape whose entries are all finite,
+    returning k's row as Python floats, the list its finiteness check
+    read.  Any other answer goes to _checked, which raises the error that
+    values raises, with the same message, without running the batch again.
     """
-    batch, isfinite = f.batch, math.isfinite
+    batch, row, width, isfinite = f.batch, f.row, f.domain.dim, math.isfinite
 
-    def stage(p: np.ndarray) -> tuple[np.ndarray, list]:
+    def batch_stage(r: list) -> list:
+        p = np.array([r], float)
         k = np.asarray(batch(p), float)
-        row = k[0].tolist() if k.shape == p.shape else None
-        if row is None or not all(map(isfinite, row)):
+        out = k[0].tolist() if k.shape == p.shape else None
+        if out is None or not all(map(isfinite, out)):
             _checked(f, p, k, p.shape)  # raises: the wrong shape or a non-finite entry
-        return k, row
+        return out
+
+    if row is None:
+        return batch_stage
+
+    def stage(r: list) -> list:
+        out = row(r)
+        if len(out) == width and all(map(isfinite, out)):
+            return out
+        return batch_stage(r)
 
     return stage
 
@@ -405,7 +427,8 @@ def affine_field(A, b, domain: Domain, label: str) -> VectorField:
     so no caller array can change the map afterwards.  Each row is one
     einsum row over C-ordered points: unlike a BLAS matmul, a row's value
     then depends neither on how many rows share its batch nor on their
-    layout, so value(p) is bitwise a row of values.
+    layout, so value(p) is bitwise a row of values.  At dim 1 the field
+    also has the row map of that einsum on floats.
     """
     A, b, n = _frozen(np.array(A, np.float64)), _frozen(np.array(b, np.float64)), domain.dim
     if A.shape != (n, n) or b.shape != (n,):
@@ -419,23 +442,39 @@ def affine_field(A, b, domain: Domain, label: str) -> VectorField:
         out += b
         return out
 
-    return VectorField(batch=batch, domain=domain, label=label, affine=(A, b))
+    row = None
+    if n == 1:
+        a0, b0 = float(A[0, 0]), float(b[0])
+
+        # einsum adds its one product to +0.0, so a -0.0 product is +0.0
+        def row(r):
+            return [(0.0 + r[0] * a0) + b0]
+
+    return VectorField(batch=batch, domain=domain, label=label, affine=(A, b), row=row)
 
 
 def negate(f: AnyField) -> AnyField:
     """Field with all values negated; negate(negate(f)) evaluates bit-identically to f.
 
-    Negation is exact, so the affine parts of a vector field negate with
-    it.  Witness eps depend only on a segment's geometry, so it keeps them.
+    Negation is exact, so the affine parts and the row map of a vector
+    field negate with it.  Witness eps depend only on a segment's
+    geometry, so it keeps them.
     """
     batch = f.batch
     label = f.label[4:] if f.label.startswith("neg:") else f"neg:{f.label}"
-    neg = type(f)(batch=lambda P: -batch(P), domain=f.domain, label=label,
-                  witnesses=f.witnesses)
-    if isinstance(f, VectorField) and f.affine is not None:
-        A, b = f.affine
-        neg = replace(neg, affine=(_frozen(-A), _frozen(-b)))
-    return neg
+    if isinstance(f, ScalarField):
+        return ScalarField(batch=lambda P: -batch(P), domain=f.domain, label=label,
+                           witnesses=f.witnesses)
+    affine = None if f.affine is None else tuple(_frozen(-m) for m in f.affine)
+    row = None
+    if f.row is not None:
+        inner = f.row
+
+        def row(r):
+            return [-v for v in inner(r)]
+
+    return VectorField(batch=lambda P: -batch(P), domain=f.domain, label=label,
+                       affine=affine, witnesses=f.witnesses, row=row)
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +536,13 @@ def _xsininv_1d(t: np.ndarray) -> np.ndarray:
     tl = t[live]
     out[live] = tl * np.sin(1.0 / tl)
     return out
+
+
+def _xsininv_row(r: list) -> list:
+    """_xsininv_1d of the one row r, on floats: math.sin is the libm sin
+    that numpy's float64 sin calls."""
+    t = r[0]
+    return [t * math.sin(1.0 / t) if abs(t) >= _RECIPROCAL_FLOOR else 0.0]
 
 
 # a segment endpoint within this of 0 is the origin, for its witnesses
@@ -608,6 +654,17 @@ def _mexican_hat_grad(P: np.ndarray) -> np.ndarray:
     return P * scale[:, None]
 
 
+def _mexican_hat_row(r: list) -> list:
+    """_mexican_hat_grad of the one row r, on floats in the same order:
+    the squares summed in column order, and a scale of 0 at the origin."""
+    s = r[0] * r[0]
+    for c in r[1:]:
+        s = s + c * c
+    rad = math.sqrt(s)
+    scale = 2.0 * (rad - 1.0) / rad if rad != 0.0 else 0.0
+    return [c * scale for c in r]
+
+
 def registry_names() -> tuple[str, ...]:
     return tuple(sorted(_SCALAR_REGISTRY))
 
@@ -627,18 +684,23 @@ def vector_field(name: str) -> VectorField:
     One-dimensional scalar names double as 1-D vector fields (the same map
     read as c: R -> R).  "linear" is c(x) = x and "mexican_hat" is the
     closed-form radial gradient of its scalar form.  A scalar name's
-    vector field keeps its witnesses.
+    vector field keeps its witnesses.  "xsininv", "mexican_hat" and
+    "linear" (through affine_field) carry row maps.
     """
     if name == "linear":
         return affine_field(np.eye(1), np.zeros(1), _box1(-1.0, 1.0), "linear")
     if name == "mexican_hat":
-        return VectorField(batch=_mexican_hat_grad, domain=MEXICAN_HAT_BOX, label="mexican_hat")
+        return VectorField(batch=_mexican_hat_grad, domain=MEXICAN_HAT_BOX, label="mexican_hat",
+                           row=_mexican_hat_row)
     if name in ("quadratic", "cubic", "xsininv"):
         sf = scalar_field(name)
-        # x sin(1/x) is elementwise, so its (n, 1) batch is itself
         sbatch = sf.batch
-        batch = _xsininv_1d if name == "xsininv" else lambda P: sbatch(P)[:, None]
-        return VectorField(batch=batch, domain=sf.domain, label=name, witnesses=sf.witnesses)
+        if name == "xsininv":  # elementwise, so its (n, 1) batch is itself
+            batch, row = _xsininv_1d, _xsininv_row
+        else:
+            batch, row = (lambda P: sbatch(P)[:, None]), None
+        return VectorField(batch=batch, domain=sf.domain, label=name, witnesses=sf.witnesses,
+                           row=row)
     raise ValueError(f"unknown field {name!r}; known: {registry_names()}")
 
 

@@ -1,3 +1,5 @@
+import ast
+import hashlib
 import io
 import json
 import math
@@ -358,6 +360,31 @@ class TestFlow:
         assert out == ""
         assert message in err
         assert not out_dir.exists()
+
+    # SHA-256 of the --json stdout and of each file of the candidate flow
+    # from 0.5, as written before the report held Python floats
+    _AUTO_DIGESTS = {
+        "stdout": "c131e7a05703df369af6731c5be26226bfb102b705fc5ed12aef6016fdb63d12",
+        "flow_report.json": "c131e7a05703df369af6731c5be26226bfb102b705fc5ed12aef6016fdb63d12",
+        "manifest.json": "4f63106fc3b8e0f9592c731f0606c0142eda24c99bd8b4e4aa09a2c1178b7d6c",
+        "trajectory.csv": "ac4ddc9eb7400f03b9f839b28c8d2adf4b593fbf837c9b1abe567a92058409c6",
+    }
+
+    def test_candidate_summary_prints_plain_floats(self, capsys, tmp_path):
+        argv = ["flow", "--field", "neg:xsininv", "--candidate", "auto", "--x0", "0.5"]
+        code, line, err = run(capsys, *argv)
+        assert code == 0, err
+        assert "np." not in line and "float64" not in line
+        head, trials = line.rstrip("\n").split(": ", 1)
+        assert head == "neg:xsininv from [0.5]"
+        out_dir = tmp_path / "json"
+        code, out, err = run(capsys, "--json", "--out-dir", str(out_dir), *argv)
+        assert code == 0, err
+        assert ast.literal_eval(trials) == json.loads(out)["trials"]
+        got = {"stdout": hashlib.sha256(out.encode()).hexdigest()}
+        got.update((p.name, hashlib.sha256(p.read_bytes()).hexdigest())
+                   for p in out_dir.iterdir())
+        assert got == self._AUTO_DIGESTS
 
     @pytest.mark.parametrize("flag, value", [("--tmax", "inf"), ("--tmax", "nan"),
                                              ("--dt", "nan"), ("--dt", "-0.001")])

@@ -14,10 +14,17 @@ dynamics.CONVERGENCE_EPS and FLOOR_EPS, which these tests patch.
 integrate steps its state on Python floats and tests it with the domain's
 contains_row, so the row test must agree with contains_rows on every row,
 and a state that overflows must end the flow as ``reference`` ends it.
+
+A stock field's stages run its row map, which must give the one-row batch
+bit for bit (signed zeros included) on every row, and a flow must be the
+same whether it steps on the row map or, with ``row=None``, on the batch.
+A row map that answers a non-finite entry or the wrong width hands its
+stage to the batch, so the flow ends as the batch path ends it.
 """
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,8 +35,9 @@ from fieldorder.dynamics import (CONVERGED, LEFT_DOMAIN, MAX_TIME, STEP_UNDERFLO
                                  IntegratorConfig, check_setwise_stability, integrate)
 from fieldorder.errors import DomainViolationError
 from fieldorder.fields import (_RECIPROCAL_FLOOR, CONTAINMENT_TOL, Box, Product, SampleSet,
-                               Simplex, VectorField, affine_field, negate, quadratic_form,
-                               registry_names, scalar_field, vector_field)
+                               Simplex, VectorField, affine_field, field_from_json,
+                               gradient_field, negate, quadratic_form, registry_names,
+                               scalar_field, vector_field)
 
 BOX2 = Box((-1.0, -1.0), (1.0, 1.0))
 TOL = CONTAINMENT_TOL
@@ -167,10 +175,13 @@ class TestAgainstReference:
     @settings(max_examples=60, deadline=None)
     @given(case=flow_cases())
     def test_integrate_is_the_reference_loop(self, case):
+        # with the field's row map, and on its batch alone (row=None)
         F, x0, cfg, thresholds = case
         with pytest.MonkeyPatch.context() as mp:
             patch_thresholds(mp, thresholds)
-            assert_same(integrate(F, x0, cfg), *reference(F, x0, cfg))
+            want = reference(F, x0, cfg)
+            assert_same(integrate(F, x0, cfg), *want)
+            assert_same(integrate(replace(F, row=None), x0, cfg), *want)
 
     def test_flows_ending_for_every_reason(self, monkeypatch):
         patch_thresholds(monkeypatch, REGIME_EPS)
@@ -567,3 +578,232 @@ def test_mexican_hat_grad_is_the_masked_divide(rows):
     P = np.array(rows)
     got = vector_field("mexican_hat").batch(P)
     assert got.tobytes() == _masked_mexican_hat_grad(P).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# row maps
+# ---------------------------------------------------------------------------
+
+_FLOOR_BELOW = float(np.nextafter(_RECIPROCAL_FLOOR, 0.0))
+_FLOOR_ABOVE = float(np.nextafter(_RECIPROCAL_FLOOR, 1.0))
+# as Python floats, which is what integrate hands a row map
+ROW_SPECIALS = [float(v) for v in (
+    0.0, -0.0, _RECIPROCAL_FLOOR, -_RECIPROCAL_FLOOR, _FLOOR_BELOW, -_FLOOR_BELOW, _FLOOR_ABOVE,
+    -_FLOOR_ABOVE, _TINY, -_TINY, 1e-310, -1e-310, 1e-160, 1e300, -1e300, 1 / math.pi, -1.0,
+    2.0)]
+row_entries = st.one_of(st.floats(), st.sampled_from(ROW_SPECIALS))
+
+
+def _hexes(row):
+    return [float.hex(v) for v in row]
+
+
+def assert_row_is_batch(F, r):
+    """F.row(r) is F's one-row batch on r, bit for bit, as Python floats."""
+    with np.errstate(all="ignore"):
+        want = F.batch(np.array([r], float))[0].tolist()
+    got = F.row(list(r))
+    assert type(got) is list and all(type(v) is float for v in got), got
+    # on a host whose numpy float64 sin is not libm's, xsininv fails here
+    assert _hexes(got) == _hexes(want), (F.label, r)
+
+
+def _with_negations(F):
+    return [F, negate(F), negate(negate(F))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(row_entries, min_size=1, max_size=6))
+def test_xsininv_row_is_its_batch(rows):
+    for F in _with_negations(vector_field("xsininv")):
+        for t in rows:
+            assert_row_is_batch(F, [t])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.one_of(st.tuples(row_entries, row_entries),
+                               st.sampled_from([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0),
+                                                (-0.0, -0.0), (1e-320, -1e-320)])),
+                     min_size=1, max_size=6))
+def test_mexican_hat_row_is_its_batch(rows):
+    for F in _with_negations(vector_field("mexican_hat")):
+        for r in rows:
+            assert_row_is_batch(F, list(r))
+
+
+finite_entries = st.one_of(st.floats(-1e300, 1e300), st.sampled_from(ROW_SPECIALS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=finite_entries, b=finite_entries, json_form=st.booleans(),
+       rows=st.lists(row_entries, min_size=1, max_size=6))
+def test_one_dim_affine_row_is_its_batch(a, b, json_form, rows):
+    if json_form:  # the gradient (Q + Q')/2 x + b of a 1-D JSON quadratic
+        F = field_from_json({"Q": [[a]], "b": [b]})[1]
+    else:
+        F = affine_field([[a]], [b], Box((-1.0,), (1.0,)), "affine1")
+    for G in _with_negations(F):
+        for t in rows:
+            assert_row_is_batch(G, [t])
+
+
+def _seeded_rows(dim, n=6000):
+    """n seeded rows of width dim: half uniform on [-2, 2], half of random
+    sign and a log-uniform magnitude over most of the float range, where
+    a last-bit slip of a one-ulp pow or divide shows within a few
+    thousand rows."""
+    rng = np.random.default_rng(29)
+    wide = np.copysign(np.exp(rng.uniform(-700.0, 700.0, (n // 2, dim))),
+                       rng.standard_normal((n // 2, dim)))
+    return np.vstack([rng.uniform(-2.0, 2.0, (n - n // 2, dim)), wide]).tolist()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: vector_field("xsininv"),
+    lambda: vector_field("mexican_hat"),
+    lambda: affine_field([[0.7853981633974483]], [-0.1], Box((-1.0,), (1.0,)), "affine1"),
+], ids=["xsininv", "mexican_hat", "affine1"])
+def test_row_maps_on_a_seeded_sweep(build):
+    F = negate(build())
+    for r in _seeded_rows(F.domain.dim):
+        assert_row_is_batch(F, r)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: vector_field("quadratic"),
+    lambda: vector_field("cubic"),
+    lambda: affine_field(np.eye(2), np.zeros(2), BOX2, "affine2"),
+    lambda: quadratic_form(np.eye(3), np.zeros(3))[1],
+    games.hawk_dove,
+    lambda: gradient_field(scalar_field("quadratic")),
+    lambda: REGIMES,
+], ids=["quadratic", "cubic", "affine2", "quadratic_form3", "hawk_dove", "gradient",
+        "user_batch"])
+def test_other_fields_have_no_row_map(build):
+    for F in _with_negations(build()):
+        assert F.row is None
+
+
+@pytest.mark.parametrize("name", ["xsininv", "mexican_hat", "linear"])
+def test_stock_fields_have_row_maps(name):
+    for F in _with_negations(vector_field(name)):
+        assert F.row is not None
+
+
+# ---------------------------------------------------------------------------
+# the row path and the batch path
+# ---------------------------------------------------------------------------
+
+
+class TestRowPath:
+    @staticmethod
+    def _counted_paths(F):
+        """F whose row map and batch count their calls."""
+        calls = {"row": 0, "batch": 0}
+        row, batch = F.row, F.batch
+
+        def counted_row(r):
+            calls["row"] += 1
+            return row(r)
+
+        def counted_batch(P):
+            calls["batch"] += 1
+            return batch(P)
+
+        return replace(F, row=counted_row, batch=counted_batch), calls
+
+    # (field, start, config, thresholds) of a stock flow ending each way
+    ENDINGS = {
+        CONVERGED: (negate(vector_field("xsininv")), [0.5], IntegratorConfig(dt=0.01),
+                    {"CONVERGENCE_EPS": 1e-4}),
+        STEP_UNDERFLOW: (negate(vector_field("linear")), [0.5],
+                         IntegratorConfig(dt=0.01, t_max=1.0),
+                         {"CONVERGENCE_EPS": 1e-12, "FLOOR_EPS": 0.3}),
+        MAX_TIME: (negate(vector_field("mexican_hat")), [0.3, 0.2],
+                   IntegratorConfig(dt=0.01, t_max=0.5), {}),
+        LEFT_DOMAIN: (affine_field([[3.0]], [0.1], Box((-1.0,), (1.0,)), "growth"), [0.2],
+                      IntegratorConfig(dt=0.01, t_max=2.0), {}),
+    }
+
+    @pytest.mark.parametrize("reason", list(ENDINGS))
+    def test_a_stock_flow_runs_only_its_row_map(self, reason, monkeypatch):
+        # n kept steps make 4n row calls, plus the first stage of the step
+        # that stopped on a norm, or all four stages of the step that left
+        F, x0, cfg, thresholds = self.ENDINGS[reason]
+        patch_thresholds(monkeypatch, thresholds)
+        G, calls = self._counted_paths(F)
+        traj = integrate(G, x0, cfg)
+        assert traj.terminated_reason == reason
+        n = len(traj.times) - 1
+        extra = {CONVERGED: 1, STEP_UNDERFLOW: 1, MAX_TIME: 0, LEFT_DOMAIN: 4}[reason]
+        assert n > 0
+        assert calls == {"row": 4 * n + extra, "batch": 0}
+        assert_same(traj, *reference(F, x0, cfg))
+
+    ROW_FAULTS = {
+        "nan": lambda v, j: v[:j] + [math.nan] + v[j + 1:],
+        "+inf": lambda v, j: v[:j] + [math.inf] + v[j + 1:],
+        "-inf": lambda v, j: v[:j] + [-math.inf] + v[j + 1:],
+        "short": lambda v, j: v[:-1],
+        "wide": lambda v, j: v + v[:1],
+    }
+    # what the batch answers at the same stage when it fails too
+    BATCH_FAULTS = {"nan": "nan", "+inf": "+inf", "-inf": "-inf", "short": "1-d", "wide": "wide"}
+    ROW_FLOWS = [(negate(vector_field("xsininv")), [0.5]),
+                 (negate(vector_field("mexican_hat")), [0.3, 0.2]),
+                 (negate(vector_field("linear")), [-0.9]),
+                 (negate(field_from_json({"Q": [[1.5]], "b": [-0.2]})[1]), [0.7])]
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), flow=st.sampled_from(range(len(ROW_FLOWS))),
+           fault=st.sampled_from(sorted(ROW_FAULTS)), step=st.integers(0, 10),
+           stage=st.integers(0, 3), batch_fails=st.booleans())
+    def test_a_faulty_row_ends_as_the_batch_path_ends(self, data, flow, fault, step,
+                                                      stage, batch_fails):
+        F, x0 = self.ROW_FLOWS[flow]
+        at, j = 4 * step + stage, data.draw(st.integers(0, F.domain.dim - 1))
+        calls = []
+        row = F.row
+
+        def faulty_row(r):
+            calls.append("row")
+            v = row(r)
+            return self.ROW_FAULTS[fault](v, j) if calls.count("row") == at + 1 else v
+
+        # when the batch fails at that stage too, here it is its first call,
+        # and on the batch path its call number at
+        batch_fault = self.BATCH_FAULTS[fault]
+        batch = faulty(F, 0, batch_fault, j)[0].batch if batch_fails else F.batch
+
+        def logged_batch(P):
+            calls.append("batch")
+            return batch(P)
+
+        G = replace(F, row=faulty_row, batch=logged_batch)
+        got, err = outcome(lambda: integrate(G, x0, FAULT_CFG))
+        R = faulty(F, at, batch_fault, j)[0] if batch_fails else replace(F, row=None)
+        want, want_err = outcome(lambda: integrate(R, x0, FAULT_CFG))
+        if want_err is None:
+            assert err is None, err
+            assert_same(got, want.times, want.states, want.terminated_reason)
+        else:
+            assert type(err) is type(want_err) and str(err) == str(want_err)
+        # the batch ran once, for the faulty stage, and only when it was reached
+        reached = calls.count("row") > at
+        assert calls.count("batch") == int(reached)
+        if reached:
+            assert calls[at + 1] == "batch"
+        if batch_fails and reached:
+            assert want_err is not None and err is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e154, 1.4e154, 1e200,
+                                    -1e200, 1.7976931348623157e308])))
+def test_one_dim_norm_is_the_one_term_dot(a):
+    # a*a overflows to inf from |a| of about 1.34e154 on, in both
+    u = np.array([a])
+    with np.errstate(all="ignore"):
+        want, norm = math.sqrt(u.dot(u)), float(np.linalg.norm(u))
+    assert float.hex(dynamics._norm_1d([a])) == float.hex(want) == float.hex(norm)
