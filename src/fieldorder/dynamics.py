@@ -5,21 +5,23 @@ reproducibility matters more than adaptivity here.  integrate is the one
 step loop: it steps one state, evaluates each stage through
 fields.row_values (which raises what F.values raises), and
 check_setwise_stability calls it once per start.  A one-row step is mostly
-interpreter overhead, so the state is a list of Python floats, and the
-stages step it coordinate by coordinate in numpy's left-to-right order:
-IEEE + and * round the same in CPython as in numpy, so the bytes are
-those of the array arithmetic.  A field with a row map (the stock
-x sin(1/x) and mexican-hat fields, every 1-D affine map, and their
+interpreter overhead, so the state is Python floats, and the stages step
+it coordinate by coordinate in numpy's left-to-right order: IEEE + and *
+round the same in CPython as in numpy, so the bytes are those of the array
+arithmetic.  The body is chosen by the dimension alone: at dim 1 it steps
+one float, and a norm is sqrt(a*a), numpy's dot of one term; from dim 2 it
+steps a list, and a norm test is decided on the float sum of squares,
+which lies within a proven rounding margin of numpy's dot (it may fuse
+multiply and add, or sum in another order), so only a norm within that
+margin of its threshold runs the dot itself.  A field with a row map (the
+stock x sin(1/x) and mexican-hat fields, every 1-D affine map, and their
 negations) steps on that map; any other field runs its batch on the one
-row.  At dim 1 a norm is sqrt(a*a), numpy's dot of one term; from dim 2
-the norms stay sqrt(v.dot(v)) on ndarray rows, because numpy's dot may
-fuse multiply and add, which a Python sum of squares would not.  A flow
-stops when the field norm drops below CONVERGENCE_EPS, else when the
-state norm falls under FLOOR_EPS (the non-Lipschitz pocket around an
-oscillatory origin, surfaced rather than hidden), else when the next
-state would leave the domain (its contains_row); a flow still running
-when time runs out stops with MaxTime.  A flow whose states and times
-could exceed a fixed byte cap is refused before it starts.
+row.  A flow stops when the field norm drops below CONVERGENCE_EPS, else
+when the state norm falls under FLOOR_EPS (the non-Lipschitz pocket
+around an oscillatory origin, surfaced rather than hidden), else when the
+next state would leave the domain (its contains_row); a flow still
+running when time runs out stops with MaxTime.  A flow whose states and
+times could exceed a fixed byte cap is refused before it starts.
 
 For a one-dimensional field f, the potential L(x) is the integral of f
 from a reference point; along trajectories of x' = -f(x), dL/dt = -f(x)^2
@@ -31,7 +33,9 @@ increment by two-panel Simpson over its step.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -87,41 +91,93 @@ class Trajectory:
         return float(self.times[-1])
 
     def write_csv(self, fh) -> None:
-        dim = self.states.shape[1]
-        fh.write("t," + ",".join(f"x{j + 1}" for j in range(dim)) + "\n")
+        """A header, then one "t,x1,..." line per state, each entry %.17g,
+        all rows formatted by one % operation."""
+        n, dim = self.states.shape
         line = ",".join(["%.17g"] * (dim + 1)) + "\n"
-        fh.write("".join([line % tuple(r)
-                          for r in np.column_stack([self.times, self.states]).tolist()]))
-
-
-def _norm_1d(v: list) -> float:
-    """|v| of a one-entry row: sqrt(a*a), which is numpy's one-term dot."""
-    a = v[0]
-    return math.sqrt(a * a)
+        flat = np.column_stack([self.times, self.states]).ravel().tolist()
+        fh.write("t," + ",".join(f"x{j + 1}" for j in range(dim)) + "\n")
+        fh.write((line * n) % tuple(flat))
 
 
 def _norm(v: list) -> float:
-    """|v| as sqrt(v.dot(v)) of the ndarray row: from dim 2 numpy's dot may
-    fuse multiply and add, which a Python sum of squares would not."""
+    """|v| as sqrt(v.dot(v)) of the ndarray row, which is np.linalg.norm's."""
     u = np.array(v)
     return math.sqrt(u.dot(u))
+
+
+# the unit roundoff and the least subnormal of float64
+_U = 2.0 ** -53
+_TINY = 2.0 ** -1074
+
+
+def _norm_below(b: float, dim: int) -> Callable[[list], bool]:
+    """The test _norm(v) < b on rows v of dim floats, decided on q, the
+    float sum of the squares of v: True where q < lo, False where
+    hi < q < inf, and _norm decides a q in between or a q that is not
+    finite, so every answer is numpy's.
+
+    Let s be the exact sum of squares, E = dim * 2**-1074 and
+    g = dim*u / (1 - dim*u), with u = 2**-53.  Each rounding of a product,
+    a sum or a fused multiply-add is z(1 + d) + e with |d| <= u, and
+    |e| <= 2**-1075 only where an inexact result is subnormal (a subnormal
+    sum is exact).  A square passes through at most dim roundings on its
+    way into any summation tree, and at most dim of them are products or
+    fused, so q, numpy's dot p, and any other order, with FMA or without,
+    lie within g*s + E of s (Higham's relative bound, plus one underflow
+    term per square).  sqrt is correctly rounded and monotone, so for a
+    normal b, p <= b*b*(1 - 4u) gives sqrt(p) <= b*(1 - 2u) <= pred(b),
+    numpy's True, and p >= b*b gives sqrt(p) >= b, numpy's False.  With
+    c = 8*(dim + 2)*u and lo = b*b*(1 - c) - 4E, hi = b*b*(1 + c) + 4E as
+    rounded here, q < lo gives p <= (q + E)(1 + g)/(1 - g) + E
+    <= b*b*(1 - 4u), and hi < q < inf gives p >= (q - E)(1 - g)/(1 + g)
+    - E >= b*b: c covers 2g + 4u and the three roundings of each bound,
+    and 4E the underflow of b*b and of the bounds (below about 2**-537,
+    which takes in every subnormal b, b*b is 0, so lo < 0 and no row is
+    True on q).  A finite hi keeps
+    every sum below it from overflowing.  A b that is not positive and
+    finite, or an hi that is not finite, leaves every row to _norm.
+    """
+    inf = math.inf
+    lo, hi, c = -1.0, inf, 8 * (dim + 2) * _U
+    if 0.0 < b < inf and c < 2.0 ** -20:
+        t, pad = b * b, 4 * dim * _TINY
+        if t * (1.0 + c) + pad < inf:
+            lo, hi = t * (1.0 - c) - pad, t * (1.0 + c) + pad
+
+    def below(v: list) -> bool:
+        q = 0.0
+        for vi in v:
+            q += vi * vi
+        if q < lo:
+            return True
+        if hi < q < inf:
+            return False
+        return _norm(v) < b
+
+    return below
 
 
 def integrate(F: VectorField, x0, cfg: IntegratorConfig | None = None) -> Trajectory:
     """Fixed-step RK4 flow of x' = F(x) starting at x0, fully deterministic.
 
-    The state is a list of Python floats.  Each stage maps it through
-    row_values, F's row map or else its batch once on the one row, and
-    raises what F.values would raise.  The stage inputs x + dt/2 k1,
-    x + dt/2 k2, x + dt k3 and the next state x + dt/6 (k1 + 2 k2 + 2 k3
-    + k4) are formed coordinate by coordinate, each as numpy would round
-    it; a state that overflows is inf or NaN, with no warning, and leaves
-    the domain.  The flow stops at the first of Converged, StepUnderflow
-    and LeftDomain that holds, tested in that order; a flow still running
-    after t_max stops with MaxTime.  Each norm is what np.linalg.norm
-    computes on the one row: sqrt(a*a) at dim 1, else sqrt(v.dot(v)) of
-    an ndarray row.  A flow whose states and times would exceed the byte
-    cap is refused before F is evaluated.
+    Each stage maps the state through row_values, F's row map or else its
+    batch once on the one row, and raises what F.values would raise.  The
+    stage inputs x + dt/2 k1, x + dt/2 k2, x + dt k3 and the next state
+    x + dt/6 (k1 + 2 k2 + 2 k3 + k4) are formed coordinate by coordinate,
+    each as numpy would round it; a state that overflows is inf or NaN,
+    with no warning, and leaves the domain.  At dim 1 the state is one
+    float x, a stage is stage([x])[0], and each norm is sqrt(a*a), which
+    is numpy's dot of one term.  From dim 2 the state is a list of floats,
+    and each norm test is _norm_below's: decided on the float sum of
+    squares, with _norm (sqrt(v.dot(v)) of an ndarray row) deciding only
+    the rows within a rounding margin of the threshold, so every test
+    answers as np.linalg.norm of the row would.  The flow stops at the
+    first of Converged, StepUnderflow and LeftDomain that holds, tested in
+    that order; a flow still running after t_max stops with MaxTime.  The
+    states go into one array of doubles, which becomes the trajectory's
+    states without a copy.  A flow whose states and times would exceed
+    the byte cap is refused before F is evaluated.
     """
     cfg = cfg or IntegratorConfig()
     p = require_in_domain(F.domain, x0)
@@ -132,33 +188,51 @@ def integrate(F: VectorField, x0, cfg: IntegratorConfig | None = None) -> Trajec
         raise ValueError(f"a flow of {span:.6g} steps would hold more than the cap of "
                          f"{_MAX_TRAJECTORY_BYTES} bytes of states and times; "
                          "use a larger dt or a smaller t_max")
-    buf = np.empty((n_steps + 1, dim))
-    buf[0] = p
+    states = array("d", p.tolist())
     stage, inside = row_values(F), F.domain.contains_row
-    norm = _norm_1d if dim == 1 else _norm
     eps, floor = CONVERGENCE_EPS, FLOOR_EPS
-    half, sixth = 0.5 * dt, dt / 6.0
-    reason, end = MAX_TIME, 1  # end counts the states held
-    xs = p.tolist()
-    for _ in range(n_steps):
-        a = stage(xs)
-        if norm(a) < eps:
-            reason = CONVERGED
-            break
-        if norm(xs) < floor:
-            reason = STEP_UNDERFLOW
-            break
-        b = stage([xi + half * ai for xi, ai in zip(xs, a)])
-        c = stage([xi + half * bi for xi, bi in zip(xs, b)])
-        d = stage([xi + dt * ci for xi, ci in zip(xs, c)])
-        xs = [xi + sixth * (ai + 2.0 * bi + 2.0 * ci + di)
-              for xi, ai, bi, ci, di in zip(xs, a, b, c, d)]
-        if not inside(xs):
-            reason = LEFT_DOMAIN
-            break
-        buf[end] = xs
-        end += 1
-    return Trajectory(np.arange(end) * dt, buf[:end].copy(), reason)
+    half, sixth, sqrt = 0.5 * dt, dt / 6.0, math.sqrt
+    reason = MAX_TIME
+    if dim == 1:
+        x, append = states[0], states.append
+        for _ in range(n_steps):
+            a = stage([x])[0]
+            if sqrt(a * a) < eps:
+                reason = CONVERGED
+                break
+            if sqrt(x * x) < floor:
+                reason = STEP_UNDERFLOW
+                break
+            b = stage([x + half * a])[0]
+            c = stage([x + half * b])[0]
+            d = stage([x + dt * c])[0]
+            x = x + sixth * (a + 2.0 * b + 2.0 * c + d)
+            if not inside([x]):
+                reason = LEFT_DOMAIN
+                break
+            append(x)
+    else:
+        xs, extend = p.tolist(), states.extend
+        converged, underflow = _norm_below(eps, dim), _norm_below(floor, dim)
+        for _ in range(n_steps):
+            a = stage(xs)
+            if converged(a):
+                reason = CONVERGED
+                break
+            if underflow(xs):
+                reason = STEP_UNDERFLOW
+                break
+            b = stage([xi + half * ai for xi, ai in zip(xs, a)])
+            c = stage([xi + half * bi for xi, bi in zip(xs, b)])
+            d = stage([xi + dt * ci for xi, ci in zip(xs, c)])
+            xs = [xi + sixth * (ai + 2.0 * bi + 2.0 * ci + di)
+                  for xi, ai, bi, ci, di in zip(xs, a, b, c, d)]
+            if not inside(xs):
+                reason = LEFT_DOMAIN
+                break
+            extend(xs)
+    end = len(states) // dim
+    return Trajectory(np.arange(end) * dt, np.frombuffer(states).reshape(end, dim), reason)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import le
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -86,11 +87,11 @@ class Box(_RowContainment):
         if not np.all(lo <= up):
             raise ValueError("box requires lower <= upper componentwise")
         # the bounds contains_rows compares against, computed once, and the
-        # same floats per coordinate for contains_row, which the integrator
-        # calls every step
+        # same floats as lists for contains_row, which the integrator calls
+        # every step
         lo, up = _frozen(lo - CONTAINMENT_TOL), _frozen(up + CONTAINMENT_TOL)
         object.__setattr__(self, "_bounds", (lo, up))
-        object.__setattr__(self, "_row_bounds", tuple(zip(lo.tolist(), up.tolist())))
+        object.__setattr__(self, "_row_bounds", (lo.tolist(), up.tolist()))
 
     @property
     def dim(self) -> int:
@@ -106,9 +107,10 @@ class Box(_RowContainment):
 
     def contains_row(self, r: Sequence[float]) -> bool:
         """contains_rows of the one row r, on Python floats: the same two
-        comparisons per coordinate, so NaN is outside."""
-        bounds = self._row_bounds
-        return len(r) == len(bounds) and all(lo <= c <= up for c, (lo, up) in zip(r, bounds))
+        comparisons per coordinate, mapped over the cached bound lists, so
+        NaN is outside."""
+        lo, up = self._row_bounds
+        return len(r) == len(lo) and all(map(le, lo, r)) and all(map(le, r, up))
 
     def clip(self, p: np.ndarray) -> np.ndarray:
         return np.clip(p, np.asarray(self.lower), np.asarray(self.upper))
@@ -457,8 +459,11 @@ def negate(f: AnyField) -> AnyField:
     """Field with all values negated; negate(negate(f)) evaluates bit-identically to f.
 
     Negation is exact, so the affine parts and the row map of a vector
-    field negate with it.  Witness eps depend only on a segment's
-    geometry, so it keeps them.
+    field negate with it.  The row map negates a one-entry answer, the
+    answer on a 1-D domain, without a comprehension, and any other answer
+    entry by entry, so an answer of the wrong width or with a non-finite
+    entry reaches row_values' check as wide and as non-finite as it was.
+    Witness eps depend only on a segment's geometry, so it keeps them.
     """
     batch = f.batch
     label = f.label[4:] if f.label.startswith("neg:") else f"neg:{f.label}"
@@ -471,7 +476,8 @@ def negate(f: AnyField) -> AnyField:
         inner = f.row
 
         def row(r):
-            return [-v for v in inner(r)]
+            out = inner(r)
+            return [-out[0]] if len(out) == 1 else [-v for v in out]
 
     return VectorField(batch=lambda P: -batch(P), domain=f.domain, label=label,
                        affine=affine, witnesses=f.witnesses, row=row)

@@ -20,9 +20,20 @@ bit for bit (signed zeros included) on every row, and a flow must be the
 same whether it steps on the row map or, with ``row=None``, on the batch.
 A row map that answers a non-finite entry or the wrong width hands its
 stage to the batch, so the flow ends as the batch path ends it.
+
+At dim 1 a flow steps one float and its norms are numpy's one-term dot.
+From dim 2 each norm test is decided on a float sum of squares, and
+numpy's dot decides every row within the rounding margin of its
+threshold, so each decision must be numpy's on any row.  Because the row
+and batch paths share one body, the CLI's trajectory.csv of the CI and
+benchmark flows is checked against ``reference``, formatted one row at a
+time.
 """
 
+import importlib
+import io
 import math
+import os
 import warnings
 from dataclasses import replace
 
@@ -796,14 +807,247 @@ class TestRowPath:
         if batch_fails and reached:
             assert want_err is not None and err is not None
 
+    @settings(max_examples=60, deadline=None)
+    @given(fault=st.sampled_from(sorted(ROW_FAULTS)), step=st.integers(0, 10),
+           stage=st.integers(0, 3))
+    def test_a_faulty_inner_row_under_negate(self, fault, step, stage):
+        # the fault sits in the row map that negate wraps: the negated
+        # answer is as wide and as non-finite, so the stage hands it to
+        # the batch, and the flow ends as the batch path ends
+        F, x0, at = vector_field("xsininv"), [0.5], 4 * step + stage
+        calls = []
+
+        def faulty_row(r):
+            calls.append("row")
+            v = F.row(r)
+            return self.ROW_FAULTS[fault](v, 0) if calls.count("row") == at + 1 else v
+
+        def logged_batch(P):
+            calls.append("batch")
+            return F.batch(P)
+
+        G = negate(replace(F, row=faulty_row, batch=logged_batch))
+        got, err = outcome(lambda: integrate(G, x0, FAULT_CFG))
+        want, want_err = outcome(lambda: integrate(replace(negate(F), row=None), x0, FAULT_CFG))
+        assert err is None and want_err is None, (err, want_err)
+        assert_same(got, want.times, want.states, want.terminated_reason)
+        reached = calls.count("row") > at
+        assert calls.count("batch") == int(reached)
+        if reached:
+            assert calls[at + 1] == "batch"
+
+
+WIDE_BOX1 = Box((-1.7976931348623157e308,), (1.7976931348623157e308,))
+
 
 @settings(max_examples=300, deadline=None)
 @given(a=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                   st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e154, 1.4e154, 1e200,
+                   st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-170, 1e154, 1.4e154, 1e200,
                                     -1e200, 1.7976931348623157e308])))
 def test_one_dim_norm_is_the_one_term_dot(a):
-    # a*a overflows to inf from |a| of about 1.34e154 on, in both
+    # the 1-D body's norms are numpy's dot of one term: each flow stops on
+    # its first evaluation exactly when that dot lies below the threshold,
+    # tested at the dot itself and one ulp above it; a*a underflows below
+    # |a| of about 1e-162 and overflows to inf from about 1.34e154, in both
     u = np.array([a])
     with np.errstate(all="ignore"):
         want, norm = math.sqrt(u.dot(u)), float(np.linalg.norm(u))
-    assert float.hex(dynamics._norm_1d([a])) == float.hex(want) == float.hex(norm)
+    assert float.hex(want) == float.hex(norm)
+    cfg = IntegratorConfig(dt=1e-3, t_max=1.5e-3)
+    field_a = VectorField(batch=lambda P: np.full_like(P, a), domain=WIDE_BOX1, label="a")
+    ones = VectorField(batch=np.ones_like, domain=WIDE_BOX1, label="ones")
+    for b in (want, math.nextafter(want, math.inf)):
+        with pytest.MonkeyPatch.context() as mp:
+            # |F(x)| of field_a is |a|, and no state norm is below a floor of 0
+            patch_thresholds(mp, {"CONVERGENCE_EPS": b, "FLOOR_EPS": 0.0})
+            stopped = integrate(field_a, [0.5], cfg).terminated_reason
+            assert (stopped == CONVERGED) == (want < b)
+            # |F(x)| = 1 of ones is above 1e-6, and the state norm is |a|
+            patch_thresholds(mp, {"CONVERGENCE_EPS": 1e-6, "FLOOR_EPS": b})
+            stopped = integrate(ones, [a], cfg).terminated_reason
+            assert (stopped == STEP_UNDERFLOW) == (want < b)
+
+
+# ---------------------------------------------------------------------------
+# norm tests from dim 2: a float sum of squares, numpy's dot within the margin
+# ---------------------------------------------------------------------------
+
+def _ulps(x, k):
+    """x moved k ulps, up for k > 0 and down for k < 0."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+# as Python floats, the entries and thresholds integrate tests
+NORM_SPECIALS = [0.0, -0.0, float(_TINY), -float(_TINY), 1e-310, 2.2250738585072014e-308, 1e-160, -1e-160,
+                 1e-6, 1e154, -1.4e154, 1e200, 1.7976931348623157e308, math.inf, -math.inf,
+                 math.nan]
+BOUND_SPECIALS = [1e-6, 1e-12, float(_TINY), 1e-310, 1e-160, 1e-300, 1e154, 1.4e154, 1e300,
+                  1.7976931348623157e308, 0.0, -0.0, -1.0, math.inf, math.nan]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), dim=st.integers(2, 8),
+       kind=st.sampled_from(["drawn", "scaled_to_the_bound", "bound_at_the_norm"]))
+def test_norm_below_is_the_row_dot(data, dim, kind):
+    """_norm_below(b, dim)(v) is sqrt(u.dot(u)) < b for u = np.array(v)."""
+    row = st.lists(st.one_of(st.floats(), st.sampled_from(NORM_SPECIALS)),
+                   min_size=dim, max_size=dim)
+    if kind == "drawn":
+        v, b = data.draw(row), data.draw(st.one_of(st.floats(), st.sampled_from(BOUND_SPECIALS)))
+    elif kind == "scaled_to_the_bound":
+        # |v| = b (1 + m u) with m across the margin and past it on both sides
+        b = data.draw(st.one_of(st.floats(1e-300, 1e300), st.sampled_from(BOUND_SPECIALS[:9])))
+        w = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+        if not np.linalg.norm(w) > 1e-3:
+            w[0] = 1.0
+        m = data.draw(st.integers(-20 * (dim + 2), 20 * (dim + 2)))
+        v = (w * (b * (1.0 + m * 2.0 ** -53) / np.linalg.norm(w))).tolist()
+    else:
+        # b within a few ulps of the dot's norm, on either side
+        v = data.draw(row)
+        with np.errstate(all="ignore"):
+            u = np.array(v)
+            b = _ulps(math.sqrt(u.dot(u)), data.draw(st.integers(-3, 3)))
+    u = np.array(v, float)
+    with np.errstate(all="ignore"):
+        want = math.sqrt(u.dot(u)) < b
+        got = dynamics._norm_below(b, dim)(v)
+    assert type(got) is bool and got == want, (v, b)
+
+
+def _counted_norm(monkeypatch):
+    """A log of the rows dynamics._norm is asked for."""
+    rows, norm = [], dynamics._norm
+
+    def counted(v):
+        rows.append(list(v))
+        return norm(v)
+
+    monkeypatch.setattr(dynamics, "_norm", counted)
+    return rows
+
+
+MARGIN_FLOWS = [(negate(vector_field("mexican_hat")), [0.3, 0.2]),
+                FAULT_FLOWS[2],  # 3-D affine, on its batch
+                (real_cost_game()[0], real_cost_game()[1][0]),  # on a simplex, 4-D
+                (REGIMES, [-0.3, 0.6])]
+
+
+class TestNormMargin:
+    @pytest.mark.parametrize("flow", range(len(MARGIN_FLOWS)))
+    @pytest.mark.parametrize("which", ["field", "state"])
+    @pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
+    def test_a_norm_within_the_margin_is_numpys(self, flow, which, ulps, monkeypatch):
+        # the threshold sits within two ulps of the least norm of the first
+        # four states or of their fields, so the flow tests a norm in the
+        # margin, which numpy's dot decides, before it can stop on any other
+        F, x0 = MARGIN_FLOWS[flow]
+        patch_thresholds(monkeypatch, {"CONVERGENCE_EPS": 0.0, "FLOOR_EPS": 0.0})
+        first = reference(F, x0, FAULT_CFG)[1][:4]
+        assert len(first) == 4
+        b = _ulps(min(float(np.linalg.norm(F.value(x) if which == "field" else x))
+                      for x in first), ulps)
+        monkeypatch.setattr(dynamics, "CONVERGENCE_EPS" if which == "field" else "FLOOR_EPS", b)
+        want = reference(F, x0, FAULT_CFG)
+        rows = _counted_norm(monkeypatch)
+        assert_same(integrate(F, x0, FAULT_CFG), *want)
+        assert rows
+        if ulps > 0:
+            assert want[2] == (CONVERGED if which == "field" else STEP_UNDERFLOW)
+
+    def test_a_stock_flow_decides_its_norms_on_floats(self, monkeypatch):
+        rows = _counted_norm(monkeypatch)
+        traj = integrate(negate(vector_field("mexican_hat")), [0.3, 0.2])
+        assert traj.terminated_reason == CONVERGED and len(traj.times) > 1000
+        assert rows == []
+
+
+# ---------------------------------------------------------------------------
+# trajectory.csv
+# ---------------------------------------------------------------------------
+
+def reference_csv(times, states) -> str:
+    """trajectory.csv of times and states one row at a time: the header,
+    then each row's time and coordinates as %.17g, joined by commas."""
+    dim = states.shape[1]
+    lines = ["t," + ",".join(f"x{j + 1}" for j in range(dim))]
+    lines += [",".join("%.17g" % v for v in [t, *r])
+              for t, r in zip(times.tolist(), states.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+csv_entries = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([0.0, -0.0, _TINY, -_TINY, 1e-310, -1e-310,
+                                         2.2250738585072014e-308, 1e300, -1e300, 0.1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), n=st.integers(1, 30))
+def test_write_csv_is_the_per_row_format(data, dim, n):
+    times = np.array(data.draw(st.lists(csv_entries, min_size=n, max_size=n)))
+    states = np.array(data.draw(st.lists(st.lists(csv_entries, min_size=dim, max_size=dim),
+                                         min_size=n, max_size=n)))
+    buf = io.StringIO()
+    dynamics.Trajectory(times, states, MAX_TIME).write_csv(buf)
+    assert buf.getvalue() == reference_csv(times, states)
+
+
+# ---------------------------------------------------------------------------
+# CLI flows against the reference loop
+# ---------------------------------------------------------------------------
+
+# the flows that the CI step "Flows step the same on the row maps as on the
+# batches" runs
+CI_ROW_FLOWS = [["--field", "neg:xsininv", "--candidate", "auto", "--x0", "0.5"],
+                ["--field", "neg:mexican_hat", "--x0", "0.3,0.2"],
+                ["--field", "neg:linear", "--x0", "0.5"],
+                ["--field", "neg:xsininv", "--x0", "2.0"],
+                ["--field", "neg:linear", "--x0=-0.9"],
+                ["--field", "neg:mexican_hat", "--x0=-1.5,0.7"]]
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+BENCH_FLOWS = 11
+
+
+@pytest.fixture(scope="module")
+def bench_flow_argvs(tmp_path_factory):
+    """The argvs of the casestudy benchmark's flow ops at its default seed."""
+    if not os.path.isfile(os.path.join(PERFBENCH, "workloads.py")):
+        pytest.skip("no perfbench/ next to the tests")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(PERFBENCH)
+        run, workloads = importlib.import_module("run"), importlib.import_module("workloads")
+    inputs = str(tmp_path_factory.mktemp("casestudy"))
+    workloads.write_inputs("casestudy", run.DEFAULT_SEED, inputs)
+    return [op["argv"] for op in workloads.read_ops(inputs) if op["argv"][0] == "flow"]
+
+
+def assert_cli_flow_is_the_reference(argv, out_dir, capsys):
+    """The trajectory.csv that cli.main writes for a flow argv is the
+    reference loop's, formatted one row at a time."""
+    assert cli.main(["--json", "--out-dir", str(out_dir), *argv]) == 0
+    capsys.readouterr()
+    args = cli.build_parser().parse_args(argv)
+    F = cli._resolve(args.field, "vector")[0]
+    times, states, _ = reference(F, args.x0, IntegratorConfig(dt=args.dt, t_max=args.tmax))
+    with open(out_dir / "trajectory.csv") as fh:
+        got = fh.read().split("\n")
+    want = reference_csv(times, states).split("\n")
+    # the first line that differs, not a diff of two megabytes of text
+    bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+    assert bad is None and len(got) == len(want), (argv, bad, len(got), len(want))
+
+
+class TestCliFlowsAreTheReference:
+    @pytest.mark.parametrize("argv", CI_ROW_FLOWS, ids=[" ".join(a) for a in CI_ROW_FLOWS])
+    def test_ci_row_path_flows(self, argv, tmp_path, capsys):
+        assert_cli_flow_is_the_reference(["flow", *argv], tmp_path, capsys)
+
+    def test_the_benchmark_has_its_flows(self, bench_flow_argvs):
+        assert len(bench_flow_argvs) == BENCH_FLOWS
+
+    @pytest.mark.parametrize("i", range(BENCH_FLOWS))
+    def test_benchmark_flows(self, i, bench_flow_argvs, tmp_path, capsys):
+        assert_cli_flow_is_the_reference(bench_flow_argvs[i], tmp_path, capsys)
